@@ -9,6 +9,7 @@ from funcspace import (
     carleson_seq,
     pick_feasible,
     pick_min_norm,
+    pick_solve,
     separability_probe,
 )
 
@@ -26,7 +27,9 @@ ns = rng.uniform(-0.7, 0.7, 4) + 1j * rng.uniform(-0.4, 0.4, 4)
 vs = rng.normal(size=4) + 1j * rng.normal(size=4)
 print("nodes:", np.round(ns, 3))
 print("targets:", np.round(vs, 3))
-print("min norm:", pick_min_norm(ns, vs))
+solution = pick_solve(ns, vs)
+print("min norm (certified upper bound):", solution.min_norm)
+print("pencil value (float eigenvalue): ", solution.pencil_norm)
 print("max |target| (always a lower bound):", np.abs(vs).max())
 print()
 

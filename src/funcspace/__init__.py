@@ -31,6 +31,7 @@ from .hardy_pick import (
     detect_mo,
     pick_feasible,
     pick_min_norm,
+    pick_solve,
     separability_probe,
     toeplitz_mo,
 )
@@ -50,6 +51,7 @@ from .kernels import (
     kernel_sum,
     kernel_to_json,
     moebius,
+    pencil_norms,
     polynomial,
     psd_check,
     rank_one,

@@ -327,7 +327,8 @@ def _cmd_submult(config, loader):
 def _cmd_pick_solve(config, loader):
     problem = hardy_pick.PickProblem.from_json(loader.file("problem"))
     tol = _tol(config, 1e-9)
-    result = {"min_norm": hardy_pick.pick_min_norm(problem.nodes, problem.values, tol=tol)}
+    solution = hardy_pick.pick_solve(problem.nodes, problem.values, tol=tol)
+    result = {"min_norm": solution.min_norm, "pencil_norm": solution.pencil_norm}
     if problem.bound > 0.0:
         result["feasible_at_bound"] = hardy_pick.pick_feasible(problem).to_json()
     return result

@@ -63,6 +63,12 @@ class Unbounded(NumericalError):
     code = "Unbounded"
 
 
+class Overflow(NumericalError):
+    """An intermediate matrix left the float64 range; rescale the inputs."""
+
+    code = "Overflow"
+
+
 class SymbolNotContractive(ValidationError):
     code = "SymbolNotContractive"
 

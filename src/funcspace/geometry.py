@@ -219,14 +219,18 @@ def distance_function(space: MetricSpace, index: int) -> SampledFunction:
     return SampledFunction(space, space.dist[:, index].astype(complex))
 
 
+def _check_index(space, i: int) -> None:
+    if not (0 <= i < len(space)):
+        raise ValidationError(f"index {i} out of range for a space of {len(space)} points")
+
+
 def set_distance(space: MetricSpace, x: int, A) -> float:
     """Distance from point ``x`` to the nonempty index set ``A``."""
     idx = sorted({int(a) for a in A})
     if not idx:
         raise EmptySet("distance to the empty set is undefined")
-    for a in idx:
-        if not (0 <= a < len(space)):
-            raise ValidationError(f"index {a} out of range")
+    for i in (x, *idx):
+        _check_index(space, i)
     return float(space.dist[x, idx].min())
 
 
@@ -259,6 +263,7 @@ def lip_norm(f: SampledFunction) -> float:
 
 def lip_point_norm(space: MetricSpace, x: int) -> float:
     """Dual norm of the evaluation at x: max(1, rho(x, base))."""
+    _check_index(space, x)
     return max(1.0, float(space.dist[x, space.base]))
 
 
@@ -273,6 +278,8 @@ def lip_dual_pair_norm(space: MetricSpace, x: int, y: int):
     Returns:
         (value, witness) with ``lip_norm(witness) <= 1``.
     """
+    _check_index(space, x)
+    _check_index(space, y)
     if x == y:
         raise SamePoint("the pair functional needs two distinct points")
     witness = distance_function(space, y) - constant_function(space, space.dist[space.base, y])
@@ -320,6 +327,8 @@ def _lip_ball_lp(space: MetricSpace, objective: np.ndarray) -> float:
 
 def lip_dual_pair_norm_lp(space: MetricSpace, x: int, y: int) -> float:
     """LP oracle for the pair dual norm: sup |f(x) - f(y)| over the unit ball."""
+    _check_index(space, x)
+    _check_index(space, y)
     if x == y:
         raise SamePoint("the pair functional needs two distinct points")
     obj = np.zeros(len(space))
@@ -330,6 +339,7 @@ def lip_dual_pair_norm_lp(space: MetricSpace, x: int, y: int) -> float:
 
 def lip_point_norm_lp(space: MetricSpace, x: int) -> float:
     """LP oracle for the point dual norm: sup |f(x)| over the unit ball."""
+    _check_index(space, x)
     obj = np.zeros(len(space))
     obj[x] = 1.0
     return _lip_ball_lp(space, obj)

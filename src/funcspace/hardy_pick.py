@@ -6,13 +6,19 @@ recognized as a multiplication operator by testing whether its adjoint fixes
 the direction of every kernel coefficient vector.  Interpolation with a
 multiplier-norm budget is decided by the Pick matrix
 
-    [(t^2 - w_i conj(w_j)) / (1 - y_i conj(y_j))]
+    [(t^2 - w_i conj(w_j)) / (1 - y_i conj(y_j))]  =  t^2 C - W C W*
 
-whose PSD-ness characterizes feasibility; bisecting on t gives the minimal
-interpolation norm.  Node sequences whose boundary gaps halve support
-bounded interpolation of every 0/1 pattern while keeping the interpolants
-uniformly separated in sup norm - the finite fingerprint of a non-separable
-multiplier algebra.  Finally, on the span of exp(z) and the monomials z^n
+(C the Szego Gram of the nodes, W = diag(w)), whose PSD-ness characterizes
+feasibility.  The minimal interpolation norm is the square root of the top
+eigenvalue of the pencil ``(W C W*, C)`` (Agler & McCarthy, *Pick
+Interpolation and Hilbert Function Spaces*); it is reported next to a
+certified upper bound at which the Pick matrix is proven positive definite
+by a shifted Cholesky factorization (Rump, BIT 2006) whose margin counts
+every rounding.  Node sequences whose boundary gaps halve support bounded
+interpolation of every 0/1 pattern while keeping the interpolants uniformly
+separated in sup norm - the finite fingerprint of a non-separable
+multiplier algebra; all 2^m patterns are solved in one batch over a single
+factorization of C.  Finally, on the span of exp(z) and the monomials z^n
 (n >= 1), multiplication maps the span into itself only for constant
 symbols, and this is decided exactly.
 """
@@ -28,14 +34,20 @@ from .errors import (
     DuplicatePoint,
     NotInDisk,
     PatternBudgetExceeded,
-    Unbounded,
     ValidationError,
 )
 from .geometry import EuclideanPointSet
-from .kernels import PsdReport, hermitian_from_upper, psd_check
+from .kernels import (
+    UNIT_ROUNDOFF,
+    PsdReport,
+    certify_pencil_norms,
+    gamma,
+    mirror_upper,
+    pencil_norms,
+    psd_check,
+    require_finite,
+)
 from .serialize import complex_vector_from_json, complex_vector_to_json
-
-_BRACKET_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -132,12 +144,14 @@ class PickProblem:
         values = np.asarray(values, dtype=complex).reshape(-1)
         if nodes.size == 0 or nodes.size != values.size:
             raise ValidationError("need equally many (and at least one) nodes and targets")
+        if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
+            raise ValidationError("interpolation nodes and targets must be finite; got a non-finite entry")
         if np.any(np.abs(nodes) >= 1.0):
             raise NotInDisk("interpolation nodes must lie in the open unit disk")
         if len({complex(z) for z in nodes}) != nodes.size:
             raise DuplicatePoint("interpolation nodes must be distinct")
-        if bound < 0.0:
-            raise ValidationError("the norm bound must be nonnegative")
+        if not (np.isfinite(bound) and bound >= 0.0):
+            raise ValidationError("the norm bound must be finite and nonnegative")
         nodes.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -163,10 +177,10 @@ class PickProblem:
 
 
 def _pick_matrix(nodes: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    def entry(i, j):
-        return (t * t - values[i] * np.conj(values[j])) / (1.0 - nodes[i] * np.conj(nodes[j]))
-
-    return hermitian_from_upper(entry, nodes.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = (t * t - values[:, None] * np.conj(values)[None, :]) / (1.0 - nodes[:, None] * np.conj(nodes)[None, :])
+    require_finite("the Pick matrix", top)
+    return mirror_upper(top)
 
 
 def pick_feasible(problem: PickProblem, tol: float = 1e-10) -> PsdReport:
@@ -174,35 +188,121 @@ def pick_feasible(problem: PickProblem, tol: float = 1e-10) -> PsdReport:
     return psd_check(_pick_matrix(problem.nodes, problem.values, problem.bound), tol=tol)
 
 
-def pick_min_norm(nodes, values, tol: float = 1e-9, psd_tol: float = 1e-12) -> float:
-    """Minimal multiplier-norm budget t making interpolation feasible.
+def _split(a: np.ndarray):
+    """Dekker's split of a float into two halves of at most 26 bits each."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
-    Bisects the PSD transition of the Pick matrix; the returned endpoint is
-    certified feasible and within ``tol`` of the transition.  The bracket
-    starts at ``max |w_i|``, which every feasible t must dominate.
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """``p + e == a * b`` exactly (Dekker), barring underflow."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _compensated_sum(terms):
+    """Ogita, Rump & Oishi's Sum2: error <= u |sum| + gamma_{k-1}^2 sum |terms|."""
+    total, carry = terms[0], 0.0
+    for term in terms[1:]:
+        s = total + term
+        back = s - total
+        carry = carry + ((total - (s - back)) + (term - back))
+        total = s
+    return total + carry
+
+
+def _szego_unit_gram(nodes: np.ndarray):
+    """Szego Gram of the nodes scaled to unit diagonal, and its entry error.
+
+    ``1 - z_i conj(z_j)`` loses its relative accuracy to cancellation for
+    nodes near the circle, so it is summed from error-free products; each
+    part is then off by at most ``u`` of itself plus ``gamma_4^2`` of the
+    summed magnitudes (at most 3).  The scaling ``s_i = sqrt(1 - |z_i|^2)``
+    is a congruence by exact floats, so the returned matrix stands for
+    ``S C S`` with exact C and exact S.  Returns the Gram and a bound on the
+    relative error of each of its entries.
     """
-    problem = PickProblem(nodes, values, bound=0.0)
+    a, b = nodes.real, nodes.imag
+    ai, aj, bi, bj = a[:, None], a[None, :], b[:, None], b[None, :]
+    p_aa, e_aa = _two_product(ai, aj)
+    p_bb, e_bb = _two_product(bi, bj)
+    p_ab, e_ab = _two_product(ai, bj)
+    p_ba, e_ba = _two_product(bi, aj)
+    x = _compensated_sum([np.ones_like(p_aa), -p_aa, -p_bb, -e_aa, -e_bb])
+    y = _compensated_sum([p_ab, -p_ba, e_ab, -e_ba])
+    u = UNIT_ROUNDOFF
+    size = np.hypot(x, y)
+    rel_D = float(((u * (np.abs(x) + np.abs(y)) + 70.0 * u * u) / size).max()) * 1.01
+    s = np.sqrt(x.diagonal())
+    ss = s[:, None] * s[None, :]
+    q = x * x + y * y
+    gram = ss / x if not y.any() else (ss * x / q) - 1j * (ss * y / q)
+    return mirror_upper(gram), gamma(6) + 1.01 * rel_D
+
+
+class PickSolution(NamedTuple):
+    """Certified minimal interpolation norm and the float pencil value."""
+
+    min_norm: float
+    pencil_norm: float
+
+
+def _solve_pick(nodes: np.ndarray, targets: np.ndarray, tol: float):
+    """Pencil norms and certified bounds for a stack of target vectors on shared nodes."""
     if tol <= 0.0:
         raise ValidationError("tolerance must be positive")
+    C, rel_C = _szego_unit_gram(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = mirror_upper(targets[:, :, None] * np.conj(targets)[:, None, :])
+    require_finite("the Pick matrix", products)
+    pencil = pencil_norms(mirror_upper(C * products), C)
+    abs_C = np.abs(C)
+    abs_products = np.abs(targets)[:, :, None] * np.abs(targets)[:, None, :]
 
-    def feasible(t: float) -> bool:
-        return psd_check(_pick_matrix(problem.nodes, problem.values, t), tol=psd_tol).is_psd
+    def pick_matrices(T: np.ndarray, idx: np.ndarray):
+        # C o (T - w w*): the error of C scales with |T - w_i conj(w_j)|, which
+        # vanishes where the targets agree; complex products are within sqrt(5) u
+        budget = T[:, None, None] - products[idx]
+        error = abs_C * ((rel_C + gamma(4)) * np.abs(budget) + gamma(3) * abs_products[idx])
+        return mirror_upper(C * budget), error
 
-    lo = float(np.abs(problem.values).max())
-    if feasible(lo):
-        return lo
-    hi = max(1.0, 2.0 * lo)
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise Unbounded(f"no feasible interpolation bound below {_BRACKET_LIMIT:g}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return certify_pencil_norms(C, pencil, tol, pick_matrices), pencil
+
+
+def pick_solve(nodes, values, tol: float = 1e-9) -> PickSolution:
+    """Minimal multiplier-norm budget t making interpolation feasible.
+
+    ``pencil_norm`` is the square root of the top eigenvalue of the pencil
+    ``(W C W*, C)``, accurate to about ``eps cond(C) t``.  ``min_norm`` is a
+    certified upper bound: the Pick matrix ``t^2 C - W C W*`` is proven
+    positive definite at it in exact arithmetic, for the float nodes and
+    targets as given.  Its excess over the exact minimum is at most
+    ``tol + 32 eps cond(C) max(1, t)``, with C scaled to unit diagonal: the
+    certificate gives up with DegenerateGram rather than go further above
+    the pencil value.  The rounding term cannot be avoided, since near the
+    minimum the Pick matrix is only known to about ``eps cond(C) t^2``.
+
+    Raises:
+        DegenerateGram: the nodes' Szego Gram is numerically singular.
+        Overflow: the Pick matrix overflows float64.
+    """
+    problem = PickProblem(nodes, values, bound=0.0)
+    certified, pencil = _solve_pick(problem.nodes, problem.values[None, :], tol)
+    return PickSolution(float(certified[0]), float(pencil[0]))
+
+
+def pick_min_norm(nodes, values, tol: float = 1e-9) -> float:
+    """Certified upper bound on the minimal interpolation norm.
+
+    The Pick matrix is proven positive definite at the returned value, so it
+    is never below the exact minimum, and its excess over the exact minimum
+    is at most ``tol + 32 eps cond(C) max(1, t)``.  :func:`pick_solve`
+    reports it next to the float ``pencil_norm``.
+    """
+    return pick_solve(nodes, values, tol=tol).min_norm
 
 
 def carleson_seq(start: float, m: int) -> np.ndarray:
@@ -236,7 +336,9 @@ def separability_probe(m: int, start: float = 0.0, tol: float = 1e-9) -> Separab
     """Interpolate every 0/1 pattern on a halving node sequence.
 
     Sweeps all 2^m indicator patterns, solving the minimal-norm
-    interpolation for each.  ``max_min_norm`` witnesses that every pattern
+    interpolation for each in one batch over a single factorization of the
+    Szego Gram; every pattern norm is certified as in :func:`pick_solve`.
+    ``max_min_norm`` witnesses that every pattern
     is reachable at a uniformly bounded budget, while ``min_pairwise_gap``
     is the smallest sup-distance between distinct patterns on the nodes
     (exactly 1 for indicators) - together, continuum-many uniformly
@@ -247,11 +349,8 @@ def separability_probe(m: int, start: float = 0.0, tol: float = 1e-9) -> Separab
     if m < 1:
         raise ValidationError("need at least one node")
     nodes = carleson_seq(start, m)
-    norms = []
-    for mask in range(2**m):
-        pattern = [(mask >> k) & 1 for k in range(m)]
-        norms.append(pick_min_norm(nodes, np.array(pattern, dtype=complex), tol=tol))
     patterns = ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.int8)
+    norms, _ = _solve_pick(nodes, patterns.astype(float), tol)
     gap = None
     chunk = 256
     for lo in range(0, patterns.shape[0], chunk):
@@ -260,7 +359,7 @@ def separability_probe(m: int, start: float = 0.0, tol: float = 1e-9) -> Separab
         np.fill_diagonal(cheb[:, lo : lo + block.shape[0]], np.iinfo(np.int8).max)
         block_min = cheb.min()
         gap = block_min if gap is None else min(gap, block_min)
-    return SeparabilityReport(float(max(norms)), float(gap), tuple(norms))
+    return SeparabilityReport(float(norms.max()), float(gap), tuple(norms.tolist()))
 
 
 @dataclass(frozen=True)

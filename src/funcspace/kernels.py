@@ -8,6 +8,8 @@ products, and the geometric series ``1 / (1 - K)`` of a strictly contractive
 kernel.  Finite sections of a kernel on a sample are materialized as
 Hermitian :class:`GramMatrix` values, and positive semi-definiteness is
 decided from the smallest eigenvalue under a relative tolerance rule.
+Hermitian pencils ``(A, G)`` are solved in batches over one factorization of
+``G``, and their values can be raised to certified upper bounds.
 
 Arbitrary user matrices never enter the grammar; they can only be fed to
 :func:`psd_check`, which assumes nothing.
@@ -18,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import GeomDiverges, NotHermitian, OutOfDomain, ValidationError
+from .errors import DegenerateGram, GeomDiverges, NotHermitian, Overflow, OutOfDomain, ValidationError
 from .geometry import EuclideanPointSet
 from .serialize import (
     complex_matrix_from_json,
@@ -353,6 +356,188 @@ def psd_check(G, tol: float = 1e-10) -> PsdReport:
         tolerance_used=tol,
         max_abs_eigenvalue=max_abs,
     )
+
+
+# ---------------------------------------------------------------------------
+# Hermitian pencils
+
+#: Unit roundoff of float64.
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+#: Absolute error allowed per matrix entry for results in the subnormal range,
+#: where relative error bounds fail; far above any accumulated subnormal error.
+_UNDERFLOW_FLOOR = 2.0**-1000
+#: How far above the pencil value a certificate may go, in units of
+#: ``eps cond(G) max(1, t)`` on top of the caller's tolerance.
+_ROUNDING_ALLOWANCE = 32.0
+
+
+def gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``: relative error of k roundings."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def mirror_upper(M) -> np.ndarray:
+    """Exactly Hermitian matrix (or stack) from the upper triangle of ``M``.
+
+    The strict upper triangle is mirrored as its conjugate and the diagonal
+    keeps its real part, so the result does not depend on two roundings of
+    ``M[i, j]`` and ``M[j, i]`` agreeing.
+    """
+    M = np.asarray(M)
+    upper = np.triu(M, 1)
+    out = upper + np.conj(np.swapaxes(upper, -1, -2))
+    diag = np.arange(M.shape[-1])
+    out[..., diag, diag] = M[..., diag, diag].real
+    return out
+
+
+def require_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise Overflow(f"{what} overflows float64")
+
+
+def pencil_norms(A, G) -> np.ndarray:
+    """sqrt of the top eigenvalue of each Hermitian pencil ``(A[k], G)``.
+
+    That is the least ``t >= 0`` with ``t^2 G - A[k]`` positive semi-definite,
+    for a stack ``A`` of Hermitian matrices and one positive definite ``G``.
+    ``G`` is scaled to unit diagonal, a congruence that leaves every pencil's
+    eigenvalues unchanged, and factored once as ``L L*``; each scaled
+    ``A[k]`` is whitened to ``L^-1 A[k] L^-*`` and the top eigenvalues come
+    from one batched eigensolve.
+
+    Raises:
+        DegenerateGram: the scaled ``G`` is not numerically positive definite.
+        Overflow: an entry of ``A`` is not finite.
+    """
+    A = np.asarray(A)
+    G = np.asarray(G)
+    require_finite("the pencil matrix", A)
+    diag = G.diagonal().real
+    if not np.all(diag > 0.0):
+        raise DegenerateGram("the Gram matrix has a nonpositive diagonal entry")
+    d = 1.0 / np.sqrt(diag)
+    scale = d[:, None] * d[None, :]
+    try:
+        L = np.linalg.cholesky(G * scale)
+    except np.linalg.LinAlgError:
+        raise DegenerateGram("the Gram matrix is numerically singular (Cholesky broke down)") from None
+    trtri = scipy.linalg.get_lapack_funcs("trtri", (L,))
+    L_inv, _ = trtri(L, lower=1)
+    whitened = L_inv @ (A * scale) @ L_inv.conj().T
+    top = np.linalg.eigvalsh(whitened)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def _perron_bound(M: np.ndarray) -> np.ndarray:
+    """Upper bound on the spectral radius of each nonnegative symmetric M[k].
+
+    Collatz-Wielandt: ``rho(M) <= max_i (M x)_i / x_i`` for every positive x;
+    x is one power step from the all-ones vector, scaled to at most 1 and
+    kept away from underflow, and the factor covers the rounding of ``M x``
+    and the quotient.
+    """
+    rows = M.sum(axis=-1)
+    x = np.maximum(rows / np.maximum(rows.max(axis=-1, keepdims=True), np.finfo(float).tiny), 2.0**-20)
+    ratio = (M @ x[..., None])[..., 0] / x
+    return ratio.max(axis=-1) * (1.0 + gamma(M.shape[-1] + 2))
+
+
+def _cholesky_each(S: np.ndarray):
+    """Lower Cholesky factors of a stack and a mask of those that completed."""
+    try:
+        return np.linalg.cholesky(S), np.ones(len(S), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(S) == 1:
+            return np.zeros_like(S), np.zeros(1, dtype=bool)
+        half = len(S) // 2
+        L1, ok1 = _cholesky_each(S[:half])
+        L2, ok2 = _cholesky_each(S[half:])
+        return np.concatenate([L1, L2]), np.concatenate([ok1, ok2])
+
+
+def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_bound: np.ndarray) -> np.ndarray:
+    """Shift that a Cholesky factorization of ``P[k] - shift[k] I`` shows to suffice.
+
+    Rump's test (BIT 46, 2006): if floating-point Cholesky of ``P - shift I``
+    completes with factor L, then ``L L* = P - shift I + E`` with
+    ``|E| <= gamma_{n+3} |L| |L*|`` (complex arithmetic adds two roundings to
+    the real ``gamma_{n+1}``), and the shifted diagonal is off by at most
+    ``u`` of itself.  By Weyl's inequality every Hermitian matrix within
+    spectral distance ``rho(entry_bound)`` of ``P`` is positive definite when
+    ``shift`` exceeds the returned sum of the three error terms; it is
+    infinite where the factorization broke down.
+    """
+    n = P.shape[-1]
+    diag = np.arange(n)
+    S = P.copy()
+    S[:, diag, diag] -= shift[:, None]
+    L, done = _cholesky_each(S)
+    absL = np.abs(L)
+    factor_error = gamma(n + 3) * _perron_bound(absL @ np.swapaxes(absL, -1, -2))
+    diag_error = 1.01 * UNIT_ROUNDOFF * np.abs(S[:, diag, diag].real).max(axis=-1)
+    needed = (factor_error + diag_error + _perron_bound(entry_bound)) * (1.0 + gamma(4))
+    return np.where(done, needed, np.inf)
+
+
+def certify_pencil_norms(G, norms, tol: float, pencil_matrix) -> np.ndarray:
+    """Raise pencil norms to certified upper bounds.
+
+    ``G`` is the float Gram of the pencils and ``pencil_matrix(T, idx)``
+    returns, for squared norms ``T`` of the pencils ``idx``, the float
+    matrices ``T G - A[idx]`` and an entrywise bound on their distance from
+    the exact matrices they stand for.  Returns for each ``norms[k]`` a
+    float ``t >= norms[k]`` at which ``t^2 G - A[k]`` is proven positive
+    definite in exact arithmetic, so ``t`` is at least the exact pencil
+    norm.
+
+    The smallest eigenvalue of ``norms[k]^2 G - A[k]`` is measured, and one
+    Weyl step ``t^2 += deficit / lambda_min(G)`` buys the slack that the
+    rounding of the entries and of the factorization needs; a failed proof
+    is retried with growing increments.  The excess over ``norms[k]`` is
+    typically a few ``eps cond(G) t``.
+
+    Raises:
+        DegenerateGram: ``G`` is not numerically positive definite, or no
+            proof was found within ``tol + 32 eps cond(G) max(1, t)`` above
+            ``norms[k]``.
+        Overflow: ``t^2 G - A[k]`` overflows.
+    """
+    norms = np.asarray(norms, dtype=float)
+    eig_G = np.linalg.eigvalsh(G)
+    lam_G = float(eig_G[0])
+    if not lam_G > 0.0:
+        raise DegenerateGram(f"the Gram matrix is not positive definite (smallest eigenvalue {lam_G:.3e})")
+    eps = float(np.finfo(float).eps)
+    allowance = tol + _ROUNDING_ALLOWANCE * eps * (eig_G[-1] / lam_G) * np.maximum(1.0, norms)
+    limit = (norms + allowance) ** 2
+
+    def trial(T: np.ndarray, idx: np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            P, bound = pencil_matrix(T, idx)
+        require_finite("the matrix t^2 G - A", T, P, bound)
+        bound = bound + _UNDERFLOW_FLOOR
+        estimate = _perron_bound(bound) + gamma(P.shape[-1] + 4) * _perron_bound(np.abs(P))
+        return P, bound, np.maximum(estimate, learned[idx]) * (1.0 + 2.0**-4)
+
+    # the factor's |L| |L*| can exceed |P|; a failed proof teaches the shift
+    learned = np.zeros(len(norms))
+    T = norms**2
+    pending = np.arange(len(norms))
+    P, _, shift = trial(T, pending)
+    T = T + np.maximum(shift - np.linalg.eigvalsh(P)[:, 0], 0.0) / lam_G
+    attempt = 0
+    while pending.size:
+        P, bound, shift = trial(T[pending], pending)
+        needed = _shift_needed(P, shift, bound)
+        failed = ~(shift > needed)
+        pending, shift, needed = pending[failed], shift[failed], needed[failed]
+        learned[pending] = np.where(np.isfinite(needed), needed, learned[pending])
+        T[pending] += np.maximum(shift, learned[pending]) / lam_G * 2.0 ** (attempt - 3)
+        if np.any(T[pending] > limit[pending]):
+            raise DegenerateGram("could not certify the pencil norm: the Gram matrix is too ill-conditioned")
+        attempt += 1
+    return np.nextafter(np.sqrt(T), np.inf)
 
 
 def schur_product_check(K: KernelExpr, L: KernelExpr, sample: EuclideanPointSet, tol: float = 1e-10) -> PsdReport:

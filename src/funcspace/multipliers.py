@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateGram, SymbolNotContractive, Unbounded, ValidationError
 from .geometry import EuclideanPointSet
@@ -35,6 +34,7 @@ from .kernels import (
     hadamard,
     hermitian_from_upper,
     kernel_eval,
+    pencil_norms,
     polynomial,
     psd_check,
     szego,
@@ -138,8 +138,7 @@ def sampled_mult_norm(
     t_lo = _diag_lower_bound(values, G_F, G_E)
 
     if method == "pencil":
-        lam = scipy.linalg.eigh(A, G_E, eigvals_only=True)
-        t = float(np.sqrt(max(lam.max(), 0.0)))
+        t = float(pencil_norms(A[None], G_E)[0])
         return MultNormReport(sample, w, sup, t, 0.0, "pencil")
 
     def feasible(t: float) -> bool:

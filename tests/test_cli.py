@@ -127,6 +127,33 @@ class TestCoreCommands:
         assert abs(report["result"]["min_norm"] - 1.0) <= 1e-9
         assert report["result"]["feasible_at_bound"]["is_psd"] is True
 
+    def test_pick_solve_reports_pencil_norm(self, capsys, tmp_path):
+        path = write(tmp_path / "pick.json", {"nodes": [[0.1, 0.2], [0.5, 0], [-0.3, 0.6]], "values": [[1, 0], [0, 0], [0.5, 0.5]]})
+        code, report = run_cli(capsys, ["pick-solve", "--problem", path])
+        assert code == 0
+        result = report["result"]
+        assert result["pencil_norm"] <= result["min_norm"] <= result["pencil_norm"] + 1e-9
+
+    def test_pick_solve_non_finite_target(self, capsys, tmp_path):
+        path = write(tmp_path / "nan.json", {"nodes": [[0.1, 0], [0.5, 0]], "values": [float("nan"), [0.2, 0]]})
+        code, report = run_cli(capsys, ["pick-solve", "--problem", path])
+        assert code == 2
+        assert report["error"]["code"] == "ValidationError"
+        assert "non-finite" in report["error"]["message"]
+
+    def test_pick_solve_overflow(self, capsys, tmp_path):
+        path = write(tmp_path / "huge.json", {"nodes": [[0.1, 0], [0.5, 0]], "values": [[1e308, 0], [0.2, 0]]})
+        code, report = run_cli(capsys, ["pick-solve", "--problem", path])
+        assert code == 3
+        assert report["error"]["code"] == "Overflow"
+
+    def test_pick_solve_singular_gram(self, capsys, tmp_path):
+        nodes = [[0.5, 0], [float(np.nextafter(0.5, 1.0)), 0]]
+        path = write(tmp_path / "close.json", {"nodes": nodes, "values": [[1, 0], [0.2, 0]]})
+        code, report = run_cli(capsys, ["pick-solve", "--problem", path])
+        assert code == 3
+        assert report["error"]["code"] == "DegenerateGram"
+
     def test_detect_mo(self, capsys, tmp_path, inputs):
         from funcspace.hardy_pick import compress_square, toeplitz_mo
 
@@ -278,6 +305,14 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "max-points" in report["error"]["message"]
+
+    def test_lip_dual_index_out_of_range(self, capsys, tmp_path):
+        two_point = write(tmp_path / "two.json", {"dist": [[0.0, 1.0], [1.0, 0.0]], "base": 0})
+        for flags in (["--x", "7"], ["--x", "0", "--y", "5"], ["--x", "-1"]):
+            code, report = run_cli(capsys, ["lip-dual", "--space", two_point, *flags])
+            assert code == 2
+            assert report["error"]["code"] == "ValidationError"
+            assert "out of range" in report["error"]["message"]
 
     def test_distinct_error_codes(self, capsys, tmp_path, inputs):
         seen = set()

@@ -88,6 +88,10 @@ class TestSetDistance:
         with pytest.raises(EmptySet):
             set_distance(line3_space(), 0, set())
 
+    def test_point_outside_the_space(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            set_distance(line3_space(), 3, {0})
+
 
 class TestDil:
     def test_constant_has_zero_dil(self):
@@ -205,6 +209,19 @@ class TestDualNorms:
             space = random_dyadic_space(rng, int(rng.integers(2, 7)))
             x = int(rng.integers(len(space)))
             assert lip_point_norm(space, x) == pytest.approx(lip_point_norm_lp(space, x), abs=1e-9)
+
+    def test_indices_outside_the_space_rejected(self):
+        space = MetricSpace(np.array([[0.0, 3.0], [3.0, 0.0]]))
+        for call in (
+            lambda: lip_point_norm(space, 7),
+            lambda: lip_point_norm(space, -1),
+            lambda: lip_point_norm_lp(space, 2),
+            lambda: lip_dual_pair_norm(space, 0, 5),
+            lambda: lip_dual_pair_norm(space, -2, 1),
+            lambda: lip_dual_pair_norm_lp(space, 7, 0),
+        ):
+            with pytest.raises(ValidationError, match="out of range"):
+                call()
 
     def test_upper_and_lower_bounds_pinch(self):
         rng = np.random.default_rng(29)

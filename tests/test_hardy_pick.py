@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from funcspace.errors import (
+    DegenerateGram,
     DuplicatePoint,
     NotInDisk,
+    NumericalError,
     PatternBudgetExceeded,
     ValidationError,
 )
@@ -18,6 +20,7 @@ from funcspace.hardy_pick import (
     detect_mo,
     pick_feasible,
     pick_min_norm,
+    pick_solve,
     separability_probe,
     toeplitz_mo,
 )
@@ -162,6 +165,45 @@ class TestPickMinNorm:
             assert pick_min_norm(nodes, c * values) == pytest.approx(abs(c) * base, rel=1e-6, abs=1e-8)
 
 
+class TestPickSolve:
+    def test_certified_value_is_at_least_the_pencil(self):
+        rng = np.random.default_rng(50)
+        for n in (1, 4, 9):
+            nodes = 0.9 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+            values = rng.normal(size=n) + 1j * rng.normal(size=n)
+            solution = pick_solve(nodes, values)
+            assert solution.min_norm >= solution.pencil_norm
+            assert solution.min_norm == pick_min_norm(nodes, values)
+
+    def test_infeasible_just_below_feasible_at_certified_value(self):
+        nodes = carleson_seq(0.1, 7) * np.exp(0.3j)
+        values = np.array([1, 0, 1, 1, 0, 0, 1], dtype=complex)
+        t = pick_solve(nodes, values).min_norm
+        assert pick_feasible(PickProblem(nodes, values, bound=t), tol=0.0).is_psd
+        assert not pick_feasible(PickProblem(nodes, values, bound=t * (1 - 1e-6)), tol=0.0).is_psd
+
+    def test_non_finite_targets_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                pick_solve([0.1, 0.5], [bad, 0.2])
+            with pytest.raises(ValidationError, match="non-finite"):
+                pick_solve([bad, 0.5], [0.0, 0.2])
+
+    def test_overflow_is_a_numerical_error(self):
+        with pytest.raises(NumericalError):
+            pick_solve([0.1, 0.5], [1e308, 0.2])
+        with pytest.raises(NumericalError):
+            pick_feasible(PickProblem([0.1, 0.5], [1e308, 0.2]))
+
+    def test_numerically_singular_gram(self):
+        with pytest.raises(DegenerateGram):
+            pick_solve([0.5, np.nextafter(0.5, 1.0)], [1.0, 0.2])
+
+    def test_tolerance_validated(self):
+        with pytest.raises(ValidationError):
+            pick_solve([0.1], [0.2], tol=0.0)
+
+
 class TestCarlesonSeq:
     def test_first_three_nodes(self):
         assert np.array_equal(carleson_seq(0.0, 3), np.array([0.5, 0.75, 0.875]))
@@ -199,6 +241,15 @@ class TestSeparabilityProbe:
         values = [separability_probe(m).max_min_norm for m in range(2, 6)]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-9
+
+    def test_batched_sweep_matches_single_solves(self):
+        nodes = carleson_seq(0.2, 5)
+        report = separability_probe(5, start=0.2)
+        for mask in (0, 5, 19, 31):
+            pattern = [(mask >> k) & 1 for k in range(5)]
+            single = pick_solve(nodes, pattern)
+            assert report.pattern_norms[mask] >= single.pencil_norm
+            assert report.pattern_norms[mask] == pytest.approx(single.min_norm, rel=1e-10, abs=1e-9)
 
     def test_budget_cap(self):
         with pytest.raises(PatternBudgetExceeded):

@@ -3,12 +3,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from funcspace.errors import GeomDiverges, NotHermitian, OutOfDomain, ValidationError
+from funcspace.errors import DegenerateGram, GeomDiverges, NotHermitian, OutOfDomain, Overflow, ValidationError
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
     GramMatrix,
     ball,
+    certify_pencil_norms,
     compose,
     constant,
     coordinate,
@@ -25,7 +27,9 @@ from funcspace.kernels import (
     kernel_from_json,
     kernel_sum,
     kernel_to_json,
+    mirror_upper,
     moebius,
+    pencil_norms,
     polynomial,
     psd_check,
     rank_one,
@@ -360,3 +364,68 @@ class TestGramMatrixType:
         again = GramMatrix.from_json(json.loads(json.dumps(g.to_json())))
         assert np.allclose(again.entries, g.entries, rtol=0, atol=1e-15)
         assert np.allclose(again.sample.points, S.points, rtol=0, atol=1e-15)
+
+
+def random_hermitian(rng, n, k=None):
+    shape = (n, n) if k is None else (k, n, n)
+    M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return mirror_upper(M)
+
+
+class TestMirrorUpper:
+    def test_exactly_hermitian_with_upper_triangle_kept(self):
+        rng = np.random.default_rng(40)
+        M = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        H = mirror_upper(M)
+        assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+        iu = np.triu_indices(5, k=1)
+        assert np.array_equal(H[:, iu[0], iu[1]], M[:, iu[0], iu[1]])
+        assert np.array_equal(np.diagonal(H, axis1=1, axis2=2), np.diagonal(M, axis1=1, axis2=2).real)
+
+    def test_real_input_stays_real(self):
+        H = mirror_upper(np.array([[1.0, 2.0], [5.0, 3.0]]))
+        assert H.dtype == float
+        assert np.array_equal(H, [[1.0, 2.0], [2.0, 3.0]])
+
+
+class TestPencilNorms:
+    def test_batch_matches_scipy_pencil(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 3, 8):
+            X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            G = mirror_upper(X @ X.conj().T + n * np.eye(n))
+            A = random_hermitian(rng, n, k=6)
+            got = pencil_norms(A, G)
+            for k in range(6):
+                top = scipy.linalg.eigh(A[k], G, eigvals_only=True).max()
+                assert got[k] == pytest.approx(np.sqrt(max(top, 0.0)), rel=1e-12, abs=1e-14)
+
+    def test_singular_gram_rejected(self):
+        G = np.ones((2, 2))
+        with pytest.raises(DegenerateGram):
+            pencil_norms(np.eye(2)[None], G)
+
+    def test_overflowed_matrix_rejected(self):
+        with pytest.raises(Overflow):
+            pencil_norms(np.array([[[np.inf, 0.0], [0.0, 1.0]]]), np.eye(2))
+
+
+class TestCertifyPencilNorms:
+    def test_certified_bound_is_above_and_close(self):
+        rng = np.random.default_rng(42)
+        n = 6
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        G = mirror_upper(X @ X.conj().T + np.eye(n))
+        A = random_hermitian(rng, n, k=5)
+        pencil = pencil_norms(A, G)
+
+        def exact_floats(T, idx):
+            # the float matrices are the exact ones; only t^2 G - A is rounded
+            return mirror_upper(T[:, None, None] * G - A[idx]), np.zeros((len(idx), n, n))
+
+        certified = certify_pencil_norms(G, pencil, 1e-9, exact_floats)
+        assert np.all(certified >= pencil)
+        eig = np.linalg.eigvalsh(G)
+        assert np.all(certified - pencil <= 32 * np.finfo(float).eps * eig[-1] / eig[0] * np.maximum(1.0, pencil))
+        for k in range(5):
+            assert np.linalg.eigvalsh(certified[k] ** 2 * G - A[k])[0] > 0.0
