@@ -46,6 +46,7 @@ from .kernels import (
     geom,
     gram,
     hadamard,
+    kernel_block,
     kernel_eval,
     kernel_from_json,
     kernel_sum,

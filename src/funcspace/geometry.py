@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateSpace,
@@ -293,6 +292,9 @@ def _lip_ball_lp(space: MetricSpace, objective: np.ndarray) -> float:
     quotient and s bounding |f(base)|; the complex problem reduces to this
     real one because the optimum can be rotated to be real-valued.
     """
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import linprog
+
     n = len(space)
     nv = n + 2
     rows, rhs = [], []

@@ -5,9 +5,14 @@ positive semi-definite kernel by construction: the Szego kernel on the unit
 disk, its ball analogue, nonnegative constants, rank-one kernels
 ``w(x) conj(w(y))``, sums, positive scalings, entrywise (Schur/Hadamard)
 products, and the geometric series ``1 / (1 - K)`` of a strictly contractive
-kernel.  Finite sections of a kernel on a sample are materialized as
-Hermitian :class:`GramMatrix` values, and positive semi-definiteness is
-decided from the smallest eigenvalue under a relative tolerance rule.
+kernel.  One evaluator serves kernels and symbols: :func:`kernel_block`
+evaluates every node of an expression once on whole point blocks
+``K(X, Y)`` by broadcasting, and :meth:`ClosedFormFunction.eval_points`
+does the same for symbols; :func:`kernel_eval` and a symbol's call are their
+one-point cases.  Finite sections of a kernel on a sample are materialized
+as Hermitian :class:`GramMatrix` values by mirroring the upper triangle of
+the block, and positive semi-definiteness is decided from the smallest
+eigenvalue under a relative tolerance rule.
 Hermitian pencils ``(A, G)`` are solved in batches over one factorization of
 ``G``, and their values can be raised to certified upper bounds.
 
@@ -32,6 +37,17 @@ from .serialize import (
     complex_vector_to_json,
     pair_to_complex,
 )
+
+
+def _as_point(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=complex))
+
+
+def _as_points(X) -> np.ndarray:
+    """An n-by-d complex array; a flat array is n points of C^1."""
+    X = np.asarray(X, dtype=complex)
+    return X.reshape(-1, 1) if X.ndim == 1 else X
+
 
 _FN_KINDS = ("coordinate", "polynomial", "moebius", "exp", "compose", "product", "sum", "scale")
 
@@ -60,44 +76,54 @@ class ClosedFormFunction:
             raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{self.a}| = {abs(self.a)}")
 
     def __call__(self, point) -> complex:
-        point = np.atleast_1d(np.asarray(point, dtype=complex))
+        """Value at one point of C^d: the one-point case of :meth:`eval_points`."""
+        return complex(self.eval_points(_as_point(point)[None, :])[0])
+
+    def eval_points(self, P) -> np.ndarray:
+        """Values at the rows of an n-by-d array of points, as a length-n array
+        (a flat array is n points of C^1).
+
+        Raises:
+            OutOfDomain: the symbol is undefined in dimension d.
+        """
+        P = _as_points(P)
         k = self.kind
         if k == "coordinate":
-            if not (0 <= self.index < point.shape[0]):
-                raise OutOfDomain(f"coordinate {self.index} undefined for a point of dimension {point.shape[0]}")
-            return complex(point[self.index])
+            if not (0 <= self.index < P.shape[1]):
+                raise OutOfDomain(f"coordinate {self.index} undefined for a point of dimension {P.shape[1]}")
+            return P[:, self.index].copy()
         if k == "compose":
             outer, inner = self.children
-            return outer(np.array([inner(point)], dtype=complex))
+            return outer.eval_points(inner.eval_points(P)[:, None])
         if k == "product":
-            out = 1.0 + 0.0j
+            out = np.ones(P.shape[0], dtype=complex)
             for child in self.children:
-                out *= child(point)
+                out = out * child.eval_points(P)
             return out
         if k == "sum":
-            out = 0.0 + 0.0j
+            out = np.zeros(P.shape[0], dtype=complex)
             for child in self.children:
-                out += child(point)
+                out = out + child.eval_points(P)
             return out
         if k == "scale":
-            return self.factor * self.children[0](point)
+            return self.factor * self.children[0].eval_points(P)
         # remaining kinds act on a scalar
-        if point.shape[0] != 1:
-            raise OutOfDomain(f"{k} expects a scalar input, got dimension {point.shape[0]}")
-        z = complex(point[0])
+        if P.shape[1] != 1:
+            raise OutOfDomain(f"{k} expects a scalar input, got dimension {P.shape[1]}")
+        z = P[:, 0]
         if k == "polynomial":
-            out = 0.0 + 0.0j
+            out = np.zeros(P.shape[0], dtype=complex)
             for c in reversed(self.coeffs):
                 out = out * z + c
             return out
         if k == "moebius":
             return (z - self.a) / (1.0 - np.conj(self.a) * z)
         if k == "exp":
-            return complex(np.exp(z))
+            return np.exp(z)
         raise AssertionError(k)
 
     def eval_on(self, sample: EuclideanPointSet) -> np.ndarray:
-        return np.array([self(p) for p in sample.points], dtype=complex)
+        return self.eval_points(sample.points)
 
 
 def coordinate(index: int = 0) -> ClosedFormFunction:
@@ -210,48 +236,129 @@ def geom(kernel: KernelExpr) -> KernelExpr:
     return KernelExpr("geom", children=(kernel,))
 
 
-def _as_point(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=complex))
+def _fail_everywhere(shape, failures: list, exc: Exception) -> np.ndarray:
+    failures.append((np.ones(shape, dtype=bool), lambda i, j: exc))
+    return np.zeros(shape, dtype=complex)
+
+
+def _disk_block(K: KernelExpr, X, Y, failures: list) -> np.ndarray:
+    """``1 / (1 - <x, y>)`` of the Szego (d = 1) or ball kernel."""
+    shape = (X.shape[0], Y.shape[0])
+    if K.op == "szego":
+        if X.shape[1] != 1 or Y.shape[1] != 1:
+            return _fail_everywhere(shape, failures, OutOfDomain("szego kernel lives on the unit disk of C^1"))
+        xs, ys = X[:, 0], Y[:, 0]
+        out_x, out_y = np.abs(xs) >= 1.0, np.abs(ys) >= 1.0
+
+        def error(i, j):
+            return OutOfDomain(f"szego kernel needs |z| < 1, got ({xs[i]}, {ys[j]})")
+
+    else:
+        if X.shape[1] != K.dim or Y.shape[1] != K.dim:
+            return _fail_everywhere(shape, failures, OutOfDomain(f"ball kernel expects points of dimension {K.dim}"))
+        out_x, out_y = (np.abs(X) ** 2).sum(axis=1) >= 1.0, (np.abs(Y) ** 2).sum(axis=1) >= 1.0
+
+        def error(i, j):
+            return OutOfDomain("ball kernel needs points inside the open unit ball")
+
+    bad = out_x[:, None] | out_y[None, :]
+    if bad.any():
+        failures.append((bad, error))
+        # points outside are replaced by 0, so that no entry overflows or divides by zero
+        X, Y = np.where(out_x[:, None], 0.0, X), np.where(out_y[:, None], 0.0, Y)
+    out = 1.0 / (1.0 - (X[:, None, :] * np.conj(Y[None, :, :])).sum(axis=-1))
+    out[bad] = 0.0
+    return out
+
+
+def _symbol_values(fn: ClosedFormFunction, P, shape, failures: list) -> np.ndarray:
+    try:
+        return fn.eval_points(P)
+    except OutOfDomain as exc:
+        _fail_everywhere(shape, failures, exc)
+        return np.zeros(P.shape[0], dtype=complex)
+
+
+def _block_values(K: KernelExpr, X, Y, failures: list) -> np.ndarray:
+    """``K(X, Y)`` by broadcasting, walking the tree once in evaluation order.
+
+    A node that fails at some entries appends ``(mask, error)`` to
+    ``failures``, where ``error(i, j)`` builds the exception of entry
+    ``(i, j)``, and passes 0 up at those entries.  An entry's first record in
+    the list is therefore the error that evaluating that entry alone raises.
+    """
+    op = K.op
+    shape = (X.shape[0], Y.shape[0])
+    if op in ("szego", "ball"):
+        return _disk_block(K, X, Y, failures)
+    if op == "constant":
+        return np.full(shape, complex(K.value))
+    if op == "rank1":
+        wx = _symbol_values(K.fn, X, shape, failures)
+        wy = _symbol_values(K.fn, Y, shape, failures)
+        return wx[:, None] * np.conj(wy[None, :])
+    if op == "sum":
+        out = np.zeros(shape, dtype=complex)
+        for child in K.children:
+            out = out + _block_values(child, X, Y, failures)
+        return out
+    if op == "scale":
+        return K.factor * _block_values(K.children[0], X, Y, failures)
+    if op == "hadamard":
+        return _block_values(K.children[0], X, Y, failures) * _block_values(K.children[1], X, Y, failures)
+    if op == "geom":
+        v = _block_values(K.children[0], X, Y, failures)
+        bad = np.abs(v) >= 1.0
+        if not bad.any():
+            return 1.0 / (1.0 - v)
+
+        def error(i, j):
+            where = f"({X[i].tolist()}, {Y[j].tolist()})"
+            return GeomDiverges(f"geometric series diverges at {where}: |K| = {abs(v[i, j])}")
+
+        failures.append((bad, error))
+        return np.where(bad, 0.0, 1.0 / (1.0 - np.where(bad, 0.0, v)))
+    raise AssertionError(op)
+
+
+def _evaluate(K: KernelExpr, X, Y, upper: bool = False):
+    """``K(X, Y)`` and the first failing entry in row-major order, among the
+    entries with ``i <= j`` when ``upper``, as ``(i, j, exception)`` or None."""
+    failures = []
+    out = _block_values(K, X, Y, failures)
+    if not failures:
+        return out, None
+    bad = np.logical_or.reduce([mask for mask, _ in failures])
+    if upper:
+        bad = np.triu(bad)
+    if not bad.any():
+        return out, None
+    i, j = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
+    return out, (i, j, next(error(i, j) for mask, error in failures if mask[i, j]))
+
+
+def kernel_block(K: KernelExpr, X, Y) -> np.ndarray:
+    """The matrix ``[K(x_i, y_j)]`` for the rows of ``X`` and ``Y``.
+
+    ``X`` and ``Y`` are n-by-d and m-by-d arrays of points of C^d (a flat
+    array is a list of points of C^1).  Every node of the expression is
+    evaluated once on the whole block by broadcasting.
+
+    Raises:
+        OutOfDomain: a point outside the open disk/ball of a built-in kernel,
+            or of the wrong dimension for a kernel or symbol.
+        GeomDiverges: a ``geom`` node saw an inner value of modulus >= 1.
+        The error is that of the first failing entry in row-major order.
+    """
+    out, failure = _evaluate(K, _as_points(X), _as_points(Y))
+    if failure:
+        raise failure[2]
+    return out
 
 
 def kernel_eval(K: KernelExpr, x, y) -> complex:
-    """Evaluate the kernel at a pair of points.
-
-    Raises:
-        OutOfDomain: point outside the open disk/ball of a built-in kernel.
-        GeomDiverges: a ``geom`` node saw an inner value of modulus >= 1.
-    """
-    x = _as_point(x)
-    y = _as_point(y)
-    op = K.op
-    if op == "szego":
-        if x.shape[0] != 1 or y.shape[0] != 1:
-            raise OutOfDomain("szego kernel lives on the unit disk of C^1")
-        if abs(x[0]) >= 1.0 or abs(y[0]) >= 1.0:
-            raise OutOfDomain(f"szego kernel needs |z| < 1, got ({x[0]}, {y[0]})")
-        return 1.0 / (1.0 - x[0] * np.conj(y[0]))
-    if op == "ball":
-        if x.shape[0] != K.dim or y.shape[0] != K.dim:
-            raise OutOfDomain(f"ball kernel expects points of dimension {K.dim}")
-        if (np.abs(x) ** 2).sum() >= 1.0 or (np.abs(y) ** 2).sum() >= 1.0:
-            raise OutOfDomain("ball kernel needs points inside the open unit ball")
-        return 1.0 / (1.0 - complex(np.sum(x * np.conj(y))))
-    if op == "constant":
-        return complex(K.value)
-    if op == "rank1":
-        return K.fn(x) * np.conj(K.fn(y))
-    if op == "sum":
-        return sum((kernel_eval(child, x, y) for child in K.children), 0.0 + 0.0j)
-    if op == "scale":
-        return K.factor * kernel_eval(K.children[0], x, y)
-    if op == "hadamard":
-        return kernel_eval(K.children[0], x, y) * kernel_eval(K.children[1], x, y)
-    if op == "geom":
-        v = kernel_eval(K.children[0], x, y)
-        if abs(v) >= 1.0:
-            raise GeomDiverges(f"geometric series diverges at ({x.tolist()}, {y.tolist()}): |K| = {abs(v)}")
-        return 1.0 / (1.0 - v)
-    raise AssertionError(op)
+    """Evaluate the kernel at a pair of points: the 1x1 :func:`kernel_block`."""
+    return complex(kernel_block(K, _as_point(x)[None, :], _as_point(y)[None, :])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -288,7 +395,9 @@ def hermitian_from_upper(entry, n: int) -> np.ndarray:
     """Fill a Hermitian matrix from an upper-triangle entry function.
 
     Computing each pair once and mirroring the conjugate keeps the matrix
-    Hermitian to the last bit, which the PSD tolerance rule relies on.
+    Hermitian to the last bit, which the PSD tolerance rule relies on.  The
+    package itself evaluates whole blocks and uses :func:`mirror_upper`;
+    this per-entry form stays for callers outside it.
     """
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -303,16 +412,17 @@ def hermitian_from_upper(entry, n: int) -> np.ndarray:
 
 
 def gram(K: KernelExpr, sample: EuclideanPointSet) -> GramMatrix:
-    """Assemble the Hermitian matrix [K(x_i, x_j)] on the sample."""
-    pts = sample.points
+    """Assemble the Hermitian matrix [K(x_i, x_j)] on the sample.
 
-    def entry(i, j):
-        try:
-            return kernel_eval(K, pts[i], pts[j])
-        except (OutOfDomain, GeomDiverges) as exc:
-            raise type(exc)(f"gram entry ({i},{j}): {exc}") from None
-
-    return GramMatrix(sample, hermitian_from_upper(entry, len(sample)))
+    The block is evaluated at once and its upper triangle mirrored
+    (:func:`mirror_upper`); an error names the first failing ``(i, j)`` with
+    ``i <= j`` in row-major order as ``gram entry (i,j)``.
+    """
+    out, failure = _evaluate(K, sample.points, sample.points, upper=True)
+    if failure:
+        i, j, exc = failure
+        raise type(exc)(f"gram entry ({i},{j}): {exc}")
+    return GramMatrix(sample, mirror_upper(out))
 
 
 @dataclass(frozen=True)

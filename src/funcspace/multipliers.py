@@ -10,6 +10,13 @@ finite sample can only relax it, so every number reported here is a lower
 estimate of the true multiplier norm; the report says so in its
 ``semantics`` field and no upper-bound claim is made.
 
+The Gram matrices, ``D G_F D*`` and the contraction matrix
+``[(1 - w_i conj(w_j)) K(x_i, x_j)]`` are each one broadcast expression over
+the sample: symbols are evaluated on all sample points at once
+(:meth:`ClosedFormFunction.eval_on`) and kernels on the whole sample block
+(:func:`kernels.gram`), and upper triangles are mirrored so that every
+matrix is exactly Hermitian.
+
 Two methods are provided and must agree: ``pencil`` reads ``t^2`` off the
 largest eigenvalue of the Hermitian pencil ``(D G_F D*, G_E)``, and
 ``bisection`` brackets the PSD transition starting from the diagonal lower
@@ -32,8 +39,7 @@ from .kernels import (
     compose,
     gram,
     hadamard,
-    hermitian_from_upper,
-    kernel_eval,
+    mirror_upper,
     pencil_norms,
     polynomial,
     psd_check,
@@ -70,12 +76,7 @@ class MultNormReport:
 
 def _scaled_gram_entries(K: KernelExpr, w: np.ndarray, sample: EuclideanPointSet) -> np.ndarray:
     """Hermitian matrix [(1 - w_i conj(w_j)) K(x_i, x_j)]."""
-    pts = sample.points
-
-    def entry(i, j):
-        return (1.0 - w[i] * np.conj(w[j])) * kernel_eval(K, pts[i], pts[j])
-
-    return hermitian_from_upper(entry, len(sample))
+    return mirror_upper((1.0 - w[:, None] * np.conj(w[None, :])) * gram(K, sample).entries)
 
 
 def contraction_check(K: KernelExpr, w: ClosedFormFunction, sample: EuclideanPointSet, tol: float = 1e-10) -> PsdReport:
@@ -130,10 +131,7 @@ def sampled_mult_norm(
             f"(eigenvalue range [{eig_E.min():.3e}, {eig_E.max():.3e}])"
         )
 
-    def entry(i, j):
-        return (values[i] * G_F[i, j]) * np.conj(values[j])
-
-    A = hermitian_from_upper(entry, len(sample))
+    A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
     sup = float(np.abs(values).max())
     t_lo = _diag_lower_bound(values, G_F, G_E)
 

@@ -222,6 +222,10 @@ def point_eval_rank(
     above ``tol * sigma_max`` count toward the rank.
     """
     points = [int(i) for i in points]
+    n = len(model.dense.space)
+    for i in points:
+        if not (0 <= i < n):
+            raise ValidationError(f"point index {i} out of range for a space of {n} points")
     if not allow_duplicates and len(set(points)) != len(points):
         raise DuplicatePoint("points must be distinct (pass allow_duplicates to bypass)")
     if M > model.depth:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import funcspace
 from funcspace.cli import COMMANDS, ExperimentConfig, main, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -314,6 +318,14 @@ class TestErrorPaths:
             assert report["error"]["code"] == "ValidationError"
             assert "out of range" in report["error"]["message"]
 
+    def test_rank_check_index_out_of_range(self, capsys, inputs):
+        # the model has 5 points; -1 must not wrap around to the last one
+        for points in ("[0, 9]", "[0, -1]"):
+            code, report = run_cli(capsys, ["rank-check", "--model", inputs["model"], "--points", points])
+            assert code == 2
+            assert report["error"]["code"] == "ValidationError"
+            assert "out of range" in report["error"]["message"]
+
     def test_distinct_error_codes(self, capsys, tmp_path, inputs):
         seen = set()
         bad_matrix = write(tmp_path / "nh.json", {"re": [[1.0, 2.0], [0.0, 1.0]], "im": [[0, 0], [0, 0]]})
@@ -342,3 +354,13 @@ class TestConfigObject:
 
     def test_all_commands_registered(self):
         assert len(COMMANDS) == 16
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # linprog is imported by the LP oracle of lip-dual --oracle only
+        src = os.path.dirname(os.path.dirname(funcspace.__file__))
+        code = "import sys, funcspace.cli; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        assert out.stdout.strip() == "False"

@@ -234,7 +234,11 @@ class TestSeparabilityProbe:
         assert sorted(report.pattern_norms) == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_gap_is_always_one(self):
-        for m in (1, 2, 3, 5):
+        for m in range(1, 7):
+            patterns = (np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1
+            cheb = np.abs(patterns[:, None, :] - patterns[None, :, :]).max(axis=2)
+            brute_force = cheb[~np.eye(2**m, dtype=bool)].min()
+            assert brute_force == 1
             assert separability_probe(m).min_pairwise_gap == 1.0
 
     def test_norms_nondecreasing_in_m(self):
