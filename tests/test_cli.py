@@ -339,6 +339,121 @@ class TestErrorPaths:
         assert seen == {"NotHermitian", "PatternBudgetExceeded", "SamePoint"}
 
 
+class TestParserErrors:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["gram", "--bogus", "1"], "unrecognized arguments: --bogus"),
+            (["carleson-probe"], "requires --m"),
+            (["carleson-probe", "--m", "abc"], "invalid int value: 'abc'"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            ([], "required"),
+            (["gram", "--method", "pencil"], "unrecognized arguments: --method"),
+            (["lip-dual", "--csv", "x"], "unrecognized arguments: --csv"),
+        ],
+    )
+    def test_usage_error_is_a_json_report(self, capsys, argv, needle):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["status"] == "error"
+        assert report["error"]["code"] == "ValidationError"
+        assert needle in report["error"]["message"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", "--help"])
+        assert exc.value.code == 0
+        assert "--kernel" in capsys.readouterr().out
+
+    def test_unwritable_out_and_csv(self, capsys, inputs):
+        missing = str(inputs["tmp"] / "absent" / "r.json")
+        code, report = run_cli(capsys, ["ardy-check", "--poly", "[2]", "--out", missing])
+        assert code == 2
+        assert "cannot write" in report["error"]["message"]
+        argv = ["mult-norm", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", inputs["s2"]]
+        code, report = run_cli(capsys, argv + ["--csv", str(inputs["tmp"])])
+        assert code == 2
+        assert "cannot write" in report["error"]["message"]
+
+
+class TestPolyParsing:
+    @pytest.mark.parametrize("poly", ["[[1,2,3]]", "5"])
+    def test_ardy_check_rejects_bad_coefficients(self, capsys, poly):
+        code, report = run_cli(capsys, ["ardy-check", "--poly", poly])
+        assert code == 2
+        assert report["error"]["code"] == "ValidationError"
+        assert "[re, im]" in report["error"]["message"]
+
+    @pytest.mark.parametrize("poly", ["[[1,2,3]]", "5"])
+    def test_vn_check_rejects_bad_coefficients(self, capsys, inputs, poly):
+        argv = ["vn-check", "--symbol", inputs["moebius"], "--poly", poly, "--sample", inputs["s2"]]
+        code, report = run_cli(capsys, argv)
+        assert code == 2
+        assert "[re, im]" in report["error"]["message"]
+
+    def test_pairs_and_reals_still_accepted(self, capsys):
+        code, report = run_cli(capsys, ["ardy-check", "--poly", "[[2, 0], 0]"])
+        assert code == 0
+        assert report["result"] == {"is_multiplier": True}
+
+
+def _line_space(n):
+    x = np.arange(n) / 128  # dyadic, so the exact triangle check holds
+    return {"dist": np.abs(np.subtract.outer(x, x)).tolist(), "base": 0}
+
+
+class TestMaxPoints:
+    def test_realize_rejects_65_points_at_default(self, capsys, tmp_path):
+        space = write(tmp_path / "big.json", _line_space(65))
+        code, report = run_cli(capsys, ["realize", "--space", space])
+        assert code == 2
+        assert "max-points" in report["error"]["message"]
+
+    def test_counted_before_the_metric_is_validated(self, capsys, tmp_path):
+        # all-zero distances are no metric; the size check must answer first
+        space = write(tmp_path / "zero.json", {"dist": [[0.0] * 65] * 65})
+        model = write(tmp_path / "zero_model.json", {"space": {"dist": [[0.0] * 65] * 65}, "order": [], "depth": 1})
+        for argv in (
+            ["realize", "--space", space],
+            ["realize", "--model", model],
+            ["topology-probe", "--model", model, "--x", "0", "--eps", "0.5"],
+            ["rank-check", "--model", model, "--points", "[0]"],
+            ["roundtrip", "--model", model, "--coeffs", "[1]"],
+            ["lip-dual", "--space", space, "--x", "0"],
+        ):
+            code, report = run_cli(capsys, argv)
+            assert code == 2, argv
+            assert "has 65 points, above --max-points 64" in report["error"]["message"], argv
+
+    def test_point_commands_check_their_inputs(self, capsys, tmp_path, inputs):
+        nodes = [[0.5 * k / 65, 0.0] for k in range(65)]
+        problem = write(tmp_path / "pick.json", {"nodes": nodes, "values": [[0, 0]] * 65})
+        sample = write(tmp_path / "sample.json", {"dim": 1, "points": nodes})
+        matrix = write(tmp_path / "eye.json", {"re": np.eye(65).tolist()})
+        small = write(tmp_path / "eye2.json", {"re": np.eye(2).tolist()})
+        for argv in (
+            ["pick-solve", "--problem", problem],
+            ["detect-mo", "--matrix", small, "--sample", sample],
+            ["psd-check", "--matrix", matrix],
+        ):
+            code, report = run_cli(capsys, argv)
+            assert code == 2, argv
+            assert "max-points" in report["error"]["message"], argv
+        code, _ = run_cli(capsys, ["psd-check", "--matrix", matrix, "--max-points", "65"])
+        assert code == 0
+
+
+class TestLpOracle:
+    def test_skipped_oracle_is_reported(self, capsys, tmp_path):
+        space = write(tmp_path / "seven.json", _line_space(7))
+        code, report = run_cli(capsys, ["lip-dual", "--space", space, "--x", "1", "--oracle"])
+        assert code == 0
+        assert report["result"]["lp_oracle"] == {"skipped": "n > 6"}
+
+
 class TestConfigObject:
     def test_unknown_command_rejected(self):
         with pytest.raises(Exception):
