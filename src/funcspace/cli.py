@@ -241,10 +241,13 @@ def _cmd_vn_check(config, loader):
     return {"lhs": report.lhs, "rhs": report.rhs, "pass": report.passed}
 
 
-def _load_model(obj) -> realization.RealizationModel:
+def _load_model(obj, space: geometry.MetricSpace | None = None) -> realization.RealizationModel:
+    """Build the model ``obj`` describes; ``space``, when given, is its
+    already validated ``obj["space"]``."""
     if not isinstance(obj, dict) or "space" not in obj:
         raise ValidationError('model JSON needs "space", "order", "depth"')
-    space = geometry.MetricSpace.from_json(obj["space"])
+    if space is None:
+        space = geometry.MetricSpace.from_json(obj["space"])
     dense = realization.DenseSequence(space, obj["order"])
     policy = obj.get("policy", "default_2n")
     if isinstance(policy, dict) and "balls" in policy:
@@ -257,8 +260,8 @@ def _load_model(obj) -> realization.RealizationModel:
 
 @command("realize", files=("space", "model"), options={"depth": int, "policy": str, "order": _json_value})
 def _cmd_realize(config, loader):
-    model_obj = loader.optional_file("model", "space", "dist")
-    if model_obj is None:
+    model_obj, space = loader.optional_file("model", "space", "dist"), None
+    if model_obj is None:  # build the model from the space, validating it once
         space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
         depth = int(config.options.get("depth", max(len(space) - 2, 0)))
         order = config.options.get("order")
@@ -272,7 +275,7 @@ def _cmd_realize(config, loader):
             "policy": config.options.get("policy", "default_2n"),
             "p": 2.0,
         }
-    model = _load_model(model_obj)
+    model = _load_model(model_obj, space)
     return {
         "model": model_obj,
         "b": [float(v) for v in model.b],
@@ -303,7 +306,8 @@ def _cmd_rank_check(config, loader):
 def _cmd_roundtrip(config, loader):
     model = _load_model(loader.file("model", "space", "dist"))
     coeffs = complex_vector_from_json(loader.inline("coeffs"))
-    recovered = realization.coefficient_roundtrip(coeffs, model)
+    tol = _tol(config, realization.ROUNDTRIP_TOL)
+    recovered, bound = realization.coefficient_roundtrip(coeffs, model, tol=tol, return_bound=True)
     padded = np.zeros(model.depth + 1, dtype=complex)
     padded[: len(coeffs)] = coeffs
     err = np.abs(recovered - padded)
@@ -312,6 +316,7 @@ def _cmd_roundtrip(config, loader):
         "recovered": complex_vector_to_json(recovered),
         "max_abs_error": float(err.max()),
         "max_rel_error": float(err.max() / scale),
+        "error_bound": bound,
     }
 
 
@@ -451,11 +456,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="funcspace",
+        allow_abbrev=False,
         description="Batch experiments over kernels, multipliers, realizations, and Pick problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _REGISTRY.values():
-        p = sub.add_parser(cmd.name)
+        p = sub.add_parser(cmd.name, allow_abbrev=False)
         for name in cmd.files:
             p.add_argument(f"--{name}", metavar="PATH")
         for name in cmd.inline:

@@ -12,6 +12,7 @@ maximizes over the whole unit ball.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,21 @@ from .errors import (
     ZeroFunction,
 )
 from .serialize import complex_vector_from_json, complex_vector_to_json
+
+
+def _worst_triangle_slack(dist: np.ndarray) -> float:
+    """The largest ``d[i,k] - (d[i,j] + d[j,k])`` over all triples, in O(n^2) memory.
+
+    ``best[i,k] = min_j fl(d[i,j] + d[j,k])`` is built one middle index j at a
+    time.  Rounding is monotone, so ``fl(d[i,k] - best[i,k])`` is the largest
+    slack over j bit for bit, as the full n^3 slack tensor would give it.
+    """
+    best = dist.copy()
+    step = np.empty_like(dist)
+    for j in range(dist.shape[0]):
+        np.add(dist[:, j, None], dist[None, j, :], out=step)
+        np.minimum(best, step, out=best)
+    return float((dist - best).max())
 
 
 def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
@@ -46,13 +62,17 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
         raise ValidationError("distinct points must have positive distance")
     # d[i,k] <= d[i,j] + d[j,k] for all triples; explicit matrices are checked
     # exactly (triangle_tol == 0), induced metrics may pass a rounding allowance.
-    slack = dist[:, None, :] - (dist[:, :, None] + dist[None, :, :])
-    if slack.max() > triangle_tol:
-        i, j, k = np.unravel_index(np.argmax(slack), slack.shape)
-        raise ValidationError(
-            f"triangle inequality violated at ({i},{k}) via {j}: "
-            f"{dist[i, k]} > {dist[i, j]} + {dist[j, k]}"
-        )
+    worst = _worst_triangle_slack(dist)
+    if worst > triangle_tol:
+        # name the first triple (i, j, k) in C order attaining the worst slack
+        for i in range(n):
+            slack = dist[i, None, :] - (dist[i, :, None] + dist)  # slack[j, k]
+            if slack.max() == worst:
+                j, k = np.unravel_index(np.argmax(slack), slack.shape)
+                raise ValidationError(
+                    f"triangle inequality violated at ({i},{k}) via {j}: "
+                    f"{dist[i, k]} > {dist[i, j]} + {dist[j, k]}"
+                )
 
 
 @dataclass(frozen=True)
@@ -120,14 +140,24 @@ class EuclideanPointSet:
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """Finite metric space: labeled points, a distance matrix, a base point."""
+    """Finite metric space: labeled points, a distance matrix, a base point.
+
+    ``triangle_tol`` is the slack the triangle check allows; it is 0 for an
+    explicit matrix, so that every triangle holds exactly.
+    """
 
     labels: tuple
     dist: np.ndarray
     base: int = 0
+    triangle_tol: float = 0.0
 
     def __init__(self, dist, labels=None, base: int = 0, triangle_tol: float = 0.0):
         dist = np.asarray(dist, dtype=float)
+        if isinstance(triangle_tol, bool) or not isinstance(triangle_tol, numbers.Real):
+            raise ValidationError("triangle_tol must be a number")
+        triangle_tol = float(triangle_tol)
+        if not (np.isfinite(triangle_tol) and triangle_tol >= 0.0):
+            raise ValidationError("triangle_tol must be finite and nonnegative")
         _validate_distance_matrix(dist, triangle_tol)
         n = dist.shape[0]
         if labels is None:
@@ -143,6 +173,7 @@ class MetricSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "base", int(base))
+        object.__setattr__(self, "triangle_tol", triangle_tol)
 
     def __len__(self) -> int:
         return self.dist.shape[0]
@@ -161,13 +192,21 @@ class MetricSpace:
         return cls(d, labels=ps.labels, base=base, triangle_tol=tol)
 
     def to_json(self) -> dict:
-        return {"labels": list(self.labels), "dist": self.dist.tolist(), "base": self.base}
+        out = {"labels": list(self.labels), "dist": self.dist.tolist(), "base": self.base}
+        if self.triangle_tol:
+            out["triangle_tol"] = self.triangle_tol
+        return out
 
     @classmethod
     def from_json(cls, obj) -> "MetricSpace":
         if not isinstance(obj, dict) or "dist" not in obj:
             raise ValidationError('metric space JSON must contain a "dist" matrix')
-        return cls(np.asarray(obj["dist"], dtype=float), labels=obj.get("labels"), base=obj.get("base", 0))
+        return cls(
+            np.asarray(obj["dist"], dtype=float),
+            labels=obj.get("labels"),
+            base=obj.get("base", 0),
+            triangle_tol=obj.get("triangle_tol", 0.0),
+        )
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,23 @@ def random_dyadic_space(rng: np.random.Generator, n: int, base: int = 0) -> Metr
     return MetricSpace(d, base=base)
 
 
+def random_graph_metric(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Shortest-path distances of a random connected graph on n vertices.
+
+    The graph is a random spanning tree plus 2n random edges, with dyadic
+    weights k/64 for k in 8..63, so every path sum is exact.
+    """
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    edges += [(int(a), int(b)) for a, b in rng.integers(0, n, size=(2 * n, 2)) if a != b]
+    for (a, b), w in zip(edges, rng.integers(8, 64, size=len(edges)) / 64.0):
+        d[a, b] = d[b, a] = min(d[a, b], w)
+    for k in range(n):  # Floyd-Warshall
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
+
+
 def disk_sample(rng: np.random.Generator, n: int, radius: float = 0.7, min_sep: float = 0.0) -> EuclideanPointSet:
     """n random points in the disk of the given radius, optionally separated."""
     pts: list[complex] = []

@@ -208,6 +208,48 @@ class TestRealizationCommands:
         assert code == 0
         assert report["result"]["rank"] == 2
 
+    def test_roundtrip_reports_its_error_bound(self, capsys, inputs):
+        argv = ["roundtrip", "--model", inputs["model"], "--coeffs", "[1, [0, 1], 0.5, -2]"]
+        code, report = run_cli(capsys, argv)
+        assert code == 0
+        result = report["result"]
+        assert result["max_rel_error"] <= result["error_bound"] <= 1e-12
+        code, report = run_cli(capsys, argv + ["--tol", "1e-300"])
+        assert code == 3
+        assert report["error"]["code"] == "IllConditionedPrefix"
+
+    def test_deep_roundtrip_raises(self, capsys, tmp_path):
+        model = write(tmp_path / "deep.json", {"space": _line_space(64), "order": list(range(64)), "depth": 63})
+        code, report = run_cli(capsys, ["roundtrip", "--model", model, "--coeffs", json.dumps([1.0] * 64)])
+        assert code == 3
+        assert report["error"]["code"] == "IllConditionedPrefix"
+        assert "exceeds tol 1e-06" in report["error"]["message"]
+
+    def test_realize_keeps_triangle_tol(self, capsys, tmp_path):
+        x = np.arange(40) / 40  # rounded distances: exact triangles fail by an ulp
+        space = {"dist": np.abs(np.subtract.outer(x, x)).tolist(), "base": 0}
+        code, report = run_cli(capsys, ["realize", "--space", write(tmp_path / "rounded.json", space)])
+        assert code == 2
+        assert "triangle inequality violated" in report["error"]["message"]
+        space["triangle_tol"] = 1e-12
+        code, report = run_cli(capsys, ["realize", "--space", write(tmp_path / "tol.json", space), "--seed", "2"])
+        assert code == 0
+        model = report["result"]["model"]
+        assert model["space"]["triangle_tol"] == 1e-12
+        code, again = run_cli(capsys, ["realize", "--model", write(tmp_path / "model.json", model)])
+        assert code == 0
+        assert again["result"]["b"] == report["result"]["b"]
+
+    def test_realize_validates_its_space_once(self, capsys, inputs, monkeypatch):
+        from funcspace import geometry
+
+        calls = []
+        slack = geometry._worst_triangle_slack
+        monkeypatch.setattr(geometry, "_worst_triangle_slack", lambda d: calls.append(len(d)) or slack(d))
+        code, _ = run_cli(capsys, ["realize", "--space", inputs["interval"]])
+        assert code == 0
+        assert calls == [5]
+
 
 class TestGeometryCommands:
     def test_lip_dual_pair_with_oracle(self, capsys, inputs):
@@ -350,6 +392,9 @@ class TestParserErrors:
             ([], "required"),
             (["gram", "--method", "pencil"], "unrecognized arguments: --method"),
             (["lip-dual", "--csv", "x"], "unrecognized arguments: --csv"),
+            # no prefix matching: another command's flag is not --max-points
+            (["gram", "--kernel", "k.json", "--sample", "s.json", "--m", "1"], "unrecognized arguments: --m 1"),
+            (["carleson-probe", "--m", "3", "--max", "1"], "unrecognized arguments: --max 1"),
         ],
     )
     def test_usage_error_is_a_json_report(self, capsys, argv, needle):

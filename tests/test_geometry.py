@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,9 @@ from funcspace.geometry import (
     set_distance,
     submult_ratio,
 )
-from helpers import interval5_space, random_dyadic_space
+from funcspace.geometry import _worst_triangle_slack
+from funcspace.realization import DenseSequence, build_g
+from helpers import interval5_space, random_dyadic_space, random_graph_metric
 
 
 def line3_space():
@@ -69,6 +74,141 @@ class TestMetricSpaceValidation:
         assert np.array_equal(space.dist, again.dist)
         assert again.base == 2
         assert again.labels == space.labels
+
+
+def brute_force_slack(d):
+    """The full n^3 tensor slack[i, j, k] = d[i,k] - (d[i,j] + d[j,k])."""
+    return d[:, None, :] - (d[:, :, None] + d[None, :, :])
+
+
+def brute_force_worst(d, rows=16):
+    """Largest entry of the slack tensor, built a block of i at a time."""
+    return max(
+        (d[i : i + rows, None, :] - (d[i : i + rows, :, None] + d[None, :, :])).max() for i in range(0, len(d), rows)
+    )
+
+
+def brute_force_message(d):
+    i, j, k = np.unravel_index(np.argmax(brute_force_slack(d)), (len(d),) * 3)
+    return f"triangle inequality violated at ({i},{k}) via {j}: {d[i, k]} > {d[i, j]} + {d[j, k]}"
+
+
+def raise_entry(d, i, k, amount):
+    d = d.copy()
+    d[i, k] = d[k, i] = d[i, k] + amount
+    return d
+
+
+def verdict(d, tol=0.0):
+    try:
+        MetricSpace(d, triangle_tol=tol)
+    except ValidationError as exc:
+        return str(exc)
+    return "accepted"
+
+
+class TestTriangleCheck:
+    """The O(n^2) running min-plus check against the n^3 slack tensor."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 90, 240])
+    def test_worst_slack_matches_brute_force(self, n):
+        d = random_graph_metric(np.random.default_rng(n), n)
+        worst = _worst_triangle_slack(d)
+        assert worst == brute_force_worst(d)
+        assert worst == 0.0  # a shortest-path metric has tight triangles through j = i
+        assert verdict(d) == "accepted"
+
+    @pytest.mark.parametrize("n", [3, 17, 90])
+    def test_raised_entry_matches_brute_force(self, n):
+        rng = np.random.default_rng(100 + n)
+        base = random_graph_metric(rng, n)
+        for _ in range(5):
+            i, k = (int(v) for v in rng.choice(n, size=2, replace=False))
+            d = raise_entry(base, i, k, int(rng.integers(1, 40)) / 8.0)
+            worst = brute_force_slack(d).max()
+            assert _worst_triangle_slack(d) == worst
+            assert verdict(d) == (brute_force_message(d) if worst > 0.0 else "accepted")
+
+    def test_raised_entry_at_240_points(self):
+        rng = np.random.default_rng(240)
+        d = raise_entry(random_graph_metric(rng, 240), 17, 203, 4.0)
+        assert _worst_triangle_slack(d) == brute_force_worst(d) > 0.0
+        assert verdict(d).startswith("triangle inequality violated at (17,203) via ")
+
+    def test_tied_maxima_name_the_first_triple(self):
+        # on the uniform metric, raising two entries to 3 ties the slack 1 at
+        # every middle point of both pairs; the first triple in C order is named
+        d = 1.0 - np.eye(20)
+        d = raise_entry(raise_entry(d, 5, 8, 2.0), 2, 11, 2.0)
+        slack = brute_force_slack(d)
+        assert (slack == slack.max()).sum() == 4 * 18
+        assert verdict(d) == brute_force_message(d) == "triangle inequality violated at (2,11) via 0: 3.0 > 1.0 + 1.0"
+
+    def test_tied_maxima_on_a_graph_metric(self):
+        rng = np.random.default_rng(7)
+        d = random_graph_metric(rng, 30)
+        for i, k in ((21, 4), (9, 13), (2, 27)):
+            d = raise_entry(d, i, k, 16.0 - d[i, k])
+        slack = brute_force_slack(d)
+        assert (slack == slack.max()).sum() > 1
+        assert verdict(d) == brute_force_message(d)
+
+    def test_tolerance_equal_to_the_slack_accepts(self):
+        d = raise_entry(random_graph_metric(np.random.default_rng(11), 17), 3, 8, 0.375)
+        worst = brute_force_slack(d).max()
+        assert worst > 0.0
+        assert verdict(d, tol=worst) == "accepted"
+        assert verdict(d, tol=np.nextafter(worst, 0.0)) == brute_force_message(d)
+
+    def test_peak_memory_is_quadratic(self):
+        n = 240
+        d = random_graph_metric(np.random.default_rng(5), n)
+        tracemalloc.start()
+        try:
+            MetricSpace(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n * 8
+
+    def test_running_minimum_matches_prefix_reduction(self):
+        n = 90
+        rng = np.random.default_rng(12)
+        space = MetricSpace(random_graph_metric(rng, n))
+        order = [int(i) for i in rng.permutation(n)]
+        gs = build_g(DenseSequence(space, order), n - 1)
+        for m in range(1, n):
+            expected = np.minimum(space.dist[:, order[:m]].min(axis=1), 1.0)
+            assert np.array_equal(gs[m].values, expected.astype(complex))
+
+
+class TestTriangleTol:
+    X = np.arange(100) / 100  # not dyadic: |x_i - x_j| rounds, and some triangles fail by an ulp
+
+    def line_json(self, **extra):
+        return {"dist": np.abs(self.X[:, None] - self.X[None, :]).tolist(), **extra}
+
+    def test_rounded_line_is_rejected_without_a_tolerance(self):
+        obj = self.line_json()
+        with pytest.raises(ValidationError, match="triangle inequality violated at") as exc:
+            MetricSpace.from_json(obj)
+        assert str(exc.value) == brute_force_message(np.asarray(obj["dist"]))
+
+    def test_rounded_line_is_accepted_with_a_tolerance(self):
+        space = MetricSpace.from_json(self.line_json(triangle_tol=1e-12))
+        assert space.triangle_tol == 1e-12
+        again = MetricSpace.from_json(json.loads(json.dumps(space.to_json())))
+        assert again.triangle_tol == 1e-12
+        assert np.array_equal(again.dist, space.dist)
+
+    def test_zero_tolerance_is_not_written(self):
+        assert "triangle_tol" not in interval5_space().to_json()
+        assert MetricSpace.from_json(interval5_space().to_json()).triangle_tol == 0.0
+
+    @pytest.mark.parametrize("bad", [-1e-12, float("nan"), float("inf"), "1e-12", True, None])
+    def test_bad_tolerance_rejected(self, bad):
+        with pytest.raises(ValidationError, match="triangle_tol"):
+            MetricSpace.from_json({"dist": [[0.0, 1.0], [1.0, 0.0]], "triangle_tol": bad})
 
 
 class TestSetDistance:

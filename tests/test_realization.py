@@ -12,8 +12,9 @@ from funcspace.errors import (
     PrefixTooShallow,
     ValidationError,
 )
-from funcspace.geometry import SampledFunction, dil
+from funcspace.geometry import MetricSpace, SampledFunction, dil
 from funcspace.realization import (
+    ROUNDTRIP_TOL,
     DenseSequence,
     build_g,
     build_model,
@@ -26,7 +27,7 @@ from funcspace.realization import (
     topology_probe,
     very_independence_check,
 )
-from helpers import grid64_space, interval5_space
+from helpers import grid64_space, interval5_space, random_graph_metric
 
 # enumeration of {0, 1/4, 1/2, 3/4, 1} starting at the midpoint
 INTERVAL_ORDER = (2, 0, 4, 1, 3)
@@ -331,3 +332,52 @@ class TestCoefficientRoundtrip:
         )
         with pytest.raises(IllConditionedPrefix):
             coefficient_roundtrip(np.ones(4), broken)
+
+
+def graph_model(n, depth, seed):
+    rng = np.random.default_rng(seed)
+    space = MetricSpace(random_graph_metric(rng, n))
+    return build_model(DenseSequence(space, rng.permutation(n)), depth), rng
+
+
+class TestRoundtripErrorBound:
+    """Depths 2-12 recover accurately; at depth n - 1 the 2^n weights push the
+    deepest coefficients below float64 resolution, and the bound says so."""
+
+    @pytest.mark.parametrize("n, depth", [(40, 2), (40, 12), (90, 7), (240, 12)])
+    def test_accurate_band_returns_coefficients(self, n, depth):
+        model, rng = graph_model(n, depth, seed=n + depth)
+        for _ in range(5):
+            f = rng.normal(size=depth + 1) + 1j * rng.normal(size=depth + 1)
+            rec, bound = coefficient_roundtrip(f, model, return_bound=True)
+            err = float(np.abs(rec - f).max() / np.abs(f).max())
+            assert err <= bound <= 1e-9
+            assert np.array_equal(coefficient_roundtrip(f, model), rec)
+
+    @pytest.mark.parametrize("n", [40, 90, 240])
+    def test_inaccurate_band_raises(self, n):
+        model, rng = graph_model(n, n - 1, seed=n)
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        with pytest.raises(IllConditionedPrefix, match="relative error bound .* exceeds tol 1e-06 at depth"):
+            coefficient_roundtrip(f, model)
+
+    def test_bound_covers_the_error_in_the_border_region(self):
+        model, rng = graph_model(60, 30, seed=3)
+        f = rng.normal(size=31) + 1j * rng.normal(size=31)
+        rec, bound = coefficient_roundtrip(f, model, tol=np.inf, return_bound=True)
+        assert np.abs(rec - f).max() / np.abs(f).max() <= bound
+
+    def test_tol_decides(self):
+        model, rng = graph_model(40, 12, seed=4)
+        f = rng.normal(size=13)
+        _, bound = coefficient_roundtrip(f, model, return_bound=True)
+        assert 0.0 < bound <= ROUNDTRIP_TOL
+        coefficient_roundtrip(f, model, tol=bound)
+        with pytest.raises(IllConditionedPrefix):
+            coefficient_roundtrip(f, model, tol=bound / 2)
+
+    def test_zero_coefficients_have_zero_bound(self):
+        model, _ = graph_model(40, 39, seed=5)
+        rec, bound = coefficient_roundtrip(np.zeros(40), model, return_bound=True)
+        assert bound == 0.0
+        assert not rec.any()
