@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Sampled multiplier norms: the PSD criterion, the two solvers, sample
-refinement, and the polynomial-calculus contraction check."""
+"""Sampled multiplier norms: the PSD criterion, the pencil value and its
+feasible endpoint, sample refinement, and the polynomial-calculus
+contraction check."""
 
 import numpy as np
 
@@ -22,7 +23,9 @@ print("=== The coordinate symbol on the Hardy kernel ===")
 S = EuclideanPointSet([[0.0], [0.5]])
 for method in ("pencil", "bisection"):
     report = sampled_mult_norm(szego(), szego(), coordinate(0), S, method=method)
-    print(f"{method:10s} sampled norm = {report.sampled_norm:.12f}  (interval {report.bisection_interval_width:.1e})")
+    print(f"{method:10s} sampled norm = {report.sampled_norm:.17g}")
+print("(bisection: the diagonal bound max|w| = 0.5 fails the PSD test, so the")
+print(" pencil value is checked feasible and reported; no bracket is searched)")
 print()
 
 print("=== Sampled norms only grow under refinement ===")

@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValidationError("tolerance must be positive")
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in 64 bits")
+        if not _REGISTRY[self.command].tuning and (self.method != "pencil" or self.csv is not None):
+            raise ValidationError(f"command {self.command!r} takes no --method or --csv")
 
 
 def _json_message(exc: json.JSONDecodeError) -> str:
@@ -197,13 +199,12 @@ def _cmd_mult_norm(config, loader):
     K_E = kernels.kernel_from_json(second) if second is not None else K_F
     symbol = kernels.fn_from_json(loader.file("symbol"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    tol = _tol(config, 1e-9)
-    result = multipliers.sampled_mult_norm(K_F, K_E, symbol, sample, tol=tol, method=config.method).to_json()
+    result = multipliers.sampled_mult_norm(K_F, K_E, symbol, sample, method=config.method).to_json()
     if config.csv:
         rows = ["n,sampled_norm"]
         for n in range(1, len(sample) + 1):
             prefix = geometry.EuclideanPointSet(sample.points[:n])
-            sub = multipliers.sampled_mult_norm(K_F, K_E, symbol, prefix, tol=tol, method=config.method)
+            sub = multipliers.sampled_mult_norm(K_F, K_E, symbol, prefix, method=config.method)
             rows.append(f"{n},{sub.sampled_norm!r}")
         _write_text(config.csv, "\n".join(rows) + "\n")
         result["csv"] = config.csv
@@ -249,13 +250,12 @@ def _load_model(obj, space: geometry.MetricSpace | None = None) -> realization.R
     if space is None:
         space = geometry.MetricSpace.from_json(obj["space"])
     dense = realization.DenseSequence(space, obj["order"])
-    policy = obj.get("policy", "default_2n")
+    policy, base = obj.get("policy", "default_2n"), None
     if isinstance(policy, dict) and "balls" in policy:
-        base = policy["balls"].get("base")
-        gs = realization.build_g(dense, int(obj["depth"]))
-        b = realization.choose_b(gs, policy="balls", space=space, base=base)
-        return realization.build_model(dense, int(obj["depth"]), b=b, p=float(obj.get("p", 2.0)))
-    return realization.build_model(dense, int(obj["depth"]), policy=policy, p=float(obj.get("p", 2.0)))
+        if not isinstance(policy["balls"], dict):
+            raise ValidationError('policy "balls" must be an object such as {"base": 0}')
+        policy, base = "balls", policy["balls"].get("base")
+    return realization.build_model(dense, int(obj["depth"]), policy=policy, base=base, p=float(obj.get("p", 2.0)))
 
 
 @command("realize", files=("space", "model"), options={"depth": int, "policy": str, "order": _json_value})
@@ -340,11 +340,13 @@ def _cmd_lip_dual(config, loader):
 def _cmd_submult(config, loader):
     space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
     fs_obj = loader.optional_file("functions")
-    fs = []
-    if fs_obj is not None:
-        for entry in fs_obj:
-            fs.append(geometry.SampledFunction.from_json(entry, space))
     n_random = int(config.options.get("random", 0))
+    if n_random < 0:
+        raise ValidationError("--random must be nonnegative")
+    n_functions = n_random + len(fs_obj or ())
+    if n_functions > config.max_points:
+        raise ValidationError(f"{n_functions} functions, above --max-points {config.max_points}")
+    fs = [geometry.SampledFunction.from_json(entry, space) for entry in fs_obj or ()]
     if n_random:
         rng = np.random.default_rng(config.seed)
         for _ in range(n_random):
@@ -431,7 +433,7 @@ def run(config: ExperimentConfig) -> int:
         "parameters": {
             "tol": config.tol,
             "seed": config.seed,
-            "method": config.method,
+            **({"method": config.method} if cmd.tuning else {}),
             "max_points": config.max_points,
             **config.options,
         },

@@ -7,7 +7,7 @@ reports can classify outcomes without parsing messages.  Two families:
   (bad matrix, out-of-range parameter, precondition failure).
 * :class:`NumericalError` -- the inputs are formally valid but the
   computation cannot be completed reliably (divergent series, singular
-  Gram matrix, runaway bracket).
+  Gram matrix, overflow).
 """
 
 
@@ -57,10 +57,6 @@ class DegenerateGram(NumericalError):
     """Gram matrix singular beyond the conditioning threshold; perturb the sample."""
 
     code = "DegenerateGram"
-
-
-class Unbounded(NumericalError):
-    code = "Unbounded"
 
 
 class Overflow(NumericalError):

@@ -17,10 +17,11 @@ the sample: symbols are evaluated on all sample points at once
 (:func:`kernels.gram`), and upper triangles are mirrored so that every
 matrix is exactly Hermitian.
 
-Two methods are provided and must agree: ``pencil`` reads ``t^2`` off the
-largest eigenvalue of the Hermitian pencil ``(D G_F D*, G_E)``, and
-``bisection`` brackets the PSD transition starting from the diagonal lower
-bound ``max |w| sqrt(K_F(x,x)/K_E(x,x))``.
+Both methods read one solve of the pencil ``(D G_F D*, G_E)``
+(:func:`kernels.pencil_norms`).  ``pencil`` reports its value; ``bisection``
+reports an endpoint feasible under ``psd_check``'s 1e-12 rule: the diagonal
+lower bound ``max |w| sqrt(K_F(x,x)/K_E(x,x))`` if feasible, else the pencil
+value.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGram, SymbolNotContractive, Unbounded, ValidationError
+from .errors import DegenerateGram, SymbolNotContractive, ValidationError
 from .geometry import EuclideanPointSet
 from .kernels import (
     ClosedFormFunction,
@@ -50,7 +51,11 @@ from .kernels import (
 #: rejected instead of silently regularized.
 CONDITION_LIMIT = 1e12
 
-_BRACKET_LIMIT = 1e12
+#: Relative eigenvalue tolerance of the ``bisection`` feasibility test.
+FEASIBLE_TOL = 1e-12
+
+#: Largest boundary grid of the polynomial sup certificate, allocated whole.
+MAX_BOUNDARY_GRID = 65536
 
 
 @dataclass(frozen=True)
@@ -100,27 +105,21 @@ def sampled_mult_norm(
     K_E: KernelExpr,
     w: ClosedFormFunction,
     sample: EuclideanPointSet,
-    tol: float = 1e-9,
     method: str = "pencil",
-    psd_tol: float = 1e-12,
 ) -> MultNormReport:
     """Least t with ``t^2 Gram(K_E) - D Gram(K_F) D*`` PSD on the sample.
 
     Args:
-        tol: bracket width at which the bisection stops.
         method: "pencil" (generalized eigenvalue, machine accuracy) or
-            "bisection" (PSD bracketing; certified feasible endpoint).
-        psd_tol: relative eigenvalue tolerance for the bisection feasibility
-            test; keep it well below ``tol`` so the methods agree.
+            "bisection" (feasible under ``psd_check``'s 1e-12 rule).  The
+            report's ``interval`` is 0.0 for both.
 
     Raises:
-        DegenerateGram: Gram(K_E) is singular past the conditioning limit.
-        Unbounded: the bracket grew past 1e12 without reaching feasibility.
+        DegenerateGram: Gram(K_E) is singular past the conditioning limit,
+            or, for "bisection", the pencil value fails the feasibility test.
     """
     if method not in ("pencil", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
-    if tol <= 0.0:
-        raise ValidationError("tolerance must be positive")
     values = w.eval_on(sample)
     G_F = gram(K_F, sample).entries
     G_E = gram(K_E, sample).entries
@@ -133,31 +132,16 @@ def sampled_mult_norm(
 
     A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
     sup = float(np.abs(values).max())
-    t_lo = _diag_lower_bound(values, G_F, G_E)
-
+    t = float(pencil_norms(A[None], G_E)[0])
     if method == "pencil":
-        t = float(pencil_norms(A[None], G_E)[0])
         return MultNormReport(sample, w, sup, t, 0.0, "pencil")
 
-    def feasible(t: float) -> bool:
-        report = psd_check(t * t * G_E - A, tol=psd_tol)
-        return report.is_psd
-
-    if feasible(t_lo):
-        return MultNormReport(sample, w, sup, t_lo, 0.0, "bisection")
-    hi = max(1.0, 2.0 * t_lo)
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise Unbounded(f"no feasible bound below {_BRACKET_LIMIT:g}")
-    lo = t_lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return MultNormReport(sample, w, sup, hi, hi - lo, "bisection")
+    t_lo = _diag_lower_bound(values, G_F, G_E)
+    if psd_check(t_lo * t_lo * G_E - A, tol=FEASIBLE_TOL).is_psd:
+        t = t_lo
+    elif not psd_check(t * t * G_E - A, tol=FEASIBLE_TOL).is_psd:
+        raise DegenerateGram(f"the pencil value {t!r} is not feasible at tol {FEASIBLE_TOL:g}; perturb the sample")
+    return MultNormReport(sample, w, sup, t, 0.0, "bisection")
 
 
 def kl_monotonicity_check(
@@ -195,11 +179,13 @@ def certify_unit_sup(w: ClosedFormFunction, boundary_grid: int = 4096) -> float:
     coefficient bound on |w'|.
 
     Raises:
+        ValidationError: ``boundary_grid`` is below 8 or above
+            ``MAX_BOUNDARY_GRID``.
         SymbolNotContractive: the bound exceeds 1 or the symbol family is
             not certifiable.
     """
-    if boundary_grid < 8:
-        raise ValidationError("boundary grid must have at least 8 points")
+    if not 8 <= boundary_grid <= MAX_BOUNDARY_GRID:
+        raise ValidationError(f"boundary grid must have between 8 and {MAX_BOUNDARY_GRID} points")
     if w.kind == "moebius":
         return 1.0
     if w.kind == "coordinate" and w.index == 0:
@@ -239,7 +225,7 @@ def von_neumann_check(
     certify_unit_sup(w, boundary_grid)
     coeffs = np.asarray(list(p), dtype=complex)
     symbol = compose(polynomial(coeffs), w)
-    lhs = sampled_mult_norm(szego(), szego(), symbol, sample, tol=tol).sampled_norm
+    lhs = sampled_mult_norm(szego(), szego(), symbol, sample).sampled_norm
     theta = 2.0 * np.pi * np.arange(boundary_grid) / boundary_grid
     vals = np.polyval(coeffs[::-1], np.exp(1j * theta))
     deriv_bound = float(sum(k * abs(c) for k, c in enumerate(coeffs)))

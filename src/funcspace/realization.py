@@ -103,6 +103,8 @@ def choose_b(gs, policy: str = "default_2n", space: MetricSpace | None = None, b
         elif policy == "balls":
             sp = space if space is not None else g.space
             b = sp.base if base is None else int(base)
+            if not 0 <= b < len(sp):
+                raise ValidationError(f"ball base {b} out of range for a space of {len(sp)} points")
             inside = sp.dist[b, :] < max(n, 1)
             sup = float(np.abs(g.values[inside]).max()) if inside.any() else 0.0
         else:
@@ -135,11 +137,16 @@ def build_model(
     policy: str = "default_2n",
     b=None,
     p: float = 2.0,
+    base: int | None = None,
 ) -> RealizationModel:
-    """Assemble a :class:`RealizationModel` at the given depth."""
+    """Assemble a :class:`RealizationModel` at the given depth.
+
+    ``b`` gives the weights directly; otherwise :func:`choose_b` computes
+    them by ``policy``, around ``base`` for the "balls" policy.
+    """
     gs = build_g(dense, depth)
     if b is None:
-        weights = choose_b(gs, policy=policy, space=dense.space)
+        weights = choose_b(gs, policy=policy, space=dense.space, base=base)
     else:
         weights = np.asarray(b, dtype=float)
         if len(weights) != depth + 1:

@@ -8,6 +8,7 @@ import pytest
 
 import funcspace
 from funcspace.cli import COMMANDS, ExperimentConfig, main, run
+from funcspace.errors import ValidationError
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -124,6 +125,14 @@ class TestCoreCommands:
         assert code == 0
         assert report["result"]["pass"] is True
 
+    def test_vn_check_grid_cap(self, capsys, inputs):
+        argv = ["vn-check", "--symbol", inputs["moebius"], "--poly", "[0, 1]", "--sample", inputs["s2"], "--grid"]
+        code, _ = run_cli(capsys, argv + ["65536"])
+        assert code == 0
+        code, report = run_cli(capsys, argv + ["65537"])
+        assert code == 2
+        assert "between 8 and 65536" in report["error"]["message"]
+
     def test_pick_solve(self, capsys, tmp_path):
         path = write(tmp_path / "pick.json", {"nodes": [[0, 0], [0.5, 0]], "values": [[0, 0], [0.5, 0]], "bound": 1.0})
         code, report = run_cli(capsys, ["pick-solve", "--problem", path])
@@ -208,6 +217,26 @@ class TestRealizationCommands:
         assert code == 0
         assert report["result"]["rank"] == 2
 
+    def test_ball_policy_builds_g_once(self, capsys, inputs, tmp_path, monkeypatch):
+        from funcspace import realization
+
+        calls = []
+        build_g = realization.build_g
+        monkeypatch.setattr(realization, "build_g", lambda *args: calls.append(args[1]) or build_g(*args))
+        model = json.loads((tmp_path / "model.json").read_text())
+        model["policy"] = {"balls": {"base": 1}}
+        code, _ = run_cli(capsys, ["realize", "--model", write(tmp_path / "ball_model.json", model)])
+        assert code == 0
+        assert calls == [3]
+
+    @pytest.mark.parametrize("policy", [{"balls": 3}, {"balls": None}, {"balls": {"base": 5}}, {"balls": {"base": -1}}])
+    def test_malformed_ball_policy(self, capsys, inputs, tmp_path, policy):
+        model = json.loads((tmp_path / "model.json").read_text())
+        model["policy"] = policy
+        code, report = run_cli(capsys, ["rank-check", "--model", write(tmp_path / "bad.json", model), "--points", "[0]"])
+        assert code == 2
+        assert report["error"]["code"] == "ValidationError"
+
     def test_roundtrip_reports_its_error_bound(self, capsys, inputs):
         argv = ["roundtrip", "--model", inputs["model"], "--coeffs", "[1, [0, 1], 0.5, -2]"]
         code, report = run_cli(capsys, argv)
@@ -272,6 +301,21 @@ class TestGeometryCommands:
         assert code == 0
         assert report["result"]["max_ratio"] <= report["result"]["bound"]
 
+    def test_submult_counts_functions_against_max_points(self, capsys, inputs, tmp_path):
+        functions = write(tmp_path / "fs.json", [{"values": [1, 2, 3, 4, 5]}, {"values": [0, 1, 0, 1, 0]}])
+        argv = ["submult", "--space", inputs["interval"], "--max-points", "8"]
+        for extra, total in [(["--random", "8"], 8), (["--functions", functions, "--random", "6"], 8)]:
+            code, report = run_cli(capsys, argv + extra)
+            assert code == 0
+            assert report["result"]["n_functions"] == total
+            extra[-1] = str(int(extra[-1]) + 1)
+            code, report = run_cli(capsys, argv + extra)
+            assert code == 2
+            assert report["error"]["message"] == "9 functions, above --max-points 8"
+        code, report = run_cli(capsys, argv + ["--functions", functions, "--random", "-1"])
+        assert code == 2
+        assert "nonnegative" in report["error"]["message"]
+
 
 class TestReportContract:
     def test_deterministic_modulo_timestamp(self, capsys, inputs):
@@ -307,6 +351,13 @@ class TestReportContract:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "n,sampled_norm"
         assert len(lines) == 3
+
+    def test_method_echoed_by_mult_norm_only(self, capsys, inputs):
+        _, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]])
+        assert "method" not in report["parameters"]
+        argv = ["mult-norm", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", inputs["s2"]]
+        _, report = run_cli(capsys, argv)
+        assert report["parameters"]["method"] == "pencil"
 
     def test_input_digests_recorded(self, capsys, inputs):
         _, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]])
@@ -503,6 +554,13 @@ class TestConfigObject:
     def test_unknown_command_rejected(self):
         with pytest.raises(Exception):
             ExperimentConfig(command="frobnicate")
+
+    def test_method_and_csv_belong_to_mult_norm(self):
+        with pytest.raises(ValidationError, match="takes no --method"):
+            ExperimentConfig("gram", method="bisection")
+        with pytest.raises(ValidationError, match="takes no --method"):
+            ExperimentConfig("lip-dual", csv="curve.csv")
+        assert ExperimentConfig("mult-norm", method="bisection", csv="curve.csv").method == "bisection"
 
     def test_run_callable_directly(self, capsys, inputs):
         config = ExperimentConfig(

@@ -3,9 +3,11 @@
 For each command, argv is drawn from the flags its registry entry declares,
 the shared flags, and stray flags of other commands.  File flags take
 fixtures that are valid, malformed, of the wrong JSON type or missing;
-numeric flags take bounded numbers (commands such as ``submult --random`` and
-``vn-check --grid`` allocate in proportion to their value), ``nan``, ``inf``
-and text.
+numeric flags take small numbers, ``nan``, ``inf`` and text.  The numbers are
+kept small so that each example runs fast: the flags that size an
+allocation, ``submult --random`` and ``vn-check --grid``, are capped by the
+program (``--max-points`` functions, ``multipliers.MAX_BOUNDARY_GRID``
+grid points), and ``tests/test_cli.py`` tests each cap and one past it.
 """
 
 import contextlib

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from funcspace import multipliers
 from funcspace.errors import DegenerateGram, SymbolNotContractive, ValidationError
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
@@ -8,12 +11,16 @@ from funcspace.kernels import (
     fn_scale,
     hadamard,
     moebius,
+    pencil_norms,
     polynomial,
+    psd_check,
     rank_one,
     szego,
     szego_section,
 )
 from funcspace.multipliers import (
+    FEASIBLE_TOL,
+    MAX_BOUNDARY_GRID,
     certify_unit_sup,
     contraction_check,
     kl_monotonicity_check,
@@ -23,6 +30,15 @@ from funcspace.multipliers import (
 from helpers import disk_sample
 
 S2 = EuclideanPointSet([[0.0], [0.5]])
+
+
+def _agreement_cases():
+    """The samples and symbols of ``test_methods_agree``, drawn in the same order."""
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        S = disk_sample(rng, int(rng.integers(2, 8)), radius=0.6, min_sep=0.12)
+        w = fn_scale(rng.uniform(0.2, 2.0), moebius(complex(*rng.uniform(-0.5, 0.5, 2))))
+        yield S, w
 
 
 class TestContractionCheck:
@@ -99,8 +115,8 @@ class TestSampledMultNorm:
             w = fn_scale(
                 rng.uniform(0.2, 2.0), moebius(complex(*rng.uniform(-0.5, 0.5, 2)))
             )
-            a = sampled_mult_norm(szego(), szego(), w, S, tol=tol, method="pencil")
-            b = sampled_mult_norm(szego(), szego(), w, S, tol=tol, method="bisection")
+            a = sampled_mult_norm(szego(), szego(), w, S, method="pencil")
+            b = sampled_mult_norm(szego(), szego(), w, S, method="bisection")
             assert abs(a.sampled_norm - b.sampled_norm) <= 10 * tol
 
     def test_monotone_under_sample_refinement(self):
@@ -111,8 +127,8 @@ class TestSampledMultNorm:
             w = moebius(complex(*rng.uniform(-0.5, 0.5, 2)))
             sub = EuclideanPointSet(pts[:4])
             full = EuclideanPointSet(pts)
-            small = sampled_mult_norm(szego(), szego(), w, sub, tol=tol).sampled_norm
-            big = sampled_mult_norm(szego(), szego(), w, full, tol=tol).sampled_norm
+            small = sampled_mult_norm(szego(), szego(), w, sub).sampled_norm
+            big = sampled_mult_norm(szego(), szego(), w, full).sampled_norm
             assert small <= big + tol
 
     def test_diagonal_lower_bound(self):
@@ -148,6 +164,40 @@ class TestSampledMultNorm:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             sampled_mult_norm(szego(), szego(), coordinate(0), S2, method="newton")
+
+
+class TestBisectionEndpoint:
+    def test_pencil_value_where_diagonal_bound_fails(self):
+        solves = 0
+        for S, w in _agreement_cases():
+            pencil = sampled_mult_norm(szego(), szego(), w, S, method="pencil")
+            endpoint = sampled_mult_norm(szego(), szego(), w, S, method="bisection")
+            # with one kernel the diagonal bound is exactly max |w| on the sample
+            if endpoint.sampled_norm != endpoint.lower_bound_sup:
+                solves += 1
+                assert endpoint.sampled_norm == pencil.sampled_norm
+                assert endpoint.bisection_interval_width == 0.0
+        assert solves >= 50
+
+    def test_at_most_two_feasibility_tests(self, monkeypatch):
+        tolerances = []
+
+        def counted(M, tol):
+            tolerances.append(tol)
+            return psd_check(M, tol=tol)
+
+        monkeypatch.setattr(multipliers, "psd_check", counted)
+        for S, w in itertools.islice(_agreement_cases(), 20):
+            tolerances.clear()
+            sampled_mult_norm(szego(), szego(), w, S, method="bisection")
+            assert 1 <= len(tolerances) <= 2
+            assert set(tolerances) == {FEASIBLE_TOL}
+
+    def test_infeasible_pencil_value_raises(self, monkeypatch):
+        monkeypatch.setattr(multipliers, "pencil_norms", lambda A, G: 0.99 * pencil_norms(A, G))
+        # the diagonal bound 0.5 of z on {0, 0.5} is infeasible; the norm is 1
+        with pytest.raises(DegenerateGram, match="not feasible"):
+            sampled_mult_norm(szego(), szego(), coordinate(0), S2, method="bisection")
 
 
 class TestKlMonotonicity:
@@ -206,6 +256,14 @@ class TestVonNeumann:
             von_neumann_check(polynomial([0.0, 2.0]), [0.0, 1.0], S2)
         with pytest.raises(SymbolNotContractive):
             von_neumann_check(fn_scale(1.0, coordinate(0)), [1.0], S2)
+
+    def test_boundary_grid_cap(self):
+        assert certify_unit_sup(polynomial([0.2, 0.3]), MAX_BOUNDARY_GRID) <= 1.0
+        assert von_neumann_check(moebius(0.4), [0.0, 1.0], S2, boundary_grid=MAX_BOUNDARY_GRID).passed
+        with pytest.raises(ValidationError, match="boundary grid"):
+            certify_unit_sup(polynomial([0.2, 0.3]), MAX_BOUNDARY_GRID + 1)
+        with pytest.raises(ValidationError, match="boundary grid"):
+            von_neumann_check(moebius(0.4), [0.0, 1.0], S2, boundary_grid=MAX_BOUNDARY_GRID + 1)
 
     def test_certificate_values(self):
         assert certify_unit_sup(moebius(0.9j)) == 1.0
