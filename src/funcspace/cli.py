@@ -2,11 +2,15 @@
 
 Every command reads JSON inputs, dispatches to one core module, and writes a
 report containing the input digests, the parameters actually used, and the
-result.  Reports are byte-identical across runs with the same inputs and
-seed, except for the ``timestamp`` field.  Exit status: 0 on success, 2 on
-validation errors (including malformed JSON, reported with line and column,
-and command-line usage errors), 3 on numerical errors such as a degenerate
-Gram matrix.
+result.  A report is one line of JSON with sorted keys (``python -m
+json.tool`` indents it), written by CPython's C encoder; floats are written
+by ``float.__repr__``, so they parse back to the same values.  Reports are
+byte-identical across runs with the same inputs and seed, except for the
+``timestamp`` field.  Only commands that read a tolerance take ``--tol``,
+and their ``parameters.tol`` is the tolerance used.  Exit status: 0 on
+success, 2 on validation errors (including malformed JSON, reported with
+line and column, and command-line usage errors), 3 on numerical errors such
+as a degenerate Gram matrix.
 
 Each command is declared once, by the :func:`command` decorator on its
 handler; the parser, the routing of parsed flags and the dispatch in
@@ -40,7 +44,8 @@ class Command:
     the report.  ``options`` maps each typed option to its type: ``bool`` for
     a switch, otherwise the function that parses its value.  ``required``
     names the options that must be given, and ``tuning`` commands also read
-    ``--method`` and ``--csv``.
+    ``--method`` and ``--csv``.  ``tol`` is the default of ``--tol``; a command
+    that reads no tolerance declares none and takes no ``--tol``.
     """
 
     name: str
@@ -50,6 +55,7 @@ class Command:
     options: dict = field(default_factory=dict)
     required: tuple = ()
     tuning: bool = False
+    tol: float | None = None
 
 
 _REGISTRY: dict = {}
@@ -66,9 +72,11 @@ def command(name: str, **flags):
 
 
 # ExperimentConfig fields set from flags: every command takes the shared
-# ones, tuning commands also take the others (a tuple lists the choices).
-_SHARED = {"tol": float, "seed": int, "max_points": int, "out": str}
+# ones, tuning commands also take the others (a tuple lists the choices), and
+# commands that declare a tolerance take --tol.
+_SHARED = {"seed": int, "max_points": int, "out": str}
 _TUNING = {"method": ("bisection", "pencil"), "csv": str}
+_TOL = {"tol": float}
 
 
 @dataclass
@@ -89,11 +97,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
+        cmd = _REGISTRY[self.command]
+        if self.tol is not None and cmd.tol is None:
+            raise ValidationError(f"command {self.command!r} takes no --tol")
         if self.tol is not None and not self.tol > 0.0:
             raise ValidationError("tolerance must be positive")
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in 64 bits")
-        if not _REGISTRY[self.command].tuning and (self.method != "pencil" or self.csv is not None):
+        if not cmd.tuning and (self.method != "pencil" or self.csv is not None):
             raise ValidationError(f"command {self.command!r} takes no --method or --csv")
 
 
@@ -171,18 +182,25 @@ class _Loader:
         return self.file(name, *count)
 
 
-def _tol(config: ExperimentConfig, default: float) -> float:
-    return default if config.tol is None else config.tol
+def _tol(config: ExperimentConfig) -> float:
+    """The tolerance in use: ``--tol``, else the command's declared default."""
+    return _REGISTRY[config.command].tol if config.tol is None else config.tol
+
+
+def _encode(report: dict) -> str:
+    """One-line JSON with sorted keys.  Without an indent CPython's C encoder
+    does the work; floats are written by ``float.__repr__`` either way."""
+    return json.dumps(report, sort_keys=True)
 
 
 # --- handlers ---------------------------------------------------------------
 
 
-@command("psd-check", files=("matrix",))
+@command("psd-check", files=("matrix",), tol=1e-10)
 def _cmd_psd_check(config, loader):
     obj = loader.file("matrix", "re")
     matrix = kernels.GramMatrix.from_json(obj) if "sample" in obj else complex_matrix_from_json(obj)
-    return kernels.psd_check(matrix, tol=_tol(config, 1e-10)).to_json()
+    return kernels.psd_check(matrix, tol=_tol(config)).to_json()
 
 
 @command("gram", files=("kernel", "sample"))
@@ -211,34 +229,34 @@ def _cmd_mult_norm(config, loader):
     return result
 
 
-@command("contraction", files=("kernel", "symbol", "sample"))
+@command("contraction", files=("kernel", "symbol", "sample"), tol=1e-10)
 def _cmd_contraction(config, loader):
     K = kernels.kernel_from_json(loader.file("kernel"))
     symbol = kernels.fn_from_json(loader.file("symbol"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    return multipliers.contraction_check(K, symbol, sample, tol=_tol(config, 1e-10)).to_json()
+    return multipliers.contraction_check(K, symbol, sample, tol=_tol(config)).to_json()
 
 
-@command("kl-check", files=("kernel", "kernel2", "symbol", "sample"))
+@command("kl-check", files=("kernel", "kernel2", "symbol", "sample"), tol=1e-10)
 def _cmd_kl_check(config, loader):
     K = kernels.kernel_from_json(loader.file("kernel"))
     L = kernels.kernel_from_json(loader.file("kernel2"))
     symbol = kernels.fn_from_json(loader.file("symbol"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    tol = _tol(config, 1e-10)
+    tol = _tol(config)
     on_K = multipliers.contraction_check(K, symbol, sample, tol=tol)
     on_KL = multipliers.contraction_check(kernels.hadamard(K, L), symbol, sample, tol=tol)
     holds = (not on_K.is_psd) or on_KL.is_psd
     return {"implication_holds": holds, "on_K": on_K.to_json(), "on_KL": on_KL.to_json()}
 
 
-@command("vn-check", files=("symbol", "sample"), inline=("poly",), options={"grid": int})
+@command("vn-check", files=("symbol", "sample"), inline=("poly",), options={"grid": int}, tol=1e-9)
 def _cmd_vn_check(config, loader):
     symbol = kernels.fn_from_json(loader.file("symbol"))
     coeffs = complex_vector_from_json(loader.inline("poly"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
     grid = int(config.options.get("grid", 4096))
-    report = multipliers.von_neumann_check(symbol, coeffs, sample, boundary_grid=grid, tol=_tol(config, 1e-9))
+    report = multipliers.von_neumann_check(symbol, coeffs, sample, boundary_grid=grid, tol=_tol(config))
     return {"lhs": report.lhs, "rhs": report.rhs, "pass": report.passed}
 
 
@@ -293,21 +311,20 @@ def _cmd_topology_probe(config, loader):
     return {"n": probe.n, "U": list(probe.U), "pass": probe.passed}
 
 
-@command("rank-check", files=("model",), inline=("points",), options={"depth": int})
+@command("rank-check", files=("model",), inline=("points",), options={"depth": int}, tol=1e-10)
 def _cmd_rank_check(config, loader):
     model = _load_model(loader.file("model", "space", "dist"))
     points = loader.inline("points")
     depth = int(config.options.get("depth", model.depth))
-    rank = realization.point_eval_rank(points, depth, model, tol=_tol(config, 1e-10))
+    rank = realization.point_eval_rank(points, depth, model, tol=_tol(config))
     return {"rank": rank, "points": list(points), "depth": depth}
 
 
-@command("roundtrip", files=("model",), inline=("coeffs",))
+@command("roundtrip", files=("model",), inline=("coeffs",), tol=realization.ROUNDTRIP_TOL)
 def _cmd_roundtrip(config, loader):
     model = _load_model(loader.file("model", "space", "dist"))
     coeffs = complex_vector_from_json(loader.inline("coeffs"))
-    tol = _tol(config, realization.ROUNDTRIP_TOL)
-    recovered, bound = realization.coefficient_roundtrip(coeffs, model, tol=tol, return_bound=True)
+    recovered, bound = realization.coefficient_roundtrip(coeffs, model, tol=_tol(config), return_bound=True)
     padded = np.zeros(model.depth + 1, dtype=complex)
     padded[: len(coeffs)] = coeffs
     err = np.abs(recovered - padded)
@@ -358,23 +375,22 @@ def _cmd_submult(config, loader):
     return {"max_ratio": ratio, "bound": bound, "n_functions": len(fs)}
 
 
-@command("pick-solve", files=("problem",))
+@command("pick-solve", files=("problem",), tol=1e-9)
 def _cmd_pick_solve(config, loader):
     problem = hardy_pick.PickProblem.from_json(loader.file("problem", "nodes"))
-    tol = _tol(config, 1e-9)
-    solution = hardy_pick.pick_solve(problem.nodes, problem.values, tol=tol)
+    solution = hardy_pick.pick_solve(problem.nodes, problem.values, tol=_tol(config))
     result = {"min_norm": solution.min_norm, "pencil_norm": solution.pencil_norm}
     if problem.bound > 0.0:
         result["feasible_at_bound"] = hardy_pick.pick_feasible(problem).to_json()
     return result
 
 
-@command("carleson-probe", options={"m": int, "start": float}, required=("m",))
+@command("carleson-probe", options={"m": int, "start": float}, required=("m",), tol=1e-9)
 def _cmd_carleson_probe(config, loader):
     m = int(config.options["m"])
     start = float(config.options.get("start", 0.0))
     nodes = hardy_pick.carleson_seq(start, m)
-    report = hardy_pick.separability_probe(m, start=start, tol=_tol(config, 1e-9))
+    report = hardy_pick.separability_probe(m, start=start, tol=_tol(config))
     return {
         "nodes": [float(y) for y in nodes],
         "max_min_norm": report.max_min_norm,
@@ -383,11 +399,11 @@ def _cmd_carleson_probe(config, loader):
     }
 
 
-@command("detect-mo", files=("matrix", "sample"))
+@command("detect-mo", files=("matrix", "sample"), tol=1e-6)
 def _cmd_detect_mo(config, loader):
     T = complex_matrix_from_json(loader.file("matrix"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    values = hardy_pick.detect_mo(T, sample, tol=_tol(config, 1e-6))
+    values = hardy_pick.detect_mo(T, sample, tol=_tol(config))
     if values is None:
         return {"detected": False}
     return {"detected": True, "symbol_values": complex_vector_to_json(values)}
@@ -431,7 +447,7 @@ def run(config: ExperimentConfig) -> int:
         "status": status,
         "inputs": loader.digests,
         "parameters": {
-            "tol": config.tol,
+            **({"tol": _tol(config)} if cmd.tol is not None else {}),
             "seed": config.seed,
             **({"method": config.method} if cmd.tuning else {}),
             "max_points": config.max_points,
@@ -441,7 +457,7 @@ def run(config: ExperimentConfig) -> int:
         "error": error,
         "timestamp": {"unix_time": time.time(), "wall_clock_s": elapsed},
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = _encode(report)
     if config.out:
         _write_text(config.out, text + "\n")
     print(text)
@@ -468,7 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", metavar="PATH")
         for name in cmd.inline:
             p.add_argument(f"--{name}", metavar="JSON")
-        for name, kind in {**cmd.options, **_SHARED, **(_TUNING if cmd.tuning else {})}.items():
+        tuning, tol = _TUNING if cmd.tuning else {}, _TOL if cmd.tol is not None else {}
+        for name, kind in {**cmd.options, **_SHARED, **tuning, **tol}.items():
             flag = "--" + name.replace("_", "-")
             if kind is bool:
                 p.add_argument(flag, action="store_true", default=None)
@@ -492,7 +509,7 @@ def config_from_argv(argv) -> ExperimentConfig:
         inputs=given(cmd.files),
         inline=given(cmd.inline),
         options=given(cmd.options),
-        **given([*_SHARED, *_TUNING]),
+        **given([*_SHARED, *_TUNING, *_TOL]),
     )
 
 
@@ -500,7 +517,7 @@ def main(argv=None) -> int:
     try:
         return run(config_from_argv(sys.argv[1:] if argv is None else argv))
     except ToolkitError as exc:  # usage errors, and errors escaping before a handler ran
-        print(json.dumps({"status": "error", "error": {"code": exc.code, "message": str(exc)}}))
+        print(_encode({"status": "error", "error": {"code": exc.code, "message": str(exc)}}))
         return 3 if isinstance(exc, NumericalError) else 2
 
 

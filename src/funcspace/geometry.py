@@ -31,16 +31,20 @@ from .serialize import complex_vector_from_json, complex_vector_to_json
 def _worst_triangle_slack(dist: np.ndarray) -> float:
     """The largest ``d[i,k] - (d[i,j] + d[j,k])`` over all triples, in O(n^2) memory.
 
-    ``best[i,k] = min_j fl(d[i,j] + d[j,k])`` is built one middle index j at a
-    time.  Rounding is monotone, so ``fl(d[i,k] - best[i,k])`` is the largest
-    slack over j bit for bit, as the full n^3 slack tensor would give it.
+    ``dist`` must already be checked symmetric and nonnegative.  Then the
+    slack of ``(i, k)`` equals that of ``(k, i)``, since ``fl(a + b)`` is
+    commutative, and a pair ``(i, i)`` has slack 0, so only the pairs with
+    ``i < k`` are visited: for each row i, ``best[k] = min_j fl(d[k,j] +
+    d[i,j])`` over the rows k > i, one (n-1-i) x n temporary reduced along
+    its contiguous axis.  Rounding is monotone, so ``fl(d[i,k] - best[k])`` is
+    the largest slack over j bit for bit, as the full n^3 slack tensor would
+    give it.
     """
-    best = dist.copy()
-    step = np.empty_like(dist)
-    for j in range(dist.shape[0]):
-        np.add(dist[:, j, None], dist[None, j, :], out=step)
-        np.minimum(best, step, out=best)
-    return float((dist - best).max())
+    worst = 0.0
+    for i in range(dist.shape[0] - 1):
+        best = (dist[i + 1 :] + dist[i]).min(axis=1)
+        worst = max(worst, float((dist[i, i + 1 :] - best).max()))
+    return worst
 
 
 def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:

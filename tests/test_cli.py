@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import funcspace
+from funcspace import cli
 from funcspace.cli import COMMANDS, ExperimentConfig, main, run
 from funcspace.errors import ValidationError
 
@@ -358,6 +359,65 @@ class TestReportContract:
         argv = ["mult-norm", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", inputs["s2"]]
         _, report = run_cli(capsys, argv)
         assert report["parameters"]["method"] == "pencil"
+
+    def test_commands_that_read_a_tolerance_report_it(self, capsys, inputs):
+        defaults = {name: cmd.tol for name, cmd in cli._REGISTRY.items() if cmd.tol is not None}
+        assert defaults == {
+            "psd-check": 1e-10,
+            "contraction": 1e-10,
+            "kl-check": 1e-10,
+            "vn-check": 1e-9,
+            "rank-check": 1e-10,
+            "roundtrip": 1e-6,
+            "pick-solve": 1e-9,
+            "carleson-probe": 1e-9,
+            "detect-mo": 1e-6,
+        }
+        argv = ["contraction", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", inputs["s2"]]
+        code, report = run_cli(capsys, argv)
+        assert code == 0
+        assert report["parameters"]["tol"] == 1e-10
+        code, report = run_cli(capsys, argv + ["--tol", "1e-6"])
+        assert code == 0
+        assert report["parameters"]["tol"] == 1e-6
+        assert ExperimentConfig("carleson-probe", options={"m": 2}, tol=1e-6).tol == 1e-6
+        _, report = run_cli(capsys, ["ardy-check", "--poly", "[2]"])
+        assert "tol" not in report["parameters"]
+
+    @pytest.mark.parametrize(
+        "name", ["gram", "mult-norm", "realize", "topology-probe", "lip-dual", "submult", "ardy-check"]
+    )
+    def test_commands_that_read_no_tolerance_take_no_tol(self, capsys, name):
+        assert cli._REGISTRY[name].tol is None
+        code, report = run_cli(capsys, [name, "--tol", "1e-6"])
+        assert code == 2
+        assert "unrecognized arguments: --tol 1e-6" in report["error"]["message"]
+        with pytest.raises(ValidationError, match="takes no --tol"):
+            ExperimentConfig(name, tol=1e-6)
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+    def test_reports_use_the_c_encoder(self, capsys, tmp_path, monkeypatch):
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        points = [[0.5 * np.cos(k), 0.5 * np.sin(k)] for k in range(48)]
+        kernel = write(tmp_path / "szego.json", {"op": "szego"})
+        sample = write(tmp_path / "s48.json", {"dim": 1, "points": points})
+        space = write(tmp_path / "line.json", _line_space(48))
+        for argv in (["gram", "--kernel", kernel, "--sample", sample], ["realize", "--space", space]):
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code == 0, out
+            assert out.count("\n") == 1 and out.endswith("\n")
+            report = json.loads(out)
+            assert report["status"] == "ok"
+            assert out == json.dumps(report, sort_keys=True) + "\n"
+        assert len(report["result"]["model"]["space"]["dist"]) == 48
+        code = main(["gram", "--bogus"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
     def test_input_digests_recorded(self, capsys, inputs):
         _, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]])

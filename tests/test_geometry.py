@@ -93,6 +93,18 @@ def brute_force_message(d):
     return f"triangle inequality violated at ({i},{k}) via {j}: {d[i, k]} > {d[i, j]} + {d[j, k]}"
 
 
+def blocked_brute_force_message(d, rows=16):
+    """``brute_force_message`` built a block of i at a time: the first block
+    that attains the largest slack holds the first worst triple in C order."""
+    worst = brute_force_worst(d, rows)
+    for i0 in range(0, len(d), rows):
+        block = d[i0 : i0 + rows, None, :] - (d[i0 : i0 + rows, :, None] + d[None, :, :])
+        if block.max() == worst:
+            i, j, k = np.unravel_index(np.argmax(block), block.shape)
+            i += i0
+            return f"triangle inequality violated at ({i},{k}) via {j}: {d[i, k]} > {d[i, j]} + {d[j, k]}"
+
+
 def raise_entry(d, i, k, amount):
     d = d.copy()
     d[i, k] = d[k, i] = d[i, k] + amount
@@ -152,6 +164,24 @@ class TestTriangleCheck:
         slack = brute_force_slack(d)
         assert (slack == slack.max()).sum() > 1
         assert verdict(d) == brute_force_message(d)
+
+    @pytest.mark.parametrize("n", [100, 240])
+    def test_rounded_collinear_metric(self, n):
+        # |x_i - x_j| on arange(n)/n rounds, so some triangles fail by one ulp
+        x = np.arange(n) / n
+        d = np.abs(x[:, None] - x[None, :])
+        worst = _worst_triangle_slack(d)
+        assert worst == brute_force_worst(d) == 1.1102230246251565e-16
+        assert verdict(d) == blocked_brute_force_message(d)
+        assert verdict(d, tol=1e-12) == "accepted"
+
+    def test_asymmetry_is_rejected_before_the_triangle_check(self):
+        # the upper triangle is a metric, the lower one breaks a triangle; the
+        # half-matrix slack relies on symmetry, which must be checked first
+        d = random_graph_metric(np.random.default_rng(13), 12)
+        d[9, 2] += 100.0
+        assert brute_force_worst(d) > 0.0
+        assert verdict(d) == "distance matrix must be symmetric"
 
     def test_tolerance_equal_to_the_slack_accepts(self):
         d = raise_entry(random_graph_metric(np.random.default_rng(11), 17), 3, 8, 0.375)
