@@ -28,22 +28,36 @@ from .errors import (
 from .serialize import complex_vector_from_json, complex_vector_to_json
 
 
+#: Least element budget of the triangle check's temporary: up to n = 256, where
+#: n(n-1) is smaller, it reduces several rows per broadcast instead of one.
+_TRIANGLE_BLOCK_ELEMENTS = 1 << 16
+
+
 def _worst_triangle_slack(dist: np.ndarray) -> float:
     """The largest ``d[i,k] - (d[i,j] + d[j,k])`` over all triples, in O(n^2) memory.
 
     ``dist`` must already be checked symmetric and nonnegative.  Then the
     slack of ``(i, k)`` equals that of ``(k, i)``, since ``fl(a + b)`` is
-    commutative, and a pair ``(i, i)`` has slack 0, so only the pairs with
-    ``i < k`` are visited: for each row i, ``best[k] = min_j fl(d[k,j] +
-    d[i,j])`` over the rows k > i, one (n-1-i) x n temporary reduced along
-    its contiguous axis.  Rounding is monotone, so ``fl(d[i,k] - best[k])`` is
-    the largest slack over j bit for bit, as the full n^3 slack tensor would
-    give it.
+    commutative, and a pair ``(i, i)`` has slack 0, so it suffices to visit
+    the pairs with ``i < k``.  A block of consecutive rows ``i`` in
+    ``[a, a + b)`` is reduced against the rows ``k > a`` in one broadcast:
+    ``best[i, k] = min_j fl(d[k,j] + d[i,j])`` along the contiguous axis of a
+    ``b x (n-1-a) x n`` temporary of at most ``max(n(n-1), 2^16)`` elements.
+    The pairs ``a < k <= i`` it adds repeat pairs of the same block or have
+    slack 0.  Rounding is monotone, so ``fl(d[i,k] - best[i,k])`` is the
+    largest slack over j bit for bit, as the full n^3 slack tensor would give
+    it.
     """
+    n = dist.shape[0]
+    budget = max(n * (n - 1), _TRIANGLE_BLOCK_ELEMENTS)
     worst = 0.0
-    for i in range(dist.shape[0] - 1):
-        best = (dist[i + 1 :] + dist[i]).min(axis=1)
-        worst = max(worst, float((dist[i, i + 1 :] - best).max()))
+    a = 0
+    while a < n - 1:
+        rest = dist[a + 1 :]
+        b = min(n - 1 - a, budget // rest.size)
+        best = (dist[a : a + b, None, :] + rest).min(axis=2)
+        worst = max(worst, float((dist[a : a + b, a + 1 :] - best).max()))
+        a += b
     return worst
 
 
@@ -290,9 +304,15 @@ def dil(f: SampledFunction) -> float:
     n = d.shape[0]
     if n < 2:
         raise DegenerateSpace("dil needs at least two points")
-    iu = np.triu_indices(n, k=1)
-    diffs = np.abs(f.values[:, None] - f.values[None, :])[iu]
-    return float((diffs / d[iu]).max())
+    # both triangles: |a - b| = |b - a| exactly and d is symmetric, so the
+    # maximum is that of the pairs i < j; the diagonal is 0 / 1, also where
+    # a value overflowed and inf - inf would be nan
+    diffs = np.abs(f.values[:, None] - f.values[None, :])
+    np.fill_diagonal(diffs, 0.0)
+    denom = d.copy()
+    np.fill_diagonal(denom, 1.0)
+    diffs /= denom
+    return float(diffs.max())
 
 
 def lip_norm(f: SampledFunction) -> float:
@@ -335,7 +355,7 @@ def _lip_ball_lp(space: MetricSpace, objective: np.ndarray) -> float:
     quotient and s bounding |f(base)|; the complex problem reduces to this
     real one because the optimum can be rotated to be real-valued.
     """
-    # imported here: scipy.optimize is most of the package's import time
+    # imported here, so that no other command loads scipy
     from scipy.optimize import linprog
 
     n = len(space)

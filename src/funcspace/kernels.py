@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateGram, GeomDiverges, NotHermitian, Overflow, OutOfDomain, ValidationError
 from .geometry import EuclideanPointSet
@@ -506,6 +505,20 @@ def require_finite(what: str, *arrays) -> None:
         raise Overflow(f"{what} overflows float64")
 
 
+def lower_inverse(L) -> np.ndarray:
+    """Inverse of a nonsingular lower triangular matrix, exactly lower triangular.
+
+    Computed as ``inv(L*)*``.  ``L*`` is upper triangular, so partial
+    pivoting swaps no rows and its LU factorization is ``(I, L*)`` without
+    rounding; the inverse then comes from triangular solves with ``L*``
+    alone, and every entry above the diagonal is an exact zero.  numpy has
+    no triangular inverse, and this costs a few times the flops of LAPACK's
+    ``trtri``, but it keeps scipy out of every caller's import.
+    """
+    L = np.asarray(L)
+    return np.linalg.inv(L.conj().T).conj().T
+
+
 def pencil_norms(A, G) -> np.ndarray:
     """sqrt of the top eigenvalue of each Hermitian pencil ``(A[k], G)``.
 
@@ -513,8 +526,9 @@ def pencil_norms(A, G) -> np.ndarray:
     for a stack ``A`` of Hermitian matrices and one positive definite ``G``.
     ``G`` is scaled to unit diagonal, a congruence that leaves every pencil's
     eigenvalues unchanged, and factored once as ``L L*``; each scaled
-    ``A[k]`` is whitened to ``L^-1 A[k] L^-*`` and the top eigenvalues come
-    from one batched eigensolve.
+    ``A[k]`` is whitened to ``L^-1 A[k] L^-*``, with ``L^-1`` from
+    :func:`lower_inverse`, and the top eigenvalues come from one batched
+    eigensolve.
 
     Raises:
         DegenerateGram: the scaled ``G`` is not numerically positive definite.
@@ -532,8 +546,7 @@ def pencil_norms(A, G) -> np.ndarray:
         L = np.linalg.cholesky(G * scale)
     except np.linalg.LinAlgError:
         raise DegenerateGram("the Gram matrix is numerically singular (Cholesky broke down)") from None
-    trtri = scipy.linalg.get_lapack_funcs("trtri", (L,))
-    L_inv, _ = trtri(L, lower=1)
+    L_inv = lower_inverse(L)
     whitened = L_inv @ (A * scale) @ L_inv.conj().T
     top = np.linalg.eigvalsh(whitened)[..., -1]
     return np.sqrt(np.maximum(top, 0.0))

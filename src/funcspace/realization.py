@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CoefficientOverflow,
@@ -37,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import MetricSpace, SampledFunction
-from .kernels import gamma
+from .kernels import gamma, lower_inverse
 
 _PIVOT_FLOOR = 1e-14
 #: Default bound on the relative error of a coefficient round-trip.
@@ -326,7 +325,7 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
     recovered = np.zeros(N + 1, dtype=complex)
     for n in range(N + 1):
         recovered[n] = (values[n] - L[n, :n] @ recovered[:n]) / L[n, n]
-    L_inv, _ = scipy.linalg.get_lapack_funcs("trtri", (L,))(L, lower=1)
+    L_inv = lower_inverse(L)
     with np.errstate(over="ignore", invalid="ignore"):
         componentwise = gamma(2 * (N + 1)) * (np.abs(L_inv) @ (np.abs(L) @ (np.abs(f) + np.abs(recovered))))
     scale = float(np.abs(f).max())

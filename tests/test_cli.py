@@ -633,12 +633,69 @@ class TestConfigObject:
     def test_all_commands_registered(self):
         assert len(COMMANDS) == 16
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # linprog is imported by the LP oracle of lip-dual --oracle only
+    def test_no_command_but_the_lp_oracle_loads_scipy(self, tmp_path, inputs):
+        # scipy serves only the linprog of lip-dual --oracle, imported there
+        from funcspace.hardy_pick import compress_square, toeplitz_mo
+
+        T = compress_square(toeplitz_mo([0.0, 1.0], 12), 12)
+        mo = write(tmp_path / "T.json", {"re": T.real.tolist(), "im": T.imag.tolist()})
+        pts = write(tmp_path / "pts.json", {"dim": 1, "points": [[0.1, 0.0], [0.2, 0.0]]})
+        psd = write(tmp_path / "m.json", {"re": [[2.0, 1.0], [1.0, 2.0]], "im": [[0, 0], [0, 0]]})
+        pick = write(tmp_path / "pick.json", {"nodes": [[0.1, 0.2], [0.5, 0]], "values": [[0.3, 0], [0, 0.1]]})
+        mult_norm = ["mult-norm", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", inputs["s2"]]
+        commands = [
+            ["psd-check", "--matrix", psd],
+            ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]],
+            [*mult_norm, "--method", "pencil"],
+            [*mult_norm, "--method", "bisection"],
+            ["contraction", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", inputs["s2"]],
+            ["kl-check", "--kernel", inputs["szego"], "--kernel2", inputs["szego"], "--symbol", inputs["moebius"],
+             "--sample", inputs["s2"]],
+            ["vn-check", "--symbol", inputs["moebius"], "--poly", "[0, -0.5, 1]", "--sample", inputs["s2"]],
+            ["realize", "--space", inputs["interval"], "--depth", "3"],
+            ["topology-probe", "--model", inputs["model"], "--x", "2", "--eps", "0.3"],
+            ["rank-check", "--model", inputs["model"], "--points", "[0, 2, 4]"],
+            ["roundtrip", "--model", inputs["model"], "--coeffs", "[1, [0, 1], 0.5, -2]"],
+            ["lip-dual", "--space", inputs["interval"], "--x", "0", "--y", "4"],
+            ["submult", "--space", inputs["interval"], "--random", "6"],
+            ["pick-solve", "--problem", pick],
+            ["carleson-probe", "--m", "4"],
+            ["detect-mo", "--matrix", mo, "--sample", pts],
+            ["ardy-check", "--poly", "[0, 1]"],
+        ]
+        assert {argv[0] for argv in commands} == set(COMMANDS)
+        oracle = ["lip-dual", "--space", inputs["interval"], "--x", "0", "--y", "4", "--oracle"]
+        code = """if True:
+            import contextlib, io, json, sys
+            import funcspace.cli
+
+            def scipy_modules():
+                return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+            def run(argv):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = funcspace.cli.main(argv)
+                return code, json.loads(out.getvalue())
+
+            commands, oracle = json.loads(sys.argv[1])
+            seen = {"import": scipy_modules()}
+            for argv in commands:
+                code, _ = run(argv)
+                seen[" ".join(argv[:1] + argv[-2:])] = [code, scipy_modules()]
+            code, report = run(oracle)
+            seen["oracle"] = [code, report["result"]["lp_oracle"], "scipy.optimize" in sys.modules]
+            print(json.dumps(seen))
+        """
         src = os.path.dirname(os.path.dirname(funcspace.__file__))
-        code = "import sys, funcspace.cli; print('scipy.optimize' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+            [sys.executable, "-c", code, json.dumps([commands, oracle])],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert out.stdout.strip() == "False"
+        seen = json.loads(out.stdout)
+        assert seen.pop("import") == []
+        code, lp_oracle, scipy_loaded = seen.pop("oracle")
+        assert code == 0 and scipy_loaded
+        assert lp_oracle == pytest.approx(1.0, abs=1e-9)
+        assert len(seen) == len(commands)
+        assert seen == {name: [0, []] for name in seen}

@@ -20,6 +20,7 @@ from funcspace.kernels import (
     fn_scale,
     fn_sum,
     fn_to_json,
+    gamma,
     geom,
     gram,
     hadamard,
@@ -27,6 +28,7 @@ from funcspace.kernels import (
     kernel_from_json,
     kernel_sum,
     kernel_to_json,
+    lower_inverse,
     mirror_upper,
     moebius,
     pencil_norms,
@@ -386,6 +388,35 @@ class TestMirrorUpper:
         H = mirror_upper(np.array([[1.0, 2.0], [5.0, 3.0]]))
         assert H.dtype == float
         assert np.array_equal(H, [[1.0, 2.0], [2.0, 3.0]])
+
+
+def lower_factors():
+    """Complex Cholesky factors and graded real lower triangular matrices."""
+    rng = np.random.default_rng(43)
+    for n in (1, 8, 48):
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        yield np.linalg.cholesky(X @ X.conj().T + n * np.eye(n))
+    for n in (24, 240):
+        yield np.tril(rng.uniform(0.1, 1.0, size=(n, n))) * 2.0 ** -np.arange(n)
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("L", lower_factors(), ids=lambda L: f"{L.dtype}-{len(L)}")
+    def test_exactly_lower_with_componentwise_residual(self, L):
+        n = len(L)
+        X = lower_inverse(L)
+        assert X.dtype == L.dtype
+        assert np.all(np.triu(X, 1) == 0.0)
+        # |X L - I| <= gamma_{2n} |X| |L|: gamma_n for the substitution, gamma_n more for the product
+        assert np.all(np.abs(X @ L - np.eye(n)) <= gamma(2 * n) * (np.abs(X) @ np.abs(L)))
+
+    @pytest.mark.parametrize("L", lower_factors(), ids=lambda L: f"{L.dtype}-{len(L)}")
+    def test_matches_scipy_triangular_solve(self, L):
+        n = len(L)
+        X = lower_inverse(L)
+        ref = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
+        # each inverse is within gamma_n |L^-1| |L| |L^-1| of the exact one, to first order
+        assert np.all(np.abs(X - ref) <= 2 * gamma(2 * n) * (np.abs(X) @ np.abs(L) @ np.abs(X)))
 
 
 class TestPencilNorms:

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from funcspace.errors import (
     ValidationError,
 )
 from funcspace.geometry import MetricSpace, SampledFunction, dil
+from funcspace.kernels import gamma, lower_inverse
 from funcspace.realization import (
     ROUNDTRIP_TOL,
     DenseSequence,
@@ -381,3 +383,52 @@ class TestRoundtripErrorBound:
         rec, bound = coefficient_roundtrip(np.zeros(40), model, return_bound=True)
         assert bound == 0.0
         assert not rec.any()
+
+
+def prefix_matrix(model):
+    """The lower triangular system of coefficient_roundtrip, built as it builds it."""
+    rows = list(model.dense.order[: model.depth + 1])
+    return np.tril(np.array([g.values[rows] / b for g, b in zip(model.g, model.b)]).real.T)
+
+
+def mp_lower_inverse(L):
+    """The inverse of L in 50-digit arithmetic, rounded to float64."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    inv = mp.inverse(mp.matrix(L.tolist()))
+    return np.array([[float(inv[i, j]) for j in range(len(L))] for i in range(len(L))])
+
+
+def roundtrip_inputs():
+    """The round-trip inputs of the tests above whose system has at most 24 rows."""
+    rng = np.random.default_rng(17)
+    yield pytest.param(interval_model(), [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(50)], id="interval")
+    rng = np.random.default_rng(19)
+    fs = [rng.normal(size=17) + 1j * rng.normal(size=17) for _ in range(20)]
+    yield pytest.param(grid_model(depth=16, seed=18), fs, id="grid")
+    for n, depth in [(40, 2), (40, 12), (90, 7), (240, 12)]:
+        model, rng = graph_model(n, depth, seed=n + depth)
+        fs = [rng.normal(size=depth + 1) + 1j * rng.normal(size=depth + 1) for _ in range(5)]
+        yield pytest.param(model, fs, id=f"graph{n}-{depth}")
+    model, rng = graph_model(40, 12, seed=4)
+    yield pytest.param(model, [rng.normal(size=13)], id="graph40-12-real")
+
+
+@pytest.mark.parametrize("model, fs", roundtrip_inputs())
+def test_roundtrip_bound_holds_with_the_exact_inverse(model, fs):
+    """The bound uses the computed |L^-1|; against a 50-digit inverse it still
+    covers the measured error, and the computed inverse is within first-order
+    rounding of the exact one."""
+    L = prefix_matrix(model)
+    n = len(L)
+    assert n <= 24
+    X = lower_inverse(L)
+    exact = mp_lower_inverse(L)
+    assert np.all(np.abs(X - exact) <= 2 * gamma(2 * n) * (np.abs(X) @ np.abs(L) @ np.abs(X)))
+    for f in fs:
+        rec, bound = coefficient_roundtrip(f, model, return_bound=True)
+        err = float(np.abs(rec - f).max() / np.abs(f).max())
+        exact_bound = float((gamma(2 * n) * (np.abs(exact) @ (np.abs(L) @ (np.abs(f) + np.abs(rec))))).max()) / np.abs(f).max()
+        assert err <= exact_bound
+        assert err <= bound
+        assert bound == pytest.approx(exact_bound, rel=1e-12)
