@@ -8,6 +8,7 @@ import numpy as np
 from funcspace import (
     DenseSequence,
     MetricSpace,
+    SampledFunction,
     build_model,
     coefficient_roundtrip,
     dil,
@@ -27,13 +28,12 @@ model = build_model(dense, depth=3)
 
 print("=== The functions g_n = min(dist to prefix, 1) ===")
 for n, g in enumerate(model.g):
-    print(f"g_{n}: {np.round(g.values.real, 4)}   dil = {dil(g)}")
+    print(f"g_{n}: {np.round(g, 4)}   dil = {dil(SampledFunction(space, g))}")
 print("weights b_n:", model.b)
 print()
 
 print("=== Triangular structure: g_m vanishes at y_1..y_m ===")
-mat = np.array([[model.g[m].values[dense.order[n]].real for n in range(4)] for m in range(4)])
-print(np.round(mat, 4))
+print(np.round(model.g[:, list(dense.order[:4])], 4))
 print("very independent:", very_independence_check(model))
 print()
 
@@ -57,7 +57,7 @@ big_space = MetricSpace(np.abs(grid[:, None] - grid[None, :]))
 order = np.random.default_rng(7).permutation(64)
 big = build_model(DenseSequence(big_space, order), depth=62)
 print("very independent at depth 62:", very_independence_check(big))
-print("all g_n exactly 1-Lipschitz:", all(dil(g) <= 1.0 for g in big.g))
+print("all g_n exactly 1-Lipschitz:", all(dil(SampledFunction(big_space, g)) <= 1.0 for g in big.g))
 
 rng = np.random.default_rng(8)
 pts = rng.choice(64, size=7, replace=False)

@@ -273,7 +273,7 @@ def _load_model(obj, space: geometry.MetricSpace | None = None) -> realization.R
         if not isinstance(policy["balls"], dict):
             raise ValidationError('policy "balls" must be an object such as {"base": 0}')
         policy, base = "balls", policy["balls"].get("base")
-    return realization.build_model(dense, int(obj["depth"]), policy=policy, base=base, p=float(obj.get("p", 2.0)))
+    return realization.build_model(dense, obj["depth"], policy=policy, base=base, p=float(obj.get("p", 2.0)))
 
 
 @command("realize", files=("space", "model"), options={"depth": int, "policy": str, "order": _json_value})
@@ -296,11 +296,9 @@ def _cmd_realize(config, loader):
     model = _load_model(model_obj, space)
     return {
         "model": model_obj,
-        "b": [float(v) for v in model.b],
-        "sup_g": [float(np.abs(g.values).max()) for g in model.g],
-        "very_independent": realization.very_independence_check(model)
-        if len(model.dense) >= model.depth + 2
-        else None,
+        "b": model.b.tolist(),
+        "sup_g": model.g.max(axis=1).tolist(),
+        "very_independent": realization.very_independence_check(model),
     }
 
 

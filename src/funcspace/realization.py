@@ -17,6 +17,11 @@ provides the finite verification procedures: the triangular independence
 pattern, the rank of point-evaluation families, the neighborhood probe
 showing the g's generate the metric topology, and the coefficient
 round-trip.
+
+The model holds the system as one read-only ``(depth+1) x n`` float array
+``g`` with row m = g_m, and every check is a slice of it; the matrix
+``[g_m(y_{k+1}) / b_m]`` is ``(g[:, order] / b[:, None]).T``.  Point
+indices, enumerations, depths and ball bases must be integers.
 """
 
 from __future__ import annotations
@@ -43,6 +48,13 @@ _PIVOT_FLOOR = 1e-14
 ROUNDTRIP_TOL = 1e-6
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int; floats and bools are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DenseSequence:
     """An enumeration of all points of a finite space (the density surrogate)."""
@@ -51,7 +63,7 @@ class DenseSequence:
     order: tuple
 
     def __init__(self, space: MetricSpace, order):
-        order = tuple(int(i) for i in order)
+        order = tuple(_index(i, "order entry") for i in order)
         n = len(space)
         if sorted(order) != list(range(n)):
             raise ValidationError("order must enumerate every point exactly once")
@@ -62,56 +74,55 @@ class DenseSequence:
         return len(self.order)
 
 
-def build_g(dense: DenseSequence, depth: int):
-    """The functions g_0..g_depth of the enumeration.
+def build_g(dense: DenseSequence, depth: int) -> np.ndarray:
+    """The read-only (depth+1) x n array whose row n is g_n of the enumeration.
 
     g_0 is the constant 1; g_n is the distance to the first n enumerated
-    points, clamped at 1, kept as a running minimum over the enumeration.
+    points, clamped at 1, kept as a running minimum down the rows.
     """
+    depth = _index(depth, "depth")
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     if depth > len(dense):
         raise DepthExceedsSequence(f"depth {depth} exceeds the {len(dense)}-point enumeration")
-    space = dense.space
-    n = len(space)
-    running = np.ones(n)
-    gs = [SampledFunction(space, running)]
-    for m in range(1, depth + 1):
-        running = np.minimum(running, space.dist[:, dense.order[m - 1]])
-        gs.append(SampledFunction(space, running))
-    return gs
+    dist = dense.space.dist
+    rows = np.vstack([np.ones(len(dist)), dist[:, list(dense.order[:depth])].T])
+    g = np.minimum.accumulate(rows, axis=0, out=rows)
+    g.flags.writeable = False
+    return g
 
 
-def choose_b(gs, policy: str = "default_2n", space: MetricSpace | None = None, base: int | None = None) -> np.ndarray:
+def choose_b(g: np.ndarray, policy: str = "default_2n", space: MetricSpace | None = None, base: int | None = None) -> np.ndarray:
     """Tempering weights b_n = 2^n * sup |g_n| over the exhaustion sets.
 
     Policies:
         "default_2n": sup over the whole space (trivially tempered since
             every g_n is bounded by 1).
-        "balls": sup over the open ball B(base, max(n, 1)), mirroring the
-            Lipschitz exhaustion by balls around the base point.
+        "balls": sup over the open ball B(base, max(n, 1)) of ``space``,
+            mirroring the Lipschitz exhaustion by balls around the base point.
 
     Raises:
         ExhaustedSpace: some g_n vanishes on its exhaustion set; the
             enumeration has consumed the finite space, reduce the depth.
     """
-    sups = []
-    for n, g in enumerate(gs):
-        if policy == "default_2n":
-            sup = float(np.abs(g.values).max())
-        elif policy == "balls":
-            sp = space if space is not None else g.space
-            b = sp.base if base is None else int(base)
-            if not 0 <= b < len(sp):
-                raise ValidationError(f"ball base {b} out of range for a space of {len(sp)} points")
-            inside = sp.dist[b, :] < max(n, 1)
-            sup = float(np.abs(g.values[inside]).max()) if inside.any() else 0.0
-        else:
-            raise ValidationError(f"unknown weight policy {policy!r}")
-        if sup == 0.0:
-            raise ExhaustedSpace(f"g_{n} vanishes on its exhaustion set; reduce the depth")
-        sups.append(sup)
-    return np.array([(2.0**n) * s for n, s in enumerate(sups)])
+    levels = np.arange(len(g))
+    if policy == "default_2n":
+        sups = g.max(axis=1)
+    elif policy == "balls":
+        if space is None:
+            raise ValidationError('the "balls" policy needs the space')
+        b = space.base if base is None else _index(base, "ball base")
+        if not 0 <= b < len(space):
+            raise ValidationError(f"ball base {b} out of range for a space of {len(space)} points")
+        sups = np.where(space.dist[b] < np.maximum(levels, 1)[:, None], g, 0.0).max(axis=1)
+    else:
+        raise ValidationError(f"unknown weight policy {policy!r}")
+    vanishing = np.flatnonzero(sups == 0.0)
+    if vanishing.size:
+        raise ExhaustedSpace(f"g_{vanishing[0]} vanishes on its exhaustion set; reduce the depth")
+    if len(g) > 1024:
+        raise ValidationError(f"the weight 2^{len(g) - 1} overflows a float; reduce the depth")
+    return 2.0**levels * sups
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,7 @@ class RealizationModel:
 
     dense: DenseSequence
     depth: int
-    g: tuple
+    g: np.ndarray
     b: np.ndarray
     p: float = 2.0
 
@@ -143,9 +154,9 @@ def build_model(
     ``b`` gives the weights directly; otherwise :func:`choose_b` computes
     them by ``policy``, around ``base`` for the "balls" policy.
     """
-    gs = build_g(dense, depth)
+    g = build_g(dense, depth)
     if b is None:
-        weights = choose_b(gs, policy=policy, space=dense.space, base=base)
+        weights = choose_b(g, policy=policy, space=dense.space, base=base)
     else:
         weights = np.asarray(b, dtype=float)
         if len(weights) != depth + 1:
@@ -156,16 +167,14 @@ def build_model(
         raise ValidationError("the model exponent must satisfy p >= 1")
     weights = weights.copy()
     weights.flags.writeable = False
-    return RealizationModel(dense, depth, tuple(gs), weights, float(p))
+    return RealizationModel(dense, depth, g, weights, float(p))
 
 
 def _check_coeffs(f, model: RealizationModel) -> np.ndarray:
     f = np.asarray(f, dtype=complex).reshape(-1)
     if len(f) > model.depth + 1:
         raise CoefficientOverflow(f"at most {model.depth + 1} coefficients fit this model, got {len(f)}")
-    if len(f) < model.depth + 1:
-        f = np.concatenate([f, np.zeros(model.depth + 1 - len(f), dtype=complex)])
-    return f
+    return np.pad(f, (0, model.depth + 1 - len(f)))
 
 
 def embed(f, model: RealizationModel) -> SampledFunction:
@@ -178,7 +187,7 @@ def embed(f, model: RealizationModel) -> SampledFunction:
     f = _check_coeffs(f, model)
     acc = np.zeros(len(model.dense.space), dtype=complex)
     for n in range(model.depth + 1):
-        acc = acc + f[n] * (model.g[n].values / model.b[n])
+        acc = acc + f[n] * (model.g[n] / model.b[n])
     return SampledFunction(model.dense.space, acc)
 
 
@@ -186,7 +195,7 @@ def point_functional(x: int, model: RealizationModel) -> np.ndarray:
     """Coefficients of the evaluation at x: (g_n(x) / b_n) for n <= depth."""
     if not (0 <= int(x) < len(model.dense.space)):
         raise ValidationError(f"point index {x} out of range")
-    return np.array([model.g[n].values[x] / model.b[n] for n in range(model.depth + 1)])
+    return model.g[:, x] / model.b
 
 
 def pair(f, functional: np.ndarray) -> complex:
@@ -207,16 +216,10 @@ def very_independence_check(model: RealizationModel) -> bool:
     """
     N = model.depth
     order = model.dense.order
-    if len(order) < N + 2:
-        raise DepthExceedsSequence(f"need at least {N + 2} enumerated points, have {len(order)}")
-    for n in range(N + 1):
-        y_next = order[n]  # y_{n+1} in 1-based counting
-        if model.g[n].values[y_next] == 0.0:
-            return False
-        for m in range(n + 1, N + 1):
-            if model.g[m].values[y_next] != 0.0:
-                return False
-    return True
+    if len(order) < N + 1:
+        raise DepthExceedsSequence(f"need at least {N + 1} enumerated points, have {len(order)}")
+    block = model.g[:, list(order[: N + 1])]  # column n is y_{n+1} in 1-based counting
+    return bool(np.diag(block).all() and not np.tril(block, -1).any())
 
 
 def point_eval_rank(
@@ -231,17 +234,18 @@ def point_eval_rank(
     Equals the number of points once M is large enough; singular values
     above ``tol * sigma_max`` count toward the rank.
     """
-    points = [int(i) for i in points]
+    points = [_index(i, "point index") for i in points]
     n = len(model.dense.space)
     for i in points:
         if not (0 <= i < n):
             raise ValidationError(f"point index {i} out of range for a space of {n} points")
     if not allow_duplicates and len(set(points)) != len(points):
         raise DuplicatePoint("points must be distinct (pass allow_duplicates to bypass)")
+    if M < 0:
+        raise ValidationError("depth must be nonnegative")
     if M > model.depth:
         raise DepthExceedsSequence(f"M = {M} exceeds the model depth {model.depth}")
-    mat = np.array([[model.g[m].values[i] for i in points] for m in range(M + 1)])
-    sv = np.linalg.svd(mat, compute_uv=False)
+    sv = np.linalg.svd(model.g[: M + 1][:, points], compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int((sv >= tol * sv[0]).sum())
@@ -267,20 +271,15 @@ def topology_probe(x: int, eps: float, model: RealizationModel) -> TopologyProbe
     space = model.dense.space
     if not (0 <= int(x) < len(space)):
         raise ValidationError(f"point index {x} out of range")
-    order = model.dense.order
-    n = None
-    for k in range(1, model.depth + 1):
-        if space.dist[x, order[k - 1]] < eps / 2.0:
-            n = k
-            break
-    if n is None:
+    near = np.flatnonzero(space.dist[x, list(model.dense.order[: model.depth])] < eps / 2.0)
+    if not near.size:
         raise PrefixTooShallow(f"no enumerated point within eps/2 = {eps / 2} of point {x}")
-    g_prev = model.g[n - 1].values.real
-    g_cur = model.g[n].values.real
+    n = int(near[0]) + 1
+    g_prev, g_cur = model.g[n - 1], model.g[n]
     members = np.flatnonzero((g_prev > g_cur) & (g_cur < eps / 2.0))
     in_U = int(x) in members
     inside_ball = bool(np.all(space.dist[x, members] < eps))
-    return TopologyProbe(n, tuple(int(i) for i in members), in_U and inside_ball)
+    return TopologyProbe(n, tuple(members.tolist()), in_U and inside_ball)
 
 
 def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL, return_bound: bool = False):
@@ -315,12 +314,12 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
     if len(order) < N + 1:
         raise DepthExceedsSequence(f"need {N + 1} enumerated points, have {len(order)}")
     rows = list(order[: N + 1])
-    for n, y in enumerate(rows):
-        pivot = model.g[n].values[y]
-        if abs(pivot) < _PIVOT_FLOOR:
-            raise IllConditionedPrefix(f"pivot g_{n}(y_{n + 1}) = {pivot} below {_PIVOT_FLOOR:g}")
+    pivots = model.g[np.arange(N + 1), rows]
+    if np.abs(pivots).min() < _PIVOT_FLOOR:
+        n = int(np.argmax(np.abs(pivots) < _PIVOT_FLOOR))
+        raise IllConditionedPrefix(f"pivot g_{n}(y_{n + 1}) = {pivots[n]} below {_PIVOT_FLOOR:g}")
     # the entries g_m / b_m exactly as embed computes them
-    L = np.tril(np.array([g.values[rows] / b for g, b in zip(model.g, model.b)]).real.T)
+    L = np.tril((model.g[:, rows] / model.b[:, None]).T)
     values = embed(f, model).values[rows]
     recovered = np.zeros(N + 1, dtype=complex)
     for n in range(N + 1):

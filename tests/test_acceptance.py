@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from funcspace.geometry import EuclideanPointSet, dil, lip_norm
+from funcspace.geometry import EuclideanPointSet, SampledFunction, dil, lip_norm
 from funcspace.geometry import lip_dual_pair_norm, lip_dual_pair_norm_lp
 from funcspace.geometry import lip_point_norm, lip_point_norm_lp
 from funcspace.hardy_pick import (
@@ -194,7 +194,7 @@ def test_criterion_07_realization_suite():
         assert worst <= 1e-9
 
         for g in model.g:
-            assert dil(g) <= 1.0  # exact, no tolerance
+            assert dil(SampledFunction(model.dense.space, g)) <= 1.0  # exact, no tolerance
 
 
 def test_criterion_08_lipschitz_dual_norms():

@@ -280,6 +280,11 @@ class TestRealizationCommands:
         assert code == 0
         assert calls == [5]
 
+    def test_realize_decides_independence_at_depth_n_minus_one(self, capsys, inputs):
+        code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--depth", "4"])
+        assert code == 0
+        assert report["result"]["very_independent"] is True
+
 
 class TestGeometryCommands:
     def test_lip_dual_pair_with_oracle(self, capsys, inputs):
@@ -478,6 +483,35 @@ class TestErrorPaths:
             assert code == 2
             assert report["error"]["code"] == "ValidationError"
             assert "out of range" in report["error"]["message"]
+
+    @pytest.mark.parametrize("depth", ["-1", "-3"])
+    def test_rank_check_negative_depth(self, capsys, inputs, depth):
+        argv = ["rank-check", "--model", inputs["model"], "--points", "[0]", "--depth", depth]
+        code, report = run_cli(capsys, argv)
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": "depth must be nonnegative"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["realize", "--space", "interval", "--order", "[0,1,2,3,4.9]"], "order entry must be an integer, got 4.9"),
+            (["realize", "--model", {"depth": 3.7}], "depth must be an integer, got 3.7"),
+            (["realize", "--model", {"policy": {"balls": {"base": 1.5}}}], "ball base must be an integer, got 1.5"),
+            (["rank-check", "--model", "model", "--points", "[0.7, 1]"], "point index must be an integer, got 0.7"),
+            (["rank-check", "--model", "model", "--points", "[true, 0]"], "point index must be an integer, got True"),
+        ],
+        ids=["order", "depth", "ball-base", "float-point", "bool-point"],
+    )
+    def test_non_integral_indices_rejected(self, capsys, inputs, argv, message):
+        """A float or bool index is refused, not truncated to an int."""
+        model = json.loads((inputs["tmp"] / "model.json").read_text())
+        resolved = [
+            write(inputs["tmp"] / "edited.json", {**model, **arg}) if isinstance(arg, dict) else inputs.get(arg, arg)
+            for arg in argv
+        ]
+        code, report = run_cli(capsys, resolved)
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": message}
 
     def test_distinct_error_codes(self, capsys, tmp_path, inputs):
         seen = set()

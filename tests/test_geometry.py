@@ -209,7 +209,7 @@ class TestTriangleCheck:
         gs = build_g(DenseSequence(space, order), n - 1)
         for m in range(1, n):
             expected = np.minimum(space.dist[:, order[:m]].min(axis=1), 1.0)
-            assert np.array_equal(gs[m].values, expected.astype(complex))
+            assert np.array_equal(gs[m], expected)
 
 
 class TestTriangleTol:

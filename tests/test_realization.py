@@ -53,33 +53,39 @@ class TestBuildG:
     def test_first_function_on_interval(self):
         gs = build_g(interval_dense(), 1)
         # y_1 = 1/2, so g_1(0) = min(|0 - 1/2|, 1) = 1/2
-        assert gs[1].values[0] == 0.5
-        assert np.array_equal(gs[0].values, np.ones(5))
+        assert gs[1][0] == 0.5
+        assert np.array_equal(gs[0], np.ones(5))
 
     def test_vanishes_on_prefix(self):
         gs = build_g(interval_dense(), 4)
         for n in range(1, 5):
             for k in range(n):
-                assert gs[n].values[INTERVAL_ORDER[k]] == 0.0
+                assert gs[n][INTERVAL_ORDER[k]] == 0.0
 
     def test_vanishes_only_on_prefix(self):
         gs = build_g(interval_dense(), 4)
         for n in range(1, 5):
             outside = set(range(5)) - set(INTERVAL_ORDER[:n])
             for k in outside:
-                assert gs[n].values[k] > 0.0
+                assert gs[n][k] > 0.0
 
     def test_pointwise_monotone_and_clamped(self):
         model = grid_model(depth=30, seed=5)
         for n in range(model.depth):
-            a, b = model.g[n].values.real, model.g[n + 1].values.real
+            a, b = model.g[n], model.g[n + 1]
             assert np.all(b <= a)
             assert np.all((0.0 <= b) & (b <= 1.0))
 
     def test_each_g_is_one_lipschitz(self):
         model = grid_model(depth=20, seed=6)
         for g in model.g:
-            assert dil(g) <= 1.0
+            assert dil(SampledFunction(model.dense.space, g)) <= 1.0
+
+    def test_one_read_only_float_array(self):
+        model = interval_model(depth=3)
+        assert model.g.shape == (4, 5) and model.g.dtype == np.float64
+        with pytest.raises(ValueError):
+            model.g[1, 0] = 2.0
 
     def test_depth_exceeding_sequence(self):
         with pytest.raises(DepthExceedsSequence):
@@ -104,7 +110,7 @@ class TestChooseB:
 
     def test_weighted_tail_bound(self):
         model = grid_model(depth=40, seed=7)
-        sups = np.array([np.abs(g.values).max() for g in model.g])
+        sups = np.array([np.abs(g).max() for g in model.g])
         terms = sups / model.b
         assert terms.sum() <= 2.0
         for n0 in (5, 10, 20):
@@ -122,6 +128,15 @@ class TestChooseB:
         assert np.all(b > 0)
         # radius-1 ball misses the right endpoint, so sups can only shrink
         assert np.all(b <= choose_b(gs))
+
+    def test_ball_policy_needs_the_space(self):
+        with pytest.raises(ValidationError, match="needs the space"):
+            choose_b(build_g(interval_dense(), 3), policy="balls")
+
+    def test_weight_overflow_rejected(self):
+        assert choose_b(np.ones((1024, 2)))[-1] == 2.0**1023
+        with pytest.raises(ValidationError, match="overflows"):
+            choose_b(np.ones((1025, 2)))
 
     def test_unknown_policy_rejected(self):
         gs = build_g(interval_dense(), 2)
@@ -195,17 +210,15 @@ class TestVeryIndependence:
     def test_corrupted_model_fails(self):
         model = interval_model(depth=3)
         # duplicated enumeration point: g_2 also vanishes at y_3
-        vals = model.g[2].values.copy()
-        vals[INTERVAL_ORDER[2]] = 0.0
-        broken = dataclasses.replace(
-            model, g=model.g[:2] + (SampledFunction(model.dense.space, vals),) + model.g[3:]
-        )
+        vals = model.g.copy()
+        vals[2, INTERVAL_ORDER[2]] = 0.0
+        broken = dataclasses.replace(model, g=vals)
         assert not very_independence_check(broken)
 
     def test_interval_matrix_by_hand(self):
         model = interval_model(depth=3)
         # rows g_0..g_3 at columns y_1..y_4 = (1/2, 0, 1, 1/4)
-        mat = np.array([[model.g[m].values[INTERVAL_ORDER[n]].real for n in range(4)] for m in range(4)])
+        mat = np.array([[model.g[m][INTERVAL_ORDER[n]] for n in range(4)] for m in range(4)])
         expected = np.array(
             [
                 [1.0, 1.0, 1.0, 1.0],
@@ -218,7 +231,11 @@ class TestVeryIndependence:
 
     def test_needs_enough_points(self):
         with pytest.raises(DepthExceedsSequence):
-            very_independence_check(interval_model(depth=4))
+            very_independence_check(build_model(interval_dense(), 5, b=[1.0] * 6))
+
+    def test_decided_at_depth_n_minus_one(self):
+        # the check reads y_1..y_{N+1} only, so all five points decide depth 4
+        assert very_independence_check(interval_model(depth=4)) is True
 
 
 class TestPointEvalRank:
@@ -327,11 +344,9 @@ class TestCoefficientRoundtrip:
 
     def test_tiny_pivot_rejected(self):
         model = interval_model(depth=3)
-        vals = model.g[2].values.copy()
-        vals[INTERVAL_ORDER[2]] = 1e-15
-        broken = dataclasses.replace(
-            model, g=model.g[:2] + (SampledFunction(model.dense.space, vals),) + model.g[3:]
-        )
+        vals = model.g.copy()
+        vals[2, INTERVAL_ORDER[2]] = 1e-15
+        broken = dataclasses.replace(model, g=vals)
         with pytest.raises(IllConditionedPrefix):
             coefficient_roundtrip(np.ones(4), broken)
 
@@ -388,7 +403,7 @@ class TestRoundtripErrorBound:
 def prefix_matrix(model):
     """The lower triangular system of coefficient_roundtrip, built as it builds it."""
     rows = list(model.dense.order[: model.depth + 1])
-    return np.tril(np.array([g.values[rows] / b for g, b in zip(model.g, model.b)]).real.T)
+    return np.tril((model.g[:, rows] / model.b[:, None]).T)
 
 
 def mp_lower_inverse(L):
