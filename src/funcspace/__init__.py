@@ -25,7 +25,6 @@ from .geometry import (
 from .hardy_pick import (
     ExpPolySpan,
     PickProblem,
-    PolyTruncation,
     ardy_multiplier_check,
     carleson_seq,
     detect_mo,

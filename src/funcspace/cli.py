@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import geometry, hardy_pick, kernels, multipliers, realization
 from .errors import NumericalError, ToolkitError, ValidationError
-from .serialize import complex_matrix_from_json, complex_vector_from_json, complex_vector_to_json
+from .serialize import complex_matrix_from_json, complex_vector_from_json, complex_vector_to_json, integer
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,20 @@ _TUNING = {"method": ("bisection", "pencil"), "csv": str}
 _TOL = {"tol": float}
 
 
+def _check_kind(name: str, kind, value) -> None:
+    """Refuse ``value`` unless it has the kind the flag declares; an int is never a float or a bool."""
+    flag = "--" + name.replace("_", "-")
+    if kind is int:
+        integer(value, flag)
+    elif kind is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValidationError(f"{flag} must be a number, got {value!r}")
+    elif kind in (bool, str) and not isinstance(value, kind):
+        raise ValidationError(f"{flag} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
-    """One batch run: a command, its input paths/values, and overrides."""
+    """One batch run: a command, its input paths/values, and overrides of the declared kinds."""
 
     command: str
     inputs: dict = field(default_factory=dict)   # name -> file path
@@ -98,6 +110,14 @@ class ExperimentConfig:
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
         cmd = _REGISTRY[self.command]
+        for name, value in self.options.items():
+            if name not in cmd.options:
+                raise ValidationError(f"command {self.command!r} takes no option {name!r}")
+            if value is not None:
+                _check_kind(name, cmd.options[name], value)
+        for name, kind in {**_SHARED, **_TUNING, **_TOL}.items():
+            if getattr(self, name) is not None:
+                _check_kind(name, kind, getattr(self, name))
         if self.tol is not None and cmd.tol is None:
             raise ValidationError(f"command {self.command!r} takes no --tol")
         if self.tol is not None and not self.tol > 0.0:
@@ -255,7 +275,7 @@ def _cmd_vn_check(config, loader):
     symbol = kernels.fn_from_json(loader.file("symbol"))
     coeffs = complex_vector_from_json(loader.inline("poly"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    grid = int(config.options.get("grid", 4096))
+    grid = config.options.get("grid", 4096)
     report = multipliers.von_neumann_check(symbol, coeffs, sample, boundary_grid=grid, tol=_tol(config))
     return {"lhs": report.lhs, "rhs": report.rhs, "pass": report.passed}
 
@@ -273,7 +293,7 @@ def _load_model(obj, space: geometry.MetricSpace | None = None) -> realization.R
         if not isinstance(policy["balls"], dict):
             raise ValidationError('policy "balls" must be an object such as {"base": 0}')
         policy, base = "balls", policy["balls"].get("base")
-    return realization.build_model(dense, obj["depth"], policy=policy, base=base, p=float(obj.get("p", 2.0)))
+    return realization.build_model(dense, obj["depth"], policy=policy, base=base, p=obj.get("p", 2.0))
 
 
 @command("realize", files=("space", "model"), options={"depth": int, "policy": str, "order": _json_value})
@@ -281,11 +301,11 @@ def _cmd_realize(config, loader):
     model_obj, space = loader.optional_file("model", "space", "dist"), None
     if model_obj is None:  # build the model from the space, validating it once
         space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
-        depth = int(config.options.get("depth", max(len(space) - 2, 0)))
+        depth = config.options.get("depth", max(len(space) - 2, 0))
         order = config.options.get("order")
         if order is None:
             rng = np.random.default_rng(config.seed)
-            order = [int(i) for i in rng.permutation(len(space))]
+            order = rng.permutation(len(space)).tolist()
         model_obj = {
             "space": space.to_json(),
             "order": list(order),
@@ -305,7 +325,7 @@ def _cmd_realize(config, loader):
 @command("topology-probe", files=("model",), options={"x": int, "eps": float}, required=("x", "eps"))
 def _cmd_topology_probe(config, loader):
     model = _load_model(loader.file("model", "space", "dist"))
-    probe = realization.topology_probe(int(config.options["x"]), float(config.options["eps"]), model)
+    probe = realization.topology_probe(config.options["x"], config.options["eps"], model)
     return {"n": probe.n, "U": list(probe.U), "pass": probe.passed}
 
 
@@ -313,7 +333,7 @@ def _cmd_topology_probe(config, loader):
 def _cmd_rank_check(config, loader):
     model = _load_model(loader.file("model", "space", "dist"))
     points = loader.inline("points")
-    depth = int(config.options.get("depth", model.depth))
+    depth = config.options.get("depth", model.depth)
     rank = realization.point_eval_rank(points, depth, model, tol=_tol(config))
     return {"rank": rank, "points": list(points), "depth": depth}
 
@@ -338,14 +358,14 @@ def _cmd_roundtrip(config, loader):
 @command("lip-dual", files=("space",), options={"x": int, "y": int, "oracle": bool}, required=("x",))
 def _cmd_lip_dual(config, loader):
     space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
-    x, y = int(config.options["x"]), config.options.get("y")
+    x, y = config.options["x"], config.options.get("y")
     if y is None:
         result = {"kind": "point", "value": geometry.lip_point_norm(space, x)}
         oracle = partial(geometry.lip_point_norm_lp, space, x)
     else:
-        value, witness = geometry.lip_dual_pair_norm(space, x, int(y))
+        value, witness = geometry.lip_dual_pair_norm(space, x, y)
         result = {"kind": "pair", "value": value, "witness": witness.to_json()}
-        oracle = partial(geometry.lip_dual_pair_norm_lp, space, x, int(y))
+        oracle = partial(geometry.lip_dual_pair_norm_lp, space, x, y)
     if config.options.get("oracle"):
         result["lp_oracle"] = oracle() if len(space) <= 6 else {"skipped": "n > 6"}
     return result
@@ -355,7 +375,7 @@ def _cmd_lip_dual(config, loader):
 def _cmd_submult(config, loader):
     space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
     fs_obj = loader.optional_file("functions")
-    n_random = int(config.options.get("random", 0))
+    n_random = config.options.get("random", 0)
     if n_random < 0:
         raise ValidationError("--random must be nonnegative")
     n_functions = n_random + len(fs_obj or ())
@@ -385,12 +405,12 @@ def _cmd_pick_solve(config, loader):
 
 @command("carleson-probe", options={"m": int, "start": float}, required=("m",), tol=1e-9)
 def _cmd_carleson_probe(config, loader):
-    m = int(config.options["m"])
-    start = float(config.options.get("start", 0.0))
+    m = config.options["m"]
+    start = config.options.get("start", 0.0)
     nodes = hardy_pick.carleson_seq(start, m)
     report = hardy_pick.separability_probe(m, start=start, tol=_tol(config))
     return {
-        "nodes": [float(y) for y in nodes],
+        "nodes": nodes.tolist(),
         "max_min_norm": report.max_min_norm,
         "min_pairwise_gap": report.min_pairwise_gap,
         "pattern_norms": list(report.pattern_norms),

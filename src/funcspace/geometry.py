@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     ZeroFunction,
 )
-from .serialize import complex_vector_from_json, complex_vector_to_json
+from .serialize import complex_vector_from_json, complex_vector_to_json, integer
 
 
 #: Least element budget of the triangle check's temporary: up to n = 256, where
@@ -150,10 +150,10 @@ class EuclideanPointSet:
                 pts.append(complex_vector_from_json([entry]))
             else:
                 pts.append(complex_vector_from_json(entry))
-        arr = np.array(pts, dtype=complex)
-        if "dim" in obj and int(obj["dim"]) != arr.shape[1]:
+        ps = cls(np.array(pts, dtype=complex), labels=obj.get("labels"))
+        if "dim" in obj and integer(obj["dim"], "dim") != ps.dim:
             raise ValidationError("declared dim does not match point tuples")
-        return cls(arr, labels=obj.get("labels"))
+        return ps
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,12 @@ class MetricSpace:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
                 raise ValidationError("labels length must equal point count")
-        if not (0 <= int(base) < n):
-            raise ValidationError(f"base index {base} out of range for {n} points")
+        base = integer(base, "base index", n)
         dist = dist.copy()
         dist.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "base", int(base))
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "triangle_tol", triangle_tol)
 
     def __len__(self) -> int:
@@ -272,21 +271,15 @@ def constant_function(space, value=1.0) -> SampledFunction:
 
 def distance_function(space: MetricSpace, index: int) -> SampledFunction:
     """The function rho(., y) for a point y of the space."""
-    return SampledFunction(space, space.dist[:, index].astype(complex))
-
-
-def _check_index(space, i: int) -> None:
-    if not (0 <= i < len(space)):
-        raise ValidationError(f"index {i} out of range for a space of {len(space)} points")
+    return SampledFunction(space, space.dist[:, integer(index, "point index", len(space))].astype(complex))
 
 
 def set_distance(space: MetricSpace, x: int, A) -> float:
     """Distance from point ``x`` to the nonempty index set ``A``."""
-    idx = sorted({int(a) for a in A})
+    idx = sorted({integer(a, "point index", len(space)) for a in A})
     if not idx:
         raise EmptySet("distance to the empty set is undefined")
-    for i in (x, *idx):
-        _check_index(space, i)
+    x = integer(x, "point index", len(space))
     return float(space.dist[x, idx].min())
 
 
@@ -325,7 +318,7 @@ def lip_norm(f: SampledFunction) -> float:
 
 def lip_point_norm(space: MetricSpace, x: int) -> float:
     """Dual norm of the evaluation at x: max(1, rho(x, base))."""
-    _check_index(space, x)
+    x = integer(x, "point index", len(space))
     return max(1.0, float(space.dist[x, space.base]))
 
 
@@ -340,8 +333,7 @@ def lip_dual_pair_norm(space: MetricSpace, x: int, y: int):
     Returns:
         (value, witness) with ``lip_norm(witness) <= 1``.
     """
-    _check_index(space, x)
-    _check_index(space, y)
+    x, y = integer(x, "point index", len(space)), integer(y, "point index", len(space))
     if x == y:
         raise SamePoint("the pair functional needs two distinct points")
     witness = distance_function(space, y) - constant_function(space, space.dist[space.base, y])
@@ -392,8 +384,7 @@ def _lip_ball_lp(space: MetricSpace, objective: np.ndarray) -> float:
 
 def lip_dual_pair_norm_lp(space: MetricSpace, x: int, y: int) -> float:
     """LP oracle for the pair dual norm: sup |f(x) - f(y)| over the unit ball."""
-    _check_index(space, x)
-    _check_index(space, y)
+    x, y = integer(x, "point index", len(space)), integer(y, "point index", len(space))
     if x == y:
         raise SamePoint("the pair functional needs two distinct points")
     obj = np.zeros(len(space))
@@ -404,7 +395,7 @@ def lip_dual_pair_norm_lp(space: MetricSpace, x: int, y: int) -> float:
 
 def lip_point_norm_lp(space: MetricSpace, x: int) -> float:
     """LP oracle for the point dual norm: sup |f(x)| over the unit ball."""
-    _check_index(space, x)
+    x = integer(x, "point index", len(space))
     obj = np.zeros(len(space))
     obj[x] = 1.0
     return _lip_ball_lp(space, obj)

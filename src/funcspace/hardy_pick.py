@@ -47,28 +47,7 @@ from .kernels import (
     psd_check,
     require_finite,
 )
-from .serialize import complex_vector_from_json, complex_vector_to_json
-
-
-@dataclass(frozen=True)
-class PolyTruncation:
-    """Finite section of the Hardy space: coefficients of sum a_n z^n, n <= degree."""
-
-    degree: int
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        coeffs = tuple(complex(c) for c in coeffs)
-        if not coeffs:
-            raise ValidationError("a truncation needs at least the constant coefficient")
-        object.__setattr__(self, "degree", len(coeffs) - 1)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __call__(self, z: complex) -> complex:
-        out = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            out = out * complex(z) + c
-        return out
+from .serialize import complex_vector_from_json, complex_vector_to_json, integer
 
 
 def toeplitz_mo(omega, N: int) -> np.ndarray:
@@ -77,6 +56,7 @@ def toeplitz_mo(omega, N: int) -> np.ndarray:
     Lower-triangular Toeplitz in the monomial bases: column j carries the
     coefficients of omega shifted down by j.
     """
+    N = integer(N, "truncation degree")
     if N < 0:
         raise ValidationError("truncation degree must be nonnegative")
     coeffs = np.asarray(list(omega), dtype=complex)
@@ -92,6 +72,7 @@ def toeplitz_mo(omega, N: int) -> np.ndarray:
 def compress_square(T: np.ndarray, N: int) -> np.ndarray:
     """Keep coefficients of degree <= N: the square truncation of an MO matrix."""
     T = np.asarray(T, dtype=complex)
+    N = integer(N, "truncation degree")
     if T.shape[1] != N + 1 or T.shape[0] < N + 1:
         raise ValidationError(f"expected a matrix with {N + 1} columns and at least {N + 1} rows")
     return T[: N + 1, :]
@@ -314,6 +295,7 @@ def carleson_seq(start: float, m: int) -> np.ndarray:
     start = float(start)
     if not (0.0 <= start < 1.0):
         raise NotInDisk(f"start must lie in [0, 1), got {start}")
+    m = integer(m, "node count")
     if m < 1:
         raise ValidationError("need at least one node")
     out = np.empty(m)
@@ -344,6 +326,7 @@ def separability_probe(m: int, start: float = 0.0, tol: float = 1e-9) -> Separab
     (exactly 1 for indicators) - together, continuum-many uniformly
     separated multipliers in the limit.
     """
+    m = integer(m, "node count")
     if m > 12:
         raise PatternBudgetExceeded("pattern sweeps are capped at m = 12 (4096 solves)")
     if m < 1:

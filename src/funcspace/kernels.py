@@ -34,6 +34,7 @@ from .serialize import (
     complex_to_pair,
     complex_vector_from_json,
     complex_vector_to_json,
+    integer,
     pair_to_complex,
 )
 
@@ -73,6 +74,8 @@ class ClosedFormFunction:
             raise ValidationError(f"unknown function kind {self.kind!r}")
         if self.kind == "moebius" and abs(self.a) >= 1.0:
             raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{self.a}| = {abs(self.a)}")
+        if self.kind == "coordinate" and integer(self.index, "coordinate index") < 0:
+            raise ValidationError("coordinate index must be nonnegative")
 
     def __call__(self, point) -> complex:
         """Value at one point of C^d: the one-point case of :meth:`eval_points`."""
@@ -126,8 +129,6 @@ class ClosedFormFunction:
 
 
 def coordinate(index: int = 0) -> ClosedFormFunction:
-    if index < 0:
-        raise ValidationError("coordinate index must be nonnegative")
     return ClosedFormFunction("coordinate", index=index)
 
 
@@ -196,8 +197,10 @@ class KernelExpr:
             raise ValidationError("constant kernels must be nonnegative")
         if self.op == "scale" and not self.factor > 0.0:
             raise ValidationError("kernel scalings must be positive")
-        if self.op == "ball" and self.dim < 1:
-            raise ValidationError("ball dimension must be >= 1")
+        if self.op == "ball":
+            object.__setattr__(self, "dim", integer(self.dim, "ball dimension"))
+            if self.dim < 1:
+                raise ValidationError("ball dimension must be >= 1")
         if self.op == "sum" and not self.children:
             raise ValidationError("kernel sum needs at least one term")
 
@@ -207,7 +210,7 @@ def szego() -> KernelExpr:
 
 
 def ball(dim: int) -> KernelExpr:
-    return KernelExpr("ball", dim=int(dim))
+    return KernelExpr("ball", dim=dim)
 
 
 def constant(value: float) -> KernelExpr:
@@ -698,7 +701,7 @@ def fn_from_json(obj) -> ClosedFormFunction:
         raise ValidationError('function JSON must contain a "kind" key')
     k = obj["kind"]
     if k == "coordinate":
-        return coordinate(int(obj["index"]))
+        return coordinate(obj["index"])
     if k == "polynomial":
         return polynomial(complex_vector_from_json(obj["coeffs"]))
     if k == "moebius":
@@ -744,7 +747,7 @@ def kernel_from_json(obj) -> KernelExpr:
     if op == "szego":
         return szego()
     if op == "ball":
-        return ball(int(obj["dim"]))
+        return ball(obj["dim"])
     if op == "constant":
         return constant(float(obj["value"]))
     if op == "rank1":

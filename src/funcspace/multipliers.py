@@ -46,6 +46,7 @@ from .kernels import (
     psd_check,
     szego,
 )
+from .serialize import integer
 
 #: Relative condition number of Gram(K_E, S) beyond which the sample is
 #: rejected instead of silently regularized.
@@ -66,7 +67,6 @@ class MultNormReport:
     symbol: ClosedFormFunction
     lower_bound_sup: float
     sampled_norm: float
-    bisection_interval_width: float
     method: str
 
     def to_json(self) -> dict:
@@ -74,7 +74,6 @@ class MultNormReport:
             "sampled_norm": self.sampled_norm,
             "lower_bound_sup": self.lower_bound_sup,
             "method": self.method,
-            "interval": self.bisection_interval_width,
             "semantics": "finite-sample lower estimate",
         }
 
@@ -111,8 +110,7 @@ def sampled_mult_norm(
 
     Args:
         method: "pencil" (generalized eigenvalue, machine accuracy) or
-            "bisection" (feasible under ``psd_check``'s 1e-12 rule).  The
-            report's ``interval`` is 0.0 for both.
+            "bisection" (feasible under ``psd_check``'s 1e-12 rule).
 
     Raises:
         DegenerateGram: Gram(K_E) is singular past the conditioning limit,
@@ -134,14 +132,14 @@ def sampled_mult_norm(
     sup = float(np.abs(values).max())
     t = float(pencil_norms(A[None], G_E)[0])
     if method == "pencil":
-        return MultNormReport(sample, w, sup, t, 0.0, "pencil")
+        return MultNormReport(sample, w, sup, t, "pencil")
 
     t_lo = _diag_lower_bound(values, G_F, G_E)
     if psd_check(t_lo * t_lo * G_E - A, tol=FEASIBLE_TOL).is_psd:
         t = t_lo
     elif not psd_check(t * t * G_E - A, tol=FEASIBLE_TOL).is_psd:
         raise DegenerateGram(f"the pencil value {t!r} is not feasible at tol {FEASIBLE_TOL:g}; perturb the sample")
-    return MultNormReport(sample, w, sup, t, 0.0, "bisection")
+    return MultNormReport(sample, w, sup, t, "bisection")
 
 
 def kl_monotonicity_check(
@@ -170,6 +168,15 @@ class VonNeumannReport(NamedTuple):
     passed: bool
 
 
+def _circle_sup_bound(coeffs: np.ndarray, grid: int) -> float:
+    """sup |p| on the unit circle, bounded by the maximum over the ``grid`` roots
+    of unity plus the grid gap times ``sum k |c_k|`` (ascending ``coeffs``)."""
+    theta = 2.0 * np.pi * np.arange(grid) / grid
+    vals = np.polyval(coeffs[::-1], np.exp(1j * theta))
+    deriv_bound = float(sum(k * abs(c) for k, c in enumerate(coeffs)))
+    return float(np.abs(vals).max()) + deriv_bound * np.pi / grid
+
+
 def certify_unit_sup(w: ClosedFormFunction, boundary_grid: int = 4096) -> float:
     """Certified upper bound for sup |w| on the closed unit disk, if <= 1.
 
@@ -184,19 +191,14 @@ def certify_unit_sup(w: ClosedFormFunction, boundary_grid: int = 4096) -> float:
         SymbolNotContractive: the bound exceeds 1 or the symbol family is
             not certifiable.
     """
-    if not 8 <= boundary_grid <= MAX_BOUNDARY_GRID:
+    if not 8 <= integer(boundary_grid, "boundary grid") <= MAX_BOUNDARY_GRID:
         raise ValidationError(f"boundary grid must have between 8 and {MAX_BOUNDARY_GRID} points")
     if w.kind == "moebius":
         return 1.0
     if w.kind == "coordinate" and w.index == 0:
         return 1.0
     if w.kind == "polynomial":
-        theta = 2.0 * np.pi * np.arange(boundary_grid) / boundary_grid
-        zs = np.exp(1j * theta)
-        coeffs = np.asarray(w.coeffs, dtype=complex)
-        vals = np.polyval(coeffs[::-1], zs)
-        deriv_bound = float(sum(k * abs(c) for k, c in enumerate(coeffs)))
-        bound = float(np.abs(vals).max()) + deriv_bound * np.pi / boundary_grid
+        bound = _circle_sup_bound(np.asarray(w.coeffs, dtype=complex), boundary_grid)
         if bound > 1.0:
             raise SymbolNotContractive(
                 f"certified sup bound {bound:.6g} exceeds 1 on the closed disk"
@@ -226,8 +228,5 @@ def von_neumann_check(
     coeffs = np.asarray(list(p), dtype=complex)
     symbol = compose(polynomial(coeffs), w)
     lhs = sampled_mult_norm(szego(), szego(), symbol, sample).sampled_norm
-    theta = 2.0 * np.pi * np.arange(boundary_grid) / boundary_grid
-    vals = np.polyval(coeffs[::-1], np.exp(1j * theta))
-    deriv_bound = float(sum(k * abs(c) for k, c in enumerate(coeffs)))
-    rhs = float(np.abs(vals).max()) + deriv_bound * np.pi / boundary_grid
+    rhs = _circle_sup_bound(coeffs, boundary_grid)
     return VonNeumannReport(lhs, rhs, bool(lhs <= rhs + tol))

@@ -20,8 +20,7 @@ round-trip.
 
 The model holds the system as one read-only ``(depth+1) x n`` float array
 ``g`` with row m = g_m, and every check is a slice of it; the matrix
-``[g_m(y_{k+1}) / b_m]`` is ``(g[:, order] / b[:, None]).T``.  Point
-indices, enumerations, depths and ball bases must be integers.
+``[g_m(y_{k+1}) / b_m]`` is ``(g[:, order] / b[:, None]).T``.
 """
 
 from __future__ import annotations
@@ -42,17 +41,11 @@ from .errors import (
 )
 from .geometry import MetricSpace, SampledFunction
 from .kernels import gamma, lower_inverse
+from .serialize import integer
 
 _PIVOT_FLOOR = 1e-14
 #: Default bound on the relative error of a coefficient round-trip.
 ROUNDTRIP_TOL = 1e-6
-
-
-def _index(value, name: str) -> int:
-    """``value`` as an int; floats and bools are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,7 @@ class DenseSequence:
     order: tuple
 
     def __init__(self, space: MetricSpace, order):
-        order = tuple(_index(i, "order entry") for i in order)
+        order = tuple(integer(i, "order entry") for i in order)
         n = len(space)
         if sorted(order) != list(range(n)):
             raise ValidationError("order must enumerate every point exactly once")
@@ -80,7 +73,7 @@ def build_g(dense: DenseSequence, depth: int) -> np.ndarray:
     g_0 is the constant 1; g_n is the distance to the first n enumerated
     points, clamped at 1, kept as a running minimum down the rows.
     """
-    depth = _index(depth, "depth")
+    depth = integer(depth, "depth")
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     if depth > len(dense):
@@ -111,9 +104,7 @@ def choose_b(g: np.ndarray, policy: str = "default_2n", space: MetricSpace | Non
     elif policy == "balls":
         if space is None:
             raise ValidationError('the "balls" policy needs the space')
-        b = space.base if base is None else _index(base, "ball base")
-        if not 0 <= b < len(space):
-            raise ValidationError(f"ball base {b} out of range for a space of {len(space)} points")
+        b = space.base if base is None else integer(base, "ball base", len(space))
         sups = np.where(space.dist[b] < np.maximum(levels, 1)[:, None], g, 0.0).max(axis=1)
     else:
         raise ValidationError(f"unknown weight policy {policy!r}")
@@ -193,9 +184,7 @@ def embed(f, model: RealizationModel) -> SampledFunction:
 
 def point_functional(x: int, model: RealizationModel) -> np.ndarray:
     """Coefficients of the evaluation at x: (g_n(x) / b_n) for n <= depth."""
-    if not (0 <= int(x) < len(model.dense.space)):
-        raise ValidationError(f"point index {x} out of range")
-    return model.g[:, x] / model.b
+    return model.g[:, integer(x, "point index", len(model.dense.space))] / model.b
 
 
 def pair(f, functional: np.ndarray) -> complex:
@@ -234,13 +223,10 @@ def point_eval_rank(
     Equals the number of points once M is large enough; singular values
     above ``tol * sigma_max`` count toward the rank.
     """
-    points = [_index(i, "point index") for i in points]
-    n = len(model.dense.space)
-    for i in points:
-        if not (0 <= i < n):
-            raise ValidationError(f"point index {i} out of range for a space of {n} points")
+    points = [integer(i, "point index", len(model.dense.space)) for i in points]
     if not allow_duplicates and len(set(points)) != len(points):
         raise DuplicatePoint("points must be distinct (pass allow_duplicates to bypass)")
+    M = integer(M, "depth")
     if M < 0:
         raise ValidationError("depth must be nonnegative")
     if M > model.depth:
@@ -269,15 +255,14 @@ def topology_probe(x: int, eps: float, model: RealizationModel) -> TopologyProbe
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
     space = model.dense.space
-    if not (0 <= int(x) < len(space)):
-        raise ValidationError(f"point index {x} out of range")
+    x = integer(x, "point index", len(space))
     near = np.flatnonzero(space.dist[x, list(model.dense.order[: model.depth])] < eps / 2.0)
     if not near.size:
         raise PrefixTooShallow(f"no enumerated point within eps/2 = {eps / 2} of point {x}")
     n = int(near[0]) + 1
     g_prev, g_cur = model.g[n - 1], model.g[n]
     members = np.flatnonzero((g_prev > g_cur) & (g_cur < eps / 2.0))
-    in_U = int(x) in members
+    in_U = x in members
     inside_ball = bool(np.all(space.dist[x, members] < eps))
     return TopologyProbe(n, tuple(members.tolist()), in_U and inside_ball)
 

@@ -1,8 +1,9 @@
-"""JSON helpers for complex scalars and matrices.
+"""JSON helpers for complex scalars and matrices, and the integer contract.
 
 Complex numbers travel as ``[re, im]`` pairs; complex matrices as a pair of
 real matrices under the keys ``"re"`` and ``"im"``.  Real inputs are accepted
-wherever a complex value is expected.
+wherever a complex value is expected.  Every index, count and dimension that
+enters the package, from JSON, argv or a caller, passes :func:`integer`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+
+
+def integer(value, name: str, size: int | None = None) -> int:
+    """``value`` as an int; floats and bools are refused, not truncated.
+
+    With ``size``, the value must also index a space of ``size`` points.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if size is not None and not 0 <= value < size:
+        raise ValidationError(f"{name} {value} out of range for a space of {size} points")
+    return value
 
 
 def complex_to_pair(z) -> list:

@@ -656,6 +656,21 @@ class TestConfigObject:
             ExperimentConfig("lip-dual", csv="curve.csv")
         assert ExperimentConfig("mult-norm", method="bisection", csv="curve.csv").method == "bisection"
 
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_options_meet_the_declared_kinds(self, name):
+        """In process, as from argv: an int option, seed or max_points is never
+        truncated from a float or a bool, and an undeclared option is refused."""
+        cmd = cli._REGISTRY[name]
+        for option in [option for option, kind in cmd.options.items() if kind is int]:
+            for value in (1.5, True):
+                with pytest.raises(ValidationError, match=f"--{option} must be an integer, got {value!r}"):
+                    ExperimentConfig(name, options={option: value})
+        for field in ("seed", "max_points"):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                ExperimentConfig(name, **{field: 2.5})
+        with pytest.raises(ValidationError, match="takes no option 'bogus'"):
+            ExperimentConfig(name, options={"bogus": 1})
+
     def test_run_callable_directly(self, capsys, inputs):
         config = ExperimentConfig(
             command="carleson-probe", options={"m": 2, "start": 0.0}

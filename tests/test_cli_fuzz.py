@@ -2,12 +2,13 @@
 
 For each command, argv is drawn from the flags its registry entry declares,
 the shared flags, and stray flags of other commands.  File flags take
-fixtures that are valid, malformed, of the wrong JSON type or missing;
-numeric flags take small numbers, ``nan``, ``inf`` and text.  The numbers are
-kept small so that each example runs fast: the flags that size an
-allocation, ``submult --random`` and ``vn-check --grid``, are capped by the
-program (``--max-points`` functions, ``multipliers.MAX_BOUNDARY_GRID``
-grid points), and ``tests/test_cli.py`` tests each cap and one past it.
+fixtures that are valid, malformed, of the wrong JSON type, missing, or
+valid but for one integer field set to ``1.5`` or ``true``; numeric flags
+take small numbers, ``nan``, ``inf`` and text.  The numbers are kept small
+so that each example runs fast: the flags that size an allocation,
+``submult --random`` and ``vn-check --grid``, are capped by the program
+(``--max-points`` functions, ``multipliers.MAX_BOUNDARY_GRID`` grid
+points), and ``tests/test_cli.py`` tests each cap and one past it.
 """
 
 import contextlib
@@ -40,6 +41,34 @@ VALID = {
     "model": [{"space": _interval, "order": [2, 0, 4, 1, 3], "depth": 3}],
     "problem": [{"nodes": [[0, 0], [0.5, 0]], "values": [[0, 0], [0.5, 0]], "bound": 1.0}],
 }
+# the integer fields of the valid fixtures, as (flag, fixture, key path); the
+# fuzz also draws each fixture with one of them replaced by a non-integer
+INTEGER_FIELDS = [
+    ("kernel", 1, ("arg", "fn", "index")),
+    ("kernel2", 1, ("dim",)),
+    ("symbol", 0, ("index",)),
+    ("sample", 0, ("dim",)),
+    ("space", 0, ("base",)),
+    ("model", 0, ("depth",)),
+    ("model", 0, ("space", "base")),
+]
+
+
+def _replaced(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+# "nonint<k>" tokens: (fixture, value, edited fixture) for each flag
+NONINT = {}
+for _flag, _i, _path in INTEGER_FIELDS:
+    for _value in (1.5, True):
+        NONINT.setdefault(_flag, []).append((_i, _value, _replaced(VALID[_flag][_i], _path, _value)))
+
 BROKEN = {
     "malformed": '{"op": "szego",\n  broken',
     "list": "[1, 2]",
@@ -81,7 +110,8 @@ def _mostly(good, bad):
 def _value(name, kind):
     if kind == "file":
         valid = st.sampled_from([f"valid{i}" for i in range(len(VALID[name]))])
-        token = _mostly(valid, st.sampled_from([*BROKEN, "missing"]))
+        nonint = [f"nonint{k}" for k in range(len(NONINT.get(name, ())))]
+        token = _mostly(valid, st.sampled_from([*BROKEN, "missing", *nonint]))
         return token.map(lambda token: ("file", name, token))
     if kind == "output":
         token = _mostly(st.just("fresh"), st.sampled_from(["directory", "missing-directory"]))
@@ -126,6 +156,10 @@ def files(tmp_path_factory):
         for i, obj in enumerate(objs):
             paths[f"{name}/valid{i}"] = str(root / f"{name}{i}.json")
             (root / f"{name}{i}.json").write_text(json.dumps(obj))
+    for name, cases in NONINT.items():
+        for k, (_, _, obj) in enumerate(cases):
+            paths[f"{name}/nonint{k}"] = str(root / f"{name}-nonint{k}.json")
+            (root / f"{name}-nonint{k}.json").write_text(json.dumps(obj))
     for token, text in BROKEN.items():
         paths[token] = str(root / f"{token}.json")
         (root / f"{token}.json").write_text(text)
@@ -140,7 +174,7 @@ def _resolve(items, files):
         argv.append("--" + flag.replace("_", "-"))
         if isinstance(value, tuple):
             _, name, token = value
-            argv.append(files[f"{name}/{token}" if token.startswith("valid") else token])
+            argv.append(files[f"{name}/{token}" if token.startswith(("valid", "nonint")) else token])
         elif value is not None:
             argv.append(value)
     return argv
@@ -171,3 +205,35 @@ def test_pools_cover_every_declared_flag():
     assert set(INLINE_VALID) == {name for cmd in REGISTRY.values() for name in cmd.inline}
     option_types = {kind for cmd in REGISTRY.values() for kind in cmd.options.values()}
     assert option_types <= {bool, int, float, str, cli._json_value}
+
+
+# a valid argv that reads each flag with an integer field, its other files valid
+READERS = {
+    "kernel": ["gram", "--sample", "sample/valid0", "--kernel"],
+    "kernel2": [
+        "kl-check", "--kernel", "kernel/valid0", "--symbol", "symbol/valid0", "--sample", "sample/valid0", "--kernel2"
+    ],
+    "symbol": ["contraction", "--kernel", "kernel/valid0", "--sample", "sample/valid0", "--symbol"],
+    "sample": ["gram", "--kernel", "kernel/valid0", "--sample"],
+    "space": ["lip-dual", "--x", "1", "--space"],
+    "model": ["realize", "--model"],
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("flag, k", [(flag, k) for flag, cases in NONINT.items() for k in range(len(cases))])
+def test_non_integral_field_exits_2(flag, k, files):
+    """A fixture that passes whole is refused with one integer field at 1.5 or true."""
+    i, value, _ = NONINT[flag][k]
+    argv = [files.get(arg, arg) for arg in READERS[flag]]
+    assert _run([*argv, files[f"{flag}/valid{i}"]])[0] == 0
+    code, report = _run([*argv, files[f"{flag}/nonint{k}"]])
+    assert code == 2
+    assert report["error"]["code"] == "ValidationError"
+    assert f"must be an integer, got {value!r}" in report["error"]["message"]

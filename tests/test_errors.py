@@ -1,9 +1,24 @@
 import inspect
 
+import numpy as np
 import pytest
 
 from funcspace import errors
 from funcspace.errors import NumericalError, ToolkitError, ValidationError
+from funcspace.geometry import (
+    EuclideanPointSet,
+    MetricSpace,
+    distance_function,
+    lip_dual_pair_norm,
+    lip_dual_pair_norm_lp,
+    lip_point_norm,
+    lip_point_norm_lp,
+    set_distance,
+)
+from funcspace.hardy_pick import carleson_seq, compress_square, separability_probe, toeplitz_mo
+from funcspace.kernels import ClosedFormFunction, KernelExpr, fn_from_json, kernel_from_json, polynomial
+from funcspace.multipliers import certify_unit_sup
+from funcspace.realization import DenseSequence, build_model, point_eval_rank, topology_probe
 
 
 def all_error_classes():
@@ -37,3 +52,38 @@ def test_validation_errors_are_value_errors():
         raise errors.EmptySet("x")
     with pytest.raises(ArithmeticError):
         raise errors.DegenerateGram("x")
+
+
+_LINE = MetricSpace(np.abs(np.subtract.outer(np.arange(3) / 2, np.arange(3) / 2)))
+_MODEL = build_model(DenseSequence(_LINE, [1, 0, 2]), 2)
+
+# every index, count and dimension a caller can pass, as a call on its value
+INTEGER_ARGUMENTS = {
+    "metric base": lambda v: MetricSpace.from_json({"dist": [[0, 1], [1, 0]], "base": v}),
+    "point-set dim": lambda v: EuclideanPointSet.from_json({"dim": v, "points": [0.1, 0.2]}),
+    "symbol index": lambda v: fn_from_json({"kind": "coordinate", "index": v}),
+    "coordinate index": lambda v: ClosedFormFunction("coordinate", index=v),
+    "ball dim": lambda v: kernel_from_json({"op": "ball", "dim": v}),
+    "ball dim, direct": lambda v: KernelExpr("ball", dim=v),
+    "set_distance": lambda v: set_distance(_LINE, 0, [v]),
+    "distance_function": lambda v: distance_function(_LINE, v),
+    "lip_point_norm": lambda v: lip_point_norm(_LINE, v),
+    "lip_point_norm_lp": lambda v: lip_point_norm_lp(_LINE, v),
+    "lip_dual_pair_norm": lambda v: lip_dual_pair_norm(_LINE, 0, v),
+    "lip_dual_pair_norm_lp": lambda v: lip_dual_pair_norm_lp(_LINE, v, 0),
+    "topology_probe": lambda v: topology_probe(v, 0.3, _MODEL),
+    "point_eval_rank depth": lambda v: point_eval_rank([0, 1], v, _MODEL),
+    "carleson_seq": lambda v: carleson_seq(0.0, v),
+    "separability_probe": lambda v: separability_probe(v),
+    "toeplitz_mo": lambda v: toeplitz_mo([1.0, 0.5], v),
+    "compress_square": lambda v: compress_square(np.eye(2), v),
+    "certify_unit_sup": lambda v: certify_unit_sup(polynomial([0.5]), v),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_floats_and_bools(call, value):
+    """Refused with a ValidationError that names the value, never truncated."""
+    with pytest.raises(ValidationError, match=f"must be an integer, got {value!r}"):
+        call(value)

@@ -472,6 +472,10 @@ class TestEuclideanPointSetJson:
         with pytest.raises(ValidationError):
             EuclideanPointSet.from_json({"dim": 3, "points": [[0.0, 0.0], [0.5, 0.0]]})
 
+    def test_empty_points_with_a_declared_dim(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            EuclideanPointSet.from_json({"dim": 1, "points": []})
+
     def test_distinctness_flag(self):
         with pytest.raises(ValidationError):
             EuclideanPointSet([[0.3], [0.3]], require_distinct=True)

@@ -13,7 +13,6 @@ from funcspace.geometry import EuclideanPointSet
 from funcspace.hardy_pick import (
     ExpPolySpan,
     PickProblem,
-    PolyTruncation,
     ardy_multiplier_check,
     carleson_seq,
     compress_square,
@@ -303,17 +302,6 @@ class TestExpPolySpan:
         result = elem.times_polynomial([1.0, 1.0])  # (1 + z) z^2
         assert result is not None
         assert result.poly == (0.0, 0.0, 1.0, 1.0)
-
-
-class TestPolyTruncation:
-    def test_evaluates_like_polyval(self):
-        p = PolyTruncation([1.0, 2.0, 3.0])
-        assert p.degree == 2
-        assert p(0.5) == pytest.approx(np.polyval([3.0, 2.0, 1.0], 0.5))
-
-    def test_needs_a_coefficient(self):
-        with pytest.raises(ValidationError):
-            PolyTruncation([])
 
 
 class TestPickProblemJson:

@@ -201,6 +201,11 @@ class TestEmbedAndFunctionals:
         assert phi[0] == 1.0 / model.b[0]
         assert phi[1] == 0.5 / model.b[1]
 
+    @pytest.mark.parametrize("x", [1.7, True, 5, -1])
+    def test_point_must_be_an_index_of_the_space(self, x):
+        with pytest.raises(ValidationError, match="point index"):
+            point_functional(x, interval_model())
+
 
 class TestVeryIndependence:
     def test_valid_model_passes(self):
