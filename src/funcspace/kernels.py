@@ -401,6 +401,7 @@ def hermitian_from_upper(entry, n: int) -> np.ndarray:
     package itself evaluates whole blocks and uses :func:`mirror_upper`;
     this per-entry form stays for callers outside it.
     """
+    n = integer(n, "matrix size")
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):

@@ -16,7 +16,14 @@ from funcspace.geometry import (
     set_distance,
 )
 from funcspace.hardy_pick import carleson_seq, compress_square, separability_probe, toeplitz_mo
-from funcspace.kernels import ClosedFormFunction, KernelExpr, fn_from_json, kernel_from_json, polynomial
+from funcspace.kernels import (
+    ClosedFormFunction,
+    KernelExpr,
+    fn_from_json,
+    hermitian_from_upper,
+    kernel_from_json,
+    polynomial,
+)
 from funcspace.multipliers import certify_unit_sup
 from funcspace.realization import DenseSequence, build_model, point_eval_rank, topology_probe
 
@@ -65,6 +72,7 @@ INTEGER_ARGUMENTS = {
     "coordinate index": lambda v: ClosedFormFunction("coordinate", index=v),
     "ball dim": lambda v: kernel_from_json({"op": "ball", "dim": v}),
     "ball dim, direct": lambda v: KernelExpr("ball", dim=v),
+    "hermitian_from_upper": lambda v: hermitian_from_upper(lambda i, j: 1.0 + 0.0j, v),
     "set_distance": lambda v: set_distance(_LINE, 0, [v]),
     "distance_function": lambda v: distance_function(_LINE, v),
     "lip_point_norm": lambda v: lip_point_norm(_LINE, v),
