@@ -6,7 +6,6 @@ import pytest
 from funcspace import errors
 from funcspace.errors import NumericalError, ToolkitError, ValidationError
 from funcspace.geometry import (
-    EuclideanPointSet,
     MetricSpace,
     distance_function,
     lip_dual_pair_norm,
@@ -16,14 +15,7 @@ from funcspace.geometry import (
     set_distance,
 )
 from funcspace.hardy_pick import carleson_seq, compress_square, separability_probe, toeplitz_mo
-from funcspace.kernels import (
-    ClosedFormFunction,
-    KernelExpr,
-    fn_from_json,
-    hermitian_from_upper,
-    kernel_from_json,
-    polynomial,
-)
+from funcspace.kernels import ClosedFormFunction, KernelExpr, hermitian_from_upper, polynomial
 from funcspace.multipliers import certify_unit_sup
 from funcspace.realization import DenseSequence, build_model, point_eval_rank, topology_probe
 
@@ -64,14 +56,11 @@ def test_validation_errors_are_value_errors():
 _LINE = MetricSpace(np.abs(np.subtract.outer(np.arange(3) / 2, np.arange(3) / 2)))
 _MODEL = build_model(DenseSequence(_LINE, [1, 0, 2]), 2)
 
-# every index, count and dimension a caller can pass, as a call on its value
+# every index, count and dimension a caller can pass, as a call on its value;
+# the JSON fields are covered through the CLI by tests/test_cli_fuzz.py
 INTEGER_ARGUMENTS = {
-    "metric base": lambda v: MetricSpace.from_json({"dist": [[0, 1], [1, 0]], "base": v}),
-    "point-set dim": lambda v: EuclideanPointSet.from_json({"dim": v, "points": [0.1, 0.2]}),
-    "symbol index": lambda v: fn_from_json({"kind": "coordinate", "index": v}),
     "coordinate index": lambda v: ClosedFormFunction("coordinate", index=v),
-    "ball dim": lambda v: kernel_from_json({"op": "ball", "dim": v}),
-    "ball dim, direct": lambda v: KernelExpr("ball", dim=v),
+    "ball dim": lambda v: KernelExpr("ball", dim=v),
     "hermitian_from_upper": lambda v: hermitian_from_upper(lambda i, j: 1.0 + 0.0j, v),
     "set_distance": lambda v: set_distance(_LINE, 0, [v]),
     "distance_function": lambda v: distance_function(_LINE, v),
