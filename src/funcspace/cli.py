@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import geometry, hardy_pick, kernels, multipliers, realization
 from .errors import NumericalError, ToolkitError, ValidationError
-from .serialize import complex_matrix_from_json, complex_vector_from_json, complex_vector_to_json, integer
+from .serialize import complex_matrix_from_json, complex_vector_from_json, complex_vector_to_json, integer, real
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ def _check_kind(name: str, kind, value) -> None:
     flag = "--" + name.replace("_", "-")
     if kind is int:
         integer(value, flag)
-    elif kind is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValidationError(f"{flag} must be a number, got {value!r}")
+    elif kind is float:
+        real(value, flag)
     elif kind in (bool, str) and not isinstance(value, kind):
         raise ValidationError(f"{flag} must be a {kind.__name__}, got {value!r}")
 

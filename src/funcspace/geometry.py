@@ -12,7 +12,6 @@ maximizes over the whole unit ball.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (
     ValidationError,
     ZeroFunction,
 )
-from .serialize import complex_vector_from_json, complex_vector_to_json, integer
+from .serialize import complex_vector_from_json, complex_vector_to_json, integer, pair_to_complex, real
 
 
 #: Least element budget of the triangle check's temporary: up to n = 256, where
@@ -140,17 +139,21 @@ class EuclideanPointSet:
     def from_json(cls, obj) -> "EuclideanPointSet":
         if not isinstance(obj, dict) or "points" not in obj:
             raise ValidationError('point set JSON must contain a "points" list')
-        raw = obj["points"]
-        pts = []
-        for entry in raw:
+        rows = []
+        for entry in obj["points"]:
             # dim-1 shorthand: a bare [re, im] pair or scalar per point
             if isinstance(entry, (int, float)) or (
-                isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, (int, float)) for v in entry)
+                isinstance(entry, list)
+                and len(entry) == 2
+                and isinstance(entry[0], (int, float))
+                and isinstance(entry[1], (int, float))
             ):
-                pts.append(complex_vector_from_json([entry]))
+                rows.append([pair_to_complex(entry)])
+            elif isinstance(entry, list):
+                rows.append([pair_to_complex(z) for z in entry])
             else:
-                pts.append(complex_vector_from_json(entry))
-        ps = cls(np.array(pts, dtype=complex), labels=obj.get("labels"))
+                raise ValidationError("expected a list of [re, im] pairs")
+        ps = cls(np.array(rows, dtype=complex), labels=obj.get("labels"))
         if "dim" in obj and integer(obj["dim"], "dim") != ps.dim:
             raise ValidationError("declared dim does not match point tuples")
         return ps
@@ -171,9 +174,7 @@ class MetricSpace:
 
     def __init__(self, dist, labels=None, base: int = 0, triangle_tol: float = 0.0):
         dist = np.asarray(dist, dtype=float)
-        if isinstance(triangle_tol, bool) or not isinstance(triangle_tol, numbers.Real):
-            raise ValidationError("triangle_tol must be a number")
-        triangle_tol = float(triangle_tol)
+        triangle_tol = real(triangle_tol, "triangle_tol")
         if not (np.isfinite(triangle_tol) and triangle_tol >= 0.0):
             raise ValidationError("triangle_tol must be finite and nonnegative")
         _validate_distance_matrix(dist, triangle_tol)

@@ -47,7 +47,7 @@ from .kernels import (
     psd_check,
     require_finite,
 )
-from .serialize import complex_vector_from_json, complex_vector_to_json, integer
+from .serialize import complex_vector_from_json, complex_vector_to_json, integer, real
 
 
 def toeplitz_mo(omega, N: int) -> np.ndarray:
@@ -131,13 +131,14 @@ class PickProblem:
             raise NotInDisk("interpolation nodes must lie in the open unit disk")
         if len({complex(z) for z in nodes}) != nodes.size:
             raise DuplicatePoint("interpolation nodes must be distinct")
+        bound = real(bound, "the norm bound")
         if not (np.isfinite(bound) and bound >= 0.0):
             raise ValidationError("the norm bound must be finite and nonnegative")
         nodes.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bound", float(bound))
+        object.__setattr__(self, "bound", bound)
 
     def to_json(self) -> dict:
         return {
@@ -292,7 +293,7 @@ def carleson_seq(start: float, m: int) -> np.ndarray:
     y_{k+1} = 1 - (1 - y_k) / 2, seeded at ``start``; returns m nodes
     (the seed itself is not included).
     """
-    start = float(start)
+    start = real(start, "start")
     if not (0.0 <= start < 1.0):
         raise NotInDisk(f"start must lie in [0, 1), got {start}")
     m = integer(m, "node count")

@@ -36,6 +36,7 @@ from .serialize import (
     complex_vector_to_json,
     integer,
     pair_to_complex,
+    real,
 )
 
 
@@ -214,7 +215,7 @@ def ball(dim: int) -> KernelExpr:
 
 
 def constant(value: float) -> KernelExpr:
-    return KernelExpr("constant", value=float(value))
+    return KernelExpr("constant", value=real(value, "constant value"))
 
 
 def rank_one(fn: ClosedFormFunction) -> KernelExpr:
@@ -226,7 +227,7 @@ def kernel_sum(*kernels) -> KernelExpr:
 
 
 def scale(factor: float, kernel: KernelExpr) -> KernelExpr:
-    return KernelExpr("scale", factor=float(factor), children=(kernel,))
+    return KernelExpr("scale", factor=real(factor, "scale factor"), children=(kernel,))
 
 
 def hadamard(left: KernelExpr, right: KernelExpr) -> KernelExpr:
@@ -583,7 +584,7 @@ def _cholesky_each(S: np.ndarray):
         return np.concatenate([L1, L2]), np.concatenate([ok1, ok2])
 
 
-def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_bound: np.ndarray) -> np.ndarray:
+def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_radius: np.ndarray) -> np.ndarray:
     """Shift that a Cholesky factorization of ``P[k] - shift[k] I`` shows to suffice.
 
     Rump's test (BIT 46, 2006): if floating-point Cholesky of ``P - shift I``
@@ -591,8 +592,8 @@ def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_bound: np.ndarray) -> 
     ``|E| <= gamma_{n+3} |L| |L*|`` (complex arithmetic adds two roundings to
     the real ``gamma_{n+1}``), and the shifted diagonal is off by at most
     ``u`` of itself.  By Weyl's inequality every Hermitian matrix within
-    spectral distance ``rho(entry_bound)`` of ``P`` is positive definite when
-    ``shift`` exceeds the returned sum of the three error terms; it is
+    spectral distance ``entry_radius[k]`` of ``P[k]`` is positive definite
+    when ``shift`` exceeds the returned sum of the three error terms; it is
     infinite where the factorization broke down.
     """
     n = P.shape[-1]
@@ -603,7 +604,7 @@ def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_bound: np.ndarray) -> 
     absL = np.abs(L)
     factor_error = gamma(n + 3) * _perron_bound(absL @ np.swapaxes(absL, -1, -2))
     diag_error = 1.01 * UNIT_ROUNDOFF * np.abs(S[:, diag, diag].real).max(axis=-1)
-    needed = (factor_error + diag_error + _perron_bound(entry_bound)) * (1.0 + gamma(4))
+    needed = (factor_error + diag_error + entry_radius) * (1.0 + gamma(4))
     return np.where(done, needed, np.inf)
 
 
@@ -618,16 +619,20 @@ def certify_pencil_norms(G, norms, tol: float, pencil_matrix) -> np.ndarray:
     definite in exact arithmetic, so ``t`` is at least the exact pencil
     norm.
 
-    The smallest eigenvalue of ``norms[k]^2 G - A[k]`` is measured, and one
-    Weyl step ``t^2 += deficit / lambda_min(G)`` buys the slack that the
-    rounding of the entries and of the factorization needs; a failed proof
-    is retried with growing increments.  The excess over ``norms[k]`` is
+    The proof factors ``t^2 G - A[k] - shift I``, where ``shift`` covers the
+    rounding of the entries and of the factorization.  The smallest
+    eigenvalue of ``norms[k]^2 G - A[k]`` is measured, a positive reading
+    taken as 0, and one Weyl step ``t^2 += deficit / lambda_min(G)`` aims it
+    at ``(1 + 2^-4) shift``, past the shift, so that the shifted matrix is
+    not singular to working precision and the first factorization
+    completes.  A failed proof is retried with growing increments.  Every
+    returned value is checked against the allowance
+    ``tol + 32 eps cond(G) max(1, t)`` above ``norms[k]``; the excess is
     typically a few ``eps cond(G) t``.
 
     Raises:
-        DegenerateGram: ``G`` is not numerically positive definite, or no
-            proof was found within ``tol + 32 eps cond(G) max(1, t)`` above
-            ``norms[k]``.
+        DegenerateGram: ``G`` is not numerically positive definite, or a
+            value would exceed the allowance.
         Overflow: ``t^2 G - A[k]`` overflows.
     """
     norms = np.asarray(norms, dtype=float)
@@ -638,31 +643,33 @@ def certify_pencil_norms(G, norms, tol: float, pencil_matrix) -> np.ndarray:
     eps = float(np.finfo(float).eps)
     allowance = tol + _ROUNDING_ALLOWANCE * eps * (eig_G[-1] / lam_G) * np.maximum(1.0, norms)
     limit = (norms + allowance) ** 2
+    margin = 1.0 + 2.0**-4
 
     def trial(T: np.ndarray, idx: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             P, bound = pencil_matrix(T, idx)
         require_finite("the matrix t^2 G - A", T, P, bound)
-        bound = bound + _UNDERFLOW_FLOOR
-        estimate = _perron_bound(bound) + gamma(P.shape[-1] + 4) * _perron_bound(np.abs(P))
-        return P, bound, np.maximum(estimate, learned[idx]) * (1.0 + 2.0**-4)
+        radius = _perron_bound(bound + _UNDERFLOW_FLOOR)
+        estimate = radius + gamma(P.shape[-1] + 4) * _perron_bound(np.abs(P))
+        return P, radius, np.maximum(estimate, learned[idx]) * margin
 
     # the factor's |L| |L*| can exceed |P|; a failed proof teaches the shift
     learned = np.zeros(len(norms))
     T = norms**2
     pending = np.arange(len(norms))
     P, _, shift = trial(T, pending)
-    T = T + np.maximum(shift - np.linalg.eigvalsh(P)[:, 0], 0.0) / lam_G
+    # lambda_min(P) is about 0 at the pencil value, so a positive reading is rounding
+    T = T + (margin * shift - np.minimum(np.linalg.eigvalsh(P)[:, 0], 0.0)) / lam_G
     attempt = 0
     while pending.size:
-        P, bound, shift = trial(T[pending], pending)
-        needed = _shift_needed(P, shift, bound)
+        if np.any(T[pending] > limit[pending]):
+            raise DegenerateGram("could not certify the pencil norm: the Gram matrix is too ill-conditioned")
+        P, radius, shift = trial(T[pending], pending)
+        needed = _shift_needed(P, shift, radius)
         failed = ~(shift > needed)
         pending, shift, needed = pending[failed], shift[failed], needed[failed]
         learned[pending] = np.where(np.isfinite(needed), needed, learned[pending])
         T[pending] += np.maximum(shift, learned[pending]) / lam_G * 2.0 ** (attempt - 3)
-        if np.any(T[pending] > limit[pending]):
-            raise DegenerateGram("could not certify the pencil norm: the Gram matrix is too ill-conditioned")
         attempt += 1
     return np.nextafter(np.sqrt(T), np.inf)
 
@@ -750,13 +757,13 @@ def kernel_from_json(obj) -> KernelExpr:
     if op == "ball":
         return ball(obj["dim"])
     if op == "constant":
-        return constant(float(obj["value"]))
+        return constant(obj["value"])
     if op == "rank1":
         return rank_one(fn_from_json(obj["fn"]))
     if op == "sum":
         return kernel_sum(*(kernel_from_json(c) for c in obj["terms"]))
     if op == "scale":
-        return scale(float(obj["factor"]), kernel_from_json(obj["arg"]))
+        return scale(obj["factor"], kernel_from_json(obj["arg"]))
     if op == "hadamard":
         return hadamard(kernel_from_json(obj["left"]), kernel_from_json(obj["right"]))
     if op == "geom":

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .geometry import MetricSpace, SampledFunction
 from .kernels import gamma, lower_inverse
-from .serialize import integer
+from .serialize import integer, real
 
 _PIVOT_FLOOR = 1e-14
 #: Default bound on the relative error of a coefficient round-trip.
@@ -154,11 +154,12 @@ def build_model(
             raise ValidationError("custom weights must have length depth + 1")
         if np.any(weights <= 0.0):
             raise ValidationError("weights must be positive")
+    p = real(p, "the model exponent")
     if p < 1.0:
         raise ValidationError("the model exponent must satisfy p >= 1")
     weights = weights.copy()
     weights.flags.writeable = False
-    return RealizationModel(dense, depth, g, weights, float(p))
+    return RealizationModel(dense, depth, g, weights, p)
 
 
 def _check_coeffs(f, model: RealizationModel) -> np.ndarray:

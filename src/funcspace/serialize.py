@@ -3,10 +3,13 @@
 Complex numbers travel as ``[re, im]`` pairs; complex matrices as a pair of
 real matrices under the keys ``"re"`` and ``"im"``.  Real inputs are accepted
 wherever a complex value is expected.  Every index, count and dimension that
-enters the package, from JSON, argv or a caller, passes :func:`integer`.
+enters the package, from JSON, argv or a caller, passes :func:`integer`, and
+every real scalar passes :func:`real`.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -26,16 +29,24 @@ def integer(value, name: str, size: int | None = None) -> int:
     return value
 
 
+def real(value, name: str) -> float:
+    """``value`` as a float; bools, strings and None are refused, not converted."""
+    # a plain float skips the abstract-class check, which costs about a microsecond
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def complex_to_pair(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
 
 
 def pair_to_complex(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+        return complex(real(obj[0], "real part"), real(obj[1], "imaginary part"))
+    if not isinstance(obj, bool) and isinstance(obj, numbers.Real):
+        return complex(obj)
     raise ValidationError(f"expected a real number or an [re, im] pair, got {obj!r}")
 
 

@@ -3,7 +3,8 @@
 For each command, argv is drawn from the flags its registry entry declares,
 the shared flags, and stray flags of other commands.  File flags take
 fixtures that are valid, malformed, of the wrong JSON type, missing, or
-valid but for one integer field set to ``1.5`` or ``true``; numeric flags
+valid but for one integer field set to ``1.5`` or ``true`` or one real field
+set to ``true``, ``"0.5"`` or ``null``; numeric flags
 take small numbers, ``nan``, ``inf`` and text.  The numbers are kept small
 so that each example runs fast: the flags that size an allocation,
 ``submult --random`` and ``vn-check --grid``, are capped by the program
@@ -31,14 +32,21 @@ _T = compress_square(toeplitz_mo([0.0, 1.0], 12), 12)
 
 # valid fixtures for each file flag; the fuzz draws "valid<i>" tokens for them
 VALID = {
-    "kernel": [{"op": "szego"}, {"op": "geom", "arg": {"op": "rank1", "fn": {"kind": "coordinate", "index": 0}}}],
+    "kernel": [
+        {"op": "szego"},
+        {"op": "geom", "arg": {"op": "rank1", "fn": {"kind": "coordinate", "index": 0}}},
+        {"op": "scale", "factor": 2.0, "arg": {"op": "sum", "terms": [{"op": "szego"}, {"op": "constant", "value": 0.5}]}},
+    ],
     "kernel2": [{"op": "szego"}, {"op": "ball", "dim": 1}],
     "symbol": [{"kind": "coordinate", "index": 0}, {"kind": "moebius", "a": [0.4, 0.0]}],
     "sample": [{"dim": 1, "points": [[0.0, 0.0], [0.5, 0.0]]}, {"dim": 1, "points": [[0.1, 0.0], [0.2, 0.1], [-0.3, 0.2]]}],
     "matrix": [{"re": [[2.0, 1.0], [1.0, 2.0]]}, {"re": _T.real.tolist(), "im": _T.imag.tolist()}],
     "space": [_interval, _seven],
     "functions": [[{"values": [1, 2, 3, 4, 5]}, {"values": [[0, 1], 0, 0, 0, 1]}]],
-    "model": [{"space": _interval, "order": [2, 0, 4, 1, 3], "depth": 3}],
+    "model": [
+        {"space": _interval, "order": [2, 0, 4, 1, 3], "depth": 3},
+        {"space": _interval, "order": [2, 0, 4, 1, 3], "depth": 3, "p": 1.5},
+    ],
     "problem": [{"nodes": [[0, 0], [0.5, 0]], "values": [[0, 0], [0.5, 0]], "bound": 1.0}],
 }
 # the integer fields of the valid fixtures, as (flag, fixture, key path); the
@@ -52,6 +60,16 @@ INTEGER_FIELDS = [
     ("model", 0, ("depth",)),
     ("model", 0, ("space", "base")),
 ]
+# the real fields, drawn with one of them replaced by a non-number
+REAL_FIELDS = [
+    ("kernel", 2, ("factor",)),
+    ("kernel", 2, ("arg", "terms", 1, "value")),
+    ("symbol", 1, ("a", 0)),
+    ("sample", 1, ("points", 1, 1)),
+    ("problem", 0, ("values", 1, 0)),
+    ("problem", 0, ("bound",)),
+    ("model", 1, ("p",)),
+]
 
 
 def _replaced(obj, path, value):
@@ -63,11 +81,18 @@ def _replaced(obj, path, value):
     return obj
 
 
-# "nonint<k>" tokens: (fixture, value, edited fixture) for each flag
-NONINT = {}
-for _flag, _i, _path in INTEGER_FIELDS:
-    for _value in (1.5, True):
-        NONINT.setdefault(_flag, []).append((_i, _value, _replaced(VALID[_flag][_i], _path, _value)))
+def _edits(fields, values):
+    """(fixture, value, edited fixture) for each flag, each field and each value."""
+    edits = {}
+    for flag, i, path in fields:
+        for value in values:
+            edits.setdefault(flag, []).append((i, value, _replaced(VALID[flag][i], path, value)))
+    return edits
+
+
+# "nonint<k>" and "nonreal<k>" tokens
+EDITED = {"nonint": _edits(INTEGER_FIELDS, (1.5, True)), "nonreal": _edits(REAL_FIELDS, (True, "0.5", None))}
+NONINT, NONREAL = EDITED["nonint"], EDITED["nonreal"]
 
 BROKEN = {
     "malformed": '{"op": "szego",\n  broken',
@@ -110,8 +135,8 @@ def _mostly(good, bad):
 def _value(name, kind):
     if kind == "file":
         valid = st.sampled_from([f"valid{i}" for i in range(len(VALID[name]))])
-        nonint = [f"nonint{k}" for k in range(len(NONINT.get(name, ())))]
-        token = _mostly(valid, st.sampled_from([*BROKEN, "missing", *nonint]))
+        edited = [f"{prefix}{k}" for prefix, edits in EDITED.items() for k in range(len(edits.get(name, ())))]
+        token = _mostly(valid, st.sampled_from([*BROKEN, "missing", *edited]))
         return token.map(lambda token: ("file", name, token))
     if kind == "output":
         token = _mostly(st.just("fresh"), st.sampled_from(["directory", "missing-directory"]))
@@ -156,10 +181,11 @@ def files(tmp_path_factory):
         for i, obj in enumerate(objs):
             paths[f"{name}/valid{i}"] = str(root / f"{name}{i}.json")
             (root / f"{name}{i}.json").write_text(json.dumps(obj))
-    for name, cases in NONINT.items():
-        for k, (_, _, obj) in enumerate(cases):
-            paths[f"{name}/nonint{k}"] = str(root / f"{name}-nonint{k}.json")
-            (root / f"{name}-nonint{k}.json").write_text(json.dumps(obj))
+    for kind, edits in EDITED.items():
+        for name, cases in edits.items():
+            for k, (_, _, obj) in enumerate(cases):
+                paths[f"{name}/{kind}{k}"] = str(root / f"{name}-{kind}{k}.json")
+                (root / f"{name}-{kind}{k}.json").write_text(json.dumps(obj))
     for token, text in BROKEN.items():
         paths[token] = str(root / f"{token}.json")
         (root / f"{token}.json").write_text(text)
@@ -174,7 +200,7 @@ def _resolve(items, files):
         argv.append("--" + flag.replace("_", "-"))
         if isinstance(value, tuple):
             _, name, token = value
-            argv.append(files[f"{name}/{token}" if token.startswith(("valid", "nonint")) else token])
+            argv.append(files[f"{name}/{token}" if token.startswith(("valid", *EDITED)) else token])
         elif value is not None:
             argv.append(value)
     return argv
@@ -207,7 +233,7 @@ def test_pools_cover_every_declared_flag():
     assert option_types <= {bool, int, float, str, cli._json_value}
 
 
-# a valid argv that reads each flag with an integer field, its other files valid
+# a valid argv that reads each flag with an integer or real field, its other files valid
 READERS = {
     "kernel": ["gram", "--sample", "sample/valid0", "--kernel"],
     "kernel2": [
@@ -217,6 +243,7 @@ READERS = {
     "sample": ["gram", "--kernel", "kernel/valid0", "--sample"],
     "space": ["lip-dual", "--x", "1", "--space"],
     "model": ["realize", "--model"],
+    "problem": ["pick-solve", "--problem"],
 }
 
 
@@ -237,3 +264,15 @@ def test_non_integral_field_exits_2(flag, k, files):
     assert code == 2
     assert report["error"]["code"] == "ValidationError"
     assert f"must be an integer, got {value!r}" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("flag, k", [(flag, k) for flag, cases in NONREAL.items() for k in range(len(cases))])
+def test_non_real_field_exits_2(flag, k, files):
+    """A fixture that passes whole is refused with one real field at true, "0.5" or null."""
+    i, value, _ = NONREAL[flag][k]
+    argv = [files.get(arg, arg) for arg in READERS[flag]]
+    assert _run([*argv, files[f"{flag}/valid{i}"]])[0] == 0
+    code, report = _run([*argv, files[f"{flag}/nonreal{k}"]])
+    assert code == 2
+    assert report["error"]["code"] == "ValidationError"
+    assert f"got {value!r}" in report["error"]["message"]

@@ -14,10 +14,11 @@ from funcspace.geometry import (
     lip_point_norm_lp,
     set_distance,
 )
-from funcspace.hardy_pick import carleson_seq, compress_square, separability_probe, toeplitz_mo
-from funcspace.kernels import ClosedFormFunction, KernelExpr, hermitian_from_upper, polynomial
+from funcspace.hardy_pick import PickProblem, carleson_seq, compress_square, separability_probe, toeplitz_mo
+from funcspace.kernels import ClosedFormFunction, KernelExpr, constant, hermitian_from_upper, polynomial, scale, szego
 from funcspace.multipliers import certify_unit_sup
 from funcspace.realization import DenseSequence, build_model, point_eval_rank, topology_probe
+from funcspace.serialize import pair_to_complex
 
 
 def all_error_classes():
@@ -83,4 +84,26 @@ INTEGER_ARGUMENTS = {
 def test_integer_arguments_refuse_floats_and_bools(call, value):
     """Refused with a ValidationError that names the value, never truncated."""
     with pytest.raises(ValidationError, match=f"must be an integer, got {value!r}"):
+        call(value)
+
+
+# every real scalar a caller can pass, as a call on its value
+REAL_ARGUMENTS = {
+    "carleson_seq start": lambda v: carleson_seq(v, 2),
+    "separability_probe start": lambda v: separability_probe(3, start=v),
+    "constant": lambda v: constant(v),
+    "scale": lambda v: scale(v, szego()),
+    "Pick bound": lambda v: PickProblem([0.1], [0.2], bound=v),
+    "model exponent": lambda v: build_model(DenseSequence(_LINE, [1, 0, 2]), 2, p=v),
+    "triangle_tol": lambda v: MetricSpace([[0.0, 1.0], [1.0, 0.0]], triangle_tol=v),
+    "real part": lambda v: pair_to_complex([v, 0.0]),
+    "imaginary part": lambda v: pair_to_complex([0.0, v]),
+}
+
+
+@pytest.mark.parametrize("value", ["0.3", True, None])
+@pytest.mark.parametrize("call", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS)
+def test_real_arguments_refuse_strings_bools_and_none(call, value):
+    """Refused with a ValidationError that names the value, never converted."""
+    with pytest.raises(ValidationError, match=f"must be a real number, got {value!r}"):
         call(value)

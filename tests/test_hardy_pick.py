@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from funcspace import hardy_pick, kernels
 from funcspace.errors import (
     DegenerateGram,
     DuplicatePoint,
@@ -257,6 +258,51 @@ class TestSeparabilityProbe:
     def test_budget_cap(self):
         with pytest.raises(PatternBudgetExceeded):
             separability_probe(13)
+
+
+class TestCertificateOnePass:
+    """The Weyl step lands past the shift, so every pencil is proven on its first shifted Cholesky."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"certify": 0, "shift_needed": 0, "breakdowns": 0}
+        certify, shift_needed, cholesky = hardy_pick.certify_pencil_norms, kernels._shift_needed, np.linalg.cholesky
+
+        def counted_certify(*args):
+            counts["certify"] += 1
+            return certify(*args)
+
+        def counted_shift_needed(*args):
+            counts["shift_needed"] += 1
+            return shift_needed(*args)
+
+        def counted_cholesky(*args, **kwargs):
+            try:
+                return cholesky(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                counts["breakdowns"] += 1
+                raise
+
+        monkeypatch.setattr(hardy_pick, "certify_pencil_norms", counted_certify)
+        monkeypatch.setattr(kernels, "_shift_needed", counted_shift_needed)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        return counts
+
+    def test_pattern_sweeps(self, counts):
+        rng = np.random.default_rng(12)
+        for m in range(5, 11):
+            for start in rng.uniform(0.0, 0.5, 3):
+                separability_probe(m, start=float(start))
+        assert counts == {"certify": 18, "shift_needed": 18, "breakdowns": 0}
+
+    def test_single_solves_with_disk_targets(self, counts):
+        rng = np.random.default_rng(13)
+        for n in range(3, 13):
+            for _ in range(4):
+                nodes = carleson_seq(rng.uniform(0.0, 0.5), n) * np.exp(2j * np.pi * rng.uniform())
+                values = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+                pick_solve(nodes, values)
+        assert counts == {"certify": 40, "shift_needed": 40, "breakdowns": 0}
 
 
 class TestArdyCheck:

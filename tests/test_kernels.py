@@ -460,3 +460,17 @@ class TestCertifyPencilNorms:
         assert np.all(certified - pencil <= 32 * np.finfo(float).eps * eig[-1] / eig[0] * np.maximum(1.0, pencil))
         for k in range(5):
             assert np.linalg.eigvalsh(certified[k] ** 2 * G - A[k])[0] > 0.0
+
+    def test_allowance_is_enforced_on_the_first_pass(self):
+        # entries known only to 1e-3 need a shift far past the rounding allowance
+        rng = np.random.default_rng(43)
+        n = 4
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        G = mirror_upper(X @ X.conj().T + np.eye(n))
+        A = random_hermitian(rng, n, k=3)
+
+        def loose_entries(T, idx):
+            return mirror_upper(T[:, None, None] * G - A[idx]), np.full((len(idx), n, n), 1e-3)
+
+        with pytest.raises(DegenerateGram, match="could not certify"):
+            certify_pencil_norms(G, pencil_norms(A, G), 1e-9, loose_entries)
