@@ -406,10 +406,9 @@ def _cmd_pick_solve(config, loader):
 def _cmd_carleson_probe(config, loader):
     m = config.options["m"]
     start = config.options.get("start", 0.0)
-    nodes = hardy_pick.carleson_seq(start, m)
     report = hardy_pick.separability_probe(m, start=start, tol=_tol(config))
     return {
-        "nodes": nodes.tolist(),
+        "nodes": report.nodes.tolist(),
         "max_min_norm": report.max_min_norm,
         "min_pairwise_gap": report.min_pairwise_gap,
         "pattern_norms": list(report.pattern_norms),

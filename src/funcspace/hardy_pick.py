@@ -9,7 +9,13 @@ multiplier-norm budget is decided by the Pick matrix
     [(t^2 - w_i conj(w_j)) / (1 - y_i conj(y_j))]  =  t^2 C - W C W*
 
 (C the Szego Gram of the nodes, W = diag(w)), whose PSD-ness characterizes
-feasibility.  The minimal interpolation norm is the square root of the top
+feasibility.  Near the circle ``1 - y_i conj(y_j)`` cancels, so C is built
+from the polarization identity: its real part is half the sum of the
+nonnegative terms ``1 - |y_i|^2`` (correctly rounded), ``1 - |y_j|^2`` and
+``|y_j - y_i|^2``, and its imaginary part is at most ``|y_j - y_i|`` in size,
+which ``|1 - z conj(w)|^2 = (1 - |z|^2)(1 - |w|^2) + |z - w|^2`` keeps below
+the modulus; so every entry carries a relative error bound of a few units in
+the last place.  The minimal interpolation norm is the square root of the top
 eigenvalue of the pencil ``(W C W*, C)`` (Agler & McCarthy, *Pick
 Interpolation and Hilbert Function Spaces*); it is reported next to a
 certified upper bound at which the Pick matrix is proven positive definite
@@ -38,7 +44,6 @@ from .errors import (
 )
 from .geometry import EuclideanPointSet
 from .kernels import (
-    UNIT_ROUNDOFF,
     PsdReport,
     certify_pencil_norms,
     gamma,
@@ -127,7 +132,8 @@ class PickProblem:
             raise ValidationError("need equally many (and at least one) nodes and targets")
         if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
             raise ValidationError("interpolation nodes and targets must be finite; got a non-finite entry")
-        if np.any(np.abs(nodes) >= 1.0):
+        # np.abs can round |z| > 1 down below 1; the exact 1 - |z|^2 cannot mislead
+        if any(_one_minus_abs2(complex(z)) <= 0.0 for z in nodes):
             raise NotInDisk("interpolation nodes must lie in the open unit disk")
         if len({complex(z) for z in nodes}) != nodes.size:
             raise DuplicatePoint("interpolation nodes must be distinct")
@@ -170,55 +176,43 @@ def pick_feasible(problem: PickProblem, tol: float = 1e-10) -> PsdReport:
     return psd_check(_pick_matrix(problem.nodes, problem.values, problem.bound), tol=tol)
 
 
-def _split(a: np.ndarray):
-    """Dekker's split of a float into two halves of at most 26 bits each."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a: np.ndarray, b: np.ndarray):
-    """``p + e == a * b`` exactly (Dekker), barring underflow."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-
-
-def _compensated_sum(terms):
-    """Ogita, Rump & Oishi's Sum2: error <= u |sum| + gamma_{k-1}^2 sum |terms|."""
-    total, carry = terms[0], 0.0
-    for term in terms[1:]:
-        s = total + term
-        back = s - total
-        carry = carry + ((total - (s - back)) + (term - back))
-        total = s
-    return total + carry
+def _one_minus_abs2(z: complex) -> float:
+    """``1 - |z|^2`` correctly rounded, from the exact integer ratios of z's parts."""
+    p, q = z.real.as_integer_ratio()
+    r, s = z.imag.as_integer_ratio()
+    den = max(q, s)  # both are powers of two
+    p, r = p * (den // q), r * (den // s)
+    return (den * den - p * p - r * r) / (den * den)
 
 
 def _szego_unit_gram(nodes: np.ndarray):
     """Szego Gram of the nodes scaled to unit diagonal, and its entry error.
 
-    ``1 - z_i conj(z_j)`` loses its relative accuracy to cancellation for
-    nodes near the circle, so it is summed from error-free products; each
-    part is then off by at most ``u`` of itself plus ``gamma_4^2`` of the
-    summed magnitudes (at most 3).  The scaling ``s_i = sqrt(1 - |z_i|^2)``
-    is a congruence by exact floats, so the returned matrix stands for
-    ``S C S`` with exact C and exact S.  Returns the Gram and a bound on the
-    relative error of each of its entries.
+    ``D = 1 - z_i conj(z_j)`` cancels for nodes near the circle, so it is
+    built from the polarization identity, with ``z = a + ib``,
+    ``d_i = 1 - |z_i|^2`` correctly rounded and ``Da = a_j - a_i``:
+
+        Re D = (d_i + d_j + Da^2 + Db^2) / 2,   Im D = a_i Db - b_i Da.
+
+    The real part sums nonnegative terms, so it is off by at most
+    ``gamma_3 (d_i + d_j)/2 + gamma_5 (Da^2 + Db^2)/2``; the imaginary part by
+    ``gamma_3 (|a_i Db| + |b_i Da|)``, which is small against |D| since
+    ``|z_j - z_i| <= |D|``.  Underflow needs no floor: a subnormal product is
+    off by at most 2^-1075, and a positive ``d_i`` is at least 2^-158,
+    so ``gamma_3 d_i`` dwarfs it within the 1.01 slack.  The scaling
+    ``s_i = sqrt(d_i)`` is a congruence by exact floats, so the returned
+    matrix stands for ``S C S`` with exact C and exact S.  Returns the Gram
+    and a bound on the relative error of each of its entries.
     """
-    a, b = nodes.real, nodes.imag
-    ai, aj, bi, bj = a[:, None], a[None, :], b[:, None], b[None, :]
-    p_aa, e_aa = _two_product(ai, aj)
-    p_bb, e_bb = _two_product(bi, bj)
-    p_ab, e_ab = _two_product(ai, bj)
-    p_ba, e_ba = _two_product(bi, aj)
-    x = _compensated_sum([np.ones_like(p_aa), -p_aa, -p_bb, -e_aa, -e_bb])
-    y = _compensated_sum([p_ab, -p_ba, e_ab, -e_ba])
-    u = UNIT_ROUNDOFF
-    size = np.hypot(x, y)
-    rel_D = float(((u * (np.abs(x) + np.abs(y)) + 70.0 * u * u) / size).max()) * 1.01
-    s = np.sqrt(x.diagonal())
+    d = np.array([_one_minus_abs2(complex(z)) for z in nodes])
+    a, b = nodes.real[:, None], nodes.imag[:, None]
+    da, db = a.T - a, b.T - b
+    dd, sq = d[:, None] + d[None, :], da * da + db * db
+    adb, bda = a * db, b * da
+    x, y = 0.5 * (dd + sq), adb - bda
+    error = gamma(3) * (0.5 * dd + np.abs(adb) + np.abs(bda)) + gamma(5) * 0.5 * sq
+    rel_D = float((error / np.hypot(x, y)).max()) * 1.01
+    s = np.sqrt(d)
     ss = s[:, None] * s[None, :]
     q = x * x + y * y
     gram = ss / x if not y.any() else (ss * x / q) - 1j * (ss * y / q)
@@ -299,17 +293,17 @@ def carleson_seq(start: float, m: int) -> np.ndarray:
     m = integer(m, "node count")
     if m < 1:
         raise ValidationError("need at least one node")
-    out = np.empty(m)
-    y = start
+    out, y = [], start
     for k in range(m):
         y = 1.0 - (1.0 - y) / 2.0
         if y >= 1.0:  # the gap fell below resolution and rounded onto the boundary
             raise NotInDisk(f"node {k + 1} rounded onto the unit circle; reduce m")
-        out[k] = y
-    return out
+        out.append(y)
+    return np.array(out)
 
 
 class SeparabilityReport(NamedTuple):
+    nodes: np.ndarray
     max_min_norm: float
     min_pairwise_gap: float
     pattern_norms: tuple
@@ -320,8 +314,8 @@ def separability_probe(m: int, start: float = 0.0, tol: float = 1e-9) -> Separab
 
     Sweeps all 2^m indicator patterns, solving the minimal-norm
     interpolation for each in one batch over a single factorization of the
-    Szego Gram; every pattern norm is certified as in :func:`pick_solve`.
-    ``max_min_norm`` witnesses that every pattern
+    Szego Gram of the swept ``nodes``; every pattern norm is certified as in
+    :func:`pick_solve`.  ``max_min_norm`` witnesses that every pattern
     is reachable at a uniformly bounded budget, while ``min_pairwise_gap``
     is the smallest sup-distance between distinct patterns on the nodes
     (exactly 1 for indicators) - together, continuum-many uniformly
@@ -336,7 +330,7 @@ def separability_probe(m: int, start: float = 0.0, tol: float = 1e-9) -> Separab
     patterns = ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
     norms, _ = _solve_pick(nodes, patterns, tol)
     # distinct 0/1 patterns differ somewhere, and there by exactly 1
-    return SeparabilityReport(float(norms.max()), 1.0, tuple(norms.tolist()))
+    return SeparabilityReport(nodes, float(norms.max()), 1.0, tuple(norms.tolist()))
 
 
 @dataclass(frozen=True)

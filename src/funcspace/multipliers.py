@@ -63,8 +63,6 @@ MAX_BOUNDARY_GRID = 65536
 class MultNormReport:
     """Finite-sample estimate of a multiplier norm."""
 
-    sample: EuclideanPointSet
-    symbol: ClosedFormFunction
     lower_bound_sup: float
     sampled_norm: float
     method: str
@@ -132,14 +130,14 @@ def sampled_mult_norm(
     sup = float(np.abs(values).max())
     t = float(pencil_norms(A[None], G_E)[0])
     if method == "pencil":
-        return MultNormReport(sample, w, sup, t, "pencil")
+        return MultNormReport(sup, t, "pencil")
 
     t_lo = _diag_lower_bound(values, G_F, G_E)
     if psd_check(t_lo * t_lo * G_E - A, tol=FEASIBLE_TOL).is_psd:
         t = t_lo
     elif not psd_check(t * t * G_E - A, tol=FEASIBLE_TOL).is_psd:
         raise DegenerateGram(f"the pencil value {t!r} is not feasible at tol {FEASIBLE_TOL:g}; perturb the sample")
-    return MultNormReport(sample, w, sup, t, "bisection")
+    return MultNormReport(sup, t, "bisection")
 
 
 def kl_monotonicity_check(

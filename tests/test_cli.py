@@ -10,6 +10,7 @@ import funcspace
 from funcspace import cli
 from funcspace.cli import COMMANDS, ExperimentConfig, main, run
 from funcspace.errors import ValidationError
+from funcspace.hardy_pick import carleson_seq
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -73,6 +74,18 @@ class TestCoreCommands:
         assert code == 0
         assert report["result"]["nodes"] == [0.5, 0.75, 0.875]
         assert report["result"]["min_pairwise_gap"] == 1.0
+
+    @pytest.mark.parametrize("m", ["13", "100", "1000000000000"])
+    def test_carleson_probe_cap_comes_first(self, capsys, m):
+        code, report = run_cli(capsys, ["carleson-probe", "--m", m])
+        assert code == 2
+        assert report["error"]["code"] == "PatternBudgetExceeded"
+
+    @pytest.mark.parametrize("m, start", [(1, "0"), (5, "0.3"), (7, "0.45")])
+    def test_carleson_probe_nodes_match_carleson_seq(self, capsys, m, start):
+        code, report = run_cli(capsys, ["carleson-probe", "--m", str(m), "--start", start])
+        assert code == 0
+        assert report["result"]["nodes"] == carleson_seq(float(start), m).tolist()
 
     def test_ardy_check_coordinate(self, capsys, inputs):
         code, report = run_cli(capsys, ["ardy-check", "--poly", "[0,1]"])

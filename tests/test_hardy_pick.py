@@ -1,3 +1,6 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -131,6 +134,14 @@ class TestPickFeasible:
         with pytest.raises(DuplicatePoint):
             PickProblem([0.3, 0.3], [0.0, 0.1])
 
+    def test_node_outside_the_circle_that_abs_rounds_inside(self):
+        z = -0.40700311749865054 - 0.9134267690112764j  # |z|^2 = 1 + 1.8e-17 exactly
+        assert np.abs(np.complex128(z)) < 1.0
+        with pytest.raises(NotInDisk):
+            PickProblem([0.0, z], [0.0, 0.5])
+        with pytest.raises(NotInDisk):
+            pick_solve([0.0, z], [0.0, 0.5])
+
 
 class TestPickMinNorm:
     def test_schwarz_value(self):
@@ -204,6 +215,68 @@ class TestPickSolve:
             pick_solve([0.1], [0.2], tol=0.0)
 
 
+def _node_families(rng):
+    """Halving nodes on a ray, off-ray nodes up to 2^-40 from the circle, and 1e-6 clusters."""
+    for _ in range(40):
+        yield carleson_seq(rng.uniform(0.0, 0.5), int(rng.integers(2, 13))) * np.exp(2j * np.pi * rng.uniform())
+    for _ in range(40):
+        m = int(rng.integers(2, 9))
+        yield (1.0 - 2.0 ** -rng.uniform(1.0, 40.0, m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+    for _ in range(40):
+        centre = rng.uniform(0.3, 1.0 - 1e-5) * np.exp(2j * np.pi * rng.uniform())
+        m = int(rng.integers(2, 9))
+        yield centre + 1e-6 * (rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m))
+
+
+class TestSzegoUnitGram:
+    """The returned bound covers every entry's error against 50-digit arithmetic."""
+
+    def test_entry_error_within_bound(self):
+        ctx = mpmath.mp.clone()
+        ctx.dps = 50
+        for nodes in _node_families(np.random.default_rng(77)):
+            C, rel_C = hardy_pick._szego_unit_gram(nodes)
+            # C stands for S C S with the float scaling s_i = sqrt(d_i)
+            s = [ctx.mpf(float(np.sqrt(hardy_pick._one_minus_abs2(complex(z))))) for z in nodes]
+            z = [ctx.mpc(complex(v)) for v in nodes]
+            for i in range(len(z)):
+                for j in range(i, len(z)):
+                    exact = s[i] * s[j] / (1 - z[i] * ctx.conj(z[j]))
+                    assert abs(ctx.mpc(complex(C[i, j])) - exact) <= rel_C * abs(exact), (nodes, i, j)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            0.0,
+            0.5,
+            -0.75j,
+            0.6 + 0.8j,
+            1 - 2**-53,
+            5e-324,
+            5e-324 + 5e-324j,
+            2.2e-308j,
+            (1 - 2**-53) + 2**-27 * 1j,
+            0.7071067811865475 + 0.7071067811865475j,
+            -0.3 + 1e-300j,
+        ],
+    )
+    def test_one_minus_abs2_correctly_rounded(self, z):
+        assert hardy_pick._one_minus_abs2(complex(z)) == _rounded_one_minus_abs2(complex(z))
+
+    def test_one_minus_abs2_random(self):
+        rng = np.random.default_rng(78)
+        for z in np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * np.pi * rng.uniform(size=200)):
+            assert hardy_pick._one_minus_abs2(complex(z)) == _rounded_one_minus_abs2(complex(z))
+
+
+def _rounded_one_minus_abs2(z: complex) -> float:
+    ctx = mpmath.mp.clone()
+    ctx.prec = 4400  # 1 - a^2 - b^2 is exact at this precision, subnormal parts included
+    exact = 1 - ctx.mpf(z.real) ** 2 - ctx.mpf(z.imag) ** 2
+    ctx.prec = 53
+    return float(+exact)
+
+
 class TestCarlesonSeq:
     def test_first_three_nodes(self):
         assert np.array_equal(carleson_seq(0.0, 3), np.array([0.5, 0.75, 0.875]))
@@ -224,6 +297,16 @@ class TestCarlesonSeq:
         # after ~53 halvings the node would round onto the boundary
         with pytest.raises(NotInDisk, match="rounded onto"):
             carleson_seq(0.0, 60)
+
+    def test_huge_count_fails_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotInDisk, match="rounded onto"):
+                carleson_seq(0.0, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSeparabilityProbe:

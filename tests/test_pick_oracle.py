@@ -67,6 +67,22 @@ def test_halving_nodes(m, targets):
         assert_certified(nodes, values, solution.min_norm, solution.pencil_norm)
 
 
+@pytest.mark.parametrize("targets", ["pattern", "disk"])
+def test_clustered_off_ray_nodes(targets):
+    """Nodes about 1e-3 from the circle and 1e-3 apart in angle: Im(1 - z_i conj(z_j)) is not rounding."""
+    rng = np.random.default_rng([9002, targets == "disk"])
+    for _ in range(3):
+        m = 6
+        angles = rng.uniform(0.0, 2.0 * np.pi) + 1e-3 * (np.arange(m) + 0.1 * rng.uniform(size=m))
+        nodes = (1.0 - 1e-3 * rng.uniform(0.5, 2.0, m)) * np.exp(1j * angles)
+        if targets == "pattern":
+            values = rng.integers(0, 2, size=m).astype(complex)
+        else:
+            values = np.sqrt(rng.uniform(0.0, 1.0, m)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+        solution = pick_solve(nodes, values, tol=TOL)
+        assert_certified(nodes, values, solution.min_norm, solution.pencil_norm)
+
+
 def test_schwarz():
     solution = pick_solve([0.0, 0.5], [0.0, 0.5], tol=TOL)
     assert_certified([0.0, 0.5], [0.0, 0.5], solution.min_norm, solution.pencil_norm)
