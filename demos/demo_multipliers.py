@@ -53,7 +53,7 @@ print()
 
 print("=== Contractivity survives multiplying the kernel ===")
 ok = all(
-    kl_monotonicity_check(szego(), szego(), moebius(complex(*rng.uniform(-0.5, 0.5, 2))), S8)
+    kl_monotonicity_check(szego(), szego(), moebius(complex(*rng.uniform(-0.5, 0.5, 2))), S8).holds
     for _ in range(50)
 )
 print("50 random symbols, K -> K * szego implication held:", ok)

@@ -262,11 +262,8 @@ def _cmd_kl_check(config, loader):
     L = kernels.kernel_from_json(loader.file("kernel2"))
     symbol = kernels.fn_from_json(loader.file("symbol"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    tol = _tol(config)
-    on_K = multipliers.contraction_check(K, symbol, sample, tol=tol)
-    on_KL = multipliers.contraction_check(kernels.hadamard(K, L), symbol, sample, tol=tol)
-    holds = (not on_K.is_psd) or on_KL.is_psd
-    return {"implication_holds": holds, "on_K": on_K.to_json(), "on_KL": on_KL.to_json()}
+    report = multipliers.kl_monotonicity_check(K, L, symbol, sample, tol=_tol(config))
+    return {"implication_holds": report.holds, "on_K": report.on_K.to_json(), "on_KL": report.on_KL.to_json()}
 
 
 @command("vn-check", files=("symbol", "sample"), inline=("poly",), options={"grid": int}, tol=1e-9)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     DegenerateSpace,
-    DuplicatePoint,
     EmptySet,
     SamePoint,
     ValidationError,
@@ -99,7 +98,7 @@ class EuclideanPointSet:
     points: np.ndarray
     labels: tuple | None = None
 
-    def __init__(self, points, labels=None, require_distinct: bool = False):
+    def __init__(self, points, labels=None):
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 1:  # a flat list means n points of C^1
             pts = pts.reshape(-1, 1)
@@ -109,10 +108,6 @@ class EuclideanPointSet:
             labels = tuple(str(s) for s in labels)
             if len(labels) != pts.shape[0]:
                 raise ValidationError("labels length must equal point count")
-        if require_distinct:
-            seen = {tuple(p) for p in pts}
-            if len(seen) != pts.shape[0]:
-                raise DuplicatePoint("points must be pairwise distinct")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labels)

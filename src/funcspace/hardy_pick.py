@@ -47,10 +47,15 @@ from .kernels import (
     PsdReport,
     certify_pencil_norms,
     gamma,
+    inside_unit_ball,
+    kernel_block,
     mirror_upper,
+    multiplier_gram,
+    one_minus_norm2,
     pencil_norms,
     psd_check,
     require_finite,
+    szego,
 )
 from .serialize import complex_vector_from_json, complex_vector_to_json, integer, real
 
@@ -132,8 +137,7 @@ class PickProblem:
             raise ValidationError("need equally many (and at least one) nodes and targets")
         if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
             raise ValidationError("interpolation nodes and targets must be finite; got a non-finite entry")
-        # np.abs can round |z| > 1 down below 1; the exact 1 - |z|^2 cannot mislead
-        if any(_one_minus_abs2(complex(z)) <= 0.0 for z in nodes):
+        if not inside_unit_ball(nodes).all():
             raise NotInDisk("interpolation nodes must lie in the open unit disk")
         if len({complex(z) for z in nodes}) != nodes.size:
             raise DuplicatePoint("interpolation nodes must be distinct")
@@ -164,25 +168,11 @@ class PickProblem:
         )
 
 
-def _pick_matrix(nodes: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        top = (t * t - values[:, None] * np.conj(values)[None, :]) / (1.0 - nodes[:, None] * np.conj(nodes)[None, :])
-    require_finite("the Pick matrix", top)
-    return mirror_upper(top)
-
-
 def pick_feasible(problem: PickProblem, tol: float = 1e-10) -> PsdReport:
     """PSD verdict of the Pick matrix at the problem's norm budget."""
-    return psd_check(_pick_matrix(problem.nodes, problem.values, problem.bound), tol=tol)
-
-
-def _one_minus_abs2(z: complex) -> float:
-    """``1 - |z|^2`` correctly rounded, from the exact integer ratios of z's parts."""
-    p, q = z.real.as_integer_ratio()
-    r, s = z.imag.as_integer_ratio()
-    den = max(q, s)  # both are powers of two
-    p, r = p * (den // q), r * (den // s)
-    return (den * den - p * p - r * r) / (den * den)
+    z = problem.nodes[:, None]
+    C = kernel_block(szego(), z, z)
+    return psd_check(multiplier_gram(problem.bound * problem.bound, problem.values, C), tol=tol)
 
 
 def _szego_unit_gram(nodes: np.ndarray):
@@ -204,7 +194,7 @@ def _szego_unit_gram(nodes: np.ndarray):
     matrix stands for ``S C S`` with exact C and exact S.  Returns the Gram
     and a bound on the relative error of each of its entries.
     """
-    d = np.array([_one_minus_abs2(complex(z)) for z in nodes])
+    d = one_minus_norm2(nodes)
     a, b = nodes.real[:, None], nodes.imag[:, None]
     da, db = a.T - a, b.T - b
     dd, sq = d[:, None] + d[None, :], da * da + db * db

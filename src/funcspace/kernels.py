@@ -12,7 +12,8 @@ does the same for symbols; :func:`kernel_eval` and a symbol's call are their
 one-point cases.  Finite sections of a kernel on a sample are materialized
 as Hermitian :class:`GramMatrix` values by mirroring the upper triangle of
 the block, and positive semi-definiteness is decided from the smallest
-eigenvalue under a relative tolerance rule.
+eigenvalue under a relative tolerance rule; :func:`multiplier_gram` builds
+``(T - w (x) conj(w)) K``, the matrix of contraction and Pick feasibility.
 Hermitian pencils ``(A, G)`` are solved in batches over one factorization of
 ``G``, and their values can be raised to certified upper bounds.
 
@@ -124,9 +125,6 @@ class ClosedFormFunction:
         if k == "exp":
             return np.exp(z)
         raise AssertionError(k)
-
-    def eval_on(self, sample: EuclideanPointSet) -> np.ndarray:
-        return self.eval_points(sample.points)
 
 
 def coordinate(index: int = 0) -> ClosedFormFunction:
@@ -244,6 +242,43 @@ def _fail_everywhere(shape, failures: list, exc: Exception) -> np.ndarray:
     return np.zeros(shape, dtype=complex)
 
 
+def one_minus_norm2(P) -> np.ndarray:
+    """``1 - ||p||^2`` correctly rounded for each row p of an n-by-d complex
+    array (a flat array is n points of C^1).
+
+    Every float is a dyadic rational, so the sum is formed exactly from the
+    integer ratios of the parts and rounded once by an int-by-int division.
+    The entries must be finite.
+    """
+    out = []
+    for row in _as_points(P).tolist():
+        parts = [x.as_integer_ratio() for z in row for x in (z.real, z.imag)]
+        den = max([q for _, q in parts])  # every q is a power of two
+        num = 0
+        for p, q in parts:
+            p *= den // q
+            num += p * p
+        out.append((den * den - num) / (den * den))
+    return np.array(out)
+
+
+def inside_unit_ball(P) -> np.ndarray:
+    """Mask of the rows p of an n-by-d complex array with ``||p|| < 1``, decided exactly.
+
+    The float ``||p||^2`` is within ``gamma_2d`` of the exact one, so it decides
+    every row outside a band of a few units in the last place around 1;
+    rows in the band are decided by :func:`one_minus_norm2`.  ``np.abs``
+    alone would round some points on or outside the sphere below 1.
+    Non-finite rows are outside.
+    """
+    P = _as_points(P)
+    excess = (P.real * P.real + P.imag * P.imag).sum(axis=1) - 1.0
+    near = np.abs(excess) <= 8 * (P.shape[1] + 1) * UNIT_ROUNDOFF
+    if near.any():
+        excess[near] = -one_minus_norm2(P[near])
+    return excess < 0.0
+
+
 def _disk_block(K: KernelExpr, X, Y, failures: list) -> np.ndarray:
     """``1 / (1 - <x, y>)`` of the Szego (d = 1) or ball kernel."""
     shape = (X.shape[0], Y.shape[0])
@@ -251,7 +286,6 @@ def _disk_block(K: KernelExpr, X, Y, failures: list) -> np.ndarray:
         if X.shape[1] != 1 or Y.shape[1] != 1:
             return _fail_everywhere(shape, failures, OutOfDomain("szego kernel lives on the unit disk of C^1"))
         xs, ys = X[:, 0], Y[:, 0]
-        out_x, out_y = np.abs(xs) >= 1.0, np.abs(ys) >= 1.0
 
         def error(i, j):
             return OutOfDomain(f"szego kernel needs |z| < 1, got ({xs[i]}, {ys[j]})")
@@ -259,11 +293,12 @@ def _disk_block(K: KernelExpr, X, Y, failures: list) -> np.ndarray:
     else:
         if X.shape[1] != K.dim or Y.shape[1] != K.dim:
             return _fail_everywhere(shape, failures, OutOfDomain(f"ball kernel expects points of dimension {K.dim}"))
-        out_x, out_y = (np.abs(X) ** 2).sum(axis=1) >= 1.0, (np.abs(Y) ** 2).sum(axis=1) >= 1.0
 
         def error(i, j):
             return OutOfDomain("ball kernel needs points inside the open unit ball")
 
+    out_x = ~inside_unit_ball(X)
+    out_y = out_x if Y is X else ~inside_unit_ball(Y)  # a Gram passes one array twice
     bad = out_x[:, None] | out_y[None, :]
     if bad.any():
         failures.append((bad, error))
@@ -508,6 +543,20 @@ def mirror_upper(M) -> np.ndarray:
 def require_finite(what: str, *arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise Overflow(f"{what} overflows float64")
+
+
+def multiplier_gram(T: float, w, G) -> np.ndarray:
+    """The exactly Hermitian ``[(T - w_i conj(w_j)) G_ij]``: for the Gram G of a
+    kernel and a symbol's values w on a sample, PSD exactly when multiplication
+    by w has norm at most ``sqrt(T)`` on the sample.
+
+    Raises:
+        Overflow: an entry is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (T - w[:, None] * np.conj(w[None, :])) * G
+    require_finite("the matrix (T - w w*) o G", out)
+    return mirror_upper(out)
 
 
 def lower_inverse(L) -> np.ndarray:

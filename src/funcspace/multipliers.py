@@ -6,16 +6,17 @@ sampled multiplier norm is the least ``t >= 0`` making
     t^2 * Gram(K_E, S) - D Gram(K_F, S) D*          (D = diag of w on S)
 
 positive semi-definite.  Restricting the defining kernel inequality to a
-finite sample can only relax it, so every number reported here is a lower
+finite sample can only relax it, so the exact sampled norm is a lower
 estimate of the true multiplier norm; the report says so in its
-``semantics`` field and no upper-bound claim is made.
+``semantics`` field and no upper-bound claim is made.  The float pencil value
+can exceed the exact sampled norm by rounding.
 
 The Gram matrices, ``D G_F D*`` and the contraction matrix
-``[(1 - w_i conj(w_j)) K(x_i, x_j)]`` are each one broadcast expression over
-the sample: symbols are evaluated on all sample points at once
-(:meth:`ClosedFormFunction.eval_on`) and kernels on the whole sample block
-(:func:`kernels.gram`), and upper triangles are mirrored so that every
-matrix is exactly Hermitian.
+``[(1 - w_i conj(w_j)) K(x_i, x_j)]`` (:func:`kernels.multiplier_gram`) are
+each one broadcast expression over the sample: symbols are evaluated on all
+sample points at once (:meth:`ClosedFormFunction.eval_points`) and kernels on
+the whole sample block (:func:`kernels.gram`), and upper triangles are
+mirrored so that every matrix is exactly Hermitian.
 
 Both methods read one solve of the pencil ``(D G_F D*, G_E)``
 (:func:`kernels.pencil_norms`).  ``pencil`` reports its value; ``bisection``
@@ -39,8 +40,8 @@ from .kernels import (
     PsdReport,
     compose,
     gram,
-    hadamard,
     mirror_upper,
+    multiplier_gram,
     pencil_norms,
     polynomial,
     psd_check,
@@ -76,11 +77,6 @@ class MultNormReport:
         }
 
 
-def _scaled_gram_entries(K: KernelExpr, w: np.ndarray, sample: EuclideanPointSet) -> np.ndarray:
-    """Hermitian matrix [(1 - w_i conj(w_j)) K(x_i, x_j)]."""
-    return mirror_upper((1.0 - w[:, None] * np.conj(w[None, :])) * gram(K, sample).entries)
-
-
 def contraction_check(K: KernelExpr, w: ClosedFormFunction, sample: EuclideanPointSet, tol: float = 1e-10) -> PsdReport:
     """Finite-sample test of membership in the closed multiplier unit ball.
 
@@ -88,8 +84,8 @@ def contraction_check(K: KernelExpr, w: ClosedFormFunction, sample: EuclideanPoi
     Passing is necessary for ``||M_w|| <= 1``; failing certifies the norm
     exceeds 1 already on this sample.
     """
-    values = w.eval_on(sample)
-    return psd_check(_scaled_gram_entries(K, values, sample), tol=tol)
+    values = w.eval_points(sample.points)
+    return psd_check(multiplier_gram(1.0, values, gram(K, sample).entries), tol=tol)
 
 
 def _diag_lower_bound(w: np.ndarray, G_F: np.ndarray, G_E: np.ndarray) -> float:
@@ -116,9 +112,9 @@ def sampled_mult_norm(
     """
     if method not in ("pencil", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
-    values = w.eval_on(sample)
+    values = w.eval_points(sample.points)
     G_F = gram(K_F, sample).entries
-    G_E = gram(K_E, sample).entries
+    G_E = G_F if K_E == K_F else gram(K_E, sample).entries
     eig_E = np.linalg.eigvalsh(G_E)
     if eig_E.min() <= 0.0 or eig_E.max() / eig_E.min() > CONDITION_LIMIT:
         raise DegenerateGram(
@@ -140,24 +136,32 @@ def sampled_mult_norm(
     return MultNormReport(sup, t, "bisection")
 
 
+class KlReport(NamedTuple):
+    holds: bool
+    on_K: PsdReport
+    on_KL: PsdReport
+
+
 def kl_monotonicity_check(
     K: KernelExpr,
     L: KernelExpr,
     w: ClosedFormFunction,
     sample: EuclideanPointSet,
     tol: float = 1e-10,
-) -> bool:
+) -> KlReport:
     """Contractivity for K implies contractivity for the product kernel K*L.
 
     If ``(1 - w conj(w)) K`` is PSD on the sample then so is its Schur product
     with the PSD matrix of L, hence the implication holds on every instance;
-    this check evaluates it and reports the implication's truth value.
+    this check reports both contraction tests and the implication.  The Gram
+    of K*L is ``G_K * G_L``, bit for bit: both diagonals are exactly real.
     """
-    on_K = contraction_check(K, w, sample, tol=tol)
-    if not on_K.is_psd:
-        return True
-    on_KL = contraction_check(hadamard(K, L), w, sample, tol=tol)
-    return on_KL.is_psd
+    values = w.eval_points(sample.points)
+    G_K = gram(K, sample).entries
+    G_L = gram(L, sample).entries
+    on_K = psd_check(multiplier_gram(1.0, values, G_K), tol=tol)
+    on_KL = psd_check(multiplier_gram(1.0, values, G_K * G_L), tol=tol)
+    return KlReport(not on_K.is_psd or on_KL.is_psd, on_K, on_KL)
 
 
 class VonNeumannReport(NamedTuple):

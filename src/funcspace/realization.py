@@ -212,21 +212,15 @@ def very_independence_check(model: RealizationModel) -> bool:
     return bool(np.diag(block).all() and not np.tril(block, -1).any())
 
 
-def point_eval_rank(
-    points,
-    M: int,
-    model: RealizationModel,
-    tol: float = 1e-10,
-    allow_duplicates: bool = False,
-) -> int:
+def point_eval_rank(points, M: int, model: RealizationModel, tol: float = 1e-10) -> int:
     """Numerical rank of [g_m(x_i)] for m = 0..M over the given points.
 
     Equals the number of points once M is large enough; singular values
     above ``tol * sigma_max`` count toward the rank.
     """
     points = [integer(i, "point index", len(model.dense.space)) for i in points]
-    if not allow_duplicates and len(set(points)) != len(points):
-        raise DuplicatePoint("points must be distinct (pass allow_duplicates to bypass)")
+    if len(set(points)) != len(points):
+        raise DuplicatePoint("points must be distinct")
     M = integer(M, "depth")
     if M < 0:
         raise ValidationError("depth must be nonnegative")

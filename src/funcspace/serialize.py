@@ -65,11 +65,19 @@ def complex_matrix_to_json(mat) -> dict:
     return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
+def _real_matrix(rows, key: str) -> np.ndarray:
+    """A nested list of JSON numbers as a float array; ``true``, numeric
+    strings and ``null`` are refused, which ``np.asarray`` would convert."""
+    for value in np.asarray(rows, dtype=object).flat:
+        real(value, f'an entry of "{key}"')
+    return np.asarray(rows, dtype=float)
+
+
 def complex_matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValidationError('expected a matrix object with "re" (and optional "im") keys')
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    re = _real_matrix(obj["re"], "re")
+    im = _real_matrix(obj["im"], "im") if "im" in obj else np.zeros_like(re)
     if re.shape != im.shape:
         raise ValidationError('"re" and "im" matrices must have identical shapes')
     return re + 1j * im

@@ -10,6 +10,7 @@ import funcspace
 from funcspace import cli
 from funcspace.cli import COMMANDS, ExperimentConfig, main, run
 from funcspace.errors import ValidationError
+from funcspace import geometry, kernels, multipliers
 from funcspace.hardy_pick import carleson_seq
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -124,6 +125,27 @@ class TestCoreCommands:
         )
         assert code == 0
         assert report["result"]["implication_holds"] is True
+
+    @pytest.mark.parametrize("factor", [0.5, 3.0], ids=["premise-holds", "vacuous"])
+    def test_kl_check_is_the_library_report(self, capsys, tmp_path, factor):
+        symbol = {"kind": "scale", "factor": [factor, 0.0], "arg": {"kind": "moebius", "a": [0.2, -0.3]}}
+        kernel2 = {"op": "rank1", "fn": {"kind": "moebius", "a": [0.0, 0.4]}}
+        sample = {"dim": 1, "points": [[0.1, 0.2], [-0.5, 0.3], [0.6, -0.1], [0.0, -0.7]]}
+        files = {name: write(tmp_path / f"{name}.json", obj) for name, obj in
+                 [("kernel", {"op": "szego"}), ("kernel2", kernel2), ("symbol", symbol), ("sample", sample)]}
+        argv = ["kl-check", *[arg for name, path in files.items() for arg in (f"--{name}", path)]]
+        code, report = run_cli(capsys, argv)
+        expected = multipliers.kl_monotonicity_check(
+            kernels.szego(), kernels.kernel_from_json(kernel2), kernels.fn_from_json(symbol),
+            geometry.EuclideanPointSet.from_json(sample),
+        )
+        assert code == 0
+        assert report["result"] == {
+            "implication_holds": expected.holds,
+            "on_K": expected.on_K.to_json(),
+            "on_KL": expected.on_KL.to_json(),
+        }
+        assert report["result"]["on_K"]["is_psd"] is (factor < 1.0)
 
     def test_vn_check(self, capsys, inputs):
         code, report = run_cli(
@@ -467,6 +489,34 @@ class TestErrorPaths:
         code, report = run_cli(capsys, ["psd-check", "--matrix", path])
         assert code == 2
         assert report["error"]["code"] == "NotHermitian"
+
+    @pytest.mark.parametrize(
+        "kernel, points",
+        [
+            ({"op": "szego"}, [[-0.8791761901422928, 0.4764968275727375]]),
+            ({"op": "szego"}, [[0.3, 0.0], [-0.40700311749865054, -0.9134267690112764]]),
+            (
+                {"op": "ball", "dim": 2},
+                [[[-0.42650118953805655, -0.5905240438271713], [0.28790281613429075, 0.6216832452676948]]],
+            ),
+        ],
+        ids=["szego", "szego-found", "ball2"],
+    )
+    def test_gram_refuses_points_rounded_into_the_disk(self, capsys, tmp_path, kernel, points):
+        """Points with exact norm >= 1 that np.abs rounds below 1."""
+        dim = 2 if kernel["op"] == "ball" else 1
+        sample = write(tmp_path / "sample.json", {"dim": dim, "points": points})
+        code, report = run_cli(capsys, ["gram", "--kernel", write(tmp_path / "k.json", kernel), "--sample", sample])
+        assert code == 2
+        assert report["error"]["code"] == "OutOfDomain"
+
+    @pytest.mark.parametrize("entry", [True, "0.5", None])
+    def test_psd_check_refuses_non_number_entries(self, capsys, tmp_path, entry):
+        path = write(tmp_path / "m.json", {"re": [[1.0, entry], [0.5, 1.0]]})
+        code, report = run_cli(capsys, ["psd-check", "--matrix", path])
+        assert code == 2
+        assert report["error"]["code"] == "ValidationError"
+        assert "must be a real number" in report["error"]["message"]
 
     def test_missing_input_flag(self, capsys, inputs):
         code, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"]])

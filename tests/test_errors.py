@@ -18,7 +18,7 @@ from funcspace.hardy_pick import PickProblem, carleson_seq, compress_square, sep
 from funcspace.kernels import ClosedFormFunction, KernelExpr, constant, hermitian_from_upper, polynomial, scale, szego
 from funcspace.multipliers import certify_unit_sup
 from funcspace.realization import DenseSequence, build_model, point_eval_rank, topology_probe
-from funcspace.serialize import pair_to_complex
+from funcspace.serialize import complex_matrix_from_json, pair_to_complex
 
 
 def all_error_classes():
@@ -98,6 +98,8 @@ REAL_ARGUMENTS = {
     "triangle_tol": lambda v: MetricSpace([[0.0, 1.0], [1.0, 0.0]], triangle_tol=v),
     "real part": lambda v: pair_to_complex([v, 0.0]),
     "imaginary part": lambda v: pair_to_complex([0.0, v]),
+    "matrix re entry": lambda v: complex_matrix_from_json({"re": [[1.0, v], [0.5, 1.0]]}),
+    "matrix im entry": lambda v: complex_matrix_from_json({"re": [[1.0, 0.5], [0.5, 1.0]], "im": [[0.0, v], [0, 0]]}),
 }
 
 

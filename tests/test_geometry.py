@@ -475,7 +475,3 @@ class TestEuclideanPointSetJson:
     def test_empty_points_with_a_declared_dim(self):
         with pytest.raises(ValidationError, match="nonempty"):
             EuclideanPointSet.from_json({"dim": 1, "points": []})
-
-    def test_distinctness_flag(self):
-        with pytest.raises(ValidationError):
-            EuclideanPointSet([[0.3], [0.3]], require_distinct=True)

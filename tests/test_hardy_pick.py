@@ -237,7 +237,7 @@ class TestSzegoUnitGram:
         for nodes in _node_families(np.random.default_rng(77)):
             C, rel_C = hardy_pick._szego_unit_gram(nodes)
             # C stands for S C S with the float scaling s_i = sqrt(d_i)
-            s = [ctx.mpf(float(np.sqrt(hardy_pick._one_minus_abs2(complex(z))))) for z in nodes]
+            s = [ctx.mpf(float(v)) for v in np.sqrt(kernels.one_minus_norm2(nodes))]
             z = [ctx.mpc(complex(v)) for v in nodes]
             for i in range(len(z)):
                 for j in range(i, len(z)):
@@ -261,12 +261,12 @@ class TestSzegoUnitGram:
         ],
     )
     def test_one_minus_abs2_correctly_rounded(self, z):
-        assert hardy_pick._one_minus_abs2(complex(z)) == _rounded_one_minus_abs2(complex(z))
+        assert kernels.one_minus_norm2([z])[0] == _rounded_one_minus_abs2(complex(z))
 
     def test_one_minus_abs2_random(self):
         rng = np.random.default_rng(78)
         for z in np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * np.pi * rng.uniform(size=200)):
-            assert hardy_pick._one_minus_abs2(complex(z)) == _rounded_one_minus_abs2(complex(z))
+            assert kernels.one_minus_norm2([z])[0] == _rounded_one_minus_abs2(complex(z))
 
 
 def _rounded_one_minus_abs2(z: complex) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from funcspace.kernels import (
     geom,
     gram,
     hadamard,
+    inside_unit_ball,
     kernel_eval,
     kernel_from_json,
     kernel_sum,
@@ -31,6 +33,7 @@ from funcspace.kernels import (
     lower_inverse,
     mirror_upper,
     moebius,
+    one_minus_norm2,
     pencil_norms,
     polynomial,
     psd_check,
@@ -150,6 +153,50 @@ class TestKernelEval:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValidationError):
             scale(0.0, szego())
+
+
+#: Points with exact ``||z||^2 >= 1`` that the float norm rounds below 1.
+MISREAD_OUTSIDE = {
+    "szego": [-0.8791761901422928 + 0.4764968275727375j],
+    "szego-found": [-0.40700311749865054 - 0.9134267690112764j],
+    "ball2": [-0.42650118953805655 - 0.5905240438271713j, 0.28790281613429075 + 0.6216832452676948j],
+}
+
+
+def exact_one_minus_norm2(p) -> Fraction:
+    return 1 - sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in p)
+
+
+class TestUnitBallMembership:
+    @pytest.mark.parametrize("point", MISREAD_OUTSIDE.values(), ids=MISREAD_OUTSIDE)
+    def test_misread_points_are_outside(self, point):
+        p = np.array(point)
+        assert exact_one_minus_norm2(p) <= 0 and (np.abs(p) ** 2).sum() < 1.0
+        assert not inside_unit_ball(p[None, :])[0]
+        K = szego() if p.size == 1 else ball(2)
+        with pytest.raises(OutOfDomain):
+            kernel_eval(K, p, p)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_agrees_with_exact_arithmetic_near_the_sphere(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        P = rng.normal(size=(3000, dim)) + 1j * rng.normal(size=(3000, dim))
+        P /= np.sqrt((np.abs(P) ** 2).sum(axis=1))[:, None]
+        P[::3] *= 1.0 - 2.0**-50  # just inside, in exact arithmetic or not
+        P[1::3] *= rng.uniform(0.0, 1.5, size=(1000, 1))  # far from the sphere, both sides
+        expected = [exact_one_minus_norm2(p) > 0 for p in P]
+        assert inside_unit_ball(P).tolist() == expected
+
+    def test_non_finite_points_are_outside(self):
+        P = np.array([[np.nan], [np.inf], [1j * np.inf], [0.5]])
+        assert inside_unit_ball(P).tolist() == [False, False, False, True]
+
+    def test_one_minus_norm2_correctly_rounded_in_c2(self):
+        rng = np.random.default_rng(44)
+        P = rng.uniform(-0.7, 0.7, size=(200, 2)) + 1j * rng.uniform(-0.7, 0.7, size=(200, 2))
+        P[:50] /= np.sqrt((np.abs(P[:50]) ** 2).sum(axis=1))[:, None] * (1 + 2.0**-52)
+        got = one_minus_norm2(P)
+        assert got.tolist() == [float(exact_one_minus_norm2(p)) for p in P]
 
 
 class TestGram:

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from funcspace import multipliers
-from funcspace.errors import DegenerateGram, SymbolNotContractive, ValidationError
+from funcspace.errors import DegenerateGram, Overflow, SymbolNotContractive, ValidationError
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
+    ball,
+    constant,
     coordinate,
     fn_scale,
+    geom,
+    gram,
     hadamard,
+    kernel_sum,
+    mirror_upper,
     moebius,
     pencil_norms,
     polynomial,
@@ -59,6 +65,11 @@ class TestContractionCheck:
         S = EuclideanPointSet([[0.1], [0.7]])  # |2 * 0.7| > 1
         report = contraction_check(szego(), fn_scale(2.0, coordinate(0)), S)
         assert not report.is_psd
+
+    def test_overflow_is_reported_as_overflow(self):
+        # w conj(w) overflows; the NaN it leaves used to read as NotHermitian
+        with pytest.raises(Overflow):
+            contraction_check(szego(), fn_scale(1e200, coordinate(0)), S2)
 
     def test_consistency_with_sampled_norm(self):
         rng = np.random.default_rng(2)
@@ -137,7 +148,7 @@ class TestSampledMultNorm:
             w = polynomial([0.2, 0.5, -0.3])
             K_F, K_E = szego(), hadamard(szego(), szego())
             report = sampled_mult_norm(K_F, K_E, w, S)
-            vals = np.abs(w.eval_on(S))
+            vals = np.abs(w.eval_points(S.points))
             diag = [
                 v * np.sqrt(
                     (1 / (1 - abs(z[0]) ** 2)) / (1 / (1 - abs(z[0]) ** 2)) ** 2
@@ -198,18 +209,67 @@ class TestBisectionEndpoint:
             sampled_mult_norm(szego(), szego(), coordinate(0), S2, method="bisection")
 
 
+#: The kernel families of the benchmark's kernel-mult workload, each with the
+#: kernel L its kl-check multiplies by, and a sample in the annulus it uses.
+KERNEL_MULT_FAMILIES = {
+    "szego": (szego(), szego()),
+    "ball2": (ball(2), ball(2)),
+    "geom-rank1": (geom(rank_one(coordinate(0))), szego()),
+    "hadamard": (hadamard(szego(), kernel_sum(szego(), constant(1.0))), szego()),
+}
+
+
+def _annulus_sample(rng, n: int, dim: int) -> EuclideanPointSet:
+    z = rng.uniform(0.88, 0.96, n) * np.exp(2j * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n)
+    if dim == 1:
+        return EuclideanPointSet(z[:, None])
+    alpha, beta = rng.uniform(0, np.pi / 2, n), rng.uniform(0, 2 * np.pi, n)
+    return EuclideanPointSet(np.stack([z * np.cos(alpha), z * np.sin(alpha) * np.exp(1j * beta)], axis=1))
+
+
+class TestOneGramPerKernel:
+    @pytest.mark.parametrize("family", KERNEL_MULT_FAMILIES.values(), ids=KERNEL_MULT_FAMILIES)
+    def test_product_of_grams_is_the_hadamard_gram_bit_for_bit(self, family):
+        K, L = family
+        rng = np.random.default_rng(50)
+        for n in (1, 16, 48):
+            S = _annulus_sample(rng, n, 2 if K.op == "ball" else 1)
+            product = gram(K, S).entries * gram(L, S).entries
+            assert product.tobytes() == gram(hadamard(K, L), S).entries.tobytes()
+
+    def test_equal_kernels_share_one_gram(self):
+        K, K2 = hadamard(szego(), szego()), hadamard(szego(), szego())
+        assert K2 == K and K2 is not K
+        S = disk_sample(np.random.default_rng(51), 7, radius=0.6, min_sep=0.1)
+        w = moebius(0.3 - 0.2j)
+        values = w.eval_points(S.points)
+        G_F, G_E = gram(K, S).entries, gram(K2, S).entries
+        A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
+        assert sampled_mult_norm(K, K2, w, S).sampled_norm == float(pencil_norms(A[None], G_E)[0])
+
+
 class TestKlMonotonicity:
+    def test_reports_both_contraction_verdicts(self):
+        rng = np.random.default_rng(12)
+        for w in (moebius(0.3), fn_scale(3.0, coordinate(0))):
+            S = disk_sample(rng, 5)
+            L = rank_one(moebius(0.2j))
+            report = kl_monotonicity_check(szego(), L, w, S)
+            assert report.on_K == contraction_check(szego(), w, S)
+            assert report.on_KL == contraction_check(hadamard(szego(), L), w, S)
+            assert report.holds == (not report.on_K.is_psd or report.on_KL.is_psd)
+
     def test_schur_implication_for_szego_factor(self):
         rng = np.random.default_rng(9)
         S = disk_sample(rng, 6)
         w = moebius(0.3)
         assert contraction_check(szego(), w, S).is_psd
-        assert kl_monotonicity_check(szego(), szego(), w, S)
+        assert kl_monotonicity_check(szego(), szego(), w, S).holds
 
     def test_trivial_symbol(self):
         rng = np.random.default_rng(10)
         S = disk_sample(rng, 4)
-        assert kl_monotonicity_check(szego(), szego(), polynomial([1.0]), S)
+        assert kl_monotonicity_check(szego(), szego(), polynomial([1.0]), S).holds
 
     def test_randomized_sweep_has_no_counterexample(self):
         rng = np.random.default_rng(11)
@@ -217,13 +277,13 @@ class TestKlMonotonicity:
             S = disk_sample(rng, int(rng.integers(2, 11)))
             w = moebius(complex(*rng.uniform(-0.6, 0.6, 2)))
             L = szego() if rng.integers(2) else rank_one(moebius(complex(*rng.uniform(-0.4, 0.4, 2))))
-            assert kl_monotonicity_check(szego(), L, w, S)
+            assert kl_monotonicity_check(szego(), L, w, S).holds
 
     def test_vacuous_when_premise_fails(self):
         S = EuclideanPointSet([[0.1], [0.7]])
         w = fn_scale(3.0, coordinate(0))
         assert not contraction_check(szego(), w, S).is_psd
-        assert kl_monotonicity_check(szego(), szego(), w, S)
+        assert kl_monotonicity_check(szego(), szego(), w, S).holds
 
 
 class TestVonNeumann:

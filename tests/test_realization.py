@@ -255,11 +255,6 @@ class TestPointEvalRank:
             pts = rng.choice(64, size=n, replace=False)
             assert point_eval_rank(pts, model.depth, model) == n
 
-    def test_duplicates_lower_the_rank(self):
-        model = interval_model()
-        rank = point_eval_rank([1, 1, 3], 3, model, allow_duplicates=True)
-        assert rank <= 2
-
     def test_duplicates_rejected_by_default(self):
         with pytest.raises(DuplicatePoint):
             point_eval_rank([1, 1], 3, interval_model())
