@@ -392,7 +392,7 @@ def _cmd_submult(config, loader):
 @command("pick-solve", files=("problem",), tol=1e-9)
 def _cmd_pick_solve(config, loader):
     problem = hardy_pick.PickProblem.from_json(loader.file("problem", "nodes"))
-    solution = hardy_pick.pick_solve(problem.nodes, problem.values, tol=_tol(config))
+    solution = problem.solve(tol=_tol(config))
     result = {"min_norm": solution.min_norm, "pencil_norm": solution.pencil_norm}
     if problem.bound > 0.0:
         result["feasible_at_bound"] = hardy_pick.pick_feasible(problem).to_json()

@@ -99,7 +99,7 @@ class EuclideanPointSet:
     labels: tuple | None = None
 
     def __init__(self, points, labels=None):
-        pts = np.asarray(points, dtype=complex)
+        pts = np.array(points, dtype=complex)  # a copy, so the caller's array stays writeable
         if pts.ndim == 1:  # a flat list means n points of C^1
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.size == 0:

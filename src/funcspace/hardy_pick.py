@@ -167,6 +167,11 @@ class PickProblem:
             bound=obj.get("bound", 1.0),
         )
 
+    def solve(self, tol: float = 1e-9) -> "PickSolution":
+        """:func:`pick_solve` on the validated nodes and targets; the budget plays no part."""
+        certified, pencil = _solve_pick(self.nodes, self.values[None, :], tol)
+        return PickSolution(float(certified[0]), float(pencil[0]))
+
 
 def pick_feasible(problem: PickProblem, tol: float = 1e-10) -> PsdReport:
     """PSD verdict of the Pick matrix at the problem's norm budget."""
@@ -255,9 +260,7 @@ def pick_solve(nodes, values, tol: float = 1e-9) -> PickSolution:
         DegenerateGram: the nodes' Szego Gram is numerically singular.
         Overflow: the Pick matrix overflows float64.
     """
-    problem = PickProblem(nodes, values, bound=0.0)
-    certified, pencil = _solve_pick(problem.nodes, problem.values[None, :], tol)
-    return PickSolution(float(certified[0]), float(pencil[0]))
+    return PickProblem(nodes, values, bound=0.0).solve(tol)
 
 
 def pick_min_norm(nodes, values, tol: float = 1e-9) -> float:

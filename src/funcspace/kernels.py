@@ -9,10 +9,13 @@ kernel.  One evaluator serves kernels and symbols: :func:`kernel_block`
 evaluates every node of an expression once on whole point blocks
 ``K(X, Y)`` by broadcasting, and :meth:`ClosedFormFunction.eval_points`
 does the same for symbols; :func:`kernel_eval` and a symbol's call are their
-one-point cases.  Finite sections of a kernel on a sample are materialized
-as Hermitian :class:`GramMatrix` values by mirroring the upper triangle of
-the block, and positive semi-definiteness is decided from the smallest
-eigenvalue under a relative tolerance rule; :func:`multiplier_gram` builds
+one-point cases.  A node raises as soon as any entry of its block fails,
+and the evaluator then finds the first failing entry by evaluating the
+rows of the block alone, then the entries of the first failing row.
+Finite sections of a kernel on a sample are materialized as Hermitian
+:class:`GramMatrix` values by mirroring the upper triangle of the block,
+and positive semi-definiteness is decided from the smallest eigenvalue
+under a relative tolerance rule; :func:`multiplier_gram` builds
 ``(T - w (x) conj(w)) K``, the matrix of contraction and Pick feasibility.
 Hermitian pencils ``(A, G)`` are solved in batches over one factorization of
 ``G``, and their values can be raised to certified upper bounds.
@@ -60,8 +63,8 @@ class ClosedFormFunction:
     their compositions, products, sums, and scalar multiples.
 
     Polynomial coefficients are ascending (``coeffs[k]`` multiplies ``z**k``);
-    the Moebius parameter must satisfy ``|a| < 1``.  Domain problems surface
-    at evaluation time.
+    the Moebius parameter must satisfy ``|a| < 1``, and coefficients and
+    scale factors must be finite.  Domain problems surface at evaluation time.
     """
 
     kind: str
@@ -74,8 +77,12 @@ class ClosedFormFunction:
     def __post_init__(self):
         if self.kind not in _FN_KINDS:
             raise ValidationError(f"unknown function kind {self.kind!r}")
-        if self.kind == "moebius" and abs(self.a) >= 1.0:
+        if self.kind == "moebius" and not abs(self.a) < 1.0:
             raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{self.a}| = {abs(self.a)}")
+        if self.kind == "polynomial" and not np.isfinite(self.coeffs).all():
+            raise ValidationError("polynomial coefficients must be finite")
+        if self.kind == "scale" and not np.isfinite(self.factor):
+            raise ValidationError(f"symbol scale factors must be finite, got {self.factor}")
         if self.kind == "coordinate" and integer(self.index, "coordinate index") < 0:
             raise ValidationError("coordinate index must be nonnegative")
 
@@ -192,10 +199,10 @@ class KernelExpr:
     def __post_init__(self):
         if self.op not in _KERNEL_OPS:
             raise ValidationError(f"unknown kernel op {self.op!r}")
-        if self.op == "constant" and self.value < 0.0:
-            raise ValidationError("constant kernels must be nonnegative")
-        if self.op == "scale" and not self.factor > 0.0:
-            raise ValidationError("kernel scalings must be positive")
+        if self.op == "constant" and not 0.0 <= self.value < np.inf:
+            raise ValidationError(f"constant kernels must be finite and nonnegative, got {self.value}")
+        if self.op == "scale" and not 0.0 < self.factor < np.inf:
+            raise ValidationError(f"kernel scalings must be finite and positive, got {self.factor}")
         if self.op == "ball":
             object.__setattr__(self, "dim", integer(self.dim, "ball dimension"))
             if self.dim < 1:
@@ -237,11 +244,6 @@ def geom(kernel: KernelExpr) -> KernelExpr:
     return KernelExpr("geom", children=(kernel,))
 
 
-def _fail_everywhere(shape, failures: list, exc: Exception) -> np.ndarray:
-    failures.append((np.ones(shape, dtype=bool), lambda i, j: exc))
-    return np.zeros(shape, dtype=complex)
-
-
 def one_minus_norm2(P) -> np.ndarray:
     """``1 - ||p||^2`` correctly rounded for each row p of an n-by-d complex
     array (a flat array is n points of C^1).
@@ -279,100 +281,84 @@ def inside_unit_ball(P) -> np.ndarray:
     return excess < 0.0
 
 
-def _disk_block(K: KernelExpr, X, Y, failures: list) -> np.ndarray:
+def _disk_block(K: KernelExpr, X, Y) -> np.ndarray:
     """``1 / (1 - <x, y>)`` of the Szego (d = 1) or ball kernel."""
-    shape = (X.shape[0], Y.shape[0])
     if K.op == "szego":
         if X.shape[1] != 1 or Y.shape[1] != 1:
-            return _fail_everywhere(shape, failures, OutOfDomain("szego kernel lives on the unit disk of C^1"))
-        xs, ys = X[:, 0], Y[:, 0]
-
-        def error(i, j):
-            return OutOfDomain(f"szego kernel needs |z| < 1, got ({xs[i]}, {ys[j]})")
-
-    else:
-        if X.shape[1] != K.dim or Y.shape[1] != K.dim:
-            return _fail_everywhere(shape, failures, OutOfDomain(f"ball kernel expects points of dimension {K.dim}"))
-
-        def error(i, j):
-            return OutOfDomain("ball kernel needs points inside the open unit ball")
-
-    out_x = ~inside_unit_ball(X)
-    out_y = out_x if Y is X else ~inside_unit_ball(Y)  # a Gram passes one array twice
-    bad = out_x[:, None] | out_y[None, :]
-    if bad.any():
-        failures.append((bad, error))
-        # points outside are replaced by 0, so that no entry overflows or divides by zero
-        X, Y = np.where(out_x[:, None], 0.0, X), np.where(out_y[:, None], 0.0, Y)
-    out = 1.0 / (1.0 - (X[:, None, :] * np.conj(Y[None, :, :])).sum(axis=-1))
-    out[bad] = 0.0
-    return out
+            raise OutOfDomain("szego kernel lives on the unit disk of C^1")
+    elif X.shape[1] != K.dim or Y.shape[1] != K.dim:
+        raise OutOfDomain(f"ball kernel expects points of dimension {K.dim}")
+    in_x = inside_unit_ball(X)
+    in_y = in_x if Y is X else inside_unit_ball(Y)  # a Gram passes one array twice
+    if not (in_x.all() and in_y.all()):
+        if K.op == "ball":
+            raise OutOfDomain("ball kernel needs points inside the open unit ball")
+        i, j = np.argwhere(~in_x[:, None] | ~in_y[None, :])[0]
+        raise OutOfDomain(f"szego kernel needs |z| < 1, got ({X[i, 0]}, {Y[j, 0]})")
+    return 1.0 / (1.0 - (X[:, None, :] * np.conj(Y[None, :, :])).sum(axis=-1))
 
 
-def _symbol_values(fn: ClosedFormFunction, P, shape, failures: list) -> np.ndarray:
-    try:
-        return fn.eval_points(P)
-    except OutOfDomain as exc:
-        _fail_everywhere(shape, failures, exc)
-        return np.zeros(P.shape[0], dtype=complex)
-
-
-def _block_values(K: KernelExpr, X, Y, failures: list) -> np.ndarray:
+def _block_values(K: KernelExpr, X, Y) -> np.ndarray:
     """``K(X, Y)`` by broadcasting, walking the tree once in evaluation order.
 
-    A node that fails at some entries appends ``(mask, error)`` to
-    ``failures``, where ``error(i, j)`` builds the exception of entry
-    ``(i, j)``, and passes 0 up at those entries.  An entry's first record in
-    the list is therefore the error that evaluating that entry alone raises.
+    A node raises as soon as any entry of its block fails, with the error of
+    its own first failing entry; :func:`_evaluate` locates the entry that
+    fails first for the whole expression.
     """
     op = K.op
     shape = (X.shape[0], Y.shape[0])
     if op in ("szego", "ball"):
-        return _disk_block(K, X, Y, failures)
+        return _disk_block(K, X, Y)
     if op == "constant":
         return np.full(shape, complex(K.value))
     if op == "rank1":
-        wx = _symbol_values(K.fn, X, shape, failures)
-        wy = _symbol_values(K.fn, Y, shape, failures)
-        return wx[:, None] * np.conj(wy[None, :])
+        return K.fn.eval_points(X)[:, None] * np.conj(K.fn.eval_points(Y)[None, :])
     if op == "sum":
         out = np.zeros(shape, dtype=complex)
         for child in K.children:
-            out = out + _block_values(child, X, Y, failures)
+            out = out + _block_values(child, X, Y)
         return out
     if op == "scale":
-        return K.factor * _block_values(K.children[0], X, Y, failures)
+        return K.factor * _block_values(K.children[0], X, Y)
     if op == "hadamard":
-        return _block_values(K.children[0], X, Y, failures) * _block_values(K.children[1], X, Y, failures)
+        return _block_values(K.children[0], X, Y) * _block_values(K.children[1], X, Y)
     if op == "geom":
-        v = _block_values(K.children[0], X, Y, failures)
+        v = _block_values(K.children[0], X, Y)
         bad = np.abs(v) >= 1.0
-        if not bad.any():
-            return 1.0 / (1.0 - v)
-
-        def error(i, j):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             where = f"({X[i].tolist()}, {Y[j].tolist()})"
-            return GeomDiverges(f"geometric series diverges at {where}: |K| = {abs(v[i, j])}")
-
-        failures.append((bad, error))
-        return np.where(bad, 0.0, 1.0 / (1.0 - np.where(bad, 0.0, v)))
+            raise GeomDiverges(f"geometric series diverges at {where}: |K| = {abs(v[i, j])}")
+        return 1.0 / (1.0 - v)
     raise AssertionError(op)
 
 
 def _evaluate(K: KernelExpr, X, Y, upper: bool = False):
-    """``K(X, Y)`` and the first failing entry in row-major order, among the
-    entries with ``i <= j`` when ``upper``, as ``(i, j, exception)`` or None."""
-    failures = []
-    out = _block_values(K, X, Y, failures)
-    if not failures:
-        return out, None
-    bad = np.logical_or.reduce([mask for mask, _ in failures])
-    if upper:
-        bad = np.triu(bad)
-    if not bad.any():
-        return out, None
-    i, j = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
-    return out, (i, j, next(error(i, j) for mask, error in failures if mask[i, j]))
+    """``K(X, Y)`` and None, or None and the first failing entry in row-major
+    order, among the entries with ``i <= j`` when ``upper``, as ``(i, j, exception)``.
+
+    A failed block is rescanned: each row is evaluated alone, from its
+    diagonal on when ``upper``, then each entry of the first failing row, so
+    the exception is the one that entry alone raises.  An entry's value does
+    not depend on the block it is evaluated in.  When no row fails, the rows
+    make up the result: complex products may be fused, so ``K(X, X)`` need
+    not be exactly Hermitian, and an entry below the diagonal can fail alone.
+    """
+    try:
+        return _block_values(K, X, Y), None
+    except (OutOfDomain, GeomDiverges):
+        out = np.zeros((X.shape[0], Y.shape[0]), dtype=complex)
+    for i in range(X.shape[0]):
+        start = i if upper else 0
+        try:
+            out[i, start:] = _block_values(K, X[i : i + 1], Y[start:])[0]
+        except (OutOfDomain, GeomDiverges):
+            for j in range(start, Y.shape[0]):
+                try:
+                    _block_values(K, X[i : i + 1], Y[j : j + 1])
+                except (OutOfDomain, GeomDiverges) as exc:
+                    return None, (i, j, exc)
+    return out, None
 
 
 def kernel_block(K: KernelExpr, X, Y) -> np.ndarray:
@@ -380,13 +366,15 @@ def kernel_block(K: KernelExpr, X, Y) -> np.ndarray:
 
     ``X`` and ``Y`` are n-by-d and m-by-d arrays of points of C^d (a flat
     array is a list of points of C^1).  Every node of the expression is
-    evaluated once on the whole block by broadcasting.
+    evaluated once on the whole block by broadcasting; a block that fails
+    is rescanned row by row, then entry by entry, to find where.
 
     Raises:
         OutOfDomain: a point outside the open disk/ball of a built-in kernel,
             or of the wrong dimension for a kernel or symbol.
         GeomDiverges: a ``geom`` node saw an inner value of modulus >= 1.
-        The error is that of the first failing entry in row-major order.
+        The error is the one that the first failing entry in row-major
+        order raises when evaluated alone.
     """
     out, failure = _evaluate(K, _as_points(X), _as_points(Y))
     if failure:
@@ -454,8 +442,10 @@ def gram(K: KernelExpr, sample: EuclideanPointSet) -> GramMatrix:
     """Assemble the Hermitian matrix [K(x_i, x_j)] on the sample.
 
     The block is evaluated at once and its upper triangle mirrored
-    (:func:`mirror_upper`); an error names the first failing ``(i, j)`` with
-    ``i <= j`` in row-major order as ``gram entry (i,j)``.
+    (:func:`mirror_upper`).  A block that fails is rescanned row by row,
+    each row from its diagonal on, and the error names the first failing
+    ``(i, j)`` with ``i <= j`` in row-major order as ``gram entry (i,j)``;
+    an entry that fails only below the diagonal is mirrored away.
     """
     out, failure = _evaluate(K, sample.points, sample.points, upper=True)
     if failure:

@@ -14,6 +14,7 @@ import pytest
 from funcspace.errors import GeomDiverges, OutOfDomain
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
+    _KERNEL_OPS,
     ball,
     compose,
     constant,
@@ -137,6 +138,24 @@ def test_gram_matches_mpmath(name, K, sampler, n):
 
 
 @pytest.mark.parametrize("name, K, sampler", CASES, ids=[c[0] for c in CASES])
+def test_block_entries_do_not_depend_on_the_block(name, K, sampler):
+    """Every entry of ``K(X, X)`` is bit for bit the entry evaluated alone or
+    in its row, which the rescan of a failed block relies on."""
+    X = sampler(24, seed=4).points
+    block = kernel_block(K, X, X)
+    assert np.array_equal(block, np.array([[kernel_eval(K, x, y) for y in X] for x in X]))
+    for i in range(len(X)):
+        assert np.array_equal(block[i, i:], kernel_block(K, X[i : i + 1], X[i:])[0])
+
+
+def test_cases_cover_every_op():
+    def ops(K):
+        return {K.op}.union(*(ops(child) for child in K.children))
+
+    assert set().union(*(ops(K) for _, K, _ in CASES)) == set(_KERNEL_OPS)
+
+
+@pytest.mark.parametrize("name, K, sampler", CASES, ids=[c[0] for c in CASES])
 def test_block_matches_pointwise(name, K, sampler):
     X, Y = sampler(7, seed=1).points, sampler(5, seed=2).points
     block = kernel_block(K, X, Y)
@@ -200,6 +219,15 @@ ERROR_CASES = [
     ("szego_before_geom", hadamard(szego(), geom(rank_one(coordinate(0)))), [1.01, 0.3], OutOfDomain, "(0,0)"),
     ("geom_before_dimension", hadamard(geom(rank_one(polynomial([2.0]))), ball(2)), [0.1, 0.2], GeomDiverges, "(0,0)"),
     ("inside_sum", kernel_sum(constant(1.0), geom(scale(2.0, szego()))), [0.1, 0.2, -0.9, 0.6], GeomDiverges, "(0,0)"),
+    # failures deep in a 64-point sample, found by the row-then-entry rescan
+    ("szego_last_of_64", szego(), [0.01 * k for k in range(63)] + [1.5], OutOfDomain, "(0,63)"),
+    (
+        "geom_late_row_of_64",
+        geom(rank_one(coordinate(0))),
+        [0.5 * np.exp(0.1j * k) for k in range(60)] + [0.9, 0.5j, 1.2, 0.1],
+        GeomDiverges,
+        "(60,62)",
+    ),
 ]
 
 
@@ -220,3 +248,16 @@ def test_block_error_is_first_in_row_major_order():
     # (0,2) precedes (1,1) in row-major order
     with pytest.raises(GeomDiverges, match=r"\[\(0\.1\+0j\)\], \[\(11\+0j\)\]"):
         kernel_block(geom(rank_one(coordinate(0))), [0.1, 0.2], [0.5, 6.0, 11.0])
+
+
+def test_gram_skips_a_failure_below_the_diagonal():
+    """Where complex products are fused, |x1 conj(x0)| can read 1 while
+    every entry with i <= j stays below it; the Gram is then the pairwise
+    walk's, with no error."""
+    K = geom(rank_one(coordinate(0)))
+    S = EuclideanPointSet([-0.17519673956783935 + 0.984533444045858j, 0.7389298566687823 - 0.6737823587208651j])
+    assert first_failure(K, S.points) is None
+    G = gram(K, S).entries
+    x0, x1 = S.points
+    assert G[0, 1] == kernel_eval(K, x0, x1)
+    assert [G[0, 0], G[1, 1]] == [kernel_eval(K, x0, x0).real, kernel_eval(K, x1, x1).real]

@@ -183,6 +183,19 @@ class TestCoreCommands:
         result = report["result"]
         assert result["pencil_norm"] <= result["min_norm"] <= result["pencil_norm"] + 1e-9
 
+    def test_pick_solve_validates_once(self, capsys, tmp_path, monkeypatch):
+        from funcspace import hardy_pick
+
+        built = []
+        init = hardy_pick.PickProblem.__init__
+        monkeypatch.setattr(hardy_pick.PickProblem, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        nodes, values = [[0.1, 0.2], [0.5, 0], [-0.3, 0.6]], [[1, 0], [0, 0], [0.5, 0.5]]
+        path = write(tmp_path / "pick.json", {"nodes": nodes, "values": values, "bound": 0.0})
+        code, report = run_cli(capsys, ["pick-solve", "--problem", path])
+        assert code == 0 and len(built) == 1
+        solution = hardy_pick.pick_solve([complex(*z) for z in nodes], [complex(*w) for w in values])
+        assert report["result"] == solution._asdict()
+
     def test_pick_solve_non_finite_target(self, capsys, tmp_path):
         path = write(tmp_path / "nan.json", {"nodes": [[0.1, 0], [0.5, 0]], "values": [float("nan"), [0.2, 0]]})
         code, report = run_cli(capsys, ["pick-solve", "--problem", path])

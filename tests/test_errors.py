@@ -1,9 +1,12 @@
 import inspect
+import json
+import warnings
 
 import numpy as np
 import pytest
 
 from funcspace import errors
+from funcspace.cli import main
 from funcspace.errors import NumericalError, ToolkitError, ValidationError
 from funcspace.geometry import (
     MetricSpace,
@@ -15,7 +18,18 @@ from funcspace.geometry import (
     set_distance,
 )
 from funcspace.hardy_pick import PickProblem, carleson_seq, compress_square, separability_probe, toeplitz_mo
-from funcspace.kernels import ClosedFormFunction, KernelExpr, constant, hermitian_from_upper, polynomial, scale, szego
+from funcspace.kernels import (
+    ClosedFormFunction,
+    KernelExpr,
+    constant,
+    coordinate,
+    fn_scale,
+    hermitian_from_upper,
+    moebius,
+    polynomial,
+    scale,
+    szego,
+)
 from funcspace.multipliers import certify_unit_sup
 from funcspace.realization import DenseSequence, build_model, point_eval_rank, topology_probe
 from funcspace.serialize import complex_matrix_from_json, pair_to_complex
@@ -109,3 +123,55 @@ def test_real_arguments_refuse_strings_bools_and_none(call, value):
     """Refused with a ValidationError that names the value, never converted."""
     with pytest.raises(ValidationError, match=f"must be a real number, got {value!r}"):
         call(value)
+
+
+NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+
+# every real or complex parameter of a kernel or symbol node, as a call on its value
+KERNEL_PARAMETERS = {
+    "constant": lambda v: constant(v),
+    "kernel scale": lambda v: scale(v, szego()),
+    "symbol scale": lambda v: fn_scale(complex(0.5, v), coordinate()),
+    "moebius": lambda v: moebius(complex(0.0, v)),
+    "polynomial": lambda v: polynomial([1.0, complex(v, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("call", KERNEL_PARAMETERS.values(), ids=KERNEL_PARAMETERS)
+def test_kernel_parameters_refuse_non_finite_values(call, value):
+    with pytest.raises(ValidationError):
+        call(value)
+
+
+_DISK_SAMPLE = {"dim": 1, "points": [[0.1, 0.0], [0.0, 0.5]]}
+# (command, kernel, symbol): one non-finite parameter each
+NON_FINITE_INPUTS = {
+    "constant inf": ("gram", {"op": "constant", "value": float("inf")}, None),
+    "constant nan": ("gram", {"op": "constant", "value": float("nan")}, None),
+    "kernel scale inf": ("gram", {"op": "scale", "factor": float("inf"), "arg": {"op": "szego"}}, None),
+    "moebius nan": ("contraction", {"op": "szego"}, {"kind": "moebius", "a": [float("nan"), 0.0]}),
+    "polynomial inf": ("contraction", {"op": "szego"}, {"kind": "polynomial", "coeffs": [[float("inf"), 0.0]]}),
+    "symbol scale inf": (
+        "contraction",
+        {"op": "szego"},
+        {"kind": "scale", "factor": [0.0, float("inf")], "arg": {"kind": "coordinate", "index": 0}},
+    ),
+}
+
+
+@pytest.mark.parametrize("command, kernel, symbol", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS)
+def test_cli_refuses_non_finite_kernel_parameters(tmp_path, capsys, command, kernel, symbol):
+    """Exit 2 with a ValidationError, and no warning on the way."""
+    files = {"kernel": kernel, "sample": _DISK_SAMPLE, "symbol": symbol}
+    argv = [command]
+    for name, obj in files.items():
+        if obj is not None:
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+            argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["status"] == "error" and report["error"]["code"] == "ValidationError"

@@ -464,6 +464,14 @@ class TestEuclideanPointSetJson:
         assert again.labels == ("a", "b")
         assert again.dim == 2
 
+    @pytest.mark.parametrize("shape", [(2, 1), (2,)])
+    def test_caller_array_stays_writeable(self, shape):
+        pts = np.array([0.1 + 0j, 0.2 + 0j]).reshape(shape)
+        S = EuclideanPointSet(pts)
+        assert pts.flags.writeable and not S.points.flags.writeable
+        pts[0] = 0.9
+        assert S.points[0, 0] == 0.1
+
     def test_dim_one_shorthand(self):
         ps = EuclideanPointSet.from_json({"dim": 1, "points": [[0.0, 0.0], [0.5, 0.0]]})
         assert ps.points.shape == (2, 1)
