@@ -5,9 +5,10 @@ report containing the input digests, the parameters actually used, and the
 result.  A report is one line of JSON with sorted keys (``python -m
 json.tool`` indents it), written by CPython's C encoder; floats are written
 by ``float.__repr__``, so they parse back to the same values.  Reports are
-byte-identical across runs with the same inputs and seed, except for the
-``timestamp`` field.  Only commands that read a tolerance take ``--tol``,
-and their ``parameters.tol`` is the tolerance used.  Exit status: 0 on
+byte-identical across runs with the same inputs and flags, except for the
+``timestamp`` field.  A command takes only the flags it reads, and its
+``parameters`` are the tolerance, method and point cap it reads and every
+option given.  Exit status: 0 on
 success, 2 on validation errors (including malformed JSON, reported with
 line and column, and command-line usage errors), 3 on numerical errors such
 as a degenerate Gram matrix.
@@ -44,8 +45,8 @@ class Command:
     the report.  ``options`` maps each typed option to its type: ``bool`` for
     a switch, otherwise the function that parses its value.  ``required``
     names the options that must be given, and ``tuning`` commands also read
-    ``--method`` and ``--csv``.  ``tol`` is the default of ``--tol``; a command
-    that reads no tolerance declares none and takes no ``--tol``.
+    ``--method``.  ``tol`` is the default of ``--tol``; a command that reads
+    no tolerance declares none and takes no ``--tol``.
     """
 
     name: str
@@ -71,12 +72,15 @@ def command(name: str, **flags):
     return register
 
 
-# ExperimentConfig fields set from flags: every command takes the shared
-# ones, tuning commands also take the others (a tuple lists the choices), and
-# commands that declare a tolerance take --tol.
-_SHARED = {"seed": int, "max_points": int, "out": str}
-_TUNING = {"method": ("bisection", "pencil"), "csv": str}
-_TOL = {"tol": float}
+# ExperimentConfig fields set from flags, with their kinds (a tuple lists the
+# choices).  Every command takes --out, commands that read an input file take
+# --max-points, tuning commands --method, and commands with a tolerance --tol.
+_FIELDS = {"out": str, "max_points": int, "method": ("bisection", "pencil"), "tol": float}
+
+
+def _fields(cmd: Command) -> dict:
+    takes = {"out": True, "max_points": bool(cmd.files), "method": cmd.tuning, "tol": cmd.tol is not None}
+    return {name: kind for name, kind in _FIELDS.items() if takes[name]}
 
 
 def _check_kind(name: str, kind, value) -> None:
@@ -99,11 +103,9 @@ class ExperimentConfig:
     inline: dict = field(default_factory=dict)   # name -> inline JSON string
     options: dict = field(default_factory=dict)  # parsed flags
     tol: float | None = None
-    seed: int = 0
     method: str = "pencil"
     max_points: int = 64
     out: str | None = None
-    csv: str | None = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -114,17 +116,15 @@ class ExperimentConfig:
                 raise ValidationError(f"command {self.command!r} takes no option {name!r}")
             if value is not None:
                 _check_kind(name, cmd.options[name], value)
-        for name, kind in {**_SHARED, **_TUNING, **_TOL}.items():
-            if getattr(self, name) is not None:
-                _check_kind(name, kind, getattr(self, name))
-        if self.tol is not None and cmd.tol is None:
-            raise ValidationError(f"command {self.command!r} takes no --tol")
+        taken = _fields(cmd)
+        for name, kind in _FIELDS.items():
+            value = getattr(self, name)
+            if value is not None:
+                _check_kind(name, kind, value)
+            if name not in taken and value != self.__dataclass_fields__[name].default:
+                raise ValidationError(f"command {self.command!r} takes no --{name.replace('_', '-')}")
         if self.tol is not None and not self.tol > 0.0:
             raise ValidationError("tolerance must be positive")
-        if not (0 <= self.seed < 2**64):
-            raise ValidationError("seed must fit in 64 bits")
-        if not cmd.tuning and (self.method != "pencil" or self.csv is not None):
-            raise ValidationError(f"command {self.command!r} takes no --method or --csv")
 
 
 def _json_message(exc: json.JSONDecodeError) -> str:
@@ -201,6 +201,14 @@ class _Loader:
         return self.file(name, *count)
 
 
+def _rng(config: ExperimentConfig) -> np.random.Generator:
+    """The generator of a random draw, seeded by ``--seed`` (default 0)."""
+    seed = config.options.get("seed", 0)
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in 64 bits")
+    return np.random.default_rng(seed)
+
+
 def _tol(config: ExperimentConfig) -> float:
     """The tolerance in use: ``--tol``, else the command's declared default."""
     return _REGISTRY[config.command].tol if config.tol is None else config.tol
@@ -229,7 +237,7 @@ def _cmd_gram(config, loader):
     return kernels.gram(K, sample).to_json()
 
 
-@command("mult-norm", files=("kernel", "kernel2", "symbol", "sample"), tuning=True)
+@command("mult-norm", files=("kernel", "kernel2", "symbol", "sample"), options={"csv": str}, tuning=True)
 def _cmd_mult_norm(config, loader):
     K_F = kernels.kernel_from_json(loader.file("kernel"))
     second = loader.optional_file("kernel2")
@@ -237,14 +245,14 @@ def _cmd_mult_norm(config, loader):
     symbol = kernels.fn_from_json(loader.file("symbol"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
     result = multipliers.sampled_mult_norm(K_F, K_E, symbol, sample, method=config.method).to_json()
-    if config.csv:
+    if config.options.get("csv"):
         rows = ["n,sampled_norm"]
         for n in range(1, len(sample) + 1):
             prefix = geometry.EuclideanPointSet(sample.points[:n])
             sub = multipliers.sampled_mult_norm(K_F, K_E, symbol, prefix, method=config.method)
             rows.append(f"{n},{sub.sampled_norm!r}")
-        _write_text(config.csv, "\n".join(rows) + "\n")
-        result["csv"] = config.csv
+        _write_text(config.options["csv"], "\n".join(rows) + "\n")
+        result["csv"] = config.options["csv"]
     return result
 
 
@@ -292,7 +300,7 @@ def _load_model(obj, space: geometry.MetricSpace | None = None) -> realization.R
     return realization.build_model(dense, obj["depth"], policy=policy, base=base, p=obj.get("p", 2.0))
 
 
-@command("realize", files=("space", "model"), options={"depth": int, "policy": str, "order": _json_value})
+@command("realize", files=("space", "model"), options={"depth": int, "policy": str, "order": _json_value, "seed": int})
 def _cmd_realize(config, loader):
     model_obj, space = loader.optional_file("model", "space", "dist"), None
     if model_obj is None:  # build the model from the space, validating it once
@@ -300,8 +308,7 @@ def _cmd_realize(config, loader):
         depth = config.options.get("depth", max(len(space) - 2, 0))
         order = config.options.get("order")
         if order is None:
-            rng = np.random.default_rng(config.seed)
-            order = rng.permutation(len(space)).tolist()
+            order = _rng(config).permutation(len(space)).tolist()
         model_obj = {
             "space": space.to_json(),
             "order": list(order),
@@ -367,7 +374,7 @@ def _cmd_lip_dual(config, loader):
     return result
 
 
-@command("submult", files=("space", "functions"), options={"random": int})
+@command("submult", files=("space", "functions"), options={"random": int, "seed": int})
 def _cmd_submult(config, loader):
     space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
     fs_obj = loader.optional_file("functions")
@@ -379,7 +386,7 @@ def _cmd_submult(config, loader):
         raise ValidationError(f"{n_functions} functions, above --max-points {config.max_points}")
     fs = [geometry.SampledFunction.from_json(entry, space) for entry in fs_obj or ()]
     if n_random:
-        rng = np.random.default_rng(config.seed)
+        rng = _rng(config)
         for _ in range(n_random):
             vals = rng.normal(size=len(space)) + 1j * rng.normal(size=len(space))
             fs.append(geometry.SampledFunction(space, vals))
@@ -461,9 +468,8 @@ def run(config: ExperimentConfig) -> int:
         "inputs": loader.digests,
         "parameters": {
             **({"tol": _tol(config)} if cmd.tol is not None else {}),
-            "seed": config.seed,
             **({"method": config.method} if cmd.tuning else {}),
-            "max_points": config.max_points,
+            **({"max_points": config.max_points} if cmd.files else {}),
             **config.options,
         },
         "result": result,
@@ -497,8 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", metavar="PATH")
         for name in cmd.inline:
             p.add_argument(f"--{name}", metavar="JSON")
-        tuning, tol = _TUNING if cmd.tuning else {}, _TOL if cmd.tol is not None else {}
-        for name, kind in {**cmd.options, **_SHARED, **tuning, **tol}.items():
+        for name, kind in {**cmd.options, **_fields(cmd)}.items():
             flag = "--" + name.replace("_", "-")
             if kind is bool:
                 p.add_argument(flag, action="store_true", default=None)
@@ -522,7 +527,7 @@ def config_from_argv(argv) -> ExperimentConfig:
         inputs=given(cmd.files),
         inline=given(cmd.inline),
         options=given(cmd.options),
-        **given([*_SHARED, *_TUNING, *_TOL]),
+        **given(_FIELDS),
     )
 
 

@@ -324,7 +324,7 @@ def _block_values(K: KernelExpr, X, Y) -> np.ndarray:
         return _block_values(K.children[0], X, Y) * _block_values(K.children[1], X, Y)
     if op == "geom":
         v = _block_values(K.children[0], X, Y)
-        bad = np.abs(v) >= 1.0
+        bad = ~inside_unit_ball(v.reshape(-1)).reshape(shape)  # np.abs(v) can round across 1
         if bad.any():
             i, j = np.argwhere(bad)[0]
             where = f"({X[i].tolist()}, {Y[j].tolist()})"
@@ -418,24 +418,15 @@ class GramMatrix:
 
 
 def hermitian_from_upper(entry, n: int) -> np.ndarray:
-    """Fill a Hermitian matrix from an upper-triangle entry function.
-
-    Computing each pair once and mirroring the conjugate keeps the matrix
-    Hermitian to the last bit, which the PSD tolerance rule relies on.  The
-    package itself evaluates whole blocks and uses :func:`mirror_upper`;
-    this per-entry form stays for callers outside it.
-    """
+    """Fill a Hermitian matrix from an upper-triangle entry function: each pair
+    ``i <= j`` once, then :func:`mirror_upper`.  The package itself evaluates
+    whole blocks; this per-entry form stays for callers outside it."""
     n = integer(n, "matrix size")
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            v = entry(i, j)
-            out[i, j] = v
-            if i != j:
-                out[j, i] = np.conj(v)
-            else:
-                out[i, i] = complex(v.real, 0.0)
-    return out
+            out[i, j] = entry(i, j)
+    return mirror_upper(out)
 
 
 def gram(K: KernelExpr, sample: EuclideanPointSet) -> GramMatrix:
@@ -611,16 +602,18 @@ def _perron_bound(M: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_each(S: np.ndarray):
-    """Lower Cholesky factors of a stack and a mask of those that completed."""
+    """Lower Cholesky factors of a stack and a mask of those that completed;
+    after a breakdown each matrix is factored alone."""
     try:
         return np.linalg.cholesky(S), np.ones(len(S), dtype=bool)
     except np.linalg.LinAlgError:
-        if len(S) == 1:
-            return np.zeros_like(S), np.zeros(1, dtype=bool)
-        half = len(S) // 2
-        L1, ok1 = _cholesky_each(S[:half])
-        L2, ok2 = _cholesky_each(S[half:])
-        return np.concatenate([L1, L2]), np.concatenate([ok1, ok2])
+        L, ok = np.zeros_like(S), np.ones(len(S), dtype=bool)
+    for k in range(len(S)):
+        try:
+            L[k] = np.linalg.cholesky(S[k])
+        except np.linalg.LinAlgError:
+            ok[k] = False
+    return L, ok
 
 
 def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_radius: np.ndarray) -> np.ndarray:

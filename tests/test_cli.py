@@ -14,6 +14,7 @@ from funcspace import geometry, kernels, multipliers
 from funcspace.hardy_pick import carleson_seq
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+NAN = float("nan")
 
 
 def write(path, obj):
@@ -413,6 +414,27 @@ class TestReportContract:
         _, report = run_cli(capsys, argv)
         assert report["parameters"]["method"] == "pencil"
 
+    def test_parameters_echo_only_what_the_command_reads(self, capsys, inputs, tmp_path):
+        _, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]])
+        assert report["parameters"] == {"max_points": 64}
+        _, report = run_cli(capsys, ["carleson-probe", "--m", "2"])
+        assert report["parameters"] == {"tol": 1e-9, "m": 2}
+        _, report = run_cli(capsys, ["ardy-check", "--poly", "[2]"])
+        assert report["parameters"] == {}
+        argv = ["mult-norm", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", inputs["s2"]]
+        _, report = run_cli(capsys, argv + ["--csv", str(tmp_path / "curve.csv")])
+        assert report["parameters"] == {"method": "pencil", "max_points": 64, "csv": str(tmp_path / "curve.csv")}
+        _, report = run_cli(capsys, ["submult", "--space", inputs["interval"], "--random", "2", "--seed", "7"])
+        assert report["parameters"] == {"max_points": 64, "random": 2, "seed": 7}
+
+    def test_seed_defaults_to_zero(self, capsys, inputs):
+        argv = ["realize", "--space", inputs["interval"]]
+        _, unseeded = run_cli(capsys, argv)
+        _, seeded = run_cli(capsys, argv + ["--seed", "0"])
+        assert "seed" not in unseeded["parameters"] and seeded["parameters"]["seed"] == 0
+        assert unseeded["result"] == seeded["result"]
+        assert unseeded["result"]["model"]["order"] == np.random.default_rng(0).permutation(5).tolist()
+
     def test_commands_that_read_a_tolerance_report_it(self, capsys, inputs):
         defaults = {name: cmd.tol for name, cmd in cli._REGISTRY.items() if cmd.tol is not None}
         assert defaults == {
@@ -589,6 +611,46 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"] == {"code": "ValidationError", "message": message}
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["lip-dual", "--x", "0", "--space", {"dist": [[0.0, 1.0]]}], "ValidationError", "must be square"),
+            (["lip-dual", "--x", "0", "--space", {"dist": [[0.0, NAN], [NAN, 0.0]]}], "ValidationError", "must be finite"),
+            (["lip-dual", "--x", "0", "--space", {"dist": [[0.0, 0.0], [0.0, 0.0]]}], "ValidationError",
+             "distinct points must have positive distance"),
+            (["lip-dual", "--x", "0", "--space", {"dist": [[0.0, 1.0], [1.0, 0.0]], "labels": ["a"]}], "ValidationError",
+             "labels length must equal point count"),
+            (["gram", "--kernel", {"op": "szego"}, "--sample", {"dim": 2, "points": [[[0.1, 0], [0.2, 0]]]}],
+             "OutOfDomain", "unit disk of C^1"),
+            (["gram", "--sample", "s2", "--kernel", {"op": "ball", "dim": 0}], "ValidationError", "ball dimension"),
+            (["gram", "--sample", "s2", "--kernel", {"op": "sum", "terms": []}], "ValidationError", "at least one term"),
+            (["psd-check", "--matrix", {"re": [[1.0, 0.0]]}], "ValidationError", "nonempty square matrix"),
+            (["psd-check", "--matrix", {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0]]}], "ValidationError",
+             "identical shapes"),
+            (["pick-solve", "--problem", {"nodes": [[0, 0], [0.5, 0]], "values": [[0, 0]]}], "ValidationError",
+             "equally many"),
+            (["pick-solve", "--problem", {"nodes": [[0, 0]], "values": [[0, 0]], "bound": -1.0}], "ValidationError",
+             "norm bound must be finite and nonnegative"),
+            (["detect-mo", "--sample", "s2", "--matrix", {"re": [[1.0, 0.0]]}], "ValidationError", "square matrix"),
+            (["detect-mo", "--matrix", {"re": [[1.0]]}, "--sample", {"dim": 2, "points": [[[0.1, 0], [0.2, 0]]] * 2}],
+             "ValidationError", "at least 2 points in the disk"),
+            (["submult", "--space", "interval"], "ValidationError", "provide --functions or --random N"),
+            (["realize", "--space", "interval", "--seed", "-1"], "ValidationError", "seed must fit in 64 bits"),
+            (["realize", "--space", "interval", "--seed", str(2**64)], "ValidationError", "seed must fit in 64 bits"),
+        ],
+    )
+    def test_validation_branches_exit_2(self, capsys, tmp_path, inputs, argv, code, message):
+        """An object in argv is written to a file; a name is one of the inputs."""
+        argv = [
+            write(tmp_path / f"arg{k}.json", arg) if isinstance(arg, dict) else inputs.get(arg, arg)
+            for k, arg in enumerate(argv)
+        ]
+        exit_code, report = run_cli(capsys, argv)
+        assert exit_code == 2, report
+        assert report["status"] == "error"
+        assert report["error"]["code"] == code
+        assert message in report["error"]["message"]
+
     def test_distinct_error_codes(self, capsys, tmp_path, inputs):
         seen = set()
         bad_matrix = write(tmp_path / "nh.json", {"re": [[1.0, 2.0], [0.0, 1.0]], "im": [[0, 0], [0, 0]]})
@@ -616,6 +678,10 @@ class TestParserErrors:
             # no prefix matching: another command's flag is not --max-points
             (["gram", "--kernel", "k.json", "--sample", "s.json", "--m", "1"], "unrecognized arguments: --m 1"),
             (["carleson-probe", "--m", "3", "--max", "1"], "unrecognized arguments: --max 1"),
+            # --seed and --max-points only where a command reads them
+            (["gram", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["carleson-probe", "--m", "3", "--max-points", "8"], "unrecognized arguments: --max-points 8"),
+            (["ardy-check", "--poly", "[0, 1]", "--seed", "1"], "unrecognized arguments: --seed 1"),
         ],
     )
     def test_usage_error_is_a_json_report(self, capsys, argv, needle):
@@ -627,6 +693,18 @@ class TestParserErrors:
         assert report["status"] == "error"
         assert report["error"]["code"] == "ValidationError"
         assert needle in report["error"]["message"]
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        subparsers = next(action for action in cli._build_parser()._actions if action.dest == "command")
+        flags = {
+            name: [flag for action in parser._actions for flag in action.option_strings if flag not in ("-h", "--help")]
+            for name, parser in subparsers.choices.items()
+        }
+        assert sum(map(len, flags.values())) == 87
+        assert {name for name, taken in flags.items() if "--seed" in taken} == {"realize", "submult"}
+        assert {name for name, taken in flags.items() if "--csv" in taken} == {"mult-norm"}
+        assert {name for name, taken in flags.items() if "--max-points" not in taken} == {"carleson-probe", "ardy-check"}
+        assert all(bool(cli._REGISTRY[name].files) == ("--max-points" in taken) for name, taken in flags.items())
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -728,22 +806,25 @@ class TestConfigObject:
     def test_method_and_csv_belong_to_mult_norm(self):
         with pytest.raises(ValidationError, match="takes no --method"):
             ExperimentConfig("gram", method="bisection")
-        with pytest.raises(ValidationError, match="takes no --method"):
-            ExperimentConfig("lip-dual", csv="curve.csv")
-        assert ExperimentConfig("mult-norm", method="bisection", csv="curve.csv").method == "bisection"
+        with pytest.raises(ValidationError, match="takes no option 'csv'"):
+            ExperimentConfig("lip-dual", options={"csv": "curve.csv"})
+        assert ExperimentConfig("mult-norm", method="bisection", options={"csv": "curve.csv"}).method == "bisection"
 
     @pytest.mark.parametrize("name", COMMANDS)
     def test_options_meet_the_declared_kinds(self, name):
-        """In process, as from argv: an int option, seed or max_points is never
-        truncated from a float or a bool, and an undeclared option is refused."""
+        """In process, as from argv: an int option (``seed`` among them) or
+        max_points is never truncated from a float or a bool, max_points is
+        refused where no input file is read, and an undeclared option is refused."""
         cmd = cli._REGISTRY[name]
         for option in [option for option, kind in cmd.options.items() if kind is int]:
             for value in (1.5, True):
                 with pytest.raises(ValidationError, match=f"--{option} must be an integer, got {value!r}"):
                     ExperimentConfig(name, options={option: value})
-        for field in ("seed", "max_points"):
-            with pytest.raises(ValidationError, match="must be an integer"):
-                ExperimentConfig(name, **{field: 2.5})
+        with pytest.raises(ValidationError, match="must be an integer"):
+            ExperimentConfig(name, max_points=2.5)
+        if not cmd.files:
+            with pytest.raises(ValidationError, match="takes no --max-points"):
+                ExperimentConfig(name, max_points=8)
         with pytest.raises(ValidationError, match="takes no option 'bogus'"):
             ExperimentConfig(name, options={"bogus": 1})
 

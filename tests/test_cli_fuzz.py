@@ -1,7 +1,8 @@
 """Fuzz of the CLI boundary: every argv ends in exit 0, 2 or 3 with one JSON report.
 
 For each command, argv is drawn from the flags its registry entry declares,
-the shared flags, and stray flags of other commands.  File flags take
+the config flags it takes (``--out``, and ``--max-points``, ``--method`` and
+``--tol`` where it reads them), and stray flags of other commands.  File flags take
 fixtures that are valid, malformed, of the wrong JSON type, missing, or
 valid but for one integer field set to ``1.5`` or ``true`` or one real field
 set to ``true``, ``"0.5"`` or ``null``; numeric flags
@@ -110,17 +111,18 @@ INLINE_VALID = {
 INLINE_BROKEN = ["[[1, 2, 3]]", "5", "[", "null", "{}", '"x"', "[]", "[NaN]", "[1e308, 1e308]", "[0, 9]", "[-1]", "[true]"]
 
 REGISTRY = cli._REGISTRY
-SHARED = {"tol": float, "seed": int, "max_points": int, "out": "output"}
-TUNING = {"method": ("bisection", "pencil", "newton"), "csv": "output"}
+# the flags set from ExperimentConfig fields
+FIELDS = {"tol": float, "max_points": int, "out": "output", "method": ("bisection", "pencil", "newton")}
 
 
 def _kinds():
     """Every flag any command declares, with the kind of value it takes."""
-    kinds = {"bogus": str, **SHARED, **TUNING}
+    kinds = {"bogus": str, **FIELDS}
     for cmd in REGISTRY.values():
         kinds.update({name: "file" for name in cmd.files})
         kinds.update({name: "inline" for name in cmd.inline})
         kinds.update(cmd.options)
+    kinds["csv"] = "output"  # a path that mult-norm writes, as --out is
     return kinds
 
 
@@ -161,13 +163,13 @@ def _value(name, kind):
 @st.composite
 def argvs(draw, name):
     """Flags and values for one command: each declared flag four times in
-    five, up to two shared flags, and now and then a flag of another command."""
+    five, up to two of its config flags, and now and then a flag it does not take."""
     cmd = REGISTRY[name]
     own = [*cmd.files, *cmd.inline, *cmd.options]
-    shared = [*SHARED, *(TUNING if cmd.tuning else ())]
-    stray = sorted(set(KINDS) - set(own) - set(shared))
+    fields = [*cli._fields(cmd)]
+    stray = sorted(set(KINDS) - set(own) - set(fields))
     flags = [flag for flag in own if draw(st.integers(0, 4))]
-    flags += draw(st.lists(st.sampled_from(shared), max_size=2))
+    flags += draw(st.lists(st.sampled_from(fields), max_size=2))
     if not draw(st.integers(0, 3)):
         flags.append(draw(st.sampled_from(stray)))
     return [(flag, draw(_value(flag, KINDS[flag]))) for flag in draw(st.permutations(flags))]

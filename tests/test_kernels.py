@@ -10,6 +10,7 @@ from funcspace.errors import DegenerateGram, GeomDiverges, NotHermitian, OutOfDo
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
     GramMatrix,
+    _cholesky_each,
     ball,
     certify_pencil_norms,
     compose,
@@ -25,6 +26,7 @@ from funcspace.kernels import (
     geom,
     gram,
     hadamard,
+    hermitian_from_upper,
     inside_unit_ball,
     kernel_eval,
     kernel_from_json,
@@ -145,6 +147,16 @@ class TestKernelEval:
         K = geom(rank_one(polynomial([2.0])))
         with pytest.raises(GeomDiverges):
             kernel_eval(K, 0.1, 0.1)
+
+    def test_geom_converges_where_abs_rounds_to_one(self):
+        # np.abs reads the block entry x1 conj(x0) as 1.0, but 1 - |x1 conj(x0)|^2 is +3.9e-16
+        x0 = -0.17519673956783935 + 0.984533444045858j
+        x1 = 0.7389298566687823 - 0.6737823587208651j
+        v = x1 * np.conj(x0)
+        assert one_minus_norm2([v])[0] > 0.0
+        assert kernel_eval(geom(rank_one(coordinate(0))), x1, x0) == pytest.approx(1.0 / (1.0 - v), rel=1e-15)
+        with pytest.raises(GeomDiverges):
+            kernel_eval(geom(scale(1.0 + 2.0**-52, rank_one(coordinate(0)))), x1, x0)
 
     def test_constant_negative_rejected(self):
         with pytest.raises(ValidationError):
@@ -436,6 +448,17 @@ class TestMirrorUpper:
         assert H.dtype == float
         assert np.array_equal(H, [[1.0, 2.0], [2.0, 3.0]])
 
+    def test_hermitian_from_upper_reads_each_pair_once(self):
+        M = np.random.default_rng(41).normal(size=(4, 4, 2)) @ [1.0, 1.0j]
+        calls = []
+
+        def entry(i, j):
+            calls.append((i, j))
+            return M[i, j]
+
+        assert np.array_equal(hermitian_from_upper(entry, 4), mirror_upper(M))
+        assert calls == [(i, j) for i in range(4) for j in range(i, 4)]
+
 
 def lower_factors():
     """Complex Cholesky factors and graded real lower triangular matrices."""
@@ -489,6 +512,17 @@ class TestPencilNorms:
 
 
 class TestCertifyPencilNorms:
+    def test_cholesky_each_factors_around_a_breakdown(self):
+        rng = np.random.default_rng(44)
+        X = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        S = X @ np.conj(np.swapaxes(X, -1, -2)) + np.eye(5)
+        eig = np.linalg.eigvalsh(S[1])
+        S[1] -= (eig[1] + eig[2]) / 2 * np.eye(5)  # indefinite
+        L, ok = _cholesky_each(S)
+        assert ok.tolist() == [True, False, True]
+        for k in (0, 2):
+            assert np.array_equal(L[k], np.linalg.cholesky(S[k]))
+
     def test_certified_bound_is_above_and_close(self):
         rng = np.random.default_rng(42)
         n = 6
