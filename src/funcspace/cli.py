@@ -2,16 +2,19 @@
 
 Every command reads JSON inputs, dispatches to one core module, and writes a
 report containing the input digests, the parameters actually used, and the
-result.  A report is one line of JSON with sorted keys (``python -m
-json.tool`` indents it), written by CPython's C encoder; floats are written
-by ``float.__repr__``, so they parse back to the same values.  Reports are
-byte-identical across runs with the same inputs and flags, except for the
-``timestamp`` field.  A command takes only the flags it reads, and its
-``parameters`` are the tolerance, method and point cap it reads and every
-option given.  Exit status: 0 on
-success, 2 on validation errors (including malformed JSON, reported with
-line and column, and command-line usage errors), 3 on numerical errors such
-as a degenerate Gram matrix.
+result.  A report is one compact ASCII line of JSON with sorted keys
+(``python -m json.tool`` indents it).  orjson reads the inputs and writes
+the reports; where it cannot read or write a document exactly as the stdlib
+``json`` does, ``json`` does it instead (see :func:`_loads` and
+:func:`_encode`), so floats parse back to the same values and malformed
+JSON is reported as before.  The one difference: an integer literal beyond
+the 64-bit range is read as a float.  Reports are byte-identical across runs
+with the same inputs and flags, except for the ``timestamp`` field.  A
+command takes only the flags it reads, and its ``parameters`` are the
+tolerance, method and point cap it reads and every option given.  Exit
+status: 0 on success, 2 on validation errors (including malformed JSON,
+reported with line and column, and command-line usage errors), 3 on
+numerical errors such as a degenerate Gram matrix.
 
 Each command is declared once, by the :func:`command` decorator on its
 handler; the parser, the routing of parsed flags and the dispatch in
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -30,6 +34,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+import orjson
 
 from . import geometry, hardy_pick, kernels, multipliers, realization
 from .errors import NumericalError, ToolkitError, ValidationError
@@ -131,6 +136,21 @@ def _json_message(exc: json.JSONDecodeError) -> str:
     return f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
 
 
+def _loads(raw):
+    """Parse JSON ``raw`` (UTF-8 bytes or text) as the stdlib ``json`` does.
+
+    orjson reads every document it accepts to the value ``json.loads`` gives,
+    except an integer outside the signed and unsigned 64-bit range, which it
+    reads as a float.  What orjson refuses (``NaN``, ``Infinity`` and
+    overflowing literals, lone surrogates, text that is not UTF-8, malformed
+    JSON) goes to ``json.loads``, which accepts it or raises today's errors.
+    """
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+
+
 def _load_json_file(path: str):
     try:
         with open(path, "rb") as fh:
@@ -138,7 +158,7 @@ def _load_json_file(path: str):
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+        return _loads(raw), hashlib.sha256(raw).hexdigest()
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: {_json_message(exc)}") from None
 
@@ -154,7 +174,7 @@ def _write_text(path: str, text: str) -> None:
 def _json_value(text: str):
     """Option type of a JSON-valued option such as ``--order``."""
     try:
-        return json.loads(text)
+        return _loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(_json_message(exc)) from None
 
@@ -191,7 +211,7 @@ class _Loader:
             raise ValidationError(f"command {self.config.command!r} requires --{name}")
         self.digests[name] = {"inline": True, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
         try:
-            return json.loads(text)
+            return _loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"--{name}: {_json_message(exc)}") from None
 
@@ -214,10 +234,38 @@ def _tol(config: ExperimentConfig) -> float:
     return _REGISTRY[config.command].tol if config.tol is None else config.tol
 
 
+def _finite(obj) -> bool:
+    """Whether ``obj`` holds no NaN or infinite float, which orjson writes as ``null``.
+
+    A flat list of numbers is checked in one call; anything else it holds
+    makes ``math.isfinite`` raise, and the list is walked item by item.
+    """
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        try:
+            return all(map(math.isfinite, obj))
+        except (TypeError, OverflowError):
+            return all(map(_finite, obj))
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
 def _encode(report: dict) -> str:
-    """One-line JSON with sorted keys.  Without an indent CPython's C encoder
-    does the work; floats are written by ``float.__repr__`` either way."""
-    return json.dumps(report, sort_keys=True)
+    """One compact ASCII line of JSON with sorted keys.
+
+    orjson writes it unless it cannot write ``report`` exactly: it refuses
+    integers beyond 64 bits and non-``str`` keys, writes non-ASCII text
+    unescaped and NaN and infinities as ``null``.  Then the stdlib writes it,
+    with ``NaN``/``Infinity`` literals and ``\\u`` escapes.  Either way the
+    line parses to the same value, and floats to the same bits.
+    """
+    try:
+        text = orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode()
+    except TypeError:
+        text = None
+    if text is not None and text.isascii() and _finite(report):
+        return text
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 # --- handlers ---------------------------------------------------------------
@@ -302,6 +350,10 @@ def _load_model(obj, space: geometry.MetricSpace | None = None) -> realization.R
 
 @command("realize", files=("space", "model"), options={"depth": int, "policy": str, "order": _json_value, "seed": int})
 def _cmd_realize(config, loader):
+    if config.inputs.get("model") is not None:
+        for name in ("depth", "policy", "order", "seed"):
+            if config.options.get(name) is not None:
+                raise ValidationError(f"realize --model takes no --{name}: the model file fixes it")
     model_obj, space = loader.optional_file("model", "space", "dist"), None
     if model_obj is None:  # build the model from the space, validating it once
         space = geometry.MetricSpace.from_json(loader.file("space", "dist"))

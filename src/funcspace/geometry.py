@@ -12,6 +12,7 @@ maximizes over the whole unit ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,12 @@ import numpy as np
 from .errors import (
     DegenerateSpace,
     EmptySet,
+    Overflow,
     SamePoint,
     ValidationError,
     ZeroFunction,
 )
-from .serialize import complex_vector_from_json, complex_vector_to_json, integer, pair_to_complex, real
+from .serialize import complex_vector_from_json, complex_vector_to_json, integer, pair_to_complex, real, real_matrix
 
 
 #: Least element budget of the triangle check's temporary: up to n = 256, where
@@ -215,7 +217,7 @@ class MetricSpace:
         if not isinstance(obj, dict) or "dist" not in obj:
             raise ValidationError('metric space JSON must contain a "dist" matrix')
         return cls(
-            np.asarray(obj["dist"], dtype=float),
+            real_matrix(obj["dist"], "dist"),
             labels=obj.get("labels"),
             base=obj.get("base", 0),
             triangle_tol=obj.get("triangle_tol", 0.0),
@@ -309,7 +311,7 @@ def lip_norm(f: SampledFunction) -> float:
     space = f.space
     if not isinstance(space, MetricSpace):
         raise ValidationError("lip_norm needs a MetricSpace with a base point")
-    return dil(f) + abs(f.values[space.base])
+    return dil(f) + float(abs(f.values[space.base]))
 
 
 def lip_point_norm(space: MetricSpace, x: int) -> float:
@@ -404,20 +406,29 @@ def submult_ratio(space: MetricSpace, fs) -> tuple:
     ``max_ratio = max lip_norm(f g) / (lip_norm(f) lip_norm(g))`` and
     ``bound = 2 max(1, diam) + 1``; the ratio never exceeds the bound, so a
     rescaled norm is submultiplicative on the sampled algebra.
+
+    Raises:
+        Overflow: a norm, a product's norm or a ratio is not finite.
     """
     fs = list(fs)
     if not fs:
         raise EmptySet("need at least one function")
-    norms = []
-    for f in fs:
-        nf = lip_norm(f)
-        if nf == 0.0:
-            raise ZeroFunction("submultiplicativity ratio undefined for the zero function")
-        norms.append(nf)
-    max_ratio = 0.0
-    for i in range(len(fs)):
-        for j in range(i, len(fs)):
-            ratio = lip_norm(fs[i] * fs[j]) / (norms[i] * norms[j])
-            max_ratio = max(max_ratio, ratio)
+    # overflow is reported as Overflow below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = []
+        for f in fs:
+            nf = lip_norm(f)
+            if nf == 0.0:
+                raise ZeroFunction("submultiplicativity ratio undefined for the zero function")
+            if not math.isfinite(nf):
+                raise Overflow("a Lipschitz norm overflows float64")
+            norms.append(nf)
+        max_ratio = 0.0
+        for i in range(len(fs)):
+            for j in range(i, len(fs)):
+                ratio = lip_norm(fs[i] * fs[j]) / (norms[i] * norms[j])
+                if not math.isfinite(ratio):
+                    raise Overflow(f"the norm ratio of functions {i} and {j} overflows float64")
+                max_ratio = max(max_ratio, ratio)
     bound = 2.0 * max(1.0, space.diameter) + 1.0
     return max_ratio, bound

@@ -4,7 +4,8 @@ Complex numbers travel as ``[re, im]`` pairs; complex matrices as a pair of
 real matrices under the keys ``"re"`` and ``"im"``.  Real inputs are accepted
 wherever a complex value is expected.  Every index, count and dimension that
 enters the package, from JSON, argv or a caller, passes :func:`integer`, and
-every real scalar passes :func:`real`.
+every real scalar passes :func:`real`; a real matrix read from JSON passes
+:func:`real_matrix`.
 """
 
 from __future__ import annotations
@@ -65,19 +66,28 @@ def complex_matrix_to_json(mat) -> dict:
     return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
-def _real_matrix(rows, key: str) -> np.ndarray:
-    """A nested list of JSON numbers as a float array; ``true``, numeric
-    strings and ``null`` are refused, which ``np.asarray`` would convert."""
-    for value in np.asarray(rows, dtype=object).flat:
-        real(value, f'an entry of "{key}"')
+_NUMBERS = {float, int}
+
+
+def real_matrix(rows, key: str) -> np.ndarray:
+    """A list of rows of JSON numbers as a float array.
+
+    ``true``, numeric strings and ``null`` are refused, which ``np.asarray``
+    would convert; the message names the first of them in row-major order.
+    Each row is scanned by the types it holds, one set per row.
+    """
+    if not (isinstance(rows, list) and all(type(row) is list and set(map(type, row)) <= _NUMBERS for row in rows)):
+        for row in rows if isinstance(rows, list) else (rows,):
+            for value in row if isinstance(row, list) else (row,):
+                real(value, f'an entry of "{key}"')
     return np.asarray(rows, dtype=float)
 
 
 def complex_matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValidationError('expected a matrix object with "re" (and optional "im") keys')
-    re = _real_matrix(obj["re"], "re")
-    im = _real_matrix(obj["im"], "im") if "im" in obj else np.zeros_like(re)
+    re = real_matrix(obj["re"], "re")
+    im = real_matrix(obj["im"], "im") if "im" in obj else np.zeros_like(re)
     if re.shape != im.shape:
         raise ValidationError('"re" and "im" matrices must have identical shapes')
     return re + 1j * im

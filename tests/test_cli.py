@@ -329,6 +329,17 @@ class TestRealizationCommands:
         assert code == 0
         assert calls == [5]
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--depth", "0"), ("--policy", "zzz"), ("--order", "[0, 1, 2, 3, 4]"), ("--seed", "-5")]
+    )
+    def test_realize_model_refuses_options_it_would_not_read(self, capsys, inputs, flag, value):
+        code, report = run_cli(capsys, ["realize", "--model", inputs["model"], flag, value])
+        assert code == 2
+        assert report["error"] == {
+            "code": "ValidationError",
+            "message": f"realize --model takes no {flag}: the model file fixes it",
+        }
+
     def test_realize_decides_independence_at_depth_n_minus_one(self, capsys, inputs):
         code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--depth", "4"])
         assert code == 0
@@ -355,6 +366,15 @@ class TestGeometryCommands:
         )
         assert code == 0
         assert report["result"]["max_ratio"] <= report["result"]["bound"]
+
+    def test_submult_overflow_exits_3(self, capsys, tmp_path):
+        space = write(tmp_path / "two.json", {"dist": [[0, 1], [1, 0]]})
+        functions = write(tmp_path / "fs.json", [{"values": [[1e200, 0], [1, 0]]}, {"values": [[1e200, 0], [2, 0]]}])
+        code = main(["submult", "--space", space, "--functions", functions])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["code"] == "Overflow"
 
     def test_submult_counts_functions_against_max_points(self, capsys, inputs, tmp_path):
         functions = write(tmp_path / "fs.json", [{"values": [1, 2, 3, 4, 5]}, {"values": [0, 1, 0, 1, 0]}])
@@ -470,12 +490,12 @@ class TestReportContract:
         with pytest.raises(ValidationError, match="takes no --tol"):
             ExperimentConfig(name, tol=1e-6)
 
-    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
-    def test_reports_use_the_c_encoder(self, capsys, tmp_path, monkeypatch):
-        def pure_python_encoder(*args, **kwargs):
-            raise AssertionError("the pure-Python JSON encoder ran")
-
-        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    def test_reports_are_compact_sorted_ascii_lines(self, capsys, tmp_path, monkeypatch):
+        """Each report is one compact ASCII line with sorted keys that parses
+        to the value the stdlib writes for the same report, floats bit for bit."""
+        written = []
+        encode = cli._encode
+        monkeypatch.setattr(cli, "_encode", lambda report: written.append(report) or encode(report))
         points = [[0.5 * np.cos(k), 0.5 * np.sin(k)] for k in range(48)]
         kernel = write(tmp_path / "szego.json", {"op": "szego"})
         sample = write(tmp_path / "s48.json", {"dim": 1, "points": points})
@@ -485,14 +505,45 @@ class TestReportContract:
             out = capsys.readouterr().out
             assert code == 0, out
             assert out.count("\n") == 1 and out.endswith("\n")
+            assert out.isascii() and " " not in out
             report = json.loads(out)
             assert report["status"] == "ok"
-            assert out == json.dumps(report, sort_keys=True) + "\n"
+            assert repr(report) == repr(json.loads(json.dumps(written[-1], sort_keys=True)))
+            assert _keys_sorted(report)
         assert len(report["result"]["model"]["space"]["dist"]) == 48
         code = main(["gram", "--bogus"])
         out = capsys.readouterr().out
         assert code == 2
-        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, literal",
+        [
+            (["carleson-probe", "--m", "3", "--start", "nan"], '"start":NaN'),
+            (["carleson-probe", "--m", "3", "--start", "inf"], '"start":Infinity'),
+            (["realize", "--space", "absent.json", "--seed", str(2**64)], f'"seed":{2**64}'),
+            (["gram", "--sample", "s2", "--kernel", "caf\u00e9"], "caf\\u00e9"),
+        ],
+        ids=["nan", "inf", "int-beyond-64-bits", "non-ascii-path"],
+    )
+    def test_reports_orjson_cannot_write_exactly_fall_back_to_the_stdlib(self, capsys, inputs, argv, literal):
+        """NaN and infinities, which orjson writes as null, integers beyond 64
+        bits and non-ASCII text are written by the stdlib encoder."""
+        argv = [inputs.get(arg, arg) for arg in argv]
+        if argv[-1] == "caf\u00e9":
+            argv[-1] = write(inputs["tmp"] / "caf\u00e9.json", {"op": "szego"})
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+        assert literal in out
+
+    def test_integer_beyond_64_bits_is_read_as_a_float(self, capsys, tmp_path):
+        """orjson reads such a literal as a float, so it is refused as not an integer."""
+        space = tmp_path / "space.json"
+        space.write_text('{"dist": [[0, 1], [1, 0]], "base": 18446744073709551616}')
+        code, report = run_cli(capsys, ["lip-dual", "--space", str(space), "--x", "0"])
+        assert code == 2
+        assert report["error"]["message"] == "base index must be an integer, got 1.8446744073709552e+19"
 
     def test_input_digests_recorded(self, capsys, inputs):
         _, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]])
@@ -552,6 +603,16 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"]["code"] == "ValidationError"
         assert "must be a real number" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "dist, entry", [([[0, True], ["1", 0]], "True"), ([[0, "1"], [True, 0]], "'1'"), ([[0, 1], [None, 0]], "None")]
+    )
+    def test_distances_refuse_non_number_entries(self, capsys, tmp_path, dist, entry):
+        """The message names the first such entry in row-major order."""
+        space = write(tmp_path / "space.json", {"dist": dist})
+        code, report = run_cli(capsys, ["lip-dual", "--space", space, "--x", "0"])
+        assert code == 2
+        assert report["error"]["message"] == f'an entry of "dist" must be a real number, got {entry}'
 
     def test_missing_input_flag(self, capsys, inputs):
         code, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"]])
@@ -742,6 +803,12 @@ class TestPolyParsing:
         code, report = run_cli(capsys, ["ardy-check", "--poly", "[[2, 0], 0]"])
         assert code == 0
         assert report["result"] == {"is_multiplier": True}
+
+
+def _keys_sorted(obj):
+    if isinstance(obj, dict):
+        return list(obj) == sorted(obj) and all(map(_keys_sorted, obj.values()))
+    return not isinstance(obj, list) or all(map(_keys_sorted, obj))
 
 
 def _line_space(n):

@@ -70,6 +70,8 @@ REAL_FIELDS = [
     ("problem", 0, ("values", 1, 0)),
     ("problem", 0, ("bound",)),
     ("model", 1, ("p",)),
+    ("space", 0, ("dist", 0, 1)),
+    ("model", 0, ("space", "dist", 1, 0)),
 ]
 
 
