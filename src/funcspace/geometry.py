@@ -28,9 +28,10 @@ from .errors import (
 from .serialize import complex_vector_from_json, complex_vector_to_json, integer, pair_to_complex, real, real_matrix
 
 
-#: Least element budget of the triangle check's temporary: up to n = 256, where
-#: n(n-1) is smaller, it reduces several rows per broadcast instead of one.
-_TRIANGLE_BLOCK_ELEMENTS = 1 << 16
+#: From this many points on, the triangle check loops over diagonal offsets;
+#: below it, one broadcast over the whole matrix is faster (the crossover
+#: measured on one core lies between 32 and 40 points).
+_OFFSET_LOOP_FROM = 36
 
 
 def _worst_triangle_slack(dist: np.ndarray) -> float:
@@ -38,27 +39,45 @@ def _worst_triangle_slack(dist: np.ndarray) -> float:
 
     ``dist`` must already be checked symmetric and nonnegative.  Then the
     slack of ``(i, k)`` equals that of ``(k, i)``, since ``fl(a + b)`` is
-    commutative, and a pair ``(i, i)`` has slack 0, so it suffices to visit
-    the pairs with ``i < k``.  A block of consecutive rows ``i`` in
-    ``[a, a + b)`` is reduced against the rows ``k > a`` in one broadcast:
-    ``best[i, k] = min_j fl(d[k,j] + d[i,j])`` along the contiguous axis of a
-    ``b x (n-1-a) x n`` temporary of at most ``max(n(n-1), 2^16)`` elements.
-    The pairs ``a < k <= i`` it adds repeat pairs of the same block or have
-    slack 0.  Rounding is monotone, so ``fl(d[i,k] - best[i,k])`` is the
-    largest slack over j bit for bit, as the full n^3 slack tensor would give
-    it.
+    commutative, and a pair ``(i, i)`` has slack 0, so it suffices to take
+    ``fl(d[i,k] - min_j fl(d[i,j] + d[k,j]))`` over the pairs ``i < k``.
+    Rounding is monotone, so that is the largest slack over j bit for bit, as
+    the full n^3 slack tensor would give it.
+
+    Below ``_OFFSET_LOOP_FROM`` points one broadcast reduces the rows
+    ``i < n-1`` against the rows ``k >= 1``, in a temporary of
+    ``(n-1)^2 n < 2^16`` elements; the pairs ``k <= i`` it adds repeat a
+    pair or have slack 0.  From there on, the pairs are visited by diagonal
+    offset ``s``: the pairs ``(i, i+s)`` are rows ``i`` and ``i+s``, so their
+    sums are one contiguous add of ``dist[:n-s]`` and ``dist[s:]``.  Offsets
+    ``s`` and ``n+1-s`` share one pass of ``n-1`` pairs: ``flat[s::n+1]``
+    runs down superdiagonal ``s`` and wraps onto subdiagonal ``n+1-s``, which
+    symmetry makes equal to the superdiagonal, and row ``t`` of an
+    ``(n-1) x n`` buffer holds the sums of the pair of its t-th entry.
+    ``np.minimum.reduceat`` over the row starts gives each pair's minimum,
+    the entries of ``flat[s::n+1]`` minus those minima are the slacks, and a
+    running maximum of length ``n-1`` folds them.  The buffer and three
+    vectors of length ``n-1`` are all the memory it takes (and a copy of a
+    ``dist`` that is not C-contiguous, for ``ravel``).
     """
     n = dist.shape[0]
-    budget = max(n * (n - 1), _TRIANGLE_BLOCK_ELEMENTS)
-    worst = 0.0
-    a = 0
-    while a < n - 1:
-        rest = dist[a + 1 :]
-        b = min(n - 1 - a, budget // rest.size)
-        best = (dist[a : a + b, None, :] + rest).min(axis=2)
-        worst = max(worst, float((dist[a : a + b, a + 1 :] - best).max()))
-        a += b
-    return worst
+    if n < 2:
+        return 0.0
+    if n < _OFFSET_LOOP_FROM:
+        best = (dist[:-1, None, :] + dist[1:]).min(axis=2)  # best[i, k-1] for the pair (i, k)
+        return float((dist[:-1, 1:] - best).max())
+    flat = dist.ravel()
+    sums = np.empty((n - 1, n))
+    starts = np.arange(0, sums.size, n)
+    best = np.empty(n - 1)
+    worst = np.zeros(n - 1)
+    for s in range(1, (n + 1) // 2 + 1):  # an odd n visits offset (n+1)/2 twice
+        np.add(dist[: n - s], dist[s:], out=sums[: n - s])
+        np.add(dist[n - s + 1 :], dist[: s - 1], out=sums[n - s :])
+        np.minimum.reduceat(sums.ravel(), starts, out=best)
+        np.subtract(flat[s :: n + 1], best, out=best)
+        np.maximum(worst, best, out=worst)
+    return float(worst.max())
 
 
 def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
@@ -73,10 +92,10 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
         raise ValidationError("distance matrix must have zero diagonal")
     if not np.array_equal(dist, dist.T):
         raise ValidationError("distance matrix must be symmetric")
-    if np.any(dist < 0.0):
+    if dist.min() < 0.0:
         raise ValidationError("distances must be nonnegative")
-    off = dist[~np.eye(n, dtype=bool)]
-    if n > 1 and np.any(off == 0.0):
+    # the diagonal holds n zeros, so any further zero is a distinct pair
+    if np.count_nonzero(dist == 0.0) > n:
         raise ValidationError("distinct points must have positive distance")
     # d[i,k] <= d[i,j] + d[j,k] for all triples; explicit matrices are checked
     # exactly (triangle_tol == 0), induced metrics may pass a rounding allowance.

@@ -10,6 +10,7 @@ every real scalar passes :func:`real`; a real matrix read from JSON passes
 
 from __future__ import annotations
 
+import itertools
 import numbers
 
 import numpy as np
@@ -67,6 +68,11 @@ def complex_matrix_to_json(mat) -> dict:
 
 
 _NUMBERS = {float, int}
+_LIST = {list}
+
+
+def _row_shape(row) -> str:
+    return f"has length {len(row)}" if isinstance(row, list) else "is a single number"
 
 
 def real_matrix(rows, key: str) -> np.ndarray:
@@ -74,13 +80,26 @@ def real_matrix(rows, key: str) -> np.ndarray:
 
     ``true``, numeric strings and ``null`` are refused, which ``np.asarray``
     would convert; the message names the first of them in row-major order.
-    Each row is scanned by the types it holds, one set per row.
+    One set of the row types and one set of the entry types, each built in a
+    single C-level pass, clear the common case.  Rows of unequal length are
+    refused with the first row whose length differs from row 0's.
     """
-    if not (isinstance(rows, list) and all(type(row) is list and set(map(type, row)) <= _NUMBERS for row in rows)):
+    if not (
+        isinstance(rows, list)
+        and set(map(type, rows)) <= _LIST
+        and set().union(*map(map, itertools.repeat(type), rows)) <= _NUMBERS
+    ):
         for row in rows if isinstance(rows, list) else (rows,):
             for value in row if isinstance(row, list) else (row,):
                 real(value, f'an entry of "{key}"')
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError:  # every entry is a number, so the rows are ragged
+        first = _row_shape(rows[0])
+        for i, row in enumerate(rows):
+            if _row_shape(row) != first:
+                raise ValidationError(f'row {i} of "{key}" {_row_shape(row)}, but row 0 {first}') from None
+        raise
 
 
 def complex_matrix_from_json(obj) -> np.ndarray:

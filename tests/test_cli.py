@@ -340,6 +340,17 @@ class TestRealizationCommands:
             "message": f"realize --model takes no {flag}: the model file fixes it",
         }
 
+    def test_realize_model_refuses_space_without_reading_it(self, capsys, inputs):
+        not_json = inputs["tmp"] / "not.json"
+        not_json.write_text("not json")
+        code, report = run_cli(capsys, ["realize", "--model", inputs["model"], "--space", str(not_json)])
+        assert code == 2
+        assert report["error"] == {
+            "code": "ValidationError",
+            "message": "realize --model takes no --space: the model file fixes it",
+        }
+        assert report["inputs"] == {}
+
     def test_realize_decides_independence_at_depth_n_minus_one(self, capsys, inputs):
         code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--depth", "4"])
         assert code == 0
@@ -613,6 +624,48 @@ class TestErrorPaths:
         code, report = run_cli(capsys, ["lip-dual", "--space", space, "--x", "0"])
         assert code == 2
         assert report["error"]["message"] == f'an entry of "dist" must be a real number, got {entry}'
+
+    @pytest.mark.parametrize(
+        "argv, matrix, message",
+        [
+            (["psd-check", "--matrix"], {"re": [[1, 0], [1]]}, 'row 1 of "re" has length 1, but row 0 has length 2'),
+            (["psd-check", "--matrix"], {"re": [[1, 0], 1]}, 'row 1 of "re" is a single number, but row 0 has length 2'),
+            (["psd-check", "--matrix"], {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0], [0]]},
+             'row 2 of "im" has length 1, but row 0 has length 2'),
+            (["lip-dual", "--x", "0", "--space"], {"dist": [[0, 1, 2], [1, 0, 1], [2, 1]]},
+             'row 2 of "dist" has length 2, but row 0 has length 3'),
+        ],
+        ids=["re", "re-number", "im", "dist"],
+    )
+    def test_ragged_rows_are_named(self, capsys, tmp_path, argv, matrix, message):
+        code, report = run_cli(capsys, argv + [write(tmp_path / "m.json", matrix)])
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": message}
+
+    @staticmethod
+    def _nested(leaf: str, wrap: str, depth: int) -> str:
+        for _ in range(depth):
+            leaf = wrap.replace("LEAF", leaf)
+        return leaf
+
+    def test_deeply_nested_kernel(self, capsys, tmp_path, inputs):
+        kernel = self._nested('{"op": "szego"}', '{"op": "scale", "factor": 1.0, "arg": LEAF}', 3000)
+        (tmp_path / "deep.json").write_text(kernel)
+        code, report = run_cli(capsys, ["gram", "--kernel", str(tmp_path / "deep.json"), "--sample", inputs["s2"]])
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": "input nested too deeply"}
+
+    def test_deeply_nested_symbol(self, capsys, tmp_path, inputs):
+        symbol = self._nested(
+            '{"kind": "coordinate", "index": 0}',
+            '{"kind": "compose", "outer": {"kind": "exp"}, "inner": LEAF}',
+            3000,
+        )
+        (tmp_path / "deep.json").write_text(symbol)
+        argv = ["contraction", "--kernel", inputs["szego"], "--symbol", str(tmp_path / "deep.json"), "--sample", inputs["s2"]]
+        code, report = run_cli(capsys, argv)
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": "input nested too deeply"}
 
     def test_missing_input_flag(self, capsys, inputs):
         code, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"]])

@@ -28,7 +28,7 @@ from funcspace.geometry import (
     set_distance,
     submult_ratio,
 )
-from funcspace.geometry import _worst_triangle_slack
+from funcspace.geometry import _OFFSET_LOOP_FROM, _worst_triangle_slack
 from funcspace.realization import DenseSequence, build_g
 from helpers import interval5_space, random_dyadic_space, random_graph_metric
 
@@ -57,6 +57,11 @@ class TestMetricSpaceValidation:
     def test_negative_distance_rejected(self):
         d = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValidationError):
+            MetricSpace(d)
+
+    def test_negative_zero_is_a_zero_distance(self):
+        d = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValidationError, match="distinct points must have positive distance"):
             MetricSpace(d)
 
     def test_base_out_of_range(self):
@@ -122,7 +127,7 @@ def verdict(d, tol=0.0):
 class TestTriangleCheck:
     """The O(n^2) running min-plus check against the n^3 slack tensor."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 90, 240])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, _OFFSET_LOOP_FROM - 1, _OFFSET_LOOP_FROM, 90, 129, 240])
     def test_worst_slack_matches_brute_force(self, n):
         d = random_graph_metric(np.random.default_rng(n), n)
         worst = _worst_triangle_slack(d)
@@ -174,6 +179,41 @@ class TestTriangleCheck:
         assert worst == brute_force_worst(d) == 1.1102230246251565e-16
         assert verdict(d) == blocked_brute_force_message(d)
         assert verdict(d, tol=1e-12) == "accepted"
+
+    @pytest.mark.parametrize("n", [_OFFSET_LOOP_FROM - 1, _OFFSET_LOOP_FROM, _OFFSET_LOOP_FROM + 1, 129, 240])
+    @pytest.mark.parametrize("offset", ["1", "(n+1)//2", "n-1"])
+    def test_one_ulp_violation_at_an_offset(self, n, offset):
+        # dyadic points on a line, visited out of order, so that every pair
+        # below has points between it and its distance is a tight path sum
+        x = (11 * np.arange(n) % n) / 8.0
+        d = np.abs(x[:, None] - x[None, :])
+        i, k = {"1": (5, 6), "(n+1)//2": (0, (n + 1) // 2), "n-1": (0, n - 1)}[offset]
+        raised = np.nextafter(d[i, k], np.inf)
+        d[i, k] = d[k, i] = raised
+        worst = _worst_triangle_slack(d)
+        assert worst == brute_force_worst(d) == raised - np.nextafter(raised, 0.0) > 0.0
+        assert verdict(d) == blocked_brute_force_message(d)
+        assert verdict(d).startswith(f"triangle inequality violated at ({i},{k}) via ")
+
+    @pytest.mark.parametrize("n", [_OFFSET_LOOP_FROM, 50, 129])
+    def test_tied_maxima_across_offsets_name_the_first_triple(self, n):
+        # the slack 1 ties at offset 1 and at offset n-1; C order names (0, n-1)
+        d = raise_entry(raise_entry(1.0 - np.eye(n), 5, 6, 2.0), 0, n - 1, 2.0)
+        assert _worst_triangle_slack(d) == brute_force_worst(d) == 1.0
+        assert verdict(d) == brute_force_message(d) == f"triangle inequality violated at (0,{n - 1}) via 1: 3.0 > 1.0 + 1.0"
+
+    @pytest.mark.parametrize("n", [_OFFSET_LOOP_FROM - 1, _OFFSET_LOOP_FROM, 129])
+    def test_induced_metric_slack_matches_brute_force(self, n):
+        # collinear points in C^2, in random order: their Euclidean distances
+        # round, so some tight triangles fail by an ulp, which the induced
+        # metric's triangle_tol allows
+        t = np.random.default_rng(300 + n).permutation(n) / n
+        space = MetricSpace.from_euclidean(EuclideanPointSet(np.outer(t, [0.6 + 0.3j, 0.7j])))
+        assert space.triangle_tol > 0.0
+        d = np.array(space.dist)
+        worst = _worst_triangle_slack(d)
+        assert 0.0 < worst == brute_force_worst(d) <= space.triangle_tol
+        assert verdict(d, tol=np.nextafter(worst, 0.0)) == brute_force_message(d)
 
     def test_asymmetry_is_rejected_before_the_triangle_check(self):
         # the upper triangle is a metric, the lower one breaks a triangle; the
