@@ -237,16 +237,14 @@ def _tol(config: ExperimentConfig) -> float:
 def _finite(obj) -> bool:
     """Whether ``obj`` holds no NaN or infinite float, which orjson writes as ``null``.
 
-    A flat list of numbers is cleared by one finite ``sum``, since a NaN or an
-    infinity makes the sum NaN or infinite; a sum that overflows sends it to
-    ``math.isfinite`` item by item.  Anything else the list holds makes
-    ``sum`` or ``math.isfinite`` raise, and the list is walked item by item.
+    A flat list of numbers is checked in one call; anything else it holds
+    makes ``math.isfinite`` raise, and the list is walked item by item.
     """
     if isinstance(obj, dict):
         return all(map(_finite, obj.values()))
     if isinstance(obj, (list, tuple)):
         try:
-            return math.isfinite(sum(obj)) or all(map(math.isfinite, obj))
+            return all(map(math.isfinite, obj))
         except (TypeError, OverflowError):
             return all(map(_finite, obj))
     return not isinstance(obj, float) or math.isfinite(obj)
@@ -353,10 +351,11 @@ def _load_model(obj, space: geometry.MetricSpace | None = None) -> realization.R
 @command("realize", files=("space", "model"), options={"depth": int, "policy": str, "order": _json_value, "seed": int})
 def _cmd_realize(config, loader):
     if config.inputs.get("model") is not None:
-        given = {**config.inputs, **config.options}
-        for name in ("depth", "policy", "order", "seed", "space"):
-            if given.get(name) is not None:
+        for name in ("depth", "policy", "order", "seed"):
+            if config.options.get(name) is not None:
                 raise ValidationError(f"realize --model takes no --{name}: the model file fixes it")
+        if config.inputs.get("space") is not None:
+            raise ValidationError("realize --model takes no --space: the model file fixes it")
     model_obj, space = loader.optional_file("model", "space", "dist"), None
     if model_obj is None:  # build the model from the space, validating it once
         space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
@@ -516,8 +515,6 @@ def run(config: ExperimentConfig) -> int:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # schema mistakes in otherwise well-formed JSON must not escape as tracebacks
         status, code, error = "error", 2, {"code": "ValidationError", "message": f"bad input: {exc!r}"}
-    except RecursionError:  # the kernel and symbol readers recurse once per nesting level
-        status, code, error = "error", 2, {"code": "ValidationError", "message": "input nested too deeply"}
     elapsed = time.perf_counter() - started
     report = {
         "command": config.command,

@@ -28,12 +28,6 @@ from .errors import (
 from .serialize import complex_vector_from_json, complex_vector_to_json, integer, pair_to_complex, real, real_matrix
 
 
-#: From this many points on, the triangle check loops over diagonal offsets;
-#: below it, one broadcast over the whole matrix is faster (the crossover
-#: measured on one core lies between 32 and 40 points).
-_OFFSET_LOOP_FROM = 36
-
-
 def _worst_triangle_slack(dist: np.ndarray) -> float:
     """The largest ``d[i,k] - (d[i,j] + d[j,k])`` over all triples, in O(n^2) memory.
 
@@ -44,28 +38,22 @@ def _worst_triangle_slack(dist: np.ndarray) -> float:
     Rounding is monotone, so that is the largest slack over j bit for bit, as
     the full n^3 slack tensor would give it.
 
-    Below ``_OFFSET_LOOP_FROM`` points one broadcast reduces the rows
-    ``i < n-1`` against the rows ``k >= 1``, in a temporary of
-    ``(n-1)^2 n < 2^16`` elements; the pairs ``k <= i`` it adds repeat a
-    pair or have slack 0.  From there on, the pairs are visited by diagonal
-    offset ``s``: the pairs ``(i, i+s)`` are rows ``i`` and ``i+s``, so their
-    sums are one contiguous add of ``dist[:n-s]`` and ``dist[s:]``.  Offsets
-    ``s`` and ``n+1-s`` share one pass of ``n-1`` pairs: ``flat[s::n+1]``
-    runs down superdiagonal ``s`` and wraps onto subdiagonal ``n+1-s``, which
-    symmetry makes equal to the superdiagonal, and row ``t`` of an
-    ``(n-1) x n`` buffer holds the sums of the pair of its t-th entry.
-    ``np.minimum.reduceat`` over the row starts gives each pair's minimum,
-    the entries of ``flat[s::n+1]`` minus those minima are the slacks, and a
-    running maximum of length ``n-1`` folds them.  The buffer and three
-    vectors of length ``n-1`` are all the memory it takes (and a copy of a
-    ``dist`` that is not C-contiguous, for ``ravel``).
+    The pairs are visited by diagonal offset ``s``: the pairs ``(i, i+s)``
+    are rows ``i`` and ``i+s``, so their sums are one contiguous add of
+    ``dist[:n-s]`` and ``dist[s:]``.  Offsets ``s`` and ``n+1-s`` share one
+    pass of ``n-1`` pairs: ``flat[s::n+1]`` runs down superdiagonal ``s`` and
+    wraps onto subdiagonal ``n+1-s``, which symmetry makes equal to the
+    superdiagonal, and row ``t`` of an ``(n-1) x n`` buffer holds the sums of
+    the pair of its t-th entry.  ``np.minimum.reduceat`` over the row starts
+    gives each pair's minimum, the entries of ``flat[s::n+1]`` minus those
+    minima are the slacks, and a running maximum of length ``n-1`` folds
+    them.  The buffer and three vectors of length ``n-1`` are all the memory
+    it takes (and a copy of a ``dist`` that is not C-contiguous, for
+    ``ravel``).
     """
     n = dist.shape[0]
     if n < 2:
         return 0.0
-    if n < _OFFSET_LOOP_FROM:
-        best = (dist[:-1, None, :] + dist[1:]).min(axis=2)  # best[i, k-1] for the pair (i, k)
-        return float((dist[:-1, 1:] - best).max())
     flat = dist.ravel()
     sums = np.empty((n - 1, n))
     starts = np.arange(0, sums.size, n)

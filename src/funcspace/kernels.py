@@ -736,7 +736,20 @@ def fn_to_json(fn: ClosedFormFunction) -> dict:
     raise AssertionError(k)
 
 
+def _read_nested(reader, obj):
+    """``reader(obj)``, refusing an input nested deeper than Python's recursion
+    limit: the readers below recurse once per level of nesting."""
+    try:
+        return reader(obj)
+    except RecursionError:
+        raise ValidationError("input nested too deeply") from None
+
+
 def fn_from_json(obj) -> ClosedFormFunction:
+    return _read_nested(_fn_from_json, obj)
+
+
+def _fn_from_json(obj) -> ClosedFormFunction:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError('function JSON must contain a "kind" key')
     k = obj["kind"]
@@ -749,13 +762,13 @@ def fn_from_json(obj) -> ClosedFormFunction:
     if k == "exp":
         return exponential()
     if k == "compose":
-        return compose(fn_from_json(obj["outer"]), fn_from_json(obj["inner"]))
+        return compose(_fn_from_json(obj["outer"]), _fn_from_json(obj["inner"]))
     if k == "product":
-        return fn_product(*(fn_from_json(c) for c in obj["factors"]))
+        return fn_product(*(_fn_from_json(c) for c in obj["factors"]))
     if k == "sum":
-        return fn_sum(*(fn_from_json(c) for c in obj["terms"]))
+        return fn_sum(*(_fn_from_json(c) for c in obj["terms"]))
     if k == "scale":
-        return fn_scale(pair_to_complex(obj["factor"]), fn_from_json(obj["arg"]))
+        return fn_scale(pair_to_complex(obj["factor"]), _fn_from_json(obj["arg"]))
     raise ValidationError(f"unknown function kind {k!r}")
 
 
@@ -781,6 +794,10 @@ def kernel_to_json(K: KernelExpr) -> dict:
 
 
 def kernel_from_json(obj) -> KernelExpr:
+    return _read_nested(_kernel_from_json, obj)
+
+
+def _kernel_from_json(obj) -> KernelExpr:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ValidationError('kernel JSON must contain an "op" key')
     op = obj["op"]
@@ -791,13 +808,13 @@ def kernel_from_json(obj) -> KernelExpr:
     if op == "constant":
         return constant(obj["value"])
     if op == "rank1":
-        return rank_one(fn_from_json(obj["fn"]))
+        return rank_one(_fn_from_json(obj["fn"]))
     if op == "sum":
-        return kernel_sum(*(kernel_from_json(c) for c in obj["terms"]))
+        return kernel_sum(*(_kernel_from_json(c) for c in obj["terms"]))
     if op == "scale":
-        return scale(obj["factor"], kernel_from_json(obj["arg"]))
+        return scale(obj["factor"], _kernel_from_json(obj["arg"]))
     if op == "hadamard":
-        return hadamard(kernel_from_json(obj["left"]), kernel_from_json(obj["right"]))
+        return hadamard(_kernel_from_json(obj["left"]), _kernel_from_json(obj["right"]))
     if op == "geom":
-        return geom(kernel_from_json(obj["arg"]))
+        return geom(_kernel_from_json(obj["arg"]))
     raise ValidationError(f"unknown kernel op {op!r}")

@@ -10,7 +10,6 @@ every real scalar passes :func:`real`; a real matrix read from JSON passes
 
 from __future__ import annotations
 
-import itertools
 import numbers
 
 import numpy as np
@@ -68,7 +67,6 @@ def complex_matrix_to_json(mat) -> dict:
 
 
 _NUMBERS = {float, int}
-_LIST = {list}
 
 
 def _row_shape(row) -> str:
@@ -80,15 +78,11 @@ def real_matrix(rows, key: str) -> np.ndarray:
 
     ``true``, numeric strings and ``null`` are refused, which ``np.asarray``
     would convert; the message names the first of them in row-major order.
-    One set of the row types and one set of the entry types, each built in a
-    single C-level pass, clear the common case.  Rows of unequal length are
-    refused with the first row whose length differs from row 0's.
+    Each row is scanned by the types it holds, one set per row.  Rows of
+    unequal length are refused with the first row whose length differs from
+    row 0's.
     """
-    if not (
-        isinstance(rows, list)
-        and set(map(type, rows)) <= _LIST
-        and set().union(*map(map, itertools.repeat(type), rows)) <= _NUMBERS
-    ):
+    if not (isinstance(rows, list) and all(type(row) is list and set(map(type, row)) <= _NUMBERS for row in rows)):
         for row in rows if isinstance(rows, list) else (rows,):
             for value in row if isinstance(row, list) else (row,):
                 real(value, f'an entry of "{key}"')
