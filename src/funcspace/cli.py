@@ -38,7 +38,7 @@ import orjson
 
 from . import geometry, hardy_pick, kernels, multipliers, realization
 from .errors import NumericalError, ToolkitError, ValidationError
-from .serialize import complex_matrix_from_json, complex_vector_from_json, complex_vector_to_json, integer, real
+from .serialize import complex_matrix_from_json, complex_vector_from_json, complex_vector_to_json, integer, real, shown
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,19 @@ def _fields(cmd: Command) -> dict:
     return {name: kind for name, kind in _FIELDS.items() if takes[name]}
 
 
+# The deepest nesting a JSON-valued option may have.  orjson writes at most
+# 255 levels, and the report echoes an option a few levels down.
+MAX_OPTION_DEPTH = 200
+
+
+def _nested_deeper(value, depth: int) -> bool:
+    """Whether ``value`` nests lists and objects more than ``depth`` levels deep."""
+    level = [value]
+    for _ in range(depth):
+        level = [item for v in level if isinstance(v, (list, dict)) for item in (v.values() if isinstance(v, dict) else v)]
+    return any(isinstance(v, (list, dict)) for v in level)
+
+
 def _check_kind(name: str, kind, value) -> None:
     """Refuse ``value`` unless it has the kind the flag declares; an int is never a float or a bool."""
     flag = "--" + name.replace("_", "-")
@@ -96,7 +109,9 @@ def _check_kind(name: str, kind, value) -> None:
     elif kind is float:
         real(value, flag)
     elif kind in (bool, str) and not isinstance(value, kind):
-        raise ValidationError(f"{flag} must be a {kind.__name__}, got {value!r}")
+        raise ValidationError(f"{flag} must be a {kind.__name__}, got {shown(value)}")
+    elif kind is _json_value and _nested_deeper(value, MAX_OPTION_DEPTH):
+        raise ValidationError(f"{flag} is nested more than {MAX_OPTION_DEPTH} levels deep")
 
 
 @dataclass
@@ -114,7 +129,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
+            raise ValidationError(f"unknown command {shown(self.command)}")
         cmd = _REGISTRY[self.command]
         for name, value in self.options.items():
             if name not in cmd.options:
@@ -143,12 +158,17 @@ def _loads(raw):
     except an integer outside the signed and unsigned 64-bit range, which it
     reads as a float.  What orjson refuses (``NaN``, ``Infinity`` and
     overflowing literals, lone surrogates, text that is not UTF-8, malformed
-    JSON) goes to ``json.loads``, which accepts it or raises today's errors.
+    JSON) goes to ``json.loads``, which accepts it or raises today's errors;
+    a document nested past its recursion limit is refused.
     """
     try:
         return orjson.loads(raw)
     except orjson.JSONDecodeError:
+        pass
+    try:
         return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except RecursionError:  # json.loads recurses once per level of nesting
+        raise ValidationError("input nested too deeply") from None
 
 
 def _load_json_file(path: str):
@@ -177,6 +197,8 @@ def _json_value(text: str):
         return _loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(_json_message(exc)) from None
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Loader:
@@ -257,7 +279,8 @@ def _encode(report: dict) -> str:
     integers beyond 64 bits and non-``str`` keys, writes non-ASCII text
     unescaped and NaN and infinities as ``null``.  Then the stdlib writes it,
     with ``NaN``/``Infinity`` literals and ``\\u`` escapes.  Either way the
-    line parses to the same value, and floats to the same bits.
+    line parses to the same value, and floats to the same bits.  A report
+    nested past the stdlib's recursion limit is refused.
     """
     try:
         text = orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode()
@@ -265,7 +288,10 @@ def _encode(report: dict) -> str:
         text = None
     if text is not None and text.isascii() and _finite(report):
         return text
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    except RecursionError:  # json.dumps recurses once per level of nesting
+        raise ValidationError("the report is nested too deeply to write") from None
 
 
 # --- handlers ---------------------------------------------------------------
@@ -530,7 +556,12 @@ def run(config: ExperimentConfig) -> int:
         "error": error,
         "timestamp": {"unix_time": time.time(), "wall_clock_s": elapsed},
     }
-    text = _encode(report)
+    try:
+        text = _encode(report)
+    except ValidationError as exc:  # a result that echoes an input nested too deeply
+        code, report["status"], report["result"] = 2, "error", None
+        report["error"] = {"code": exc.code, "message": str(exc)}
+        text = _encode(report)
     if config.out:
         _write_text(config.out, text + "\n")
     print(text)

@@ -25,15 +25,60 @@ from .errors import (
     ValidationError,
     ZeroFunction,
 )
-from .serialize import complex_vector_from_json, complex_vector_to_json, integer, pair_to_complex, real, real_matrix
+from .serialize import (
+    complex_vector_from_json,
+    complex_vector_to_json,
+    integer,
+    pair_to_complex,
+    point_labels,
+    real,
+    real_matrix,
+)
+
+
+# Numerators of a dyadic lattice stay below 2^30, so a sum of two fits int32.
+_LATTICE_BITS = 30
+
+
+def _lattice_exponent(dist: np.ndarray) -> int | None:
+    """The ``k`` with ``dist = q * 2^-k`` for integers ``0 <= q < 2^30``, or None.
+
+    ``k`` is fixed by the largest entry.  Scaling by a power of two is exact
+    unless it underflows, and an entry that underflows (or is not a multiple
+    of ``2^-k``) does not come back to itself after rounding and scaling
+    back.  ``np.ldexp`` takes the ``k`` beyond 1023 of a subnormal lattice.
+    """
+    k = _LATTICE_BITS - math.frexp(dist.max())[1]
+    scaled = np.ldexp(dist, k)
+    np.rint(scaled, out=scaled)
+    np.ldexp(scaled, -k, out=scaled)
+    return k if np.array_equal(scaled, dist) else None
 
 
 def _worst_triangle_slack(dist: np.ndarray) -> float:
     """The largest ``d[i,k] - (d[i,j] + d[j,k])`` over all triples, in O(n^2) memory.
 
-    ``dist`` must already be checked symmetric and nonnegative.  Then the
-    slack of ``(i, k)`` equals that of ``(k, i)``, since ``fl(a + b)`` is
-    commutative, and a pair ``(i, i)`` has slack 0, so it suffices to take
+    ``dist`` must already be checked finite, symmetric and nonnegative.  On
+    a dyadic lattice (:func:`_lattice_exponent`) the slacks are taken on the
+    int32 numerators, at half the memory traffic.  There no float sum or
+    difference rounds, so the float loop would give the same value bit for
+    bit.  Elsewhere the float loop runs.
+    """
+    n = dist.shape[0]
+    if n < 2:
+        return 0.0
+    k = _lattice_exponent(dist)
+    if k is None:
+        return float(_slack_by_offsets(dist))
+    q = np.ldexp(dist, k, out=np.empty((n, n), np.int32), casting="unsafe")
+    return math.ldexp(int(_slack_by_offsets(q)), -k)
+
+
+def _slack_by_offsets(dist: np.ndarray):
+    """The largest slack of ``dist``, in its own dtype, for ``n >= 2``.
+
+    The slack of ``(i, k)`` equals that of ``(k, i)``, since ``fl(a + b)``
+    is commutative, and a pair ``(i, i)`` has slack 0, so it suffices to take
     ``fl(d[i,k] - min_j fl(d[i,j] + d[k,j]))`` over the pairs ``i < k``.
     Rounding is monotone, so that is the largest slack over j bit for bit, as
     the full n^3 slack tensor would give it.
@@ -52,20 +97,18 @@ def _worst_triangle_slack(dist: np.ndarray) -> float:
     ``ravel``).
     """
     n = dist.shape[0]
-    if n < 2:
-        return 0.0
     flat = dist.ravel()
-    sums = np.empty((n - 1, n))
+    sums = np.empty((n - 1, n), dist.dtype)
     starts = np.arange(0, sums.size, n)
-    best = np.empty(n - 1)
-    worst = np.zeros(n - 1)
+    best = np.empty(n - 1, dist.dtype)
+    worst = np.zeros(n - 1, dist.dtype)
     for s in range(1, (n + 1) // 2 + 1):  # an odd n visits offset (n+1)/2 twice
         np.add(dist[: n - s], dist[s:], out=sums[: n - s])
         np.add(dist[n - s + 1 :], dist[: s - 1], out=sums[n - s :])
         np.minimum.reduceat(sums.ravel(), starts, out=best)
         np.subtract(flat[s :: n + 1], best, out=best)
         np.maximum(worst, best, out=worst)
-    return float(worst.max())
+    return worst.max()
 
 
 def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
@@ -114,9 +157,7 @@ class EuclideanPointSet:
         if pts.ndim != 2 or pts.size == 0:
             raise ValidationError("points must form a nonempty n-by-dim array")
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != pts.shape[0]:
-                raise ValidationError("labels length must equal point count")
+            labels = point_labels(labels, pts.shape[0])
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labels)
@@ -186,9 +227,7 @@ class MetricSpace:
         if labels is None:
             labels = tuple(f"p{i}" for i in range(n))
         else:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise ValidationError("labels length must equal point count")
+            labels = point_labels(labels, n)
         base = integer(base, "base index", n)
         dist = dist.copy()
         dist.flags.writeable = False

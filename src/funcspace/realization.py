@@ -41,7 +41,7 @@ from .errors import (
 )
 from .geometry import MetricSpace, SampledFunction
 from .kernels import gamma, lower_inverse
-from .serialize import integer, real
+from .serialize import integer, real, shown
 
 _PIVOT_FLOOR = 1e-14
 #: Default bound on the relative error of a coefficient round-trip.
@@ -107,7 +107,7 @@ def choose_b(g: np.ndarray, policy: str = "default_2n", space: MetricSpace | Non
         b = space.base if base is None else integer(base, "ball base", len(space))
         sups = np.where(space.dist[b] < np.maximum(levels, 1)[:, None], g, 0.0).max(axis=1)
     else:
-        raise ValidationError(f"unknown weight policy {policy!r}")
+        raise ValidationError(f"unknown weight policy {shown(policy)}")
     vanishing = np.flatnonzero(sups == 0.0)
     if vanishing.size:
         raise ExhaustedSpace(f"g_{vanishing[0]} vanishes on its exhaustion set; reduce the depth")

@@ -5,7 +5,9 @@ real matrices under the keys ``"re"`` and ``"im"``.  Real inputs are accepted
 wherever a complex value is expected.  Every index, count and dimension that
 enters the package, from JSON, argv or a caller, passes :func:`integer`, and
 every real scalar passes :func:`real`; a real matrix read from JSON passes
-:func:`real_matrix`.
+:func:`real_matrix`.  A message that shows an input value shows it through
+:func:`shown`, so that a value nested past the interpreter's recursion limit
+is refused like any other.
 """
 
 from __future__ import annotations
@@ -17,13 +19,22 @@ import numpy as np
 from .errors import ValidationError
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, or a fixed phrase where that repr
+    would recurse too deeply (a list nested a thousand levels, say)."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return "a value nested too deeply to show"
+
+
 def integer(value, name: str, size: int | None = None) -> int:
     """``value`` as an int; floats and bools are refused, not truncated.
 
     With ``size``, the value must also index a space of ``size`` points.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {shown(value)}")
     value = int(value)
     if size is not None and not 0 <= value < size:
         raise ValidationError(f"{name} {value} out of range for a space of {size} points")
@@ -34,8 +45,19 @@ def real(value, name: str) -> float:
     """``value`` as a float; bools, strings and None are refused, not converted."""
     # a plain float skips the abstract-class check, which costs about a microsecond
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+        raise ValidationError(f"{name} must be a real number, got {shown(value)}")
     return float(value)
+
+
+def point_labels(values, count: int) -> tuple:
+    """Point labels as text, one for each of ``count`` points."""
+    try:
+        text = tuple(str(s) for s in values)
+    except RecursionError:
+        raise ValidationError("a label is nested too deeply to show") from None
+    if len(text) != count:
+        raise ValidationError("labels length must equal point count")
+    return text
 
 
 def complex_to_pair(z) -> list:
@@ -48,7 +70,7 @@ def pair_to_complex(obj) -> complex:
         return complex(real(obj[0], "real part"), real(obj[1], "imaginary part"))
     if not isinstance(obj, bool) and isinstance(obj, numbers.Real):
         return complex(obj)
-    raise ValidationError(f"expected a real number or an [re, im] pair, got {obj!r}")
+    raise ValidationError(f"expected a real number or an [re, im] pair, got {shown(obj)}")
 
 
 def complex_vector_to_json(values) -> list:

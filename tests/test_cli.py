@@ -667,6 +667,76 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"] == {"code": "ValidationError", "message": "input nested too deeply"}
 
+    DEEP = "[" * 3000 + "0" + "]" * 3000
+    TOO_DEEP = "a value nested too deeply to show"
+
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (["gram", "--kernel", "szego", "--sample"], '{"points": %s, "dim": 1}' % ("[" * 3000 + "NaN" + "]" * 3000),
+             "input nested too deeply"),
+            (["gram", "--kernel", "szego", "--sample"], '{"points": [%s], "dim": 1}' % DEEP,
+             f"expected a real number or an [re, im] pair, got {TOO_DEEP}"),
+            (["gram", "--kernel", "szego", "--sample"], '{"points": [0.1, 0.2], "labels": ["a", %s]}' % DEEP,
+             "a label is nested too deeply to show"),
+            (["realize", "--model"], ("order", "[2, 0, 4, 1, %s]" % DEEP), f"order entry must be an integer, got {TOO_DEEP}"),
+            (["realize", "--model"], ("policy", DEEP), f"unknown weight policy {TOO_DEEP}"),
+            (["realize", "--model"], ("depth", DEEP), f"depth must be an integer, got {TOO_DEEP}"),
+            (["realize", "--model"], ("p", DEEP), f"the model exponent must be a real number, got {TOO_DEEP}"),
+            (["realize", "--model"], ("extra", DEEP), "the report is nested too deeply to write"),
+            (["lip-dual", "--x", "0", "--space"], '{"dist": [[0, 1], [1, 0]], "base": %s}' % DEEP,
+             f"base index must be an integer, got {TOO_DEEP}"),
+            (["lip-dual", "--x", "0", "--space"], '{"dist": [[0, %s], [1, 0]]}' % DEEP,
+             f'an entry of "dist" must be a real number, got {TOO_DEEP}'),
+            (["lip-dual", "--x", "0", "--space"], '{"dist": [[0, 1], [1, 0]], "labels": [%s, "b"]}' % DEEP,
+             "a label is nested too deeply to show"),
+        ],
+        ids=["nan-sample", "sample-entry", "sample-label", "order-entry", "policy", "depth", "p", "echoed-extra",
+             "base", "dist-entry", "space-label"],
+    )
+    def test_deep_values_exit_2(self, capsys, tmp_path, inputs, argv, edit, message):
+        """A value nested 3000 levels deep, in a message, a label or the report, ends in exit 2."""
+        if isinstance(edit, tuple):  # a key of the valid model, replaced or added
+            model = json.loads((inputs["tmp"] / "model.json").read_text())
+            key, text = edit
+            edit = json.dumps({**model, key: "HOLE"}).replace('"HOLE"', text)
+        (tmp_path / "deep.json").write_text(edit)
+        code, report = run_cli(capsys, [inputs.get(arg, arg) for arg in argv] + [str(tmp_path / "deep.json")])
+        assert code == 2
+        assert report["status"] == "error" and report["result"] is None
+        assert report["error"] == {"code": "ValidationError", "message": message}
+
+    def test_echoed_model_past_orjson_depth_is_written(self, capsys, inputs):
+        """A model nested past orjson's 255 levels but within the stdlib's limit is echoed."""
+        model = json.loads((inputs["tmp"] / "model.json").read_text())
+        extra = json.loads("[" * 300 + "0" + "]" * 300)
+        code, report = run_cli(capsys, ["realize", "--model", write(inputs["tmp"] / "m.json", {**model, "extra": extra})])
+        assert code == 0
+        assert report["result"]["model"]["extra"] == extra
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ("[" * 995 + "]" * 995, "--order is nested more than 200 levels deep"),
+            ("[" * 201 + "]" * 201, "--order is nested more than 200 levels deep"),
+            ("[" * 3000 + "NaN" + "]" * 3000, "argument --order: input nested too deeply"),
+        ],
+        ids=["995", "201", "nan-3000"],
+    )
+    def test_deep_json_option_exits_2(self, capsys, inputs, order, message):
+        code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--order", order])
+        assert code == 2
+        assert report == {"status": "error", "error": {"code": "ValidationError", "message": message}}
+
+    def test_json_option_at_the_depth_bound_is_read(self, capsys, inputs):
+        # 200 levels pass the bound and reach the handler, which refuses the entry
+        order = "[" * 200 + "]" * 200
+        code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--order", order])
+        assert code == 2
+        assert report["error"]["message"] == "order entry must be an integer, got " + "[" * 199 + "]" * 199
+        with pytest.raises(ValidationError, match="nested more than 200 levels"):
+            ExperimentConfig("realize", inputs={"space": inputs["interval"]}, options={"order": [json.loads(order)]})
+
     def test_missing_input_flag(self, capsys, inputs):
         code, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"]])
         assert code == 2

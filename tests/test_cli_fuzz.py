@@ -10,7 +10,9 @@ take small numbers, ``nan``, ``inf`` and text.  The numbers are kept small
 so that each example runs fast: the flags that size an allocation,
 ``submult --random`` and ``vn-check --grid``, are capped by the program
 (``--max-points`` functions, ``multipliers.MAX_BOUNDARY_GRID`` grid
-points), and ``tests/test_cli.py`` tests each cap and one past it.
+points), and ``tests/test_cli.py`` tests each cap and one past it.  A
+second fuzz nests one value of a valid file, or of ``--order``, up to 3000
+levels deep, past orjson's write limit and the interpreter's recursion limit.
 """
 
 import contextlib
@@ -215,6 +217,7 @@ def check_report(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     assert code in (0, 2, 3), (argv, code, out.getvalue())
+    assert out.getvalue().count("\n") == 1, argv
     report = json.loads(out.getvalue())
     assert report["status"] == ("ok" if code == 0 else "error"), (argv, report)
 
@@ -235,6 +238,8 @@ def test_pools_cover_every_declared_flag():
     assert set(INLINE_VALID) == {name for cmd in REGISTRY.values() for name in cmd.inline}
     option_types = {kind for cmd in REGISTRY.values() for kind in cmd.options.values()}
     assert option_types <= {bool, int, float, str, cli._json_value}
+    json_options = {name for cmd in REGISTRY.values() for name, kind in cmd.options.items() if kind is cli._json_value}
+    assert set(OPTION_READERS) == json_options
 
 
 # a valid argv that reads each flag with an integer or real field, its other files valid
@@ -248,7 +253,11 @@ READERS = {
     "space": ["lip-dual", "--x", "1", "--space"],
     "model": ["realize", "--model"],
     "problem": ["pick-solve", "--problem"],
+    "matrix": ["psd-check", "--matrix"],
+    "functions": ["submult", "--space", "space/valid0", "--functions"],
 }
+# a valid argv that reads each JSON-valued option, its files valid
+OPTION_READERS = {"order": ["realize", "--space", "space/valid0", "--order"]}
 
 
 def _run(argv):
@@ -280,3 +289,69 @@ def test_non_real_field_exits_2(flag, k, files):
     assert code == 2
     assert report["error"]["code"] == "ValidationError"
     assert f"got {value!r}" in report["error"]["message"]
+
+
+# --- nesting -----------------------------------------------------------------
+
+# depths around the option bound, orjson's 255-level write limit and the
+# interpreter's recursion limit of 1000, then any depth up to 3000
+DEPTHS = st.sampled_from([1, 199, 200, 201, 253, 254, 255, 256, 900, 1000, 3000]) | st.integers(1, 3000)
+LEAVES = st.sampled_from(["0", "NaN", '"x"', "[]", "{}", None])  # None keeps the value it replaces
+_HOLE = "\u0000hole"
+
+
+def _paths(obj, path=()):
+    """Every key path into ``obj``, the whole document first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def nested_texts(draw, doc):
+    """``doc`` as JSON text with the value at one key path wrapped in lists
+    or single-key objects, nested up to 3000 levels; NaN leaves send the
+    text to the stdlib reader."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    depth, leaf, wrap = draw(DEPTHS), draw(LEAVES), draw(st.sampled_from(["list", "object"]))
+    if leaf is None:
+        leaf = json.dumps(_at(doc, path))
+    opening, closing = ("[", "]") if wrap == "list" else ('{"k":', "}")
+    deep = opening * depth + leaf + closing * depth
+    if not path:
+        return deep
+    return json.dumps(_replaced(doc, path, _HOLE)).replace(json.dumps(_HOLE), deep)
+
+
+@pytest.mark.parametrize("flag, i", [(flag, i) for flag, objs in VALID.items() for i in range(len(objs))])
+def test_nested_file_fields_end_in_a_json_report(flag, i, files):
+    argv = [files.get(arg, arg) for arg in READERS[flag]]
+    path = files["directory"] + f"/nested-{flag}{i}.json"
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(text=nested_texts(VALID[flag][i]))
+    def fuzz(text):
+        with open(path, "w") as fh:
+            fh.write(text)
+        check_report([*argv, path])
+
+    fuzz()
+
+
+@pytest.mark.parametrize("name", OPTION_READERS)
+def test_nested_json_options_end_in_a_json_report(name, files):
+    argv = [files.get(arg, arg) for arg in OPTION_READERS[name]]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(text=nested_texts([2, 0, 4, 1, 3]))
+    def fuzz(text):
+        check_report([*argv, text])
+
+    fuzz()

@@ -125,6 +125,25 @@ def test_real_arguments_refuse_strings_bools_and_none(call, value):
         call(value)
 
 
+def _deep_list(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [(call, "an integer") for call in INTEGER_ARGUMENTS.values()]
+    + [(call, "a real number") for call in REAL_ARGUMENTS.values()],
+    ids=[*INTEGER_ARGUMENTS, *REAL_ARGUMENTS],
+)
+def test_arguments_refuse_values_too_deep_to_show(call, kind):
+    """A value whose repr would recurse past the limit is named by a fixed phrase."""
+    with pytest.raises(ValidationError, match=f"must be {kind}, got a value nested too deeply to show$"):
+        call(_deep_list(3000))
+
+
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]
 
 # every real or complex parameter of a kernel or symbol node, as a call on its value

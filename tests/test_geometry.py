@@ -28,6 +28,7 @@ from funcspace.geometry import (
     set_distance,
     submult_ratio,
 )
+from funcspace import geometry
 from funcspace.geometry import _worst_triangle_slack
 from funcspace.realization import DenseSequence, build_g
 from helpers import interval5_space, random_dyadic_space, random_graph_metric
@@ -124,8 +125,107 @@ def verdict(d, tol=0.0):
     return "accepted"
 
 
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.fixture
+def loop_dtypes(monkeypatch):
+    """The scalar type of every matrix the offset loop runs on."""
+    seen = []
+    loop = geometry._slack_by_offsets
+
+    def spy(dist):
+        seen.append(dist.dtype.type)
+        return loop(dist)
+
+    monkeypatch.setattr(geometry, "_slack_by_offsets", spy)
+    return seen
+
+
 class TestTriangleCheck:
     """The O(n^2) running min-plus check against the n^3 slack tensor."""
+
+    def test_graph_metrics_run_on_int32(self, loop_dtypes):
+        # the benchmark's k/64 graph metrics lie on a dyadic lattice
+        for n in (2, 40, 240):
+            d = random_graph_metric(np.random.default_rng(n), n)
+            assert same_bits(_worst_triangle_slack(d), brute_force_worst(d))
+        assert loop_dtypes == [np.int32] * 3
+
+    @pytest.mark.parametrize("raised", [0, 3])
+    def test_subnormal_lattice(self, loop_dtypes, raised):
+        # multiples of 5e-324, whose lattice exponent is beyond 1023
+        q = random_graph_metric(np.random.default_rng(31), 40) * 64
+        d = raise_entry(np.ldexp(q, -1074), 4, 30, raised * 5e-324)
+        assert d[4, 30] == (q[4, 30] + raised) * 5e-324
+        worst = _worst_triangle_slack(d)
+        assert same_bits(worst, brute_force_worst(d))
+        assert verdict(d) == (brute_force_message(d) if worst > 0.0 else "accepted")
+        assert set(loop_dtypes) == {np.int32}
+
+    @pytest.mark.parametrize("raised", [0.0, 0.375])
+    def test_huge_entry_beside_tiny_ones_takes_the_float_path(self, loop_dtypes, raised):
+        # scaled to 30 bits below 1e300, the tiny entries underflow
+        n = 30
+        d = np.full((n, n), 1e300)
+        d[: n - 1, : n - 1] = np.ldexp(raise_entry(random_graph_metric(np.random.default_rng(3), n - 1), 2, 9, raised), -1000)
+        np.fill_diagonal(d, 0.0)
+        worst = _worst_triangle_slack(d)
+        assert same_bits(worst, brute_force_worst(d))
+        assert verdict(d) == (brute_force_message(d) if worst > 0.0 else "accepted")
+        assert set(loop_dtypes) == {np.float64}
+
+    @pytest.mark.parametrize(
+        "top, unit, dtype",
+        [(2**29, 2**-29, np.int32), (2**30 - 1, 2**-30, np.int32), (2**30, 2**-30, np.float64)],
+        ids=["power-of-two", "below-power-of-two", "power-of-two-31-bits"],
+    )
+    @pytest.mark.parametrize("raised", [False, True])
+    def test_largest_entry_at_and_below_a_power_of_two(self, loop_dtypes, top, unit, dtype, raised):
+        # numerators up to 2^30 - 1 fit the lattice; 2^30 takes the float path
+        rng = np.random.default_rng(top)
+        x = np.concatenate([[0, top], rng.choice(top, size=38, replace=False)]) * unit
+        x = rng.permutation(x)
+        d = np.abs(x[:, None] - x[None, :])
+        if raised:  # one lattice unit on a pair with points between
+            d = raise_entry(d, *np.unravel_index(np.argsort(d, axis=None)[-3], d.shape), unit)
+        assert d.max() == top * unit
+        worst = _worst_triangle_slack(d)
+        assert same_bits(worst, brute_force_worst(d))
+        assert (worst > 0.0) == raised
+        assert verdict(d) == (brute_force_message(d) if raised else "accepted")
+        assert loop_dtypes[0] == dtype
+
+    @pytest.mark.parametrize("direction", [np.inf, 0.0])
+    def test_one_ulp_off_the_lattice(self, loop_dtypes, direction):
+        d = random_graph_metric(np.random.default_rng(17), 60)
+        off = np.nextafter(d[7, 41], direction)
+        d[7, 41] = d[41, 7] = off
+        worst = _worst_triangle_slack(d)
+        assert same_bits(worst, brute_force_worst(d))
+        assert verdict(d) == (brute_force_message(d) if worst > 0.0 else "accepted")
+        assert loop_dtypes[0] == np.float64
+
+    @pytest.mark.parametrize("raised", [0.0, 0.5])
+    def test_negative_zero_diagonal(self, loop_dtypes, raised):
+        d = raise_entry(random_graph_metric(np.random.default_rng(23), 50), 3, 44, raised)
+        np.fill_diagonal(d, -0.0)
+        worst = _worst_triangle_slack(d)
+        assert same_bits(worst, brute_force_worst(d))
+        assert verdict(d) == (brute_force_message(d) if raised else "accepted")
+        assert loop_dtypes[0] == np.int32
+
+    @pytest.mark.parametrize("d", [[[0.0, 0.1], [0.1, 0.0]], [[0.0, 0.75], [0.75, 0.0]]], ids=["decimal", "dyadic"])
+    def test_two_points(self, loop_dtypes, d):
+        d = np.array(d)
+        assert same_bits(_worst_triangle_slack(d), brute_force_worst(d))
+        assert loop_dtypes == [np.float64 if d[0, 1] == 0.1 else np.int32]
+        assert verdict(d) == "accepted"
+
+    def test_one_point_runs_no_loop(self, loop_dtypes):
+        assert same_bits(_worst_triangle_slack(np.zeros((1, 1))), 0.0)
+        assert loop_dtypes == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 35, 36, 90, 129, 240])
     def test_worst_slack_matches_brute_force(self, n):
@@ -223,10 +323,13 @@ class TestTriangleCheck:
         assert brute_force_worst(d) > 0.0
         assert verdict(d) == "distance matrix must be symmetric"
 
-    def test_tolerance_equal_to_the_slack_accepts(self):
+    def test_tolerance_equal_to_the_slack_accepts(self, loop_dtypes):
+        # on a lattice, so the tolerance is compared with the int32 loop's slack
         d = raise_entry(random_graph_metric(np.random.default_rng(11), 17), 3, 8, 0.375)
         worst = brute_force_slack(d).max()
         assert worst > 0.0
+        assert same_bits(_worst_triangle_slack(d), worst)
+        assert set(loop_dtypes) == {np.int32}
         assert verdict(d, tol=worst) == "accepted"
         assert verdict(d, tol=np.nextafter(worst, 0.0)) == brute_force_message(d)
 
