@@ -37,7 +37,7 @@ import numpy as np
 import orjson
 
 from . import geometry, hardy_pick, kernels, multipliers, realization
-from .errors import NumericalError, ToolkitError, ValidationError
+from .errors import NESTED_TOO_DEEPLY, NumericalError, ToolkitError, ValidationError
 from .serialize import complex_matrix_from_json, complex_vector_from_json, complex_vector_to_json, integer, real, shown
 
 
@@ -168,7 +168,20 @@ def _loads(raw):
     try:
         return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     except RecursionError:  # json.loads recurses once per level of nesting
-        raise ValidationError("input nested too deeply") from None
+        raise ValidationError(NESTED_TOO_DEEPLY) from None
+
+
+def _named(where: str, read, arg):
+    """``read(arg)``, with ``where`` (a path or ``--flag``) named in a refusal
+    of malformed JSON or of an input nested too deeply."""
+    try:
+        return read(arg)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: {_json_message(exc)}") from None
+    except ValidationError as exc:
+        if str(exc) != NESTED_TOO_DEEPLY:
+            raise
+        raise ValidationError(f"{where}: {NESTED_TOO_DEEPLY}") from None
 
 
 def _load_json_file(path: str):
@@ -177,10 +190,7 @@ def _load_json_file(path: str):
             raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    try:
-        return _loads(raw), hashlib.sha256(raw).hexdigest()
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: {_json_message(exc)}") from None
+    return _named(path, _loads, raw), hashlib.sha256(raw).hexdigest()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -232,15 +242,17 @@ class _Loader:
         if text is None:
             raise ValidationError(f"command {self.config.command!r} requires --{name}")
         self.digests[name] = {"inline": True, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
-        try:
-            return _loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"--{name}: {_json_message(exc)}") from None
+        return _named(f"--{name}", _loads, text)
 
     def optional_file(self, name: str, *count):
         if self.config.inputs.get(name) is None:
             return None
         return self.file(name, *count)
+
+    def read(self, name: str, reader):
+        """``reader`` (a kernel or symbol reader) on input file ``name``; a
+        refusal of its nesting names the file."""
+        return _named(self.config.inputs.get(name), reader, self.file(name))
 
 
 def _rng(config: ExperimentConfig) -> np.random.Generator:
@@ -306,17 +318,16 @@ def _cmd_psd_check(config, loader):
 
 @command("gram", files=("kernel", "sample"))
 def _cmd_gram(config, loader):
-    K = kernels.kernel_from_json(loader.file("kernel"))
+    K = loader.read("kernel", kernels.kernel_from_json)
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
     return kernels.gram(K, sample).to_json()
 
 
 @command("mult-norm", files=("kernel", "kernel2", "symbol", "sample"), options={"csv": str}, tuning=True)
 def _cmd_mult_norm(config, loader):
-    K_F = kernels.kernel_from_json(loader.file("kernel"))
-    second = loader.optional_file("kernel2")
-    K_E = kernels.kernel_from_json(second) if second is not None else K_F
-    symbol = kernels.fn_from_json(loader.file("symbol"))
+    K_F = loader.read("kernel", kernels.kernel_from_json)
+    K_E = K_F if config.inputs.get("kernel2") is None else loader.read("kernel2", kernels.kernel_from_json)
+    symbol = loader.read("symbol", kernels.fn_from_json)
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
     result = multipliers.sampled_mult_norm(K_F, K_E, symbol, sample, method=config.method).to_json()
     if config.options.get("csv"):
@@ -332,17 +343,17 @@ def _cmd_mult_norm(config, loader):
 
 @command("contraction", files=("kernel", "symbol", "sample"), tol=1e-10)
 def _cmd_contraction(config, loader):
-    K = kernels.kernel_from_json(loader.file("kernel"))
-    symbol = kernels.fn_from_json(loader.file("symbol"))
+    K = loader.read("kernel", kernels.kernel_from_json)
+    symbol = loader.read("symbol", kernels.fn_from_json)
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
     return multipliers.contraction_check(K, symbol, sample, tol=_tol(config)).to_json()
 
 
 @command("kl-check", files=("kernel", "kernel2", "symbol", "sample"), tol=1e-10)
 def _cmd_kl_check(config, loader):
-    K = kernels.kernel_from_json(loader.file("kernel"))
-    L = kernels.kernel_from_json(loader.file("kernel2"))
-    symbol = kernels.fn_from_json(loader.file("symbol"))
+    K = loader.read("kernel", kernels.kernel_from_json)
+    L = loader.read("kernel2", kernels.kernel_from_json)
+    symbol = loader.read("symbol", kernels.fn_from_json)
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
     report = multipliers.kl_monotonicity_check(K, L, symbol, sample, tol=_tol(config))
     return {"implication_holds": report.holds, "on_K": report.on_K.to_json(), "on_KL": report.on_KL.to_json()}
@@ -350,7 +361,7 @@ def _cmd_kl_check(config, loader):
 
 @command("vn-check", files=("symbol", "sample"), inline=("poly",), options={"grid": int}, tol=1e-9)
 def _cmd_vn_check(config, loader):
-    symbol = kernels.fn_from_json(loader.file("symbol"))
+    symbol = loader.read("symbol", kernels.fn_from_json)
     coeffs = complex_vector_from_json(loader.inline("poly"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
     grid = config.options.get("grid", 4096)

@@ -10,6 +10,10 @@ reports can classify outcomes without parsing messages.  Two families:
   Gram matrix, overflow).
 """
 
+#: The message of a refusal of an input nested past the interpreter's
+#: recursion limit; the command line prefixes the file or flag it came from.
+NESTED_TOO_DEEPLY = "input nested too deeply"
+
 
 class ToolkitError(Exception):
     code = "ToolkitError"

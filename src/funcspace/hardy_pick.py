@@ -139,7 +139,7 @@ class PickProblem:
             raise ValidationError("interpolation nodes and targets must be finite; got a non-finite entry")
         if not inside_unit_ball(nodes).all():
             raise NotInDisk("interpolation nodes must lie in the open unit disk")
-        if len({complex(z) for z in nodes}) != nodes.size:
+        if len(set(nodes.tolist())) != nodes.size:
             raise DuplicatePoint("interpolation nodes must be distinct")
         bound = real(bound, "the norm bound")
         if not (np.isfinite(bound) and bound >= 0.0):
@@ -231,7 +231,8 @@ def _solve_pick(nodes: np.ndarray, targets: np.ndarray, tol: float):
     require_finite("the Pick matrix", products)
     pencil = pencil_norms(mirror_upper(C * products), C)
     abs_C = np.abs(C)
-    abs_products = np.abs(targets)[:, :, None] * np.abs(targets)[:, None, :]
+    abs_targets = np.abs(targets)
+    abs_products = abs_targets[:, :, None] * abs_targets[:, None, :]
 
     def pick_matrices(T: np.ndarray, idx: np.ndarray):
         # C o (T - w w*): the error of C scales with |T - w_i conj(w_j)|, which

@@ -13,12 +13,15 @@ one-point cases.  A node raises as soon as any entry of its block fails,
 and the evaluator then finds the first failing entry by evaluating the
 rows of the block alone, then the entries of the first failing row.
 Finite sections of a kernel on a sample are materialized as Hermitian
-:class:`GramMatrix` values by mirroring the upper triangle of the block,
-and positive semi-definiteness is decided from the smallest eigenvalue
-under a relative tolerance rule; :func:`multiplier_gram` builds
-``(T - w (x) conj(w)) K``, the matrix of contraction and Pick feasibility.
+:class:`GramMatrix` values by mirroring the upper triangle of the block
+(:func:`mirror_upper`: one copy, then one indexed write of the lower
+triangle, for a matrix or a stack), and positive semi-definiteness is
+decided from the smallest eigenvalue under a relative tolerance rule;
+:func:`multiplier_gram` builds ``(T - w (x) conj(w)) K``, the matrix of
+contraction and Pick feasibility.
 Hermitian pencils ``(A, G)`` are solved in batches over one factorization of
-``G``, and their values can be raised to certified upper bounds.
+``G``, and their values can be raised to certified upper bounds; these
+matrices are 5 to 12 wide, so the pencil code counts numpy calls, not flops.
 
 Arbitrary user matrices never enter the grammar; they can only be fed to
 :func:`psd_check`, which assumes nothing.
@@ -27,10 +30,19 @@ Arbitrary user matrices never enter the grammar; they can only be fed to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateGram, GeomDiverges, NotHermitian, Overflow, OutOfDomain, ValidationError
+from .errors import (
+    NESTED_TOO_DEEPLY,
+    DegenerateGram,
+    GeomDiverges,
+    NotHermitian,
+    Overflow,
+    OutOfDomain,
+    ValidationError,
+)
 from .geometry import EuclideanPointSet
 from .serialize import (
     complex_matrix_from_json,
@@ -254,12 +266,14 @@ def one_minus_norm2(P) -> np.ndarray:
     """
     out = []
     for row in _as_points(P).tolist():
-        parts = [x.as_integer_ratio() for z in row for x in (z.real, z.imag)]
-        den = max([q for _, q in parts])  # every q is a power of two
-        num = 0
-        for p, q in parts:
-            p *= den // q
-            num += p * p
+        num, den = 0, 1  # sum of squares num / den^2; every den is a power of two
+        for z in row:
+            for x in (z.real, z.imag):
+                p, q = x.as_integer_ratio()
+                if q > den:
+                    num *= (q // den) ** 2
+                    den = q
+                num += (p * (den // q)) ** 2
         out.append((den * den - num) / (den * den))
     return np.array(out)
 
@@ -274,7 +288,11 @@ def inside_unit_ball(P) -> np.ndarray:
     Non-finite rows are outside.
     """
     P = _as_points(P)
-    excess = (P.real * P.real + P.imag * P.imag).sum(axis=1) - 1.0
+    if P.shape[1] == 1:  # the sum over an axis of length 1 would cost more than the squares
+        z = P[:, 0]
+        excess = z.real * z.real + z.imag * z.imag - 1.0
+    else:
+        excess = (P.real * P.real + P.imag * P.imag).sum(axis=1) - 1.0
     near = np.abs(excess) <= 8 * (P.shape[1] + 1) * UNIT_ROUNDOFF
     if near.any():
         excess[near] = -one_minus_norm2(P[near])
@@ -491,8 +509,12 @@ def psd_check(G, tol: float = 1e-10) -> PsdReport:
 # ---------------------------------------------------------------------------
 # Hermitian pencils
 
+#: Machine epsilon of float64, the spacing of floats just above 1.
+_EPS = float(np.finfo(float).eps)
 #: Unit roundoff of float64.
-UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+UNIT_ROUNDOFF = _EPS / 2.0
+#: Smallest positive normal float64.
+_TINY = float(np.finfo(float).tiny)
 #: Absolute error allowed per matrix entry for results in the subnormal range,
 #: where relative error bounds fail; far above any accumulated subnormal error.
 _UNDERFLOW_FLOOR = 2.0**-1000
@@ -506,18 +528,36 @@ def gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
+@lru_cache(maxsize=64)
+def _mirror_indices(n: int):
+    """Flat positions ``i*n + j`` of the strict lower triangle of an n-by-n
+    matrix, and of the upper-triangle entries ``(j, i)`` they mirror; read
+    only, since every caller shares them."""
+    i, j = np.tril_indices(n, -1)
+    lower, upper = i * n + j, j * n + i
+    lower.flags.writeable = upper.flags.writeable = False
+    return lower, upper
+
+
 def mirror_upper(M) -> np.ndarray:
     """Exactly Hermitian matrix (or stack) from the upper triangle of ``M``.
 
     The strict upper triangle is mirrored as its conjugate and the diagonal
     keeps its real part, so the result does not depend on two roundings of
-    ``M[i, j]`` and ``M[j, i]`` agreeing.
+    ``M[i, j]`` and ``M[j, i]`` agreeing.  One C-ordered copy is made, and
+    its strict lower triangle is written through flat indices cached per
+    size.  Signed zeros and NaNs come out as in ``U + conj(U*)`` for ``U``
+    the strict upper triangle with zeros elsewhere: the copy adds ``0 - 0j``
+    (a real part of ``-0.0`` becomes ``+0.0``) and the mirrored conjugates
+    add ``+0``.
     """
     M = np.asarray(M)
-    upper = np.triu(M, 1)
-    out = upper + np.conj(np.swapaxes(upper, -1, -2))
-    diag = np.arange(M.shape[-1])
-    out[..., diag, diag] = M[..., diag, diag].real
+    n = M.shape[-1]
+    out = np.add(M, complex(0.0, -0.0) if M.dtype.kind == "c" else 0.0, order="C")
+    flat = out.reshape(M.shape[:-2] + (n * n,))
+    lower, upper = _mirror_indices(n)
+    flat[..., lower] = np.conj(flat[..., upper]) + 0.0
+    flat[..., :: n + 1] = M.diagonal(0, -2, -1).real
     return out
 
 
@@ -563,7 +603,9 @@ def pencil_norms(A, G) -> np.ndarray:
     eigenvalues unchanged, and factored once as ``L L*``; each scaled
     ``A[k]`` is whitened to ``L^-1 A[k] L^-*``, with ``L^-1`` from
     :func:`lower_inverse`, and the top eigenvalues come from one batched
-    eigensolve.
+    eigensolve.  The scaling runs even on a diagonal of ones: a complex
+    product with 1.0 is not the identity on signed zeros, so skipping it
+    would not keep the bits.
 
     Raises:
         DegenerateGram: the scaled ``G`` is not numerically positive definite.
@@ -596,7 +638,7 @@ def _perron_bound(M: np.ndarray) -> np.ndarray:
     and the quotient.
     """
     rows = M.sum(axis=-1)
-    x = np.maximum(rows / np.maximum(rows.max(axis=-1, keepdims=True), np.finfo(float).tiny), 2.0**-20)
+    x = np.maximum(rows / np.maximum(rows.max(axis=-1, keepdims=True), _TINY), 2.0**-20)
     ratio = (M @ x[..., None])[..., 0] / x
     return ratio.max(axis=-1) * (1.0 + gamma(M.shape[-1] + 2))
 
@@ -629,13 +671,13 @@ def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_radius: np.ndarray) ->
     infinite where the factorization broke down.
     """
     n = P.shape[-1]
-    diag = np.arange(n)
     S = P.copy()
-    S[:, diag, diag] -= shift[:, None]
+    diag = S.reshape(len(S), n * n)[:, :: n + 1]  # a view of each diagonal
+    diag -= shift[:, None]
     L, done = _cholesky_each(S)
     absL = np.abs(L)
     factor_error = gamma(n + 3) * _perron_bound(absL @ np.swapaxes(absL, -1, -2))
-    diag_error = 1.01 * UNIT_ROUNDOFF * np.abs(S[:, diag, diag].real).max(axis=-1)
+    diag_error = 1.01 * UNIT_ROUNDOFF * np.abs(diag.real).max(axis=-1)
     needed = (factor_error + diag_error + entry_radius) * (1.0 + gamma(4))
     return np.where(done, needed, np.inf)
 
@@ -672,8 +714,7 @@ def certify_pencil_norms(G, norms, tol: float, pencil_matrix) -> np.ndarray:
     lam_G = float(eig_G[0])
     if not lam_G > 0.0:
         raise DegenerateGram(f"the Gram matrix is not positive definite (smallest eigenvalue {lam_G:.3e})")
-    eps = float(np.finfo(float).eps)
-    allowance = tol + _ROUNDING_ALLOWANCE * eps * (eig_G[-1] / lam_G) * np.maximum(1.0, norms)
+    allowance = tol + _ROUNDING_ALLOWANCE * _EPS * (eig_G[-1] / lam_G) * np.maximum(1.0, norms)
     limit = (norms + allowance) ** 2
     margin = 1.0 + 2.0**-4
 
@@ -681,8 +722,12 @@ def certify_pencil_norms(G, norms, tol: float, pencil_matrix) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             P, bound = pencil_matrix(T, idx)
         require_finite("the matrix t^2 G - A", T, P, bound)
-        radius = _perron_bound(bound + _UNDERFLOW_FLOOR)
-        estimate = radius + gamma(P.shape[-1] + 4) * _perron_bound(np.abs(P))
+        # one Perron bound on the stack of both nonnegative matrices
+        both = np.empty((2,) + P.shape)
+        np.add(bound, _UNDERFLOW_FLOOR, out=both[0])
+        np.abs(P, out=both[1])
+        radius, rho_P = _perron_bound(both)
+        estimate = radius + gamma(P.shape[-1] + 4) * rho_P
         return P, radius, np.maximum(estimate, learned[idx]) * margin
 
     # the factor's |L| |L*| can exceed |P|; a failed proof teaches the shift
@@ -699,6 +744,8 @@ def certify_pencil_norms(G, norms, tol: float, pencil_matrix) -> np.ndarray:
         P, radius, shift = trial(T[pending], pending)
         needed = _shift_needed(P, shift, radius)
         failed = ~(shift > needed)
+        if not failed.any():  # every remaining proof held
+            break
         pending, shift, needed = pending[failed], shift[failed], needed[failed]
         learned[pending] = np.where(np.isfinite(needed), needed, learned[pending])
         T[pending] += np.maximum(shift, learned[pending]) / lam_G * 2.0 ** (attempt - 3)
@@ -742,7 +789,7 @@ def _read_nested(reader, obj):
     try:
         return reader(obj)
     except RecursionError:
-        raise ValidationError("input nested too deeply") from None
+        raise ValidationError(NESTED_TOO_DEEPLY) from None
 
 
 def fn_from_json(obj) -> ClosedFormFunction:

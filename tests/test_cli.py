@@ -653,7 +653,8 @@ class TestErrorPaths:
         (tmp_path / "deep.json").write_text(kernel)
         code, report = run_cli(capsys, ["gram", "--kernel", str(tmp_path / "deep.json"), "--sample", inputs["s2"]])
         assert code == 2
-        assert report["error"] == {"code": "ValidationError", "message": "input nested too deeply"}
+        message = f"{tmp_path / 'deep.json'}: input nested too deeply"
+        assert report["error"] == {"code": "ValidationError", "message": message}
 
     def test_deeply_nested_symbol(self, capsys, tmp_path, inputs):
         symbol = self._nested(
@@ -665,7 +666,13 @@ class TestErrorPaths:
         argv = ["contraction", "--kernel", inputs["szego"], "--symbol", str(tmp_path / "deep.json"), "--sample", inputs["s2"]]
         code, report = run_cli(capsys, argv)
         assert code == 2
-        assert report["error"] == {"code": "ValidationError", "message": "input nested too deeply"}
+        message = f"{tmp_path / 'deep.json'}: input nested too deeply"
+        assert report["error"] == {"code": "ValidationError", "message": message}
+
+    def test_deep_inline_value_names_its_flag(self, capsys):
+        code, report = run_cli(capsys, ["ardy-check", "--poly", "[" * 3000 + "NaN" + "]" * 3000])
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": "--poly: input nested too deeply"}
 
     DEEP = "[" * 3000 + "0" + "]" * 3000
     TOO_DEEP = "a value nested too deeply to show"
@@ -674,7 +681,7 @@ class TestErrorPaths:
         "argv, edit, message",
         [
             (["gram", "--kernel", "szego", "--sample"], '{"points": %s, "dim": 1}' % ("[" * 3000 + "NaN" + "]" * 3000),
-             "input nested too deeply"),
+             "DEEP_FILE: input nested too deeply"),
             (["gram", "--kernel", "szego", "--sample"], '{"points": [%s], "dim": 1}' % DEEP,
              f"expected a real number or an [re, im] pair, got {TOO_DEEP}"),
             (["gram", "--kernel", "szego", "--sample"], '{"points": [0.1, 0.2], "labels": ["a", %s]}' % DEEP,
@@ -704,6 +711,7 @@ class TestErrorPaths:
         code, report = run_cli(capsys, [inputs.get(arg, arg) for arg in argv] + [str(tmp_path / "deep.json")])
         assert code == 2
         assert report["status"] == "error" and report["result"] is None
+        message = message.replace("DEEP_FILE", str(tmp_path / "deep.json"))
         assert report["error"] == {"code": "ValidationError", "message": message}
 
     def test_echoed_model_past_orjson_depth_is_written(self, capsys, inputs):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from funcspace import hardy_pick, kernels, multipliers
 from funcspace.errors import DegenerateGram, GeomDiverges, NotHermitian, OutOfDomain, Overflow, ValidationError
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
     GramMatrix,
     _cholesky_each,
+    _perron_bound,
     ball,
     certify_pencil_norms,
     compose,
@@ -45,6 +47,8 @@ from funcspace.kernels import (
     szego,
     szego_section,
 )
+from funcspace.kernels import UNIT_ROUNDOFF, multiplier_gram
+from funcspace.hardy_pick import pick_solve, separability_probe
 from helpers import ball2_sample, disk_sample
 
 
@@ -202,6 +206,45 @@ class TestUnitBallMembership:
     def test_non_finite_points_are_outside(self):
         P = np.array([[np.nan], [np.inf], [1j * np.inf], [0.5]])
         assert inside_unit_ball(P).tolist() == [False, False, False, True]
+
+    def test_plane_points_take_the_band_of_the_summed_squares(self, monkeypatch):
+        """In C^1 the squares are added without a sum over an axis of length
+        1; the float ``|z|^2 - 1`` keeps its bits, so the same points go to
+        the exact test and every verdict stays."""
+
+        def by_sum(P):
+            P = np.asarray(P, dtype=complex).reshape(-1, 1)
+            excess = (P.real * P.real + P.imag * P.imag).sum(axis=1) - 1.0
+            near = np.abs(excess) <= 8 * (P.shape[1] + 1) * UNIT_ROUNDOFF
+            if near.any():
+                excess[near] = -kernels.one_minus_norm2(P[near])
+            return excess < 0.0
+
+        rng = np.random.default_rng(45)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 400)
+        up, down = np.nextafter(1.0, np.inf), np.nextafter(1.0, -np.inf)
+        z = np.concatenate([
+            np.sqrt(rng.uniform(0.0, 1.0, 400)) * np.exp(1j * angles),  # random, inside
+            rng.uniform(0.0, 2.0, 400) * np.exp(1j * angles),  # both sides
+            np.cos(angles) + 1j * np.sin(angles),  # in the band around the circle
+            (np.cos(angles) + 1j * np.sin(angles)) * down,
+            (1.0 + rng.integers(-40, 41, 400) * 2.0**-53) * np.exp(1j * angles),  # across the band's edges
+            1.0 + np.arange(-20, 21) * 2.0**-53,
+            [1.0, -1.0, 1j, -1j, up, -up, 1j * up, down, -down, 1j * down, -1j * down],
+            [complex(down, 2.0**-27), complex(2.0**-27, down), complex(up, 0.0), 0.0, -0.0, 5e-324],
+            [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 0.5)],
+        ])
+        sent = []
+        exact = kernels.one_minus_norm2
+        monkeypatch.setattr(kernels, "one_minus_norm2", lambda P: sent.append(np.array(P)) or exact(P))
+        for points in (z, z[:, None], z[::3]):
+            sent.clear()
+            got = inside_unit_ball(points)
+            sent_new = sent[:]
+            sent.clear()
+            assert got.tolist() == by_sum(points).tolist()
+            assert [p.tobytes() for p in sent_new] == [p.tobytes() for p in sent]
+            assert len(sent[0]) > len(points) // 4  # the band was exercised
 
     def test_one_minus_norm2_correctly_rounded_in_c2(self):
         rng = np.random.default_rng(44)
@@ -460,6 +503,91 @@ class TestMirrorUpper:
         assert calls == [(i, j) for i in range(4) for j in range(i, 4)]
 
 
+def mirror_upper_by_mask(M):
+    """The mask formula that :func:`mirror_upper` reproduces bit for bit."""
+    M = np.asarray(M)
+    upper = np.triu(M, 1)
+    out = upper + np.conj(np.swapaxes(upper, -1, -2))
+    diag = np.arange(M.shape[-1])
+    out[..., diag, diag] = M[..., diag, diag].real
+    return out
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def with_mask_mirror(monkeypatch, call):
+    """``call()`` with the mask formula bound as ``mirror_upper`` in every module that uses it."""
+    with monkeypatch.context() as patch:
+        for module in (kernels, hardy_pick, multipliers):
+            patch.setattr(module, "mirror_upper", mirror_upper_by_mask)
+        return call()
+
+
+def outcome(call):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return call()
+    except (DegenerateGram, Overflow) as exc:
+        return type(exc), str(exc)
+
+
+class TestMirrorUpperBits:
+    SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+
+    def draw(self, rng, shape, complex_entries):
+        parts = []
+        for _ in range(2 if complex_entries else 1):
+            values = rng.normal(size=shape)
+            special = rng.uniform(size=shape) < 0.4
+            values[special] = rng.choice(self.SPECIALS, size=int(special.sum()))
+            parts.append(values)
+        if not complex_entries:
+            return parts[0]
+        out = np.empty(shape, dtype=complex)
+        out.real, out.imag = parts  # no arithmetic, so signed zeros and NaNs stay as drawn
+        return out
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (9, 9), (48, 48), (3, 1, 1), (5, 7, 7), (0, 4, 4), (0, 1, 1)])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_matches_the_mask_formula(self, shape, complex_entries):
+        rng = np.random.default_rng(sum(shape) + 7 * complex_entries)
+        for _ in range(10):
+            M = self.draw(rng, shape, complex_entries)
+            big = self.draw(rng, shape[:-2] + (2 * shape[-1], 3 * shape[-1]), complex_entries)
+            # C-ordered, transposed, strided, and a view of a larger array's corner
+            for X in (M, np.swapaxes(M, -1, -2), big[..., ::2, ::3], big[..., : shape[-1], 1 : shape[-1] + 1]):
+                assert same_bits(mirror_upper(X), mirror_upper_by_mask(X))
+
+    def test_pick_solve_is_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            m = int(rng.integers(2, 13))
+            nodes = np.sqrt(rng.uniform(0.0, 0.9, m)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+            values = np.sqrt(rng.uniform(0.0, 1.0, m)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+            new = outcome(lambda: pick_solve(nodes, values))
+            assert new == with_mask_mirror(monkeypatch, lambda: outcome(lambda: pick_solve(nodes, values)))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_separability_probe_is_unchanged(self, monkeypatch, m):
+        for start in (0.0, 0.3):
+            new = separability_probe(m, start=start)
+            ref = with_mask_mirror(monkeypatch, lambda: separability_probe(m, start=start))
+            assert new.pattern_norms == ref.pattern_norms and new.max_min_norm == ref.max_min_norm
+
+    def test_gram_and_multiplier_gram_are_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        S = disk_sample(rng, 12)
+        w = rng.normal(size=12) + 1j * rng.normal(size=12)
+        for K in (szego(), geom(scale(0.5, szego())), kernel_sum(szego(), rank_one(moebius(0.3)))):
+            new = gram(K, S).entries
+            ref = with_mask_mirror(monkeypatch, lambda: gram(K, S).entries)
+            assert same_bits(new, ref)
+            ref = with_mask_mirror(monkeypatch, lambda: multiplier_gram(2.0, w, new))
+            assert same_bits(multiplier_gram(2.0, w, new), ref)
+
+
 def lower_factors():
     """Complex Cholesky factors and graded real lower triangular matrices."""
     rng = np.random.default_rng(43)
@@ -512,6 +640,15 @@ class TestPencilNorms:
 
 
 class TestCertifyPencilNorms:
+    def test_perron_bound_of_a_stack_is_each_bound(self):
+        """A trial bounds its entry radius and ``|P|`` in one call on their stack."""
+        rng = np.random.default_rng(48)
+        for shape in [(1, 1, 1), (1, 2, 2), (1, 9, 9), (32, 5, 5), (64, 6, 6), (128, 7, 7), (3, 12, 12)]:
+            radius = rng.uniform(size=shape) * 10.0 ** rng.integers(-300, 3, size=shape)
+            modulus = np.abs(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            both = _perron_bound(np.stack((radius, modulus)))
+            assert same_bits(both[0], _perron_bound(radius)) and same_bits(both[1], _perron_bound(modulus))
+
     def test_cholesky_each_factors_around_a_breakdown(self):
         rng = np.random.default_rng(44)
         X = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
@@ -541,6 +678,33 @@ class TestCertifyPencilNorms:
         assert np.all(certified - pencil <= 32 * np.finfo(float).eps * eig[-1] / eig[0] * np.maximum(1.0, pencil))
         for k in range(5):
             assert np.linalg.eigvalsh(certified[k] ** 2 * G - A[k])[0] > 0.0
+
+    def test_failed_proof_is_retried(self, monkeypatch):
+        """Only a pencil whose proof fails is tried again, at a larger t."""
+        rng = np.random.default_rng(49)
+        n = 5
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        G = mirror_upper(X @ X.conj().T + np.eye(n))
+        A = random_hermitian(rng, n, k=3)
+        pencil = pencil_norms(A, G)
+
+        def exact_floats(T, idx):
+            return mirror_upper(T[:, None, None] * G - A[idx]), np.zeros((len(idx), n, n))
+
+        first_try = certify_pencil_norms(G, pencil, 1e-9, exact_floats)
+        proven, sizes = kernels._shift_needed, []
+
+        def second_breaks_down_once(P, shift, radius):
+            needed = proven(P, shift, radius)
+            sizes.append(len(P))
+            if len(sizes) == 1:
+                needed[1] = np.inf  # as if its Cholesky factorization broke down
+            return needed
+
+        monkeypatch.setattr(kernels, "_shift_needed", second_breaks_down_once)
+        retried = certify_pencil_norms(G, pencil, 1e-9, exact_floats)
+        assert sizes == [3, 1]
+        assert retried[[0, 2]].tolist() == first_try[[0, 2]].tolist() and retried[1] > first_try[1]
 
     def test_allowance_is_enforced_on_the_first_pass(self):
         # entries known only to 1e-3 need a shift far past the rounding allowance
