@@ -38,7 +38,7 @@ import orjson
 
 from . import geometry, hardy_pick, kernels, multipliers, realization
 from .errors import NESTED_TOO_DEEPLY, NumericalError, ToolkitError, ValidationError
-from .serialize import complex_matrix_from_json, complex_vector_from_json, complex_vector_to_json, integer, real, shown
+from .serialize import complex_matrix_from_json, complex_to_json, complex_vector_from_json, integer, real, shown
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class ExperimentConfig:
     inputs: dict = field(default_factory=dict)   # name -> file path
     inline: dict = field(default_factory=dict)   # name -> inline JSON string
     options: dict = field(default_factory=dict)  # parsed flags
-    tol: float | None = None
+    tol: float | None = None                     # None: the command's declared default
     method: str = "pencil"
     max_points: int = 64
     out: str | None = None
@@ -143,7 +143,9 @@ class ExperimentConfig:
                 _check_kind(name, kind, value)
             if name not in taken and value != self.__dataclass_fields__[name].default:
                 raise ValidationError(f"command {self.command!r} takes no --{name.replace('_', '-')}")
-        if self.tol is not None and not self.tol > 0.0:
+        if self.tol is None:
+            self.tol = cmd.tol
+        elif not self.tol > 0.0:
             raise ValidationError("tolerance must be positive")
 
 
@@ -263,11 +265,6 @@ def _rng(config: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _tol(config: ExperimentConfig) -> float:
-    """The tolerance in use: ``--tol``, else the command's declared default."""
-    return _REGISTRY[config.command].tol if config.tol is None else config.tol
-
-
 def _finite(obj) -> bool:
     """Whether ``obj`` holds no NaN or infinite float, which orjson writes as ``null``.
 
@@ -313,7 +310,7 @@ def _encode(report: dict) -> str:
 def _cmd_psd_check(config, loader):
     obj = loader.file("matrix", "re")
     matrix = kernels.GramMatrix.from_json(obj) if "sample" in obj else complex_matrix_from_json(obj)
-    return kernels.psd_check(matrix, tol=_tol(config)).to_json()
+    return kernels.psd_check(matrix, tol=config.tol).to_json()
 
 
 @command("gram", files=("kernel", "sample"))
@@ -346,7 +343,7 @@ def _cmd_contraction(config, loader):
     K = loader.read("kernel", kernels.kernel_from_json)
     symbol = loader.read("symbol", kernels.fn_from_json)
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    return multipliers.contraction_check(K, symbol, sample, tol=_tol(config)).to_json()
+    return multipliers.contraction_check(K, symbol, sample, tol=config.tol).to_json()
 
 
 @command("kl-check", files=("kernel", "kernel2", "symbol", "sample"), tol=1e-10)
@@ -355,7 +352,7 @@ def _cmd_kl_check(config, loader):
     L = loader.read("kernel2", kernels.kernel_from_json)
     symbol = loader.read("symbol", kernels.fn_from_json)
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    report = multipliers.kl_monotonicity_check(K, L, symbol, sample, tol=_tol(config))
+    report = multipliers.kl_monotonicity_check(K, L, symbol, sample, tol=config.tol)
     return {"implication_holds": report.holds, "on_K": report.on_K.to_json(), "on_KL": report.on_KL.to_json()}
 
 
@@ -365,7 +362,7 @@ def _cmd_vn_check(config, loader):
     coeffs = complex_vector_from_json(loader.inline("poly"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
     grid = config.options.get("grid", 4096)
-    report = multipliers.von_neumann_check(symbol, coeffs, sample, boundary_grid=grid, tol=_tol(config))
+    report = multipliers.von_neumann_check(symbol, coeffs, sample, boundary_grid=grid, tol=config.tol)
     return {"lhs": report.lhs, "rhs": report.rhs, "pass": report.passed}
 
 
@@ -428,7 +425,7 @@ def _cmd_rank_check(config, loader):
     model = _load_model(loader.file("model", "space", "dist"))
     points = loader.inline("points")
     depth = config.options.get("depth", model.depth)
-    rank = realization.point_eval_rank(points, depth, model, tol=_tol(config))
+    rank = realization.point_eval_rank(points, depth, model, tol=config.tol)
     return {"rank": rank, "points": list(points), "depth": depth}
 
 
@@ -436,13 +433,13 @@ def _cmd_rank_check(config, loader):
 def _cmd_roundtrip(config, loader):
     model = _load_model(loader.file("model", "space", "dist"))
     coeffs = complex_vector_from_json(loader.inline("coeffs"))
-    recovered, bound = realization.coefficient_roundtrip(coeffs, model, tol=_tol(config), return_bound=True)
+    recovered, bound = realization.coefficient_roundtrip(coeffs, model, tol=config.tol, return_bound=True)
     padded = np.zeros(model.depth + 1, dtype=complex)
     padded[: len(coeffs)] = coeffs
     err = np.abs(recovered - padded)
     scale = max(float(np.abs(padded).max()), 1e-300)
     return {
-        "recovered": complex_vector_to_json(recovered),
+        "recovered": complex_to_json(recovered),
         "max_abs_error": float(err.max()),
         "max_rel_error": float(err.max() / scale),
         "error_bound": bound,
@@ -490,8 +487,8 @@ def _cmd_submult(config, loader):
 @command("pick-solve", files=("problem",), tol=1e-9)
 def _cmd_pick_solve(config, loader):
     problem = hardy_pick.PickProblem.from_json(loader.file("problem", "nodes"))
-    solution = problem.solve(tol=_tol(config))
-    result = {"min_norm": solution.min_norm, "pencil_norm": solution.pencil_norm}
+    solution = problem.solve(tol=config.tol)
+    result = solution._asdict()
     if problem.bound > 0.0:
         result["feasible_at_bound"] = hardy_pick.pick_feasible(problem).to_json()
     return result
@@ -501,7 +498,7 @@ def _cmd_pick_solve(config, loader):
 def _cmd_carleson_probe(config, loader):
     m = config.options["m"]
     start = config.options.get("start", 0.0)
-    report = hardy_pick.separability_probe(m, start=start, tol=_tol(config))
+    report = hardy_pick.separability_probe(m, start=start, tol=config.tol)
     return {
         "nodes": report.nodes.tolist(),
         "max_min_norm": report.max_min_norm,
@@ -512,12 +509,12 @@ def _cmd_carleson_probe(config, loader):
 
 @command("detect-mo", files=("matrix", "sample"), tol=1e-6)
 def _cmd_detect_mo(config, loader):
-    T = complex_matrix_from_json(loader.file("matrix"))
+    T = complex_matrix_from_json(loader.file("matrix", "re"))
     sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
-    values = hardy_pick.detect_mo(T, sample, tol=_tol(config))
+    values = hardy_pick.detect_mo(T, sample, tol=config.tol)
     if values is None:
         return {"detected": False}
-    return {"detected": True, "symbol_values": complex_vector_to_json(values)}
+    return {"detected": True, "symbol_values": complex_to_json(values)}
 
 
 @command("ardy-check", inline=("poly",))
@@ -557,12 +554,8 @@ def run(config: ExperimentConfig) -> int:
         "command": config.command,
         "status": status,
         "inputs": loader.digests,
-        "parameters": {
-            **({"tol": _tol(config)} if cmd.tol is not None else {}),
-            **({"method": config.method} if cmd.tuning else {}),
-            **({"max_points": config.max_points} if cmd.files else {}),
-            **config.options,
-        },
+        # every field the command declares but --out, which names where the report goes
+        "parameters": {**{name: getattr(config, name) for name in _fields(cmd) if name != "out"}, **config.options},
         "result": result,
         "error": error,
         "timestamp": {"unix_time": time.time(), "wall_clock_s": elapsed},

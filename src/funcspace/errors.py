@@ -1,7 +1,8 @@
 """Error taxonomy shared by every module.
 
-Each failure mode carries a stable machine-readable ``code`` so that batch
-reports can classify outcomes without parsing messages.  Two families:
+Each failure mode carries a stable machine-readable ``code``, the name of
+its class, so that batch reports can classify outcomes without parsing
+messages.  Two families:
 
 * :class:`ValidationError` -- the inputs violate a stated contract
   (bad matrix, out-of-range parameter, precondition failure).
@@ -18,90 +19,86 @@ NESTED_TOO_DEEPLY = "input nested too deeply"
 class ToolkitError(Exception):
     code = "ToolkitError"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
+
 
 class ValidationError(ToolkitError, ValueError):
-    code = "ValidationError"
+    pass
 
 
 class NumericalError(ToolkitError, ArithmeticError):
-    code = "NumericalError"
+    pass
 
 
 class EmptySet(ValidationError):
-    code = "EmptySet"
+    pass
 
 
 class DegenerateSpace(ValidationError):
-    code = "DegenerateSpace"
+    pass
 
 
 class SamePoint(ValidationError):
-    code = "SamePoint"
+    pass
 
 
 class ZeroFunction(ValidationError):
-    code = "ZeroFunction"
+    pass
 
 
 class OutOfDomain(ValidationError):
-    code = "OutOfDomain"
+    pass
 
 
 class NotHermitian(ValidationError):
-    code = "NotHermitian"
+    pass
 
 
 class GeomDiverges(NumericalError):
     """Geometric-series kernel evaluated where the inner kernel has modulus >= 1."""
 
-    code = "GeomDiverges"
-
 
 class DegenerateGram(NumericalError):
     """Gram matrix singular beyond the conditioning threshold; perturb the sample."""
-
-    code = "DegenerateGram"
 
 
 class Overflow(NumericalError):
     """An intermediate matrix left the float64 range; rescale the inputs."""
 
-    code = "Overflow"
-
 
 class SymbolNotContractive(ValidationError):
-    code = "SymbolNotContractive"
+    pass
 
 
 class DepthExceedsSequence(ValidationError):
-    code = "DepthExceedsSequence"
+    pass
 
 
 class ExhaustedSpace(ValidationError):
     """The enumeration has consumed the whole finite space; reduce the depth."""
 
-    code = "ExhaustedSpace"
-
 
 class CoefficientOverflow(ValidationError):
-    code = "CoefficientOverflow"
+    pass
 
 
 class DuplicatePoint(ValidationError):
-    code = "DuplicatePoint"
+    pass
 
 
 class PrefixTooShallow(ValidationError):
-    code = "PrefixTooShallow"
+    pass
 
 
 class IllConditionedPrefix(NumericalError):
-    code = "IllConditionedPrefix"
+    pass
 
 
 class NotInDisk(ValidationError):
-    code = "NotInDisk"
+    pass
 
 
 class PatternBudgetExceeded(ValidationError):
-    code = "PatternBudgetExceeded"
+    pass

@@ -26,8 +26,8 @@ from .errors import (
     ZeroFunction,
 )
 from .serialize import (
+    complex_to_json,
     complex_vector_from_json,
-    complex_vector_to_json,
     integer,
     pair_to_complex,
     point_labels,
@@ -175,7 +175,7 @@ class EuclideanPointSet:
         return np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
 
     def to_json(self) -> dict:
-        out = {"dim": self.dim, "points": [complex_vector_to_json(p) for p in self.points]}
+        out = {"dim": self.dim, "points": complex_to_json(self.points)}
         if self.labels is not None:
             out["labels"] = list(self.labels)
         return out
@@ -194,10 +194,8 @@ class EuclideanPointSet:
                 and isinstance(entry[1], (int, float))
             ):
                 rows.append([pair_to_complex(entry)])
-            elif isinstance(entry, list):
-                rows.append([pair_to_complex(z) for z in entry])
             else:
-                raise ValidationError("expected a list of [re, im] pairs")
+                rows.append(complex_vector_from_json(entry))
         ps = cls(np.array(rows, dtype=complex), labels=obj.get("labels"))
         if "dim" in obj and integer(obj["dim"], "dim") != ps.dim:
             raise ValidationError("declared dim does not match point tuples")
@@ -300,7 +298,7 @@ class SampledFunction:
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        return {"values": complex_vector_to_json(self.values)}
+        return {"values": complex_to_json(self.values)}
 
     @classmethod
     def from_json(cls, obj, space) -> "SampledFunction":

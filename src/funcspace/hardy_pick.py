@@ -57,7 +57,7 @@ from .kernels import (
     require_finite,
     szego,
 )
-from .serialize import complex_vector_from_json, complex_vector_to_json, integer, real
+from .serialize import complex_to_json, complex_vector_from_json, integer, real
 
 
 def toeplitz_mo(omega, N: int) -> np.ndarray:
@@ -152,8 +152,8 @@ class PickProblem:
 
     def to_json(self) -> dict:
         return {
-            "nodes": complex_vector_to_json(self.nodes),
-            "values": complex_vector_to_json(self.values),
+            "nodes": complex_to_json(self.nodes),
+            "values": complex_to_json(self.values),
             "bound": self.bound,
         }
 

@@ -47,9 +47,8 @@ from .geometry import EuclideanPointSet
 from .serialize import (
     complex_matrix_from_json,
     complex_matrix_to_json,
-    complex_to_pair,
+    complex_to_json,
     complex_vector_from_json,
-    complex_vector_to_json,
     integer,
     pair_to_complex,
     real,
@@ -393,10 +392,13 @@ def kernel_block(K: KernelExpr, X, Y) -> np.ndarray:
         GeomDiverges: a ``geom`` node saw an inner value of modulus >= 1.
         The error is the one that the first failing entry in row-major
         order raises when evaluated alone.
+        Overflow: an entry is not finite.
     """
-    out, failure = _evaluate(K, _as_points(X), _as_points(Y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, failure = _evaluate(K, _as_points(X), _as_points(Y))
     if failure:
         raise failure[2]
+    require_finite("the kernel block", out)
     return out
 
 
@@ -454,13 +456,17 @@ def gram(K: KernelExpr, sample: EuclideanPointSet) -> GramMatrix:
     (:func:`mirror_upper`).  A block that fails is rescanned row by row,
     each row from its diagonal on, and the error names the first failing
     ``(i, j)`` with ``i <= j`` in row-major order as ``gram entry (i,j)``;
-    an entry that fails only below the diagonal is mirrored away.
+    an entry that fails only below the diagonal is mirrored away.  A matrix
+    with an entry that is not finite raises Overflow.
     """
-    out, failure = _evaluate(K, sample.points, sample.points, upper=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, failure = _evaluate(K, sample.points, sample.points, upper=True)
     if failure:
         i, j, exc = failure
         raise type(exc)(f"gram entry ({i},{j}): {exc}")
-    return GramMatrix(sample, mirror_upper(out))
+    out = mirror_upper(out)
+    require_finite("the Gram matrix", out)
+    return GramMatrix(sample, out)
 
 
 @dataclass(frozen=True)
@@ -473,12 +479,7 @@ class PsdReport:
     max_abs_eigenvalue: float
 
     def to_json(self) -> dict:
-        return {
-            "is_psd": self.is_psd,
-            "min_eigenvalue": self.min_eigenvalue,
-            "tolerance_used": self.tolerance_used,
-            "max_abs_eigenvalue": self.max_abs_eigenvalue,
-        }
+        return dict(vars(self))
 
 
 def psd_check(G, tol: float = 1e-10) -> PsdReport:
@@ -767,9 +768,9 @@ def fn_to_json(fn: ClosedFormFunction) -> dict:
     if k == "coordinate":
         return {"kind": "coordinate", "index": fn.index}
     if k == "polynomial":
-        return {"kind": "polynomial", "coeffs": complex_vector_to_json(fn.coeffs)}
+        return {"kind": "polynomial", "coeffs": complex_to_json(fn.coeffs)}
     if k == "moebius":
-        return {"kind": "moebius", "a": complex_to_pair(fn.a)}
+        return {"kind": "moebius", "a": complex_to_json(fn.a)}
     if k == "exp":
         return {"kind": "exp"}
     if k == "compose":
@@ -779,7 +780,7 @@ def fn_to_json(fn: ClosedFormFunction) -> dict:
     if k == "sum":
         return {"kind": "sum", "terms": [fn_to_json(c) for c in fn.children]}
     if k == "scale":
-        return {"kind": "scale", "factor": complex_to_pair(fn.factor), "arg": fn_to_json(fn.children[0])}
+        return {"kind": "scale", "factor": complex_to_json(fn.factor), "arg": fn_to_json(fn.children[0])}
     raise AssertionError(k)
 
 

@@ -69,12 +69,7 @@ class MultNormReport:
     method: str
 
     def to_json(self) -> dict:
-        return {
-            "sampled_norm": self.sampled_norm,
-            "lower_bound_sup": self.lower_bound_sup,
-            "method": self.method,
-            "semantics": "finite-sample lower estimate",
-        }
+        return {**vars(self), "semantics": "finite-sample lower estimate"}
 
 
 def contraction_check(K: KernelExpr, w: ClosedFormFunction, sample: EuclideanPointSet, tol: float = 1e-10) -> PsdReport:
@@ -84,7 +79,8 @@ def contraction_check(K: KernelExpr, w: ClosedFormFunction, sample: EuclideanPoi
     Passing is necessary for ``||M_w|| <= 1``; failing certifies the norm
     exceeds 1 already on this sample.
     """
-    values = w.eval_points(sample.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is refused below
+        values = w.eval_points(sample.points)
     return psd_check(multiplier_gram(1.0, values, gram(K, sample).entries), tol=tol)
 
 
@@ -112,7 +108,9 @@ def sampled_mult_norm(
     """
     if method not in ("pencil", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
-    values = w.eval_points(sample.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is refused below
+        values = w.eval_points(sample.points)
+        sup = float(np.abs(values).max())
     G_F = gram(K_F, sample).entries
     G_E = G_F if K_E == K_F else gram(K_E, sample).entries
     eig_E = np.linalg.eigvalsh(G_E)
@@ -122,8 +120,8 @@ def sampled_mult_norm(
             f"(eigenvalue range [{eig_E.min():.3e}, {eig_E.max():.3e}])"
         )
 
-    A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
-    sup = float(np.abs(values).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
     t = float(pencil_norms(A[None], G_E)[0])
     if method == "pencil":
         return MultNormReport(sup, t, "pencil")
@@ -156,7 +154,8 @@ def kl_monotonicity_check(
     this check reports both contraction tests and the implication.  The Gram
     of K*L is ``G_K * G_L``, bit for bit: both diagonals are exactly real.
     """
-    values = w.eval_points(sample.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is refused below
+        values = w.eval_points(sample.points)
     G_K = gram(K, sample).entries
     G_L = gram(L, sample).entries
     on_K = psd_check(multiplier_gram(1.0, values, G_K), tol=tol)

@@ -1,13 +1,14 @@
 """JSON helpers for complex scalars and matrices, and the integer contract.
 
-Complex numbers travel as ``[re, im]`` pairs; complex matrices as a pair of
-real matrices under the keys ``"re"`` and ``"im"``.  Real inputs are accepted
-wherever a complex value is expected.  Every index, count and dimension that
-enters the package, from JSON, argv or a caller, passes :func:`integer`, and
-every real scalar passes :func:`real`; a real matrix read from JSON passes
-:func:`real_matrix`.  A message that shows an input value shows it through
-:func:`shown`, so that a value nested past the interpreter's recursion limit
-is refused like any other.
+Complex numbers travel as ``[re, im]`` pairs, and :func:`complex_to_json` is
+their one writer, for a scalar or an array of any shape; complex matrices
+travel as a pair of real matrices under the keys ``"re"`` and ``"im"``.
+Real inputs are accepted wherever a complex value is expected.  Every index,
+count and dimension that enters the package, from JSON, argv or a caller,
+passes :func:`integer`, and every real scalar passes :func:`real`; a real
+matrix read from JSON passes :func:`real_matrix`.  A message that shows an
+input value shows it through :func:`shown`, so that a value nested past the
+interpreter's recursion limit is refused like any other.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ def point_labels(values, count: int) -> tuple:
     return text
 
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def complex_to_json(values) -> list:
+    """A complex scalar as ``[re, im]``, or an array of any shape as nested lists of such pairs."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack((values.real, values.imag), axis=-1).tolist()
 
 
 def pair_to_complex(obj) -> complex:
@@ -71,10 +73,6 @@ def pair_to_complex(obj) -> complex:
     if not isinstance(obj, bool) and isinstance(obj, numbers.Real):
         return complex(obj)
     raise ValidationError(f"expected a real number or an [re, im] pair, got {shown(obj)}")
-
-
-def complex_vector_to_json(values) -> list:
-    return [complex_to_pair(z) for z in np.asarray(values, dtype=complex)]
 
 
 def complex_vector_from_json(obj) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +588,44 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"]["code"] == "NotHermitian"
 
+    @pytest.mark.parametrize("command", ["gram", "mult-norm", "contraction", "kl-check"])
+    def test_overflowing_gram_exits_3(self, capsys, tmp_path, inputs, command):
+        huge = {"op": "scale", "factor": 1e308, "arg": {"op": "scale", "factor": 1e308, "arg": {"op": "szego"}}}
+        files = {
+            "kernel": write(tmp_path / "huge.json", huge),
+            "kernel2": inputs["szego"],
+            "symbol": inputs["coord0"],
+            "sample": write(tmp_path / "s3.json", {"points": [0.1, 0.2, [0.3, 0.1]]}),
+        }
+        argv = [command] + [arg for name in cli._REGISTRY[command].files for arg in ("--" + name, files[name])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_cli(capsys, argv)
+        assert code == 3
+        assert report["error"] == {"code": "Overflow", "message": "the Gram matrix overflows float64"}
+
+    @pytest.mark.parametrize(
+        "command, kernel, symbol, points",
+        [
+            ("mult-norm", {"op": "szego"}, {"kind": "polynomial", "coeffs": [1e308, 1e308, 1e308]}, [0.1, 0.2]),
+            (
+                "contraction",
+                {"op": "szego"},
+                {"kind": "compose", "outer": {"kind": "exp"}, "inner": {"kind": "polynomial", "coeffs": [0, 3000]}},
+                [0.9, 0.95],
+            ),
+        ],
+        ids=["mult-norm-poly", "contraction-exp"],
+    )
+    def test_overflowing_symbol_exits_3_without_warnings(self, capsys, tmp_path, command, kernel, symbol, points):
+        files = {"kernel": kernel, "symbol": symbol, "sample": {"points": points}}
+        argv = [command] + [arg for name, obj in files.items() for arg in ("--" + name, write(tmp_path / f"{name}.json", obj))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_cli(capsys, argv)
+        assert code == 3
+        assert report["error"]["code"] == "Overflow"
+
     @pytest.mark.parametrize(
         "kernel, points",
         [
@@ -986,6 +1025,12 @@ class TestMaxPoints:
             assert "max-points" in report["error"]["message"], argv
         code, _ = run_cli(capsys, ["psd-check", "--matrix", matrix, "--max-points", "65"])
         assert code == 0
+
+    def test_detect_mo_counts_matrix_rows(self, capsys, tmp_path, inputs):
+        matrix = write(tmp_path / "eye100.json", {"re": np.eye(100).tolist()})
+        code, report = run_cli(capsys, ["detect-mo", "--matrix", matrix, "--sample", inputs["s2"], "--max-points", "8"])
+        assert code == 2
+        assert report["error"]["message"] == "matrix has 100 points, above --max-points 8"
 
 
 class TestLpOracle:

@@ -445,7 +445,7 @@ class TestDil:
         ),
         c=st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     def test_dil_is_a_seminorm(self, vals, other, c):
         space = interval5_space()
         f = SampledFunction(space, vals)

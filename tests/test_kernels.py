@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,16 @@ class TestGram:
         S = EuclideanPointSet([[0.0], [0.5]])
         with pytest.raises(GeomDiverges, match=r"gram entry"):
             gram(geom(constant(1.0)), S)
+
+    def test_overflow_raises_without_warnings(self):
+        S = EuclideanPointSet([[0.1], [0.2]])
+        huge = scale(1e308, scale(1e308, szego()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="the Gram matrix overflows float64"):
+                gram(huge, S)
+            with pytest.raises(Overflow, match="the kernel block overflows float64"):
+                kernels.kernel_block(huge, S.points, S.points)
 
 
 class TestPsdCheck:
