@@ -11,10 +11,12 @@ JSON is reported as before.  The one difference: an integer literal beyond
 the 64-bit range is read as a float.  Reports are byte-identical across runs
 with the same inputs and flags, except for the ``timestamp`` field.  A
 command takes only the flags it reads, and its ``parameters`` are the
-tolerance, method and point cap it reads and every option given.  Exit
-status: 0 on success, 2 on validation errors (including malformed JSON,
-reported with line and column, and command-line usage errors), 3 on
-numerical errors such as a degenerate Gram matrix.
+tolerance, method and point cap it reads and every option given.
+``--order``, the one JSON-valued option, must be a flat JSON list, so the
+report echoes it one level deep.  Exit status: 0 on success, 2 on
+validation errors (including malformed JSON, reported with line and column,
+and command-line usage errors), 3 on numerical errors such as a degenerate
+Gram matrix (:func:`_failure`).
 
 Each command is declared once, by the :func:`command` decorator on its
 handler; the parser, the routing of parsed flags and the dispatch in
@@ -88,19 +90,6 @@ def _fields(cmd: Command) -> dict:
     return {name: kind for name, kind in _FIELDS.items() if takes[name]}
 
 
-# The deepest nesting a JSON-valued option may have.  orjson writes at most
-# 255 levels, and the report echoes an option a few levels down.
-MAX_OPTION_DEPTH = 200
-
-
-def _nested_deeper(value, depth: int) -> bool:
-    """Whether ``value`` nests lists and objects more than ``depth`` levels deep."""
-    level = [value]
-    for _ in range(depth):
-        level = [item for v in level if isinstance(v, (list, dict)) for item in (v.values() if isinstance(v, dict) else v)]
-    return any(isinstance(v, (list, dict)) for v in level)
-
-
 def _check_kind(name: str, kind, value) -> None:
     """Refuse ``value`` unless it has the kind the flag declares; an int is never a float or a bool."""
     flag = "--" + name.replace("_", "-")
@@ -110,8 +99,10 @@ def _check_kind(name: str, kind, value) -> None:
         real(value, flag)
     elif kind in (bool, str) and not isinstance(value, kind):
         raise ValidationError(f"{flag} must be a {kind.__name__}, got {shown(value)}")
-    elif kind is _json_value and _nested_deeper(value, MAX_OPTION_DEPTH):
-        raise ValidationError(f"{flag} is nested more than {MAX_OPTION_DEPTH} levels deep")
+    elif isinstance(kind, tuple) and not (isinstance(value, str) and value in kind):
+        raise ValidationError(f"{flag} must be one of {', '.join(kind)}, got {shown(value)}")
+    elif kind is _json_value and (not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value)):
+        raise ValidationError(f"{flag} must be a flat JSON list, got {shown(value)}")
 
 
 @dataclass
@@ -131,6 +122,10 @@ class ExperimentConfig:
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {shown(self.command)}")
         cmd = _REGISTRY[self.command]
+        for given, declared in ((self.inputs, cmd.files), (self.inline, cmd.inline)):
+            for name in given:
+                if name not in declared:
+                    raise ValidationError(f"command {self.command!r} takes no --{name}")
         for name, value in self.options.items():
             if name not in cmd.options:
                 raise ValidationError(f"command {self.command!r} takes no option {name!r}")
@@ -138,10 +133,10 @@ class ExperimentConfig:
                 _check_kind(name, cmd.options[name], value)
         taken = _fields(cmd)
         for name, kind in _FIELDS.items():
-            value = getattr(self, name)
-            if value is not None:
+            value, default = getattr(self, name), self.__dataclass_fields__[name].default
+            if value is not None or default is not None:  # None stands for a default only where it is one
                 _check_kind(name, kind, value)
-            if name not in taken and value != self.__dataclass_fields__[name].default:
+            if name not in taken and value != default:
                 raise ValidationError(f"command {self.command!r} takes no --{name.replace('_', '-')}")
         if self.tol is None:
             self.tol = cmd.tol
@@ -186,15 +181,6 @@ def _named(where: str, read, arg):
         raise ValidationError(f"{where}: {NESTED_TOO_DEEPLY}") from None
 
 
-def _load_json_file(path: str):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    return _named(path, _loads, raw), hashlib.sha256(raw).hexdigest()
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
@@ -213,6 +199,11 @@ def _json_value(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# The key path of each input file's point list (a matrix counts its rows),
+# whose length --max-points bounds.
+_POINTS = {"sample": ("points",), "space": ("dist",), "model": ("space", "dist"), "matrix": ("re",), "problem": ("nodes",)}
+
+
 class _Loader:
     """Loads and digests the inputs a handler asks for."""
 
@@ -220,24 +211,28 @@ class _Loader:
         self.config = config
         self.digests = {}
 
-    def file(self, name: str, *count):
-        """Load input ``name``.
+    def file(self, name: str, reader=None):
+        """Input file ``name``, read by ``reader`` when given; a refusal of its
+        nesting names the file.
 
-        ``count`` is the key path of the input's point list (a matrix counts
-        its rows); that list's length is checked against ``--max-points``
-        before anything is built from it.
+        An input with a point list (``_POINTS``) has that list's length checked
+        against ``--max-points`` before anything is built from it.
         """
         path = self.config.inputs.get(name)
         if path is None:
             raise ValidationError(f"command {self.config.command!r} requires --{name}")
-        obj, digest = _load_json_file(path)
-        self.digests[name] = {"path": path, "sha256": digest}
-        points = obj
-        for key in count:
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from None
+        points = obj = _named(path, _loads, raw)
+        self.digests[name] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+        for key in _POINTS.get(name, ()):
             points = points.get(key) if isinstance(points, dict) else None
-        if count and isinstance(points, list) and len(points) > self.config.max_points:
+        if name in _POINTS and isinstance(points, list) and len(points) > self.config.max_points:
             raise ValidationError(f"{name} has {len(points)} points, above --max-points {self.config.max_points}")
-        return obj
+        return obj if reader is None else _named(path, reader, obj)
 
     def inline(self, name: str):
         text = self.config.inline.get(name)
@@ -246,15 +241,15 @@ class _Loader:
         self.digests[name] = {"inline": True, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
         return _named(f"--{name}", _loads, text)
 
-    def optional_file(self, name: str, *count):
+    def optional_file(self, name: str, reader=None):
         if self.config.inputs.get(name) is None:
             return None
-        return self.file(name, *count)
+        return self.file(name, reader)
 
-    def read(self, name: str, reader):
-        """``reader`` (a kernel or symbol reader) on input file ``name``; a
-        refusal of its nesting names the file."""
-        return _named(self.config.inputs.get(name), reader, self.file(name))
+
+def _failure(exc: ToolkitError) -> tuple:
+    """The exit status of ``exc`` (3 if numerical, else 2) and its report entry."""
+    return 3 if isinstance(exc, NumericalError) else 2, {"code": exc.code, "message": str(exc)}
 
 
 def _rng(config: ExperimentConfig) -> np.random.Generator:
@@ -308,24 +303,24 @@ def _encode(report: dict) -> str:
 
 @command("psd-check", files=("matrix",), tol=1e-10)
 def _cmd_psd_check(config, loader):
-    obj = loader.file("matrix", "re")
+    obj = loader.file("matrix")
     matrix = kernels.GramMatrix.from_json(obj) if "sample" in obj else complex_matrix_from_json(obj)
     return kernels.psd_check(matrix, tol=config.tol).to_json()
 
 
 @command("gram", files=("kernel", "sample"))
 def _cmd_gram(config, loader):
-    K = loader.read("kernel", kernels.kernel_from_json)
-    sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
+    K = loader.file("kernel", kernels.kernel_from_json)
+    sample = loader.file("sample", geometry.EuclideanPointSet.from_json)
     return kernels.gram(K, sample).to_json()
 
 
 @command("mult-norm", files=("kernel", "kernel2", "symbol", "sample"), options={"csv": str}, tuning=True)
 def _cmd_mult_norm(config, loader):
-    K_F = loader.read("kernel", kernels.kernel_from_json)
-    K_E = K_F if config.inputs.get("kernel2") is None else loader.read("kernel2", kernels.kernel_from_json)
-    symbol = loader.read("symbol", kernels.fn_from_json)
-    sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
+    K_F = loader.file("kernel", kernels.kernel_from_json)
+    K_E = loader.optional_file("kernel2", kernels.kernel_from_json) or K_F
+    symbol = loader.file("symbol", kernels.fn_from_json)
+    sample = loader.file("sample", geometry.EuclideanPointSet.from_json)
     result = multipliers.sampled_mult_norm(K_F, K_E, symbol, sample, method=config.method).to_json()
     if config.options.get("csv"):
         rows = ["n,sampled_norm"]
@@ -340,27 +335,27 @@ def _cmd_mult_norm(config, loader):
 
 @command("contraction", files=("kernel", "symbol", "sample"), tol=1e-10)
 def _cmd_contraction(config, loader):
-    K = loader.read("kernel", kernels.kernel_from_json)
-    symbol = loader.read("symbol", kernels.fn_from_json)
-    sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
+    K = loader.file("kernel", kernels.kernel_from_json)
+    symbol = loader.file("symbol", kernels.fn_from_json)
+    sample = loader.file("sample", geometry.EuclideanPointSet.from_json)
     return multipliers.contraction_check(K, symbol, sample, tol=config.tol).to_json()
 
 
 @command("kl-check", files=("kernel", "kernel2", "symbol", "sample"), tol=1e-10)
 def _cmd_kl_check(config, loader):
-    K = loader.read("kernel", kernels.kernel_from_json)
-    L = loader.read("kernel2", kernels.kernel_from_json)
-    symbol = loader.read("symbol", kernels.fn_from_json)
-    sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
+    K = loader.file("kernel", kernels.kernel_from_json)
+    L = loader.file("kernel2", kernels.kernel_from_json)
+    symbol = loader.file("symbol", kernels.fn_from_json)
+    sample = loader.file("sample", geometry.EuclideanPointSet.from_json)
     report = multipliers.kl_monotonicity_check(K, L, symbol, sample, tol=config.tol)
     return {"implication_holds": report.holds, "on_K": report.on_K.to_json(), "on_KL": report.on_KL.to_json()}
 
 
 @command("vn-check", files=("symbol", "sample"), inline=("poly",), options={"grid": int}, tol=1e-9)
 def _cmd_vn_check(config, loader):
-    symbol = loader.read("symbol", kernels.fn_from_json)
+    symbol = loader.file("symbol", kernels.fn_from_json)
     coeffs = complex_vector_from_json(loader.inline("poly"))
-    sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
+    sample = loader.file("sample", geometry.EuclideanPointSet.from_json)
     grid = config.options.get("grid", 4096)
     report = multipliers.von_neumann_check(symbol, coeffs, sample, boundary_grid=grid, tol=config.tol)
     return {"lhs": report.lhs, "rhs": report.rhs, "pass": report.passed}
@@ -390,16 +385,16 @@ def _cmd_realize(config, loader):
                 raise ValidationError(f"realize --model takes no --{name}: the model file fixes it")
         if config.inputs.get("space") is not None:
             raise ValidationError("realize --model takes no --space: the model file fixes it")
-    model_obj, space = loader.optional_file("model", "space", "dist"), None
+    model_obj, space = loader.optional_file("model"), None
     if model_obj is None:  # build the model from the space, validating it once
-        space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
+        space = loader.file("space", geometry.MetricSpace.from_json)
         depth = config.options.get("depth", max(len(space) - 2, 0))
         order = config.options.get("order")
         if order is None:
             order = _rng(config).permutation(len(space)).tolist()
         model_obj = {
             "space": space.to_json(),
-            "order": list(order),
+            "order": order,
             "depth": depth,
             "policy": config.options.get("policy", "default_2n"),
             "p": 2.0,
@@ -415,14 +410,14 @@ def _cmd_realize(config, loader):
 
 @command("topology-probe", files=("model",), options={"x": int, "eps": float}, required=("x", "eps"))
 def _cmd_topology_probe(config, loader):
-    model = _load_model(loader.file("model", "space", "dist"))
+    model = loader.file("model", _load_model)
     probe = realization.topology_probe(config.options["x"], config.options["eps"], model)
     return {"n": probe.n, "U": list(probe.U), "pass": probe.passed}
 
 
 @command("rank-check", files=("model",), inline=("points",), options={"depth": int}, tol=1e-10)
 def _cmd_rank_check(config, loader):
-    model = _load_model(loader.file("model", "space", "dist"))
+    model = loader.file("model", _load_model)
     points = loader.inline("points")
     depth = config.options.get("depth", model.depth)
     rank = realization.point_eval_rank(points, depth, model, tol=config.tol)
@@ -431,7 +426,7 @@ def _cmd_rank_check(config, loader):
 
 @command("roundtrip", files=("model",), inline=("coeffs",), tol=realization.ROUNDTRIP_TOL)
 def _cmd_roundtrip(config, loader):
-    model = _load_model(loader.file("model", "space", "dist"))
+    model = loader.file("model", _load_model)
     coeffs = complex_vector_from_json(loader.inline("coeffs"))
     recovered, bound = realization.coefficient_roundtrip(coeffs, model, tol=config.tol, return_bound=True)
     padded = np.zeros(model.depth + 1, dtype=complex)
@@ -448,7 +443,7 @@ def _cmd_roundtrip(config, loader):
 
 @command("lip-dual", files=("space",), options={"x": int, "y": int, "oracle": bool}, required=("x",))
 def _cmd_lip_dual(config, loader):
-    space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
+    space = loader.file("space", geometry.MetricSpace.from_json)
     x, y = config.options["x"], config.options.get("y")
     if y is None:
         result = {"kind": "point", "value": geometry.lip_point_norm(space, x)}
@@ -464,7 +459,7 @@ def _cmd_lip_dual(config, loader):
 
 @command("submult", files=("space", "functions"), options={"random": int, "seed": int})
 def _cmd_submult(config, loader):
-    space = geometry.MetricSpace.from_json(loader.file("space", "dist"))
+    space = loader.file("space", geometry.MetricSpace.from_json)
     fs_obj = loader.optional_file("functions")
     n_random = config.options.get("random", 0)
     if n_random < 0:
@@ -486,7 +481,7 @@ def _cmd_submult(config, loader):
 
 @command("pick-solve", files=("problem",), tol=1e-9)
 def _cmd_pick_solve(config, loader):
-    problem = hardy_pick.PickProblem.from_json(loader.file("problem", "nodes"))
+    problem = loader.file("problem", hardy_pick.PickProblem.from_json)
     solution = problem.solve(tol=config.tol)
     result = solution._asdict()
     if problem.bound > 0.0:
@@ -509,8 +504,8 @@ def _cmd_carleson_probe(config, loader):
 
 @command("detect-mo", files=("matrix", "sample"), tol=1e-6)
 def _cmd_detect_mo(config, loader):
-    T = complex_matrix_from_json(loader.file("matrix", "re"))
-    sample = geometry.EuclideanPointSet.from_json(loader.file("sample", "points"))
+    T = loader.file("matrix", complex_matrix_from_json)
+    sample = loader.file("sample", geometry.EuclideanPointSet.from_json)
     values = hardy_pick.detect_mo(T, sample, tol=config.tol)
     if values is None:
         return {"detected": False}
@@ -536,23 +531,21 @@ def run(config: ExperimentConfig) -> int:
     cmd = _REGISTRY[config.command]
     loader = _Loader(config)
     started = time.perf_counter()
-    status, code, result, error = "ok", 0, None, None
+    code, result, error = 0, None, None
     try:
         for name in cmd.required:
             if config.options.get(name) is None:
                 raise ValidationError(f"command {cmd.name!r} requires --{name}")
         result = cmd.handler(config, loader)
-    except ValidationError as exc:
-        status, code, error = "error", 2, {"code": exc.code, "message": str(exc)}
-    except NumericalError as exc:
-        status, code, error = "error", 3, {"code": exc.code, "message": str(exc)}
+    except ToolkitError as exc:
+        code, error = _failure(exc)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # schema mistakes in otherwise well-formed JSON must not escape as tracebacks
-        status, code, error = "error", 2, {"code": "ValidationError", "message": f"bad input: {exc!r}"}
+        code, error = 2, {"code": "ValidationError", "message": f"bad input: {exc!r}"}
     elapsed = time.perf_counter() - started
     report = {
         "command": config.command,
-        "status": status,
+        "status": "ok" if error is None else "error",
         "inputs": loader.digests,
         # every field the command declares but --out, which names where the report goes
         "parameters": {**{name: getattr(config, name) for name in _fields(cmd) if name != "out"}, **config.options},
@@ -563,8 +556,8 @@ def run(config: ExperimentConfig) -> int:
     try:
         text = _encode(report)
     except ValidationError as exc:  # a result that echoes an input nested too deeply
-        code, report["status"], report["result"] = 2, "error", None
-        report["error"] = {"code": exc.code, "message": str(exc)}
+        report["status"], report["result"] = "error", None
+        code, report["error"] = _failure(exc)
         text = _encode(report)
     if config.out:
         _write_text(config.out, text + "\n")
@@ -624,8 +617,9 @@ def main(argv=None) -> int:
     try:
         return run(config_from_argv(sys.argv[1:] if argv is None else argv))
     except ToolkitError as exc:  # usage errors, and errors escaping before a handler ran
-        print(_encode({"status": "error", "error": {"code": exc.code, "message": str(exc)}}))
-        return 3 if isinstance(exc, NumericalError) else 2
+        code, error = _failure(exc)
+        print(_encode({"status": "error", "error": error}))
+        return code
 
 
 if __name__ == "__main__":

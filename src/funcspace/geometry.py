@@ -28,11 +28,13 @@ from .errors import (
 from .serialize import (
     complex_to_json,
     complex_vector_from_json,
+    index_list,
     integer,
     pair_to_complex,
     point_labels,
     real,
     real_matrix,
+    rows_array,
 )
 
 
@@ -196,7 +198,7 @@ class EuclideanPointSet:
                 rows.append([pair_to_complex(entry)])
             else:
                 rows.append(complex_vector_from_json(entry))
-        ps = cls(np.array(rows, dtype=complex), labels=obj.get("labels"))
+        ps = cls(rows_array(rows, "points", complex), labels=obj.get("labels"))
         if "dim" in obj and integer(obj["dim"], "dim") != ps.dim:
             raise ValidationError("declared dim does not match point tuples")
         return ps
@@ -318,7 +320,7 @@ def distance_function(space: MetricSpace, index: int) -> SampledFunction:
 
 def set_distance(space: MetricSpace, x: int, A) -> float:
     """Distance from point ``x`` to the nonempty index set ``A``."""
-    idx = sorted({integer(a, "point index", len(space)) for a in A})
+    idx = sorted(set(index_list(A, "points", "point index", len(space))))
     if not idx:
         raise EmptySet("distance to the empty set is undefined")
     x = integer(x, "point index", len(space))

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGram, SymbolNotContractive, ValidationError
+from .errors import DegenerateGram, Overflow, SymbolNotContractive, ValidationError
 from .geometry import EuclideanPointSet
 from .kernels import (
     ClosedFormFunction,
@@ -84,6 +84,15 @@ def contraction_check(K: KernelExpr, w: ClosedFormFunction, sample: EuclideanPoi
     return psd_check(multiplier_gram(1.0, values, gram(K, sample).entries), tol=tol)
 
 
+def _gram_of(role: str, K: KernelExpr, sample: EuclideanPointSet) -> np.ndarray:
+    """The entries of ``gram(K, sample)``; an overflow names ``role``, the
+    kernel's name in the caller's docstring."""
+    try:
+        return gram(K, sample).entries
+    except Overflow:
+        raise Overflow(f"the Gram matrix of {role} overflows float64") from None
+
+
 def _diag_lower_bound(w: np.ndarray, G_F: np.ndarray, G_E: np.ndarray) -> float:
     ratios = np.sqrt(np.maximum(G_F.real.diagonal(), 0.0) / G_E.real.diagonal())
     return float((np.abs(w) * ratios).max())
@@ -105,14 +114,15 @@ def sampled_mult_norm(
     Raises:
         DegenerateGram: Gram(K_E) is singular past the conditioning limit,
             or, for "bisection", the pencil value fails the feasibility test.
+        Overflow: Gram(K_F) or Gram(K_E) overflows, named as such.
     """
     if method not in ("pencil", "bisection"):
         raise ValidationError(f"unknown method {method!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is refused below
         values = w.eval_points(sample.points)
         sup = float(np.abs(values).max())
-    G_F = gram(K_F, sample).entries
-    G_E = G_F if K_E == K_F else gram(K_E, sample).entries
+    G_F = _gram_of("K_F", K_F, sample)
+    G_E = G_F if K_E == K_F else _gram_of("K_E", K_E, sample)
     eig_E = np.linalg.eigvalsh(G_E)
     if eig_E.min() <= 0.0 or eig_E.max() / eig_E.min() > CONDITION_LIMIT:
         raise DegenerateGram(
@@ -153,11 +163,12 @@ def kl_monotonicity_check(
     with the PSD matrix of L, hence the implication holds on every instance;
     this check reports both contraction tests and the implication.  The Gram
     of K*L is ``G_K * G_L``, bit for bit: both diagonals are exactly real.
+    An overflowing Gram of K or L raises Overflow naming that kernel.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is refused below
         values = w.eval_points(sample.points)
-    G_K = gram(K, sample).entries
-    G_L = gram(L, sample).entries
+    G_K = _gram_of("K", K, sample)
+    G_L = _gram_of("L", L, sample)
     on_K = psd_check(multiplier_gram(1.0, values, G_K), tol=tol)
     on_KL = psd_check(multiplier_gram(1.0, values, G_K * G_L), tol=tol)
     return KlReport(not on_K.is_psd or on_KL.is_psd, on_K, on_KL)

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .geometry import MetricSpace, SampledFunction
 from .kernels import gamma, lower_inverse
-from .serialize import integer, real, shown
+from .serialize import index_list, integer, real, shown
 
 _PIVOT_FLOOR = 1e-14
 #: Default bound on the relative error of a coefficient round-trip.
@@ -56,7 +56,7 @@ class DenseSequence:
     order: tuple
 
     def __init__(self, space: MetricSpace, order):
-        order = tuple(integer(i, "order entry") for i in order)
+        order = tuple(index_list(order, "order", "order entry"))
         n = len(space)
         if sorted(order) != list(range(n)):
             raise ValidationError("order must enumerate every point exactly once")
@@ -218,7 +218,7 @@ def point_eval_rank(points, M: int, model: RealizationModel, tol: float = 1e-10)
     Equals the number of points once M is large enough; singular values
     above ``tol * sigma_max`` count toward the rank.
     """
-    points = [integer(i, "point index", len(model.dense.space)) for i in points]
+    points = index_list(points, "points", "point index", len(model.dense.space))
     if len(set(points)) != len(points):
         raise DuplicatePoint("points must be distinct")
     M = integer(M, "depth")

@@ -5,10 +5,12 @@ their one writer, for a scalar or an array of any shape; complex matrices
 travel as a pair of real matrices under the keys ``"re"`` and ``"im"``.
 Real inputs are accepted wherever a complex value is expected.  Every index,
 count and dimension that enters the package, from JSON, argv or a caller,
-passes :func:`integer`, and every real scalar passes :func:`real`; a real
-matrix read from JSON passes :func:`real_matrix`.  A message that shows an
-input value shows it through :func:`shown`, so that a value nested past the
-interpreter's recursion limit is refused like any other.
+passes :func:`integer`, every list of point indices passes :func:`index_list`,
+and every real scalar passes :func:`real`; a real matrix read from JSON
+passes :func:`real_matrix`, and rows of unequal length are named by
+:func:`rows_array`.  A message that shows an input value shows it through
+:func:`shown`, so that a value nested past the interpreter's recursion limit
+is refused like any other.
 """
 
 from __future__ import annotations
@@ -40,6 +42,18 @@ def integer(value, name: str, size: int | None = None) -> int:
     if size is not None and not 0 <= value < size:
         raise ValidationError(f"{name} {value} out of range for a space of {size} points")
     return value
+
+
+def index_list(values, name: str, entry: str, size: int | None = None) -> list:
+    """``values`` (a list, tuple, range, set or 1-D integer array) as a list of
+    ints, each passing :func:`integer` as ``entry``; anything else, such as a
+    bare integer, is refused with ``name``."""
+    if not (
+        isinstance(values, (list, tuple, range, set, frozenset))
+        or (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu")
+    ):
+        raise ValidationError(f"{name} must be a list of integers, got {shown(values)}")
+    return [integer(i, entry, size) for i in values]
 
 
 def real(value, name: str) -> float:
@@ -90,7 +104,20 @@ _NUMBERS = {float, int}
 
 
 def _row_shape(row) -> str:
-    return f"has length {len(row)}" if isinstance(row, list) else "is a single number"
+    return f"has length {len(row)}" if isinstance(row, (list, np.ndarray)) else "is a single number"
+
+
+def rows_array(rows, key: str, dtype=float) -> np.ndarray:
+    """A list of rows of numbers as an array of ``dtype``.  Rows of unequal
+    length are refused with the first row whose length differs from row 0's."""
+    try:
+        return np.asarray(rows, dtype=dtype)
+    except ValueError:  # every entry is a number, so the rows are ragged
+        first = _row_shape(rows[0])
+        for i, row in enumerate(rows):
+            if _row_shape(row) != first:
+                raise ValidationError(f'row {i} of "{key}" {_row_shape(row)}, but row 0 {first}') from None
+        raise
 
 
 def real_matrix(rows, key: str) -> np.ndarray:
@@ -98,22 +125,14 @@ def real_matrix(rows, key: str) -> np.ndarray:
 
     ``true``, numeric strings and ``null`` are refused, which ``np.asarray``
     would convert; the message names the first of them in row-major order.
-    Each row is scanned by the types it holds, one set per row.  Rows of
-    unequal length are refused with the first row whose length differs from
-    row 0's.
+    Each row is scanned by the types it holds, one set per row.  Ragged rows
+    are refused by :func:`rows_array`.
     """
     if not (isinstance(rows, list) and all(type(row) is list and set(map(type, row)) <= _NUMBERS for row in rows)):
         for row in rows if isinstance(rows, list) else (rows,):
             for value in row if isinstance(row, list) else (row,):
                 real(value, f'an entry of "{key}"')
-    try:
-        return np.asarray(rows, dtype=float)
-    except ValueError:  # every entry is a number, so the rows are ragged
-        first = _row_shape(rows[0])
-        for i, row in enumerate(rows):
-            if _row_shape(row) != first:
-                raise ValidationError(f'row {i} of "{key}" {_row_shape(row)}, but row 0 {first}') from None
-        raise
+    return rows_array(rows, key)
 
 
 def complex_matrix_from_json(obj) -> np.ndarray:

@@ -588,21 +588,35 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"]["code"] == "NotHermitian"
 
-    @pytest.mark.parametrize("command", ["gram", "mult-norm", "contraction", "kl-check"])
-    def test_overflowing_gram_exits_3(self, capsys, tmp_path, inputs, command):
+    # the kernel that overflows, by flag, and the message: a command that reads
+    # two kernels names the overflowing one's role (README maps roles to flags)
+    OVERFLOWING_GRAMS = {
+        "gram": ("kernel", "the Gram matrix overflows float64"),
+        "mult-norm": ("kernel", "the Gram matrix of K_F overflows float64"),
+        "contraction": ("kernel", "the Gram matrix overflows float64"),
+        "kl-check": ("kernel", "the Gram matrix of K overflows float64"),
+        "mult-norm-kernel2": ("kernel2", "the Gram matrix of K_E overflows float64"),
+        "kl-check-kernel2": ("kernel2", "the Gram matrix of L overflows float64"),
+    }
+
+    @pytest.mark.parametrize("case", OVERFLOWING_GRAMS)
+    def test_overflowing_gram_exits_3(self, capsys, tmp_path, inputs, case):
+        command = case.removesuffix("-kernel2")
+        overflowing, message = self.OVERFLOWING_GRAMS[case]
         huge = {"op": "scale", "factor": 1e308, "arg": {"op": "scale", "factor": 1e308, "arg": {"op": "szego"}}}
         files = {
-            "kernel": write(tmp_path / "huge.json", huge),
+            "kernel": inputs["szego"],
             "kernel2": inputs["szego"],
             "symbol": inputs["coord0"],
             "sample": write(tmp_path / "s3.json", {"points": [0.1, 0.2, [0.3, 0.1]]}),
+            overflowing: write(tmp_path / "huge.json", huge),
         }
         argv = [command] + [arg for name in cli._REGISTRY[command].files for arg in ("--" + name, files[name])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, report = run_cli(capsys, argv)
         assert code == 3
-        assert report["error"] == {"code": "Overflow", "message": "the Gram matrix overflows float64"}
+        assert report["error"] == {"code": "Overflow", "message": message}
 
     @pytest.mark.parametrize(
         "command, kernel, symbol, points",
@@ -673,10 +687,15 @@ class TestErrorPaths:
              'row 2 of "im" has length 1, but row 0 has length 2'),
             (["lip-dual", "--x", "0", "--space"], {"dist": [[0, 1, 2], [1, 0, 1], [2, 1]]},
              'row 2 of "dist" has length 2, but row 0 has length 3'),
+            (["gram", "--kernel", "szego", "--sample"], {"points": [[[0.1, 0]], [[0.1, 0], [0.2, 0]]]},
+             'row 1 of "points" has length 2, but row 0 has length 1'),
+            (["gram", "--kernel", "szego", "--sample"], {"points": [0.1, [0.2, 0], [[0.1, 0], [0.2, 0]]]},
+             'row 2 of "points" has length 2, but row 0 has length 1'),
         ],
-        ids=["re", "re-number", "im", "dist"],
+        ids=["re", "re-number", "im", "dist", "points", "points-shorthand"],
     )
-    def test_ragged_rows_are_named(self, capsys, tmp_path, argv, matrix, message):
+    def test_ragged_rows_are_named(self, capsys, tmp_path, inputs, argv, matrix, message):
+        argv = [inputs.get(arg, arg) for arg in argv]
         code, report = run_cli(capsys, argv + [write(tmp_path / "m.json", matrix)])
         assert code == 2
         assert report["error"] == {"code": "ValidationError", "message": message}
@@ -764,25 +783,29 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "order, message",
         [
-            ("[" * 995 + "]" * 995, "--order is nested more than 200 levels deep"),
-            ("[" * 201 + "]" * 201, "--order is nested more than 200 levels deep"),
+            ("[" * 995 + "]" * 995, f"--order must be a flat JSON list, got {TOO_DEEP}"),
+            ("[" * 201 + "]" * 201, "--order must be a flat JSON list, got " + "[" * 201 + "]" * 201),
             ("[" * 3000 + "NaN" + "]" * 3000, "argument --order: input nested too deeply"),
+            ("5", "--order must be a flat JSON list, got 5"),
+            ('{"a": 1}', "--order must be a flat JSON list, got {'a': 1}"),
+            ('[0, 1, {"a": 2}, 3, 4]', "--order must be a flat JSON list, got [0, 1, {'a': 2}, 3, 4]"),
         ],
-        ids=["995", "201", "nan-3000"],
+        ids=["995", "201", "nan-3000", "int", "object", "object-entry"],
     )
     def test_deep_json_option_exits_2(self, capsys, inputs, order, message):
+        """A JSON-valued option that is not a flat list is refused before any input is read."""
         code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--order", order])
         assert code == 2
         assert report == {"status": "error", "error": {"code": "ValidationError", "message": message}}
 
     def test_json_option_at_the_depth_bound_is_read(self, capsys, inputs):
-        # 200 levels pass the bound and reach the handler, which refuses the entry
-        order = "[" * 200 + "]" * 200
-        code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--order", order])
+        # the bound is one level: a flat list reaches the handler, which refuses the entry
+        code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--order", '[2, 0, 4, 1, "a"]'])
         assert code == 2
-        assert report["error"]["message"] == "order entry must be an integer, got " + "[" * 199 + "]" * 199
-        with pytest.raises(ValidationError, match="nested more than 200 levels"):
-            ExperimentConfig("realize", inputs={"space": inputs["interval"]}, options={"order": [json.loads(order)]})
+        assert report["error"]["message"] == "order entry must be an integer, got 'a'"
+        assert report["parameters"]["order"] == [2, 0, 4, 1, "a"]
+        with pytest.raises(ValidationError, match=r"^--order must be a flat JSON list, got \[\[0\], 1\]$"):
+            ExperimentConfig("realize", inputs={"space": inputs["interval"]}, options={"order": [[0], 1]})
 
     def test_missing_input_flag(self, capsys, inputs):
         code, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"]])
@@ -828,11 +851,17 @@ class TestErrorPaths:
             (["realize", "--model", {"policy": {"balls": {"base": 1.5}}}], "ball base must be an integer, got 1.5"),
             (["rank-check", "--model", "model", "--points", "[0.7, 1]"], "point index must be an integer, got 0.7"),
             (["rank-check", "--model", "model", "--points", "[true, 0]"], "point index must be an integer, got True"),
+            (["rank-check", "--model", "model", "--points", "5"], "points must be a list of integers, got 5"),
+            (["rank-check", "--model", "model", "--points", '{"0": 1}'], "points must be a list of integers, got {'0': 1}"),
+            (["topology-probe", "--x", "0", "--eps", "0.3", "--model", {"order": 5}], "order must be a list of integers, got 5"),
+            (["realize", "--model", {"order": "02413"}], "order must be a list of integers, got '02413'"),
         ],
-        ids=["order", "depth", "ball-base", "float-point", "bool-point"],
+        ids=["order", "depth", "ball-base", "float-point", "bool-point", "points-int", "points-object", "order-int",
+             "order-string"],
     )
     def test_non_integral_indices_rejected(self, capsys, inputs, argv, message):
-        """A float or bool index is refused, not truncated to an int."""
+        """A float or bool index is refused, not truncated to an int, and an
+        index list that is not a list is refused by name, not iterated."""
         model = json.loads((inputs["tmp"] / "model.json").read_text())
         resolved = [
             write(inputs["tmp"] / "edited.json", {**model, **arg}) if isinstance(arg, dict) else inputs.get(arg, arg)
@@ -1046,6 +1075,21 @@ class TestConfigObject:
         with pytest.raises(Exception):
             ExperimentConfig(command="frobnicate")
 
+    def test_inputs_belong_to_their_command(self, inputs):
+        files = {"kernel": inputs["szego"], "sample": inputs["s2"]}
+        with pytest.raises(ValidationError, match="^command 'gram' takes no --kernel2$"):
+            ExperimentConfig("gram", inputs={**files, "kernel2": inputs["szego"]})
+        with pytest.raises(ValidationError, match="^command 'gram' takes no --poly$"):
+            ExperimentConfig("gram", inputs=files, inline={"poly": "[0, 1]"})
+        with pytest.raises(ValidationError, match="^command 'ardy-check' takes no --poly$"):
+            ExperimentConfig("ardy-check", inputs={"poly": "[0, 1]"})
+
+    @pytest.mark.parametrize("method", ["newton", None, 1])
+    def test_method_is_one_of_its_choices(self, inputs, method):
+        files = {"kernel": inputs["szego"], "symbol": inputs["coord0"], "sample": inputs["s2"]}
+        with pytest.raises(ValidationError, match=f"^--method must be one of bisection, pencil, got {method!r}$"):
+            ExperimentConfig("mult-norm", inputs=files, method=method)
+
     def test_method_and_csv_belong_to_mult_norm(self):
         with pytest.raises(ValidationError, match="takes no --method"):
             ExperimentConfig("gram", method="bisection")
@@ -1063,8 +1107,9 @@ class TestConfigObject:
             for value in (1.5, True):
                 with pytest.raises(ValidationError, match=f"--{option} must be an integer, got {value!r}"):
                     ExperimentConfig(name, options={option: value})
-        with pytest.raises(ValidationError, match="must be an integer"):
-            ExperimentConfig(name, max_points=2.5)
+        for value in (2.5, None):  # None stands for a default only of tol and out
+            with pytest.raises(ValidationError, match=f"--max-points must be an integer, got {value!r}"):
+                ExperimentConfig(name, max_points=value)
         if not cmd.files:
             with pytest.raises(ValidationError, match="takes no --max-points"):
                 ExperimentConfig(name, max_points=8)

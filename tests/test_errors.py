@@ -101,6 +101,28 @@ def test_integer_arguments_refuse_floats_and_bools(call, value):
         call(value)
 
 
+# every list of point indices a caller can pass, as a call on the list and the name it is refused with
+INDEX_LISTS = {
+    "DenseSequence": (lambda v: DenseSequence(_LINE, v), "order"),
+    "point_eval_rank": (lambda v: point_eval_rank(v, 2, _MODEL), "points"),
+    "set_distance": (lambda v: set_distance(_LINE, 0, v), "points"),
+}
+
+
+@pytest.mark.parametrize("value", [5, None, "012", {0: 1}, np.zeros((1, 3), dtype=int), np.array([0.0, 1.0, 2.0])])
+@pytest.mark.parametrize("case", INDEX_LISTS)
+def test_index_lists_refuse_what_is_not_a_list(case, value):
+    call, name = INDEX_LISTS[case]
+    with pytest.raises(ValidationError, match=f"^{name} must be a list of integers, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [[1, 0, 2], (1, 0, 2), range(3), np.array([1, 0, 2])])
+@pytest.mark.parametrize("case", INDEX_LISTS)
+def test_index_lists_take_any_integer_sequence(case, value):
+    INDEX_LISTS[case][0](value)
+
+
 # every real scalar a caller can pass, as a call on its value
 REAL_ARGUMENTS = {
     "carleson_seq start": lambda v: carleson_seq(v, 2),

@@ -118,14 +118,6 @@ def test_encode_uses_orjson_where_it_is_exact():
     assert cli._encode(report) == '{"a":{"y":true,"z":null},"b":[1e-7,1e16,-0.0,18446744073709551615]}'
 
 
-@pytest.mark.parametrize(
-    "value, depth, deeper",
-    [(0, 0, False), ([], 0, True), ([], 1, False), ({"a": [1, {}]}, 2, True), ({"a": [1, {}]}, 3, False), ([[0], 1], 1, True)],
-)
-def test_nested_deeper_counts_containers(value, depth, deeper):
-    assert cli._nested_deeper(value, depth) is deeper
-
-
 def test_stdlib_fallback_refuses_nesting_past_its_limit():
     with pytest.raises(cli.ValidationError, match="^input nested too deeply$"):
         cli._loads(b"[" * 3000 + b"NaN" + b"]" * 3000)
