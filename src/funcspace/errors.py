@@ -12,7 +12,8 @@ messages.  Two families:
 """
 
 #: The message of a refusal of an input nested past the interpreter's
-#: recursion limit; the command line prefixes the file or flag it came from.
+#: recursion limit, or of an expression deeper than ``kernels.MAX_DEPTH``;
+#: the command line prefixes the file or flag it came from.
 NESTED_TOO_DEEPLY = "input nested too deeply"
 
 

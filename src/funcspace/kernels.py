@@ -23,8 +23,12 @@ Hermitian pencils ``(A, G)`` are solved in batches over one factorization of
 ``G``, and their values can be raised to certified upper bounds; these
 matrices are 5 to 12 wide, so the pencil code counts numpy calls, not flops.
 
-Arbitrary user matrices never enter the grammar; they can only be fed to
-:func:`psd_check`, which assumes nothing.
+Expressions travel as JSON objects, and each tree's grammar is stated once,
+in ``_KERNEL_GRAMMAR`` and ``_FN_GRAMMAR``: every op or kind with its
+constructor, its fields and the keys of its children.  One walker writes a
+node from its table and one reads it, refusing an expression more than
+:data:`MAX_DEPTH` nodes deep.  Arbitrary user matrices never enter the
+grammar; they can only be fed to :func:`psd_check`, which assumes nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .serialize import (
     integer,
     pair_to_complex,
     real,
+    shown,
 )
 
 
@@ -63,9 +68,6 @@ def _as_points(X) -> np.ndarray:
     """An n-by-d complex array; a flat array is n points of C^1."""
     X = np.asarray(X, dtype=complex)
     return X.reshape(-1, 1) if X.ndim == 1 else X
-
-
-_FN_KINDS = ("coordinate", "polynomial", "moebius", "exp", "compose", "product", "sum", "scale")
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,7 @@ class ClosedFormFunction:
     children: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _FN_KINDS:
-            raise ValidationError(f"unknown function kind {self.kind!r}")
+        _FN_GRAMMAR.node(self.kind)  # refuses an unknown kind
         if self.kind == "moebius" and not abs(self.a) < 1.0:
             raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{self.a}| = {abs(self.a)}")
         if self.kind == "polynomial" and not np.isfinite(self.coeffs).all():
@@ -193,9 +194,6 @@ def szego_section(z0) -> ClosedFormFunction:
     return fn_scale(c / (1.0 - abs(z0) ** 2), fn_sum(moebius(z0), polynomial([1.0 / c])))
 
 
-_KERNEL_OPS = ("szego", "ball", "constant", "rank1", "sum", "scale", "hadamard", "geom")
-
-
 @dataclass(frozen=True)
 class KernelExpr:
     """Expression tree certified to denote a positive semi-definite kernel."""
@@ -208,8 +206,7 @@ class KernelExpr:
     children: tuple = ()
 
     def __post_init__(self):
-        if self.op not in _KERNEL_OPS:
-            raise ValidationError(f"unknown kernel op {self.op!r}")
+        _KERNEL_GRAMMAR.node(self.op)  # refuses an unknown op
         if self.op == "constant" and not 0.0 <= self.value < np.inf:
             raise ValidationError(f"constant kernels must be finite and nonnegative, got {self.value}")
         if self.op == "scale" and not 0.0 < self.factor < np.inf:
@@ -763,106 +760,102 @@ def schur_product_check(K: KernelExpr, L: KernelExpr, sample: EuclideanPointSet,
 # JSON grammar
 
 
+#: Nodes of an expression read from JSON, counted from the root and through a
+#: ``rank1`` kernel into its symbol; a deeper expression is refused.
+MAX_DEPTH = 100
+
+
+class _Grammar(dict):
+    """One expression tree's grammar: each op or kind mapped to ``(make,
+    fields, children)``, where ``make(*fields, *children)`` builds the node.
+    ``fields`` maps each field, stored on the node under its own name, to a
+    ``(read, write)`` pair of JSON converters or to the grammar of the
+    expression it holds; ``children`` has one key per child, or is the key
+    of their list.  ``tag`` is the JSON key of the op or kind."""
+
+    def __init__(self, noun: str, tag: str, nodes: dict):
+        super().__init__(nodes)
+        self.noun, self.tag = noun, tag
+
+    def node(self, op) -> tuple:
+        """The entry of ``op``, refused unless it is one of the tree's ops or kinds."""
+        entry = self.get(op) if isinstance(op, str) else None
+        if entry is None:
+            raise ValidationError(f"unknown {self.noun} {self.tag} {shown(op)}")
+        return entry
+
+
+_AS_IS = (lambda value: value,) * 2  # a number that the constructor checks
+_COMPLEX = (pair_to_complex, complex_to_json)
+
+_FN_GRAMMAR = _Grammar("function", "kind", {
+    "coordinate": (coordinate, {"index": _AS_IS}, ()),
+    "polynomial": (polynomial, {"coeffs": (complex_vector_from_json, complex_to_json)}, ()),
+    "moebius": (moebius, {"a": _COMPLEX}, ()),
+    "exp": (exponential, {}, ()),
+    "compose": (compose, {}, ("outer", "inner")),
+    "product": (fn_product, {}, "factors"),
+    "sum": (fn_sum, {}, "terms"),
+    "scale": (fn_scale, {"factor": _COMPLEX}, ("arg",)),
+})
+
+_KERNEL_GRAMMAR = _Grammar("kernel", "op", {
+    "szego": (szego, {}, ()),
+    "ball": (ball, {"dim": _AS_IS}, ()),
+    "constant": (constant, {"value": _AS_IS}, ()),
+    "rank1": (rank_one, {"fn": _FN_GRAMMAR}, ()),
+    "sum": (kernel_sum, {}, "terms"),
+    "scale": (scale, {"factor": _AS_IS}, ("arg",)),
+    "hadamard": (hadamard, {}, ("left", "right")),
+    "geom": (geom, {}, ("arg",)),
+})
+
+
+def _read(grammar: _Grammar, obj, depth: int):
+    """The node that ``obj`` describes, ``depth`` nodes from the root: its
+    fields are read first, then its children, and ``make`` is called last."""
+    if depth > MAX_DEPTH:
+        raise ValidationError(NESTED_TOO_DEEPLY)
+    if not isinstance(obj, dict) or grammar.tag not in obj:
+        article = "an" if grammar.tag[0] in "aeiou" else "a"
+        raise ValidationError(f'{grammar.noun} JSON must contain {article} "{grammar.tag}" key')
+    make, fields, children = grammar.node(obj[grammar.tag])
+    args = []  # plain loops: a comprehension would add a frame to every node
+    for key, codec in fields.items():
+        args.append(_read(codec, obj[key], depth + 1) if isinstance(codec, _Grammar) else codec[0](obj[key]))
+    if isinstance(children, str):
+        for child in obj[children]:
+            args.append(_read(grammar, child, depth + 1))
+    else:
+        for key in children:
+            args.append(_read(grammar, obj[key], depth + 1))
+    return make(*args)
+
+
+def _write(grammar: _Grammar, node) -> dict:
+    """The JSON object of ``node``: its tag, its fields, then its children."""
+    op = getattr(node, grammar.tag)
+    _, fields, children = grammar[op]
+    out = {grammar.tag: op}
+    for key, codec in fields.items():
+        value = getattr(node, key)
+        out[key] = _write(codec, value) if isinstance(codec, _Grammar) else codec[1](value)
+    written = [_write(grammar, child) for child in node.children]
+    out.update({children: written} if isinstance(children, str) else zip(children, written))
+    return out
+
+
 def fn_to_json(fn: ClosedFormFunction) -> dict:
-    k = fn.kind
-    if k == "coordinate":
-        return {"kind": "coordinate", "index": fn.index}
-    if k == "polynomial":
-        return {"kind": "polynomial", "coeffs": complex_to_json(fn.coeffs)}
-    if k == "moebius":
-        return {"kind": "moebius", "a": complex_to_json(fn.a)}
-    if k == "exp":
-        return {"kind": "exp"}
-    if k == "compose":
-        return {"kind": "compose", "outer": fn_to_json(fn.children[0]), "inner": fn_to_json(fn.children[1])}
-    if k == "product":
-        return {"kind": "product", "factors": [fn_to_json(c) for c in fn.children]}
-    if k == "sum":
-        return {"kind": "sum", "terms": [fn_to_json(c) for c in fn.children]}
-    if k == "scale":
-        return {"kind": "scale", "factor": complex_to_json(fn.factor), "arg": fn_to_json(fn.children[0])}
-    raise AssertionError(k)
-
-
-def _read_nested(reader, obj):
-    """``reader(obj)``, refusing an input nested deeper than Python's recursion
-    limit: the readers below recurse once per level of nesting."""
-    try:
-        return reader(obj)
-    except RecursionError:
-        raise ValidationError(NESTED_TOO_DEEPLY) from None
+    return _write(_FN_GRAMMAR, fn)
 
 
 def fn_from_json(obj) -> ClosedFormFunction:
-    return _read_nested(_fn_from_json, obj)
-
-
-def _fn_from_json(obj) -> ClosedFormFunction:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError('function JSON must contain a "kind" key')
-    k = obj["kind"]
-    if k == "coordinate":
-        return coordinate(obj["index"])
-    if k == "polynomial":
-        return polynomial(complex_vector_from_json(obj["coeffs"]))
-    if k == "moebius":
-        return moebius(pair_to_complex(obj["a"]))
-    if k == "exp":
-        return exponential()
-    if k == "compose":
-        return compose(_fn_from_json(obj["outer"]), _fn_from_json(obj["inner"]))
-    if k == "product":
-        return fn_product(*(_fn_from_json(c) for c in obj["factors"]))
-    if k == "sum":
-        return fn_sum(*(_fn_from_json(c) for c in obj["terms"]))
-    if k == "scale":
-        return fn_scale(pair_to_complex(obj["factor"]), _fn_from_json(obj["arg"]))
-    raise ValidationError(f"unknown function kind {k!r}")
+    return _read(_FN_GRAMMAR, obj, 1)
 
 
 def kernel_to_json(K: KernelExpr) -> dict:
-    op = K.op
-    if op == "szego":
-        return {"op": "szego"}
-    if op == "ball":
-        return {"op": "ball", "dim": K.dim}
-    if op == "constant":
-        return {"op": "constant", "value": K.value}
-    if op == "rank1":
-        return {"op": "rank1", "fn": fn_to_json(K.fn)}
-    if op == "sum":
-        return {"op": "sum", "terms": [kernel_to_json(c) for c in K.children]}
-    if op == "scale":
-        return {"op": "scale", "factor": K.factor, "arg": kernel_to_json(K.children[0])}
-    if op == "hadamard":
-        return {"op": "hadamard", "left": kernel_to_json(K.children[0]), "right": kernel_to_json(K.children[1])}
-    if op == "geom":
-        return {"op": "geom", "arg": kernel_to_json(K.children[0])}
-    raise AssertionError(op)
+    return _write(_KERNEL_GRAMMAR, K)
 
 
 def kernel_from_json(obj) -> KernelExpr:
-    return _read_nested(_kernel_from_json, obj)
-
-
-def _kernel_from_json(obj) -> KernelExpr:
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ValidationError('kernel JSON must contain an "op" key')
-    op = obj["op"]
-    if op == "szego":
-        return szego()
-    if op == "ball":
-        return ball(obj["dim"])
-    if op == "constant":
-        return constant(obj["value"])
-    if op == "rank1":
-        return rank_one(_fn_from_json(obj["fn"]))
-    if op == "sum":
-        return kernel_sum(*(_kernel_from_json(c) for c in obj["terms"]))
-    if op == "scale":
-        return scale(obj["factor"], _kernel_from_json(obj["arg"]))
-    if op == "hadamard":
-        return hadamard(_kernel_from_json(obj["left"]), _kernel_from_json(obj["right"]))
-    if op == "geom":
-        return geom(_kernel_from_json(obj["arg"]))
-    raise ValidationError(f"unknown kernel op {op!r}")
+    return _read(_KERNEL_GRAMMAR, obj, 1)

@@ -39,6 +39,7 @@ from .kernels import (
     KernelExpr,
     PsdReport,
     compose,
+    gamma,
     gram,
     mirror_upper,
     multiplier_gram,
@@ -58,6 +59,12 @@ FEASIBLE_TOL = 1e-12
 
 #: Largest boundary grid of the polynomial sup certificate, allocated whole.
 MAX_BOUNDARY_GRID = 65536
+
+#: Bound on the distance of each float grid point ``exp(1j * theta)`` of the
+#: sup certificate from its root of unity: ``theta`` is within
+#: ``2 |pi - fl(pi)| + 4 pi u < 1.7e-15`` of its angle, and libm's cos and
+#: sin are within an ulp, so ``2^-48`` (3.6e-15) covers both.
+_GRID_ERROR = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -180,13 +187,39 @@ class VonNeumannReport(NamedTuple):
     passed: bool
 
 
+def _modulus_exceeds(z: complex, t: float) -> bool:
+    """Whether ``|z| > t``, decided exactly from the integer ratios of the floats."""
+    (a, p), (b, q), (c, r) = (x.as_integer_ratio() for x in (z.real, z.imag, t))
+    return (a * a * q * q + b * b * p * p) * r * r > c * c * p * p * q * q
+
+
 def _circle_sup_bound(coeffs: np.ndarray, grid: int) -> float:
-    """sup |p| on the unit circle, bounded by the maximum over the ``grid`` roots
-    of unity plus the grid gap times ``sum k |c_k|`` (ascending ``coeffs``)."""
+    """Upper bound on sup |p| on the unit circle (ascending ``coeffs``, degree n).
+
+    The largest modulus of ``np.polyval`` over the float ``grid`` roots of
+    unity, plus Horner's rounding ``gamma_{4n} sum |c_k| r^k`` at points of
+    modulus at most ``r = 1 + _GRID_ERROR`` (Higham §5.1, with complex
+    products), plus ``sum k |c_k| r^(k-1)``, a bound on ``|p'|``, times the
+    distance ``pi / grid + _GRID_ERROR`` from any point of the circle to a
+    float grid point.  ``np.abs`` is faithful (libm's hypot), so only a
+    modulus equal to the largest can hide a larger exact one; those are
+    compared exactly.  The sum is rounded up, and a polynomial whose
+    evaluation cannot round (n = 0) keeps its largest modulus.
+    """
+    n = len(coeffs) - 1
     theta = 2.0 * np.pi * np.arange(grid) / grid
     vals = np.polyval(coeffs[::-1], np.exp(1j * theta))
-    deriv_bound = float(sum(k * abs(c) for k, c in enumerate(coeffs)))
-    return float(np.abs(vals).max()) + deriv_bound * np.pi / grid
+    moduli = np.abs(vals)
+    top = float(moduli.max())
+    if any(_modulus_exceeds(z, top) for z in set(vals[moduli == top].tolist())):
+        top = float(np.nextafter(top, np.inf))
+    r = 1.0 + _GRID_ERROR
+    sizes = np.abs(coeffs) * r ** np.arange(n + 1)
+    error = gamma(4 * n) * sizes.sum() + (np.arange(n + 1) * sizes).sum() / r * (np.pi / grid + _GRID_ERROR)
+    if error == 0.0:
+        return top
+    # the factor covers the roundings of error's own terms, nextafter that of the sum
+    return float(np.nextafter(top + error * (1.0 + gamma(2 * n + 32)), np.inf))
 
 
 def certify_unit_sup(w: ClosedFormFunction, boundary_grid: int = 4096) -> float:
@@ -195,7 +228,8 @@ def certify_unit_sup(w: ClosedFormFunction, boundary_grid: int = 4096) -> float:
     Moebius symbols and the coordinate are exact automorphisms (bound 1).
     Polynomials get a grid certificate: the boundary maximum over
     ``boundary_grid`` roots of unity plus a Lipschitz margin from the
-    coefficient bound on |w'|.
+    coefficient bound on |w'|, with the rounding of the evaluation and of
+    the grid counted and the sum rounded up (:func:`_circle_sup_bound`).
 
     Raises:
         ValidationError: ``boundary_grid`` is below 8 or above
@@ -212,9 +246,7 @@ def certify_unit_sup(w: ClosedFormFunction, boundary_grid: int = 4096) -> float:
     if w.kind == "polynomial":
         bound = _circle_sup_bound(np.asarray(w.coeffs, dtype=complex), boundary_grid)
         if bound > 1.0:
-            raise SymbolNotContractive(
-                f"certified sup bound {bound:.6g} exceeds 1 on the closed disk"
-            )
+            raise SymbolNotContractive(f"certified sup bound {bound!r} exceeds 1 on the closed disk")
         return bound
     raise SymbolNotContractive(f"cannot certify a symbol of kind {w.kind!r}")
 
@@ -233,8 +265,9 @@ def von_neumann_check(
     circle; the sampled norm must stay below the certified grid bound.
 
     Returns:
-        (lhs, rhs, passed): sampled norm of ``p o w``, boundary grid maximum
-        of |p| plus the grid-gap margin, and ``lhs <= rhs + tol``.
+        (lhs, rhs, passed): sampled norm of ``p o w``, the certified bound
+        on sup |p| over the circle (:func:`_circle_sup_bound`), and
+        ``lhs <= rhs + tol``.
     """
     certify_unit_sup(w, boundary_grid)
     coeffs = np.asarray(list(p), dtype=complex)

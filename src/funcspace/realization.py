@@ -56,6 +56,8 @@ class DenseSequence:
     order: tuple
 
     def __init__(self, space: MetricSpace, order):
+        if isinstance(order, (set, frozenset)):  # it would enumerate the points in hash order
+            raise ValidationError("order must be a list of integers, got a set, which has no order")
         order = tuple(index_list(order, "order", "order entry"))
         n = len(space)
         if sorted(order) != list(range(n)):

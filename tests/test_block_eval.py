@@ -14,7 +14,7 @@ import pytest
 from funcspace.errors import GeomDiverges, OutOfDomain
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
-    _KERNEL_OPS,
+    _KERNEL_GRAMMAR,
     ball,
     compose,
     constant,
@@ -152,7 +152,7 @@ def test_cases_cover_every_op():
     def ops(K):
         return {K.op}.union(*(ops(child) for child in K.children))
 
-    assert set().union(*(ops(K) for _, K, _ in CASES)) == set(_KERNEL_OPS)
+    assert set().union(*(ops(K) for _, K, _ in CASES)) == set(_KERNEL_GRAMMAR)
 
 
 @pytest.mark.parametrize("name, K, sampler", CASES, ids=[c[0] for c in CASES])

@@ -1,5 +1,6 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -328,3 +329,33 @@ class TestVonNeumann:
         assert certify_unit_sup(coordinate(0)) == 1.0
         # a comfortably small polynomial certifies below 1
         assert certify_unit_sup(polynomial([0.2, 0.3])) <= 1.0
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1, 1e-16], [1, 1e-17], [1, 1e-300], [1 + 1e-9j]], ids=["1e-16", "1e-17", "1e-300", "modulus"]
+    )
+    def test_sup_just_above_one_is_not_certified(self, coeffs):
+        """The exact sup exceeds 1 by less than the grid's float maximum shows:
+        by Horner's rounding, or, for the constant, by the rounding of |c|."""
+        with mpmath.workdps(400):
+            exact = max(abs(mpmath.polyval([mpmath.mpc(c) for c in reversed(coeffs)], z)) for z in (1, -1, 1j, -1j))
+            assert exact > 1
+        with pytest.raises(SymbolNotContractive, match="exceeds 1"):
+            certify_unit_sup(polynomial(coeffs))
+
+    def test_unrounded_evaluation_certifies_at_its_value(self):
+        assert certify_unit_sup(polynomial([1.0])) == 1.0
+        assert certify_unit_sup(polynomial([-0.5j])) == 0.5
+
+    def test_circle_bound_covers_the_sup_between_grid_points(self):
+        """The bound is at least |p| at points between the float grid points,
+        evaluated in 50 digits, including where the sup lies between them."""
+        grid = 64
+        rng = np.random.default_rng(3)
+        cases = [[0.5, 0.5 * np.exp(-1j * np.pi / grid)], [0.0, 0.0, 0.0, 1.0], [1.0, 1e-16]]
+        cases += [list(rng.normal(size=n) + 1j * rng.normal(size=n)) for n in (2, 5, 9)]
+        for coeffs in cases:
+            bound = multipliers._circle_sup_bound(np.asarray(coeffs, dtype=complex), grid)
+            with mpmath.workdps(50):
+                values = [mpmath.polyval([mpmath.mpc(c) for c in reversed(coeffs)], mpmath.expjpi(mpmath.mpf(k) / (8 * grid)))
+                          for k in range(16 * grid)]
+                assert bound >= max(map(abs, values))

@@ -13,7 +13,7 @@ from funcspace.errors import (
     PrefixTooShallow,
     ValidationError,
 )
-from funcspace.geometry import MetricSpace, SampledFunction, dil
+from funcspace.geometry import MetricSpace, SampledFunction, dil, set_distance
 from funcspace.kernels import gamma, lower_inverse
 from funcspace.realization import (
     ROUNDTRIP_TOL,
@@ -94,6 +94,16 @@ class TestBuildG:
     def test_order_must_be_permutation(self):
         with pytest.raises(ValidationError):
             DenseSequence(interval5_space(), (0, 0, 1, 2, 3))
+
+    @pytest.mark.parametrize("order", [set(INTERVAL_ORDER), frozenset(INTERVAL_ORDER)], ids=["set", "frozenset"])
+    def test_order_must_not_be_a_set(self, order):
+        """A set has no order of its own, so it would enumerate the points in hash order."""
+        with pytest.raises(ValidationError, match="^order must be a list of integers, got a set"):
+            DenseSequence(interval5_space(), order)
+
+    def test_set_distance_still_takes_a_set(self):
+        space = interval5_space()
+        assert set_distance(space, 0, {2, 4}) == set_distance(space, 0, [4, 2]) == 0.5
 
 
 class TestChooseB:
