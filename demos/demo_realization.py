@@ -47,7 +47,7 @@ print("pairing equals pointwise value exactly:", pair(f, phi) == Jf.values[0])
 print()
 
 print("=== Recovering coefficients from values on the prefix ===")
-recovered = coefficient_roundtrip(f, model)
+recovered, _ = coefficient_roundtrip(f, model)
 print("max |recovered - f| =", np.abs(recovered - f).max())
 print()
 
@@ -68,5 +68,5 @@ print(f"topology probe at 19/64, eps = 0.4: n = {probe.n}, |U| = {len(probe.U)},
 
 shallow = build_model(DenseSequence(big_space, order), depth=16)
 f = rng.normal(size=17)
-err = np.abs(coefficient_roundtrip(f, shallow) - f).max()
+err = np.abs(coefficient_roundtrip(f, shallow)[0] - f).max()
 print(f"roundtrip at depth 16: max error {err:.2e}  (the 2^n weights amplify rounding with depth)")

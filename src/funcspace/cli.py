@@ -428,7 +428,7 @@ def _cmd_rank_check(config, loader):
 def _cmd_roundtrip(config, loader):
     model = loader.file("model", _load_model)
     coeffs = complex_vector_from_json(loader.inline("coeffs"))
-    recovered, bound = realization.coefficient_roundtrip(coeffs, model, tol=config.tol, return_bound=True)
+    recovered, bound = realization.coefficient_roundtrip(coeffs, model, tol=config.tol)
     padded = np.zeros(model.depth + 1, dtype=complex)
     padded[: len(coeffs)] = coeffs
     err = np.abs(recovered - padded)

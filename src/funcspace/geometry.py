@@ -28,6 +28,7 @@ from .errors import (
 from .serialize import (
     complex_to_json,
     complex_vector_from_json,
+    finite,
     index_list,
     integer,
     pair_to_complex,
@@ -147,7 +148,7 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
 
 @dataclass(frozen=True)
 class EuclideanPointSet:
-    """A finite list of points in C^d, the common sample type for kernels."""
+    """A finite list of points in C^d with finite coordinates, the common sample type for kernels."""
 
     points: np.ndarray
     labels: tuple | None = None
@@ -158,6 +159,7 @@ class EuclideanPointSet:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.size == 0:
             raise ValidationError("points must form a nonempty n-by-dim array")
+        finite(pts, "points")
         if labels is not None:
             labels = point_labels(labels, pts.shape[0])
         pts.flags.writeable = False
@@ -272,12 +274,14 @@ class MetricSpace:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A complex-valued function known through its values on a finite sample."""
+    """A complex-valued function known through its values on a finite metric space."""
 
-    space: object
+    space: MetricSpace
     values: np.ndarray
 
-    def __init__(self, space, values):
+    def __init__(self, space: MetricSpace, values):
+        if not isinstance(space, MetricSpace):
+            raise ValidationError(f"a sampled function lives on a MetricSpace, got {type(space).__name__}")
         vals = np.asarray(values, dtype=complex).reshape(-1)
         if len(vals) != len(space):
             raise ValidationError(f"expected {len(space)} values, got {len(vals)}")
@@ -303,13 +307,15 @@ class SampledFunction:
         return {"values": complex_to_json(self.values)}
 
     @classmethod
-    def from_json(cls, obj, space) -> "SampledFunction":
+    def from_json(cls, obj, space: MetricSpace) -> "SampledFunction":
         if not isinstance(obj, dict) or "values" not in obj:
             raise ValidationError('sampled function JSON must contain a "values" list')
-        return cls(space, complex_vector_from_json(obj["values"]))
+        # refused here, not in __init__: a product of finite functions may
+        # overflow, and submult_ratio reports that as Overflow
+        return cls(space, finite(complex_vector_from_json(obj["values"]), "function values"))
 
 
-def constant_function(space, value=1.0) -> SampledFunction:
+def constant_function(space: MetricSpace, value=1.0) -> SampledFunction:
     return SampledFunction(space, np.full(len(space), complex(value)))
 
 
@@ -327,17 +333,9 @@ def set_distance(space: MetricSpace, x: int, A) -> float:
     return float(space.dist[x, idx].min())
 
 
-def _space_distances(space) -> np.ndarray:
-    if isinstance(space, MetricSpace):
-        return space.dist
-    if isinstance(space, EuclideanPointSet):
-        return space.distance_matrix()
-    raise ValidationError(f"unsupported space type {type(space).__name__}")
-
-
 def dil(f: SampledFunction) -> float:
     """Largest difference quotient |f(x) - f(y)| / rho(x, y) over distinct pairs."""
-    d = _space_distances(f.space)
+    d = f.space.dist
     n = d.shape[0]
     if n < 2:
         raise DegenerateSpace("dil needs at least two points")
@@ -354,10 +352,7 @@ def dil(f: SampledFunction) -> float:
 
 def lip_norm(f: SampledFunction) -> float:
     """dil(f) + |f(base)|: the Lipschitz-space norm anchored at the base point."""
-    space = f.space
-    if not isinstance(space, MetricSpace):
-        raise ValidationError("lip_norm needs a MetricSpace with a base point")
-    return dil(f) + float(abs(f.values[space.base]))
+    return dil(f) + float(abs(f.values[f.space.base]))
 
 
 def lip_point_norm(space: MetricSpace, x: int) -> float:

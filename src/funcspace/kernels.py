@@ -11,7 +11,7 @@ evaluates every node of an expression once on whole point blocks
 does the same for symbols; :func:`kernel_eval` and a symbol's call are their
 one-point cases.  A node raises as soon as any entry of its block fails,
 and the evaluator then finds the first failing entry by evaluating the
-rows of the block alone, then the entries of the first failing row.
+rows of the block alone, then the entries of each failing row.
 Finite sections of a kernel on a sample are materialized as Hermitian
 :class:`GramMatrix` values by mirroring the upper triangle of the block
 (:func:`mirror_upper`: one copy, then one indexed write of the lower
@@ -307,17 +307,16 @@ def _disk_block(K: KernelExpr, X, Y) -> np.ndarray:
     if not (in_x.all() and in_y.all()):
         if K.op == "ball":
             raise OutOfDomain("ball kernel needs points inside the open unit ball")
-        i, j = np.argwhere(~in_x[:, None] | ~in_y[None, :])[0]
-        raise OutOfDomain(f"szego kernel needs |z| < 1, got ({X[i, 0]}, {Y[j, 0]})")
+        raise OutOfDomain(f"szego kernel needs |z| < 1, got ({X[0, 0]}, {Y[0, 0]})")
     return 1.0 / (1.0 - (X[:, None, :] * np.conj(Y[None, :, :])).sum(axis=-1))
 
 
 def _block_values(K: KernelExpr, X, Y) -> np.ndarray:
     """``K(X, Y)`` by broadcasting, walking the tree once in evaluation order.
 
-    A node raises as soon as any entry of its block fails, with the error of
-    its own first failing entry; :func:`_evaluate` locates the entry that
-    fails first for the whole expression.
+    A node raises as soon as any entry of its block fails, naming the block's
+    first entry; :func:`_evaluate` reports only the errors of 1x1 blocks,
+    where that entry is the one that fails.
     """
     op = K.op
     shape = (X.shape[0], Y.shape[0])
@@ -340,9 +339,7 @@ def _block_values(K: KernelExpr, X, Y) -> np.ndarray:
         v = _block_values(K.children[0], X, Y)
         bad = ~inside_unit_ball(v.reshape(-1)).reshape(shape)  # np.abs(v) can round across 1
         if bad.any():
-            i, j = np.argwhere(bad)[0]
-            where = f"({X[i].tolist()}, {Y[j].tolist()})"
-            raise GeomDiverges(f"geometric series diverges at {where}: |K| = {abs(v[i, j])}")
+            raise GeomDiverges(f"geometric series diverges at ({X[0].tolist()}, {Y[0].tolist()}): |K| = {abs(v[0, 0])}")
         return 1.0 / (1.0 - v)
     raise AssertionError(op)
 
@@ -352,11 +349,12 @@ def _evaluate(K: KernelExpr, X, Y, upper: bool = False):
     order, among the entries with ``i <= j`` when ``upper``, as ``(i, j, exception)``.
 
     A failed block is rescanned: each row is evaluated alone, from its
-    diagonal on when ``upper``, then each entry of the first failing row, so
-    the exception is the one that entry alone raises.  An entry's value does
-    not depend on the block it is evaluated in.  When no row fails, the rows
-    make up the result: complex products may be fused, so ``K(X, X)`` need
-    not be exactly Hermitian, and an entry below the diagonal can fail alone.
+    diagonal on when ``upper``, then each entry of a failing row, so the
+    exception is the one that entry alone raises.  An entry's value does
+    not depend on the block it is evaluated in.  When no entry fails alone,
+    the rows and entries make up the result: complex products may be fused,
+    so ``K(X, X)`` need not be exactly Hermitian, and an entry below the
+    diagonal can fail alone.
     """
     try:
         return _block_values(K, X, Y), None
@@ -369,7 +367,7 @@ def _evaluate(K: KernelExpr, X, Y, upper: bool = False):
         except (OutOfDomain, GeomDiverges):
             for j in range(start, Y.shape[0]):
                 try:
-                    _block_values(K, X[i : i + 1], Y[j : j + 1])
+                    out[i, j] = _block_values(K, X[i : i + 1], Y[j : j + 1])[0, 0]
                 except (OutOfDomain, GeomDiverges) as exc:
                     return None, (i, j, exc)
     return out, None

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .geometry import MetricSpace, SampledFunction
 from .kernels import gamma, lower_inverse
-from .serialize import index_list, integer, real, shown
+from .serialize import finite, index_list, integer, real, shown
 
 _PIVOT_FLOOR = 1e-14
 #: Default bound on the relative error of a coefficient round-trip.
@@ -87,7 +87,7 @@ def build_g(dense: DenseSequence, depth: int) -> np.ndarray:
     return g
 
 
-def choose_b(g: np.ndarray, policy: str = "default_2n", space: MetricSpace | None = None, base: int | None = None) -> np.ndarray:
+def choose_b(g: np.ndarray, space: MetricSpace, policy: str = "default_2n", base: int | None = None) -> np.ndarray:
     """Tempering weights b_n = 2^n * sup |g_n| over the exhaustion sets.
 
     Policies:
@@ -104,8 +104,6 @@ def choose_b(g: np.ndarray, policy: str = "default_2n", space: MetricSpace | Non
     if policy == "default_2n":
         sups = g.max(axis=1)
     elif policy == "balls":
-        if space is None:
-            raise ValidationError('the "balls" policy needs the space')
         b = space.base if base is None else integer(base, "ball base", len(space))
         sups = np.where(space.dist[b] < np.maximum(levels, 1)[:, None], g, 0.0).max(axis=1)
     else:
@@ -138,28 +136,18 @@ def build_model(
     dense: DenseSequence,
     depth: int,
     policy: str = "default_2n",
-    b=None,
     p: float = 2.0,
     base: int | None = None,
 ) -> RealizationModel:
-    """Assemble a :class:`RealizationModel` at the given depth.
-
-    ``b`` gives the weights directly; otherwise :func:`choose_b` computes
-    them by ``policy``, around ``base`` for the "balls" policy.
+    """Assemble a :class:`RealizationModel` at the given depth, with the
+    weights :func:`choose_b` computes by ``policy`` (around ``base`` for the
+    "balls" policy).  ``p`` may be infinite (l^inf) but not NaN.
     """
     g = build_g(dense, depth)
-    if b is None:
-        weights = choose_b(g, policy=policy, space=dense.space, base=base)
-    else:
-        weights = np.asarray(b, dtype=float)
-        if len(weights) != depth + 1:
-            raise ValidationError("custom weights must have length depth + 1")
-        if np.any(weights <= 0.0):
-            raise ValidationError("weights must be positive")
+    weights = choose_b(g, dense.space, policy, base)
     p = real(p, "the model exponent")
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValidationError("the model exponent must satisfy p >= 1")
-    weights = weights.copy()
     weights.flags.writeable = False
     return RealizationModel(dense, depth, g, weights, p)
 
@@ -168,7 +156,7 @@ def _check_coeffs(f, model: RealizationModel) -> np.ndarray:
     f = np.asarray(f, dtype=complex).reshape(-1)
     if len(f) > model.depth + 1:
         raise CoefficientOverflow(f"at most {model.depth + 1} coefficients fit this model, got {len(f)}")
-    return np.pad(f, (0, model.depth + 1 - len(f)))
+    return np.pad(finite(f, "coefficients"), (0, model.depth + 1 - len(f)))
 
 
 def embed(f, model: RealizationModel) -> SampledFunction:
@@ -264,7 +252,7 @@ def topology_probe(x: int, eps: float, model: RealizationModel) -> TopologyProbe
     return TopologyProbe(n, tuple(members.tolist()), in_U and inside_ball)
 
 
-def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL, return_bound: bool = False):
+def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL) -> tuple:
     """Embed f, then recover it from the values on y_1..y_{N+1}.
 
     Substituting the enumerated points in order gives the lower triangular
@@ -283,8 +271,7 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
     is its largest entry over ``max |f|``.
 
     Returns:
-        The recovered coefficients; with ``return_bound``, the pair
-        (coefficients, relative error bound).
+        The pair (recovered coefficients, relative error bound).
 
     Raises:
         IllConditionedPrefix: a diagonal pivot is below 1e-14, or the
@@ -313,4 +300,4 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
     bound = float(componentwise.max()) / scale if scale > 0.0 else 0.0
     if not bound <= tol:
         raise IllConditionedPrefix(f"relative error bound {bound:.3g} of the recovered coefficients exceeds tol {tol:g} at depth {N}")
-    return (recovered, bound) if return_bound else recovered
+    return recovered, bound

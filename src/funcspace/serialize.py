@@ -8,7 +8,8 @@ count and dimension that enters the package, from JSON, argv or a caller,
 passes :func:`integer`, every list of point indices passes :func:`index_list`,
 and every real scalar passes :func:`real`; a real matrix read from JSON
 passes :func:`real_matrix`, and rows of unequal length are named by
-:func:`rows_array`.  A message that shows an input value shows it through
+:func:`rows_array`.  An array of points, values or coefficients that enters
+from outside passes :func:`finite`, which names its first NaN or infinity.  A message that shows an input value shows it through
 :func:`shown`, so that a value nested past the interpreter's recursion limit
 is refused like any other.
 """
@@ -62,6 +63,16 @@ def real(value, name: str) -> float:
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{name} must be a real number, got {shown(value)}")
     return float(value)
+
+
+def finite(values: np.ndarray, name: str) -> np.ndarray:
+    """``values``, unless an entry (or its real or imaginary part) is NaN or
+    infinite: then the first such entry in row-major order is refused."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+        raise ValidationError(f"{name} must be finite, got {values[index]} at index {index[0] if len(index) == 1 else index}")
+    return values
 
 
 def point_labels(values, count: int) -> tuple:
@@ -142,4 +153,4 @@ def complex_matrix_from_json(obj) -> np.ndarray:
     im = real_matrix(obj["im"], "im") if "im" in obj else np.zeros_like(re)
     if re.shape != im.shape:
         raise ValidationError('"re" and "im" matrices must have identical shapes')
-    return re + 1j * im
+    return finite(re, 'the matrix "re"') + 1j * finite(im, 'the matrix "im"')

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from funcspace import kernels
 from funcspace.errors import GeomDiverges, OutOfDomain
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
@@ -261,3 +262,20 @@ def test_gram_skips_a_failure_below_the_diagonal():
     x0, x1 = S.points
     assert G[0, 1] == kernel_eval(K, x0, x1)
     assert [G[0, 0], G[1, 1]] == [kernel_eval(K, x0, x0).real, kernel_eval(K, x1, x1).real]
+
+
+def test_a_row_that_fails_only_as_a_block_keeps_its_entries(monkeypatch):
+    """A block may fail where none of its entries fails alone (a fused
+    product, say); the rescan then keeps each entry as it evaluates it."""
+    block_values = kernels._block_values
+
+    def fails_as_a_block(K, X, Y):
+        if X.shape[0] * Y.shape[0] > 1 and 0.3 in np.concatenate([X[:, 0], Y[:, 0]]):
+            raise OutOfDomain("a block holding 0.3")
+        return block_values(K, X, Y)
+
+    monkeypatch.setattr(kernels, "_block_values", fails_as_a_block)
+    K, points = szego(), [0.1, 0.3, 0.5]
+    pointwise = np.array([[kernel_eval(K, x, y) for y in points] for x in points])
+    assert np.array_equal(kernel_block(K, points, points), pointwise)
+    assert np.array_equal(gram(K, EuclideanPointSet(points)).entries, pointwise)

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,6 +563,13 @@ class TestReportContract:
         _, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]])
         assert set(report["inputs"]) == {"kernel", "sample"}
         assert len(report["inputs"]["kernel"]["sha256"]) == 64
+
+    def test_readme_states_what_each_result_field_claims(self):
+        """README's table of result fields has a row for every command and names no other."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### What each result field claims", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([a-z-]+)` \|", table, flags=re.M)
+        assert set(rows) == set(COMMANDS)
 
 
 class TestErrorPaths:

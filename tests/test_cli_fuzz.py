@@ -13,6 +13,9 @@ so that each example runs fast: the flags that size an allocation,
 points), and ``tests/test_cli.py`` tests each cap and one past it.  A
 second fuzz nests one value of a valid file, or of ``--order``, up to 3000
 levels deep, past orjson's write limit and the interpreter's recursion limit.
+Every real field of every valid fixture is also set to ``NaN``, and to
+``Infinity`` wherever that is out of range (everywhere but a model's ``p``),
+and each such file must be refused.
 """
 
 import contextlib
@@ -77,6 +80,20 @@ REAL_FIELDS = [
 ]
 
 
+def _paths(obj, path=()):
+    """Every key path into ``obj``, the whole document first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 def _replaced(obj, path, value):
     obj = json.loads(json.dumps(obj))
     inner = obj
@@ -95,9 +112,32 @@ def _edits(fields, values):
     return edits
 
 
-# "nonint<k>" and "nonreal<k>" tokens
+# every real field of every fixture: each number outside the integer keys
+_INTEGER_KEYS = {"index", "dim", "base", "depth", "order"}
+ALL_REAL_FIELDS = [
+    (flag, i, path)
+    for flag, objs in VALID.items()
+    for i, obj in enumerate(objs)
+    for path in _paths(obj)
+    if type(_at(obj, path)) in (int, float) and not _INTEGER_KEYS & set(path)
+]
+
+
+def _nonfinite_edits():
+    """Each real field at NaN, and at Infinity unless Infinity is in its range (a model's p, for l^inf)."""
+    edits = _edits(ALL_REAL_FIELDS, (float("nan"),))
+    unbounded = [(flag, i, path) for flag, i, path in ALL_REAL_FIELDS if (flag, path) != ("model", ("p",))]
+    for flag, cases in _edits(unbounded, (float("inf"),)).items():
+        edits[flag] += cases
+    return edits
+
+
+# "nonint<k>" and "nonreal<k>" tokens, which the fuzz draws
 EDITED = {"nonint": _edits(INTEGER_FIELDS, (1.5, True)), "nonreal": _edits(REAL_FIELDS, (True, "0.5", None))}
 NONINT, NONREAL = EDITED["nonint"], EDITED["nonreal"]
+# "nonfinite<k>" files, read by one test only: drawn by the fuzz, their
+# hundreds would crowd out the broken fixtures
+NONFINITE = _nonfinite_edits()
 
 BROKEN = {
     "malformed": '{"op": "szego",\n  broken',
@@ -187,7 +227,7 @@ def files(tmp_path_factory):
         for i, obj in enumerate(objs):
             paths[f"{name}/valid{i}"] = str(root / f"{name}{i}.json")
             (root / f"{name}{i}.json").write_text(json.dumps(obj))
-    for kind, edits in EDITED.items():
+    for kind, edits in {**EDITED, "nonfinite": NONFINITE}.items():
         for name, cases in edits.items():
             for k, (_, _, obj) in enumerate(cases):
                 paths[f"{name}/{kind}{k}"] = str(root / f"{name}-{kind}{k}.json")
@@ -291,6 +331,26 @@ def test_non_real_field_exits_2(flag, k, files):
     assert f"got {value!r}" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("flag", NONFINITE)
+def test_non_finite_field_exits_2(flag, files):
+    """A fixture with any one real field at NaN or Infinity is refused."""
+    argv = [files.get(arg, arg) for arg in READERS[flag]]
+    for k, (_, _, obj) in enumerate(NONFINITE[flag]):
+        code, report = _run([*argv, files[f"{flag}/nonfinite{k}"]])
+        assert (code, report["error"]["code"]) == (2, "ValidationError"), (obj, report)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would reach stderr
+@pytest.mark.parametrize("value", ["[NaN]", "[Infinity]", "[NaN, 1]", "[1, NaN]"])
+@pytest.mark.parametrize("flag", ["coeffs", "poly"])
+def test_non_finite_inline_list_exits_2(flag, value, files, capsys):
+    argv = {"coeffs": ["roundtrip", "--model", files["model/valid0"]], "poly": ["ardy-check"]}[flag]
+    code, report = _run([*argv, f"--{flag}", value])
+    assert (code, report["error"]["code"]) == (2, "ValidationError"), report
+    assert "must be finite" in report["error"]["message"]
+    assert capsys.readouterr().err == ""
+
+
 # --- nesting -----------------------------------------------------------------
 
 # depths around the option bound, orjson's 255-level write limit and the
@@ -298,20 +358,6 @@ def test_non_real_field_exits_2(flag, k, files):
 DEPTHS = st.sampled_from([1, 199, 200, 201, 253, 254, 255, 256, 900, 1000, 3000]) | st.integers(1, 3000)
 LEAVES = st.sampled_from(["0", "NaN", '"x"', "[]", "{}", None])  # None keeps the value it replaces
 _HOLE = "\u0000hole"
-
-
-def _paths(obj, path=()):
-    """Every key path into ``obj``, the whole document first."""
-    yield path
-    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
-    for key, value in items:
-        yield from _paths(value, (*path, key))
-
-
-def _at(obj, path):
-    for key in path:
-        obj = obj[key]
-    return obj
 
 
 @st.composite
