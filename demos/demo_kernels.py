@@ -38,7 +38,7 @@ print("=== The Szego kernel and its Gram matrix ===")
 S = EuclideanPointSet([[0.0], [0.5]])
 G = gram(szego(), S)
 print("sample {0, 1/2}:")
-print(G.entries.real)
+print(G.real)
 print("psd verdict:", psd_check(G))
 print()
 
@@ -58,16 +58,16 @@ print()
 print("=== The geometric series 1/(1 - K) ===")
 # closed form vs partial sums of Hadamard powers
 K = rank_one(moebius(0.3))
-GK = gram(K, S8).entries
+GK = gram(K, S8)
 partial = np.zeros_like(GK)
 power = np.ones_like(GK)
 for _ in range(60):
     partial = partial + power
     power = power * GK
-closed = gram(geom(K), S8).entries
+closed = gram(geom(K), S8)
 print("max |partial sum - closed form| after 60 terms:", np.abs(partial - closed).max())
 print("geom(rank_one(coordinate)) equals szego:",
-      np.allclose(gram(geom(rank_one(coordinate(0))), S8).entries, gram(szego(), S8).entries, atol=1e-14))
+      np.allclose(gram(geom(rank_one(coordinate(0))), S8), gram(szego(), S8), atol=1e-14))
 print()
 
 print("=== A two-variable identity on the unit ball of C^2 ===")

@@ -36,7 +36,6 @@ from .hardy_pick import (
 )
 from .kernels import (
     ClosedFormFunction,
-    GramMatrix,
     KernelExpr,
     PsdReport,
     ball,

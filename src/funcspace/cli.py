@@ -40,7 +40,15 @@ import orjson
 
 from . import geometry, hardy_pick, kernels, multipliers, realization
 from .errors import NESTED_TOO_DEEPLY, NumericalError, ToolkitError, ValidationError
-from .serialize import complex_matrix_from_json, complex_to_json, complex_vector_from_json, integer, real, shown
+from .serialize import (
+    complex_matrix_from_json,
+    complex_matrix_to_json,
+    complex_to_json,
+    complex_vector_from_json,
+    integer,
+    real,
+    shown,
+)
 
 
 @dataclass(frozen=True)
@@ -140,8 +148,8 @@ class ExperimentConfig:
                 raise ValidationError(f"command {self.command!r} takes no --{name.replace('_', '-')}")
         if self.tol is None:
             self.tol = cmd.tol
-        elif not self.tol > 0.0:
-            raise ValidationError("tolerance must be positive")
+        elif not 0.0 < self.tol < math.inf:
+            raise ValidationError("tolerance must be positive and finite")
 
 
 def _json_message(exc: json.JSONDecodeError) -> str:
@@ -304,7 +312,11 @@ def _encode(report: dict) -> str:
 @command("psd-check", files=("matrix",), tol=1e-10)
 def _cmd_psd_check(config, loader):
     obj = loader.file("matrix")
-    matrix = kernels.GramMatrix.from_json(obj) if "sample" in obj else complex_matrix_from_json(obj)
+    # a gram result holds its sample, whose size the matrix must match
+    n = len(geometry.EuclideanPointSet.from_json(obj["sample"])) if "sample" in obj else None
+    matrix = complex_matrix_from_json(obj)
+    if n is not None and matrix.shape != (n, n):
+        raise ValidationError(f"expected a {n}x{n} matrix")
     return kernels.psd_check(matrix, tol=config.tol).to_json()
 
 
@@ -312,7 +324,7 @@ def _cmd_psd_check(config, loader):
 def _cmd_gram(config, loader):
     K = loader.file("kernel", kernels.kernel_from_json)
     sample = loader.file("sample", geometry.EuclideanPointSet.from_json)
-    return kernels.gram(K, sample).to_json()
+    return {"sample": sample.to_json(), **complex_matrix_to_json(kernels.gram(K, sample))}
 
 
 @command("mult-norm", files=("kernel", "kernel2", "symbol", "sample"), options={"csv": str}, tuning=True)
@@ -364,7 +376,7 @@ def _cmd_vn_check(config, loader):
 def _load_model(obj, space: geometry.MetricSpace | None = None) -> realization.RealizationModel:
     """Build the model ``obj`` describes; ``space``, when given, is its
     already validated ``obj["space"]``."""
-    if not isinstance(obj, dict) or "space" not in obj:
+    if not isinstance(obj, dict) or not {"space", "order", "depth"} <= obj.keys():
         raise ValidationError('model JSON needs "space", "order", "depth"')
     if space is None:
         space = geometry.MetricSpace.from_json(obj["space"])

@@ -103,8 +103,8 @@ def detect_mo(T, sample: EuclideanPointSet, tol: float = 1e-6):
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError("detect_mo needs a square matrix")
-    if tol <= 0.0:
-        raise ValidationError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("tolerance must be positive and finite")
     if sample.dim != 1 or len(sample) < 2:
         raise ValidationError("need a sample of at least 2 points in the disk")
     N = T.shape[0] - 1
@@ -223,8 +223,8 @@ class PickSolution(NamedTuple):
 
 def _solve_pick(nodes: np.ndarray, targets: np.ndarray, tol: float):
     """Pencil norms and certified bounds for a stack of target vectors on shared nodes."""
-    if tol <= 0.0:
-        raise ValidationError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("tolerance must be positive and finite")
     C, rel_C = _szego_unit_gram(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         products = mirror_upper(targets[:, :, None] * np.conj(targets)[:, None, :])

@@ -12,8 +12,8 @@ does the same for symbols; :func:`kernel_eval` and a symbol's call are their
 one-point cases.  A node raises as soon as any entry of its block fails,
 and the evaluator then finds the first failing entry by evaluating the
 rows of the block alone, then the entries of each failing row.
-Finite sections of a kernel on a sample are materialized as Hermitian
-:class:`GramMatrix` values by mirroring the upper triangle of the block
+Finite sections of a kernel on a sample are materialized as read-only,
+exactly Hermitian arrays by mirroring the upper triangle of the block
 (:func:`mirror_upper`: one copy, then one indexed write of the lower
 triangle, for a matrix or a stack), and positive semi-definiteness is
 decided from the smallest eigenvalue under a relative tolerance rule;
@@ -49,8 +49,6 @@ from .errors import (
 )
 from .geometry import EuclideanPointSet
 from .serialize import (
-    complex_matrix_from_json,
-    complex_matrix_to_json,
     complex_to_json,
     complex_vector_from_json,
     integer,
@@ -402,36 +400,6 @@ def kernel_eval(K: KernelExpr, x, y) -> complex:
     return complex(kernel_block(K, _as_point(x)[None, :], _as_point(y)[None, :])[0, 0])
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Finite section of a kernel on a labeled sample; exactly Hermitian."""
-
-    sample: EuclideanPointSet
-    entries: np.ndarray
-
-    def __init__(self, sample: EuclideanPointSet, entries):
-        entries = np.asarray(entries, dtype=complex)
-        n = len(sample)
-        if entries.shape != (n, n):
-            raise ValidationError(f"expected a {n}x{n} matrix")
-        if not np.array_equal(entries, entries.conj().T):
-            raise NotHermitian("Gram entries must be exactly Hermitian")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "sample", sample)
-        object.__setattr__(self, "entries", entries)
-
-    def to_json(self) -> dict:
-        out = {"sample": self.sample.to_json()}
-        out.update(complex_matrix_to_json(self.entries))
-        return out
-
-    @classmethod
-    def from_json(cls, obj) -> "GramMatrix":
-        sample = EuclideanPointSet.from_json(obj["sample"])
-        return cls(sample, complex_matrix_from_json(obj))
-
-
 def hermitian_from_upper(entry, n: int) -> np.ndarray:
     """Fill a Hermitian matrix from an upper-triangle entry function: each pair
     ``i <= j`` once, then :func:`mirror_upper`.  The package itself evaluates
@@ -444,8 +412,8 @@ def hermitian_from_upper(entry, n: int) -> np.ndarray:
     return mirror_upper(out)
 
 
-def gram(K: KernelExpr, sample: EuclideanPointSet) -> GramMatrix:
-    """Assemble the Hermitian matrix [K(x_i, x_j)] on the sample.
+def gram(K: KernelExpr, sample: EuclideanPointSet) -> np.ndarray:
+    """The read-only, exactly Hermitian matrix [K(x_i, x_j)] on the sample.
 
     The block is evaluated at once and its upper triangle mirrored
     (:func:`mirror_upper`).  A block that fails is rescanned row by row,
@@ -461,7 +429,8 @@ def gram(K: KernelExpr, sample: EuclideanPointSet) -> GramMatrix:
         raise type(exc)(f"gram entry ({i},{j}): {exc}")
     out = mirror_upper(out)
     require_finite("the Gram matrix", out)
-    return GramMatrix(sample, out)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -481,12 +450,13 @@ def psd_check(G, tol: float = 1e-10) -> PsdReport:
     """Decide positive semi-definiteness of a Hermitian matrix.
 
     The matrix passes when its smallest eigenvalue satisfies
-    ``lambda_min >= -tol * max(1, max_i |lambda_i|)``.  ``G`` may be a
-    :class:`GramMatrix` or a raw matrix; raw input must be exactly Hermitian.
+    ``lambda_min >= -tol * max(1, max_i |lambda_i|)``.  ``G`` is any
+    nonempty square matrix, from :func:`gram` or not, and must be exactly
+    Hermitian.
     """
-    if tol < 0.0:
-        raise ValidationError("tolerance must be nonnegative")
-    entries = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=complex)
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError("tolerance must be nonnegative and finite")
+    entries = np.asarray(G, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] == 0:
         raise ValidationError("psd_check needs a nonempty square matrix")
     if not np.array_equal(entries, entries.conj().T):

@@ -88,14 +88,14 @@ def contraction_check(K: KernelExpr, w: ClosedFormFunction, sample: EuclideanPoi
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is refused below
         values = w.eval_points(sample.points)
-    return psd_check(multiplier_gram(1.0, values, gram(K, sample).entries), tol=tol)
+    return psd_check(multiplier_gram(1.0, values, gram(K, sample)), tol=tol)
 
 
 def _gram_of(role: str, K: KernelExpr, sample: EuclideanPointSet) -> np.ndarray:
-    """The entries of ``gram(K, sample)``; an overflow names ``role``, the
+    """``gram(K, sample)``; an overflow names ``role``, the
     kernel's name in the caller's docstring."""
     try:
-        return gram(K, sample).entries
+        return gram(K, sample)
     except Overflow:
         raise Overflow(f"the Gram matrix of {role} overflows float64") from None
 

@@ -108,6 +108,17 @@ class TestCoreCommands:
         assert code == 0
         assert report["result"]["re"][1][1] == pytest.approx(4.0 / 3.0)
 
+    def test_psd_check_reads_a_gram_report(self, capsys, inputs, tmp_path):
+        """A gram report's result, sample included, gets the bare matrix's PSD report."""
+        _, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]])
+        result = report["result"]
+        bare = {key: result[key] for key in ("re", "im")}
+        code, from_gram = run_cli(capsys, ["psd-check", "--matrix", write(tmp_path / "g.json", result)])
+        assert code == 0
+        _, from_bare = run_cli(capsys, ["psd-check", "--matrix", write(tmp_path / "m.json", bare)])
+        assert from_gram["result"] == from_bare["result"]
+        assert from_gram["result"]["is_psd"] is True
+
     def test_contraction(self, capsys, inputs):
         code, report = run_cli(
             capsys,
@@ -906,6 +917,12 @@ class TestErrorPaths:
             (["submult", "--space", "interval"], "ValidationError", "provide --functions or --random N"),
             (["realize", "--space", "interval", "--seed", "-1"], "ValidationError", "seed must fit in 64 bits"),
             (["realize", "--space", "interval", "--seed", str(2**64)], "ValidationError", "seed must fit in 64 bits"),
+            (["psd-check", "--matrix", {"sample": {"points": [0.1, 0.2, 0.3]}, "re": [[1.0, 0.0], [0.0, 1.0]]}],
+             "ValidationError", "expected a 3x3 matrix"),
+            (["psd-check", "--matrix", {"sample": {"points": [0.1, 0.2]}, "re": [[1.0, 2.0], [0.0, 1.0]]}],
+             "NotHermitian", "matrix is not Hermitian"),
+            # a schema mistake no validation names reaches run's catch-all
+            (["gram", "--sample", "s2", "--kernel", {"op": "ball"}], "ValidationError", "bad input: KeyError('dim')"),
         ],
     )
     def test_validation_branches_exit_2(self, capsys, tmp_path, inputs, argv, code, message):
@@ -919,6 +936,36 @@ class TestErrorPaths:
         assert report["status"] == "error"
         assert report["error"]["code"] == code
         assert message in report["error"]["message"]
+
+    @pytest.mark.parametrize("key", ["space", "order", "depth"])
+    def test_model_without_a_key_is_refused(self, capsys, inputs, key):
+        model = json.loads((inputs["tmp"] / "model.json").read_text())
+        del model[key]
+        code, report = run_cli(capsys, ["realize", "--model", write(inputs["tmp"] / "partial.json", model)])
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": 'model JSON needs "space", "order", "depth"'}
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psd-check", "--matrix", {"re": [[-1.0]]}],
+            ["detect-mo", "--sample", "s2", "--matrix", {"re": [[1.0, 0.0], [0.0, 2.0]]}],
+            ["vn-check", "--symbol", "coord0", "--sample", "s2", "--poly", "[0, 1]"],
+            ["roundtrip", "--model", "model", "--coeffs", "[1, 0.5]"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_tolerance_exits_2(self, capsys, tmp_path, inputs, argv, tol):
+        """A command that runs at its default tolerance refuses --tol inf and nan."""
+        argv = [
+            write(tmp_path / f"arg{k}.json", arg) if isinstance(arg, dict) else inputs.get(arg, arg)
+            for k, arg in enumerate(argv)
+        ]
+        assert run_cli(capsys, argv)[0] == 0
+        code, report = run_cli(capsys, [*argv, "--tol", tol])
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": "tolerance must be positive and finite"}
 
     def test_distinct_error_codes(self, capsys, tmp_path, inputs):
         seen = set()

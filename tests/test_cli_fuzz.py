@@ -15,7 +15,8 @@ second fuzz nests one value of a valid file, or of ``--order``, up to 3000
 levels deep, past orjson's write limit and the interpreter's recursion limit.
 Every real field of every valid fixture is also set to ``NaN``, and to
 ``Infinity`` wherever that is out of range (everywhere but a model's ``p``),
-and each such file must be refused.
+and each such file must be refused.  Every valid fixture exits 0 through an
+argv that reads it, so that its draws reach the handlers.
 """
 
 import contextlib
@@ -28,13 +29,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcspace import cli
-from funcspace.hardy_pick import compress_square, toeplitz_mo
+from funcspace.geometry import EuclideanPointSet
+from funcspace.kernels import gram, szego
+from funcspace.serialize import complex_matrix_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 _interval = {"dist": np.abs(np.subtract.outer(np.arange(5) / 4, np.arange(5) / 4)).tolist(), "base": 0}
-_seven = {"dist": np.abs(np.subtract.outer(np.arange(7) / 6, np.arange(7) / 6)).tolist(), "base": 0}
-_T = compress_square(toeplitz_mo([0.0, 1.0], 12), 12)
+# eighths, so that every distance and every sum of two is exact and the
+# exact triangle check passes
+_seven = {"dist": np.abs(np.subtract.outer(np.arange(7) / 8, np.arange(7) / 8)).tolist(), "base": 0}
+_samples = [{"dim": 1, "points": [[0.0, 0.0], [0.5, 0.0]]}, {"dim": 1, "points": [[0.1, 0.0], [0.2, 0.1], [-0.3, 0.2]]}]
+# a gram report's result: the sample and its Szego Gram matrix
+_gram_file = {"sample": _samples[1], **complex_matrix_to_json(gram(szego(), EuclideanPointSet.from_json(_samples[1])))}
 
 # valid fixtures for each file flag; the fuzz draws "valid<i>" tokens for them
 VALID = {
@@ -45,8 +52,15 @@ VALID = {
     ],
     "kernel2": [{"op": "szego"}, {"op": "ball", "dim": 1}],
     "symbol": [{"kind": "coordinate", "index": 0}, {"kind": "moebius", "a": [0.4, 0.0]}],
-    "sample": [{"dim": 1, "points": [[0.0, 0.0], [0.5, 0.0]]}, {"dim": 1, "points": [[0.1, 0.0], [0.2, 0.1], [-0.3, 0.2]]}],
-    "matrix": [{"re": [[2.0, 1.0], [1.0, 2.0]]}, {"re": _T.real.tolist(), "im": _T.imag.tolist()}],
+    "sample": _samples,
+    "matrix": [
+        {"re": [[2.0, 1.0], [1.0, 2.0]]},
+        {
+            "re": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.0]],
+            "im": [[0.0, 0.5, 0.0], [-0.5, 0.0, -0.25], [0.0, 0.25, 0.0]],
+        },
+        _gram_file,
+    ],
     "space": [_interval, _seven],
     "functions": [[{"values": [1, 2, 3, 4, 5]}, {"values": [[0, 1], 0, 0, 0, 1]}]],
     "model": [
@@ -305,6 +319,14 @@ def _run(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("flag, i", [(flag, i) for flag, objs in VALID.items() for i in range(len(objs))])
+def test_valid_fixture_exits_0(flag, i, files):
+    """Each valid fixture reaches its reader's handler, so the fuzz's valid draws test it."""
+    argv = [files.get(arg, arg) for arg in READERS[flag]]
+    code, report = _run([*argv, files[f"{flag}/valid{i}"]])
+    assert code == 0, report
 
 
 @pytest.mark.parametrize("flag, k", [(flag, k) for flag, cases in NONINT.items() for k in range(len(cases))])

@@ -105,6 +105,12 @@ class TestDetectMo:
         with pytest.raises(ValidationError):
             detect_mo(np.eye(3, dtype=complex), S, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_refused(self, tol):
+        S = EuclideanPointSet([[0.1], [0.2]])
+        with pytest.raises(ValidationError, match="tolerance"):
+            detect_mo(np.eye(3, dtype=complex), S, tol=tol)
+
     def test_zero_matrix_is_the_zero_symbol(self):
         S = EuclideanPointSet([[0.1], [0.2]])
         values = detect_mo(np.zeros((5, 5), dtype=complex), S)
@@ -213,6 +219,11 @@ class TestPickSolve:
     def test_tolerance_validated(self):
         with pytest.raises(ValidationError):
             pick_solve([0.1], [0.2], tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_refused(self, tol):
+        with pytest.raises(ValidationError, match="tolerance"):
+            pick_solve([0.1], [0.2], tol=tol)
 
 
 def _node_families(rng):

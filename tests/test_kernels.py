@@ -11,7 +11,6 @@ from funcspace import hardy_pick, kernels, multipliers
 from funcspace.errors import DegenerateGram, GeomDiverges, NotHermitian, OutOfDomain, Overflow, ValidationError
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
-    GramMatrix,
     _cholesky_each,
     _perron_bound,
     ball,
@@ -259,24 +258,25 @@ class TestGram:
     def test_constant_all_ones(self):
         S = EuclideanPointSet([[0.0], [0.1], [0.2]])
         g = gram(constant(1.0), S)
-        assert np.array_equal(g.entries, np.ones((3, 3), dtype=complex))
+        assert np.array_equal(g, np.ones((3, 3), dtype=complex))
 
     def test_szego_two_points(self):
         S = EuclideanPointSet([[0.0], [0.5]])
         g = gram(szego(), S)
-        assert np.array_equal(g.entries, np.array([[1.0, 1.0], [1.0, 4.0 / 3.0]], dtype=complex))
+        assert np.array_equal(g, np.array([[1.0, 1.0], [1.0, 4.0 / 3.0]], dtype=complex))
 
     def test_rank_one_gram_has_rank_one(self):
         rng = np.random.default_rng(5)
         S = disk_sample(rng, 6)
         g = gram(rank_one(moebius(0.3 + 0.2j)), S)
-        assert np.linalg.matrix_rank(g.entries, tol=1e-10) <= 1
+        assert np.linalg.matrix_rank(g, tol=1e-10) <= 1
 
     def test_hermitian_exact(self):
         rng = np.random.default_rng(6)
         S = disk_sample(rng, 7)
         g = gram(hadamard(szego(), geom(rank_one(moebius(0.2)))), S)
-        assert np.array_equal(g.entries, g.entries.conj().T)
+        assert np.array_equal(g, g.conj().T)
+        assert not g.flags.writeable
 
     def test_error_identifies_entry(self):
         S = EuclideanPointSet([[0.0], [0.5]])
@@ -310,6 +310,12 @@ class TestPsdCheck:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitian):
             psd_check(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
+
+    @pytest.mark.parametrize("tol", [-1e-10, np.nan, np.inf])
+    def test_tolerance_validated(self, tol):
+        with pytest.raises(ValidationError, match="tolerance"):
+            psd_check(np.eye(2), tol=tol)
+        assert psd_check(np.eye(2), tol=0.0).is_psd
 
     def test_report_invariant(self):
         report = psd_check(np.array([[2.0, 0.0], [0.0, -1e-12]], dtype=complex), tol=1e-10)
@@ -354,14 +360,14 @@ class TestSchurProduct:
         rng = np.random.default_rng(10)
         S = disk_sample(rng, 5)
         K = szego()
-        assert np.array_equal(gram(hadamard(constant(1.0), K), S).entries, gram(K, S).entries)
+        assert np.array_equal(gram(hadamard(constant(1.0), K), S), gram(K, S))
 
     def test_rank_one_product_is_rank_one_of_product(self):
         rng = np.random.default_rng(11)
         S = disk_sample(rng, 6)
         w, eta = moebius(0.2), polynomial([0.1, 0.4])
-        lhs = gram(hadamard(rank_one(w), rank_one(eta)), S).entries
-        rhs = gram(rank_one(fn_product(w, eta)), S).entries
+        lhs = gram(hadamard(rank_one(w), rank_one(eta)), S)
+        rhs = gram(rank_one(fn_product(w, eta)), S)
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-15)
 
 
@@ -401,7 +407,7 @@ class TestConeAndSeriesProperties:
         rng = np.random.default_rng(13)
         S = disk_sample(rng, 6, radius=0.9)
         K = rank_one(moebius(0.3))  # |K| <= 0.9 on a 0.9-disk sample... verified below
-        GK = gram(K, S).entries
+        GK = gram(K, S)
         assert np.abs(GK).max() <= 0.9
         # N chosen so the geometric tail 0.9^(N+1)/0.1 is below 1e-10
         N = 1
@@ -412,7 +418,7 @@ class TestConeAndSeriesProperties:
         for _ in range(N + 1):
             partial = partial + power
             power = power * GK
-        closed = gram(geom(K), S).entries
+        closed = gram(geom(K), S)
         assert np.abs(partial - closed).max() < 1e-9
 
 
@@ -464,21 +470,6 @@ class TestKernelJson:
             kernel_from_json({"op": "nope"})
         with pytest.raises(ValidationError):
             fn_from_json({"kind": "nope"})
-
-
-class TestGramMatrixType:
-    def test_non_hermitian_entries_rejected(self):
-        S = EuclideanPointSet([[0.0], [0.5]])
-        with pytest.raises(NotHermitian):
-            GramMatrix(S, np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex))
-
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(15)
-        S = disk_sample(rng, 4)
-        g = gram(szego(), S)
-        again = GramMatrix.from_json(json.loads(json.dumps(g.to_json())))
-        assert np.allclose(again.entries, g.entries, rtol=0, atol=1e-15)
-        assert np.allclose(again.sample.points, S.points, rtol=0, atol=1e-15)
 
 
 def random_hermitian(rng, n, k=None):
@@ -592,8 +583,8 @@ class TestMirrorUpperBits:
         S = disk_sample(rng, 12)
         w = rng.normal(size=12) + 1j * rng.normal(size=12)
         for K in (szego(), geom(scale(0.5, szego())), kernel_sum(szego(), rank_one(moebius(0.3)))):
-            new = gram(K, S).entries
-            ref = with_mask_mirror(monkeypatch, lambda: gram(K, S).entries)
+            new = gram(K, S)
+            ref = with_mask_mirror(monkeypatch, lambda: gram(K, S))
             assert same_bits(new, ref)
             ref = with_mask_mirror(monkeypatch, lambda: multiplier_gram(2.0, w, new))
             assert same_bits(multiplier_gram(2.0, w, new), ref)

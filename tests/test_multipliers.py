@@ -235,8 +235,8 @@ class TestOneGramPerKernel:
         rng = np.random.default_rng(50)
         for n in (1, 16, 48):
             S = _annulus_sample(rng, n, 2 if K.op == "ball" else 1)
-            product = gram(K, S).entries * gram(L, S).entries
-            assert product.tobytes() == gram(hadamard(K, L), S).entries.tobytes()
+            product = gram(K, S) * gram(L, S)
+            assert product.tobytes() == gram(hadamard(K, L), S).tobytes()
 
     def test_equal_kernels_share_one_gram(self):
         K, K2 = hadamard(szego(), szego()), hadamard(szego(), szego())
@@ -244,7 +244,7 @@ class TestOneGramPerKernel:
         S = disk_sample(np.random.default_rng(51), 7, radius=0.6, min_sep=0.1)
         w = moebius(0.3 - 0.2j)
         values = w.eval_points(S.points)
-        G_F, G_E = gram(K, S).entries, gram(K2, S).entries
+        G_F, G_E = gram(K, S), gram(K2, S)
         A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
         assert sampled_mult_norm(K, K2, w, S).sampled_norm == float(pencil_norms(A[None], G_E)[0])
 
