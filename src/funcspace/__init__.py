@@ -23,7 +23,6 @@ from .geometry import (
     submult_ratio,
 )
 from .hardy_pick import (
-    ExpPolySpan,
     PickProblem,
     ardy_multiplier_check,
     carleson_seq,

@@ -48,6 +48,7 @@ from .serialize import (
     integer,
     real,
     shown,
+    tolerance,
 )
 
 
@@ -148,8 +149,8 @@ class ExperimentConfig:
                 raise ValidationError(f"command {self.command!r} takes no --{name.replace('_', '-')}")
         if self.tol is None:
             self.tol = cmd.tol
-        elif not 0.0 < self.tol < math.inf:
-            raise ValidationError("tolerance must be positive and finite")
+        else:
+            tolerance(self.tol)  # the report echoes the value as given
 
 
 def _json_message(exc: json.JSONDecodeError) -> str:
@@ -313,7 +314,8 @@ def _encode(report: dict) -> str:
 def _cmd_psd_check(config, loader):
     obj = loader.file("matrix")
     # a gram result holds its sample, whose size the matrix must match
-    n = len(geometry.EuclideanPointSet.from_json(obj["sample"])) if "sample" in obj else None
+    has_sample = isinstance(obj, dict) and "sample" in obj
+    n = len(geometry.EuclideanPointSet.from_json(obj["sample"])) if has_sample else None
     matrix = complex_matrix_from_json(obj)
     if n is not None and matrix.shape != (n, n):
         raise ValidationError(f"expected a {n}x{n} matrix")

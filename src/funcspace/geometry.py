@@ -146,7 +146,7 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EuclideanPointSet:
     """A finite list of points in C^d with finite coordinates, the common sample type for kernels."""
 
@@ -206,7 +206,7 @@ class EuclideanPointSet:
         return ps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSpace:
     """Finite metric space: labeled points, a distance matrix, a base point.
 
@@ -272,7 +272,7 @@ class MetricSpace:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """A complex-valued function known through its values on a finite metric space."""
 

@@ -24,9 +24,9 @@ every rounding.  Node sequences whose boundary gaps halve support bounded
 interpolation of every 0/1 pattern while keeping the interpolants uniformly
 separated in sup norm - the finite fingerprint of a non-separable
 multiplier algebra; all 2^m patterns are solved in one batch over a single
-factorization of C.  Finally, on the span of exp(z) and the monomials z^n
-(n >= 1), multiplication maps the span into itself only for constant
-symbols, and this is decided exactly.
+factorization of C.  Finally, a polynomial multiplies the span of exp(z)
+and the monomials z^n (n >= 1) into itself only when it is constant, which
+:func:`ardy_multiplier_check` decides exactly from its coefficients.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .kernels import (
     require_finite,
     szego,
 )
-from .serialize import complex_to_json, complex_vector_from_json, finite, integer, real
+from .serialize import complex_to_json, complex_vector_from_json, finite, integer, real, tolerance
 
 
 def toeplitz_mo(omega, N: int) -> np.ndarray:
@@ -103,8 +103,7 @@ def detect_mo(T, sample: EuclideanPointSet, tol: float = 1e-6):
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError("detect_mo needs a square matrix")
-    if not 0.0 < tol < np.inf:
-        raise ValidationError("tolerance must be positive and finite")
+    tol = tolerance(tol)
     if sample.dim != 1 or len(sample) < 2:
         raise ValidationError("need a sample of at least 2 points in the disk")
     N = T.shape[0] - 1
@@ -122,7 +121,7 @@ def detect_mo(T, sample: EuclideanPointSet, tol: float = 1e-6):
     return np.array(out, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PickProblem:
     """Interpolation nodes in the open disk, targets, and a norm budget t."""
 
@@ -223,8 +222,7 @@ class PickSolution(NamedTuple):
 
 def _solve_pick(nodes: np.ndarray, targets: np.ndarray, tol: float):
     """Pencil norms and certified bounds for a stack of target vectors on shared nodes."""
-    if not 0.0 < tol < np.inf:
-        raise ValidationError("tolerance must be positive and finite")
+    tol = tolerance(tol)
     C, rel_C = _szego_unit_gram(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         products = mirror_upper(targets[:, :, None] * np.conj(targets)[:, None, :])
@@ -327,67 +325,14 @@ def separability_probe(m: int, start: float = 0.0, tol: float = 1e-9) -> Separab
     return SeparabilityReport(nodes, float(norms.max()), 1.0, tuple(norms.tolist()))
 
 
-@dataclass(frozen=True)
-class ExpPolySpan:
-    """c * exp(z) + q(z) with q a polynomial vanishing at 0; representation unique.
-
-    The span of exp and the positive-degree monomials meets the polynomials
-    exactly in {q : q(0) = 0}, and exp is not rational, so the pair (c, q)
-    is determined by the function.
-    """
-
-    c: complex
-    poly: tuple
-
-    def __init__(self, c, poly=()):
-        poly = tuple(complex(v) for v in poly)
-        while poly and poly[-1] == 0:
-            poly = poly[:-1]
-        if poly and poly[0] != 0:
-            raise ValidationError("the polynomial part must vanish at 0")
-        object.__setattr__(self, "c", complex(c))
-        object.__setattr__(self, "poly", poly)
-
-    def __call__(self, z: complex) -> complex:
-        z = complex(z)
-        out = self.c * np.exp(z)
-        for k, a in enumerate(self.poly):
-            out += a * z**k
-        return out
-
-    def times_polynomial(self, omega) -> "ExpPolySpan | None":
-        """Exact membership of omega * self in the span, with its representation.
-
-        ``omega * (c exp)`` stays in the span only when c = 0 or omega is
-        constant: otherwise ``(omega - c') exp`` would be a nonzero rational
-        multiple of exp.  The polynomial part stays automatically since its
-        root at 0 is preserved.  Returns None when membership fails.
-        """
-        w = _trim(omega)
-        q = np.asarray(self.poly, dtype=complex)
-        prod_poly = np.convolve(w, q) if w.size and q.size else np.zeros(0, dtype=complex)
-        if self.c == 0:
-            return ExpPolySpan(0.0, prod_poly)
-        if w.size == 0:
-            return ExpPolySpan(0.0, prod_poly)
-        if w.size == 1:
-            return ExpPolySpan(self.c * w[0], prod_poly)
-        return None
-
-
-def _trim(coeffs) -> np.ndarray:
-    w = finite(np.asarray(list(coeffs), dtype=complex).reshape(-1), "polynomial coefficients")
-    while w.size and w[-1] == 0:
-        w = w[:-1]
-    return w
-
-
 def ardy_multiplier_check(omega) -> bool:
     """Decide exactly whether a polynomial multiplies the exp-monomial span
-    into itself.
+    into itself: only a constant does.
 
-    Multiplying exp(z) must land in the span, which forces the symbol to be
-    constant; the monomials z^n (n >= 1) then stay in the span, since
-    ``omega z^n`` vanishes at 0 for every finite ``omega``.
+    ``omega z^n`` vanishes at 0, so the monomials z^n (n >= 1) stay in the
+    span for every finite ``omega``.  ``omega exp`` stays only when
+    ``omega`` is constant: ``omega exp = c exp + q`` with q a polynomial
+    gives ``(omega - c) exp = q``, and exp is not rational.
     """
-    return ExpPolySpan(1.0, ()).times_polynomial(omega) is not None
+    w = finite(np.asarray(list(omega), dtype=complex).reshape(-1), "polynomial coefficients")
+    return not w[1:].any()

@@ -282,11 +282,7 @@ def inside_unit_ball(P) -> np.ndarray:
     Non-finite rows are outside.
     """
     P = _as_points(P)
-    if P.shape[1] == 1:  # the sum over an axis of length 1 would cost more than the squares
-        z = P[:, 0]
-        excess = z.real * z.real + z.imag * z.imag - 1.0
-    else:
-        excess = (P.real * P.real + P.imag * P.imag).sum(axis=1) - 1.0
+    excess = (P.real * P.real + P.imag * P.imag).sum(axis=1) - 1.0
     near = np.abs(excess) <= 8 * (P.shape[1] + 1) * UNIT_ROUNDOFF
     if near.any():
         excess[near] = -one_minus_norm2(P[near])

@@ -48,7 +48,7 @@ from .kernels import (
     psd_check,
     szego,
 )
-from .serialize import integer
+from .serialize import integer, tolerance
 
 #: Relative condition number of Gram(K_E, S) beyond which the sample is
 #: rejected instead of silently regularized.
@@ -268,7 +268,11 @@ def von_neumann_check(
         (lhs, rhs, passed): sampled norm of ``p o w``, the certified bound
         on sup |p| over the circle (:func:`_circle_sup_bound`), and
         ``lhs <= rhs + tol``.
+
+    Raises:
+        ValidationError: ``tol`` is not positive and finite.
     """
+    tol = tolerance(tol)
     certify_unit_sup(w, boundary_grid)
     coeffs = np.asarray(list(p), dtype=complex)
     symbol = compose(polynomial(coeffs), w)

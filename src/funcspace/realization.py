@@ -41,14 +41,14 @@ from .errors import (
 )
 from .geometry import MetricSpace, SampledFunction
 from .kernels import gamma, lower_inverse
-from .serialize import finite, index_list, integer, real, shown
+from .serialize import finite, index_list, integer, real, shown, tolerance
 
 _PIVOT_FLOOR = 1e-14
 #: Default bound on the relative error of a coefficient round-trip.
 ROUNDTRIP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseSequence:
     """An enumeration of all points of a finite space (the density surrogate)."""
 
@@ -116,7 +116,7 @@ def choose_b(g: np.ndarray, space: MetricSpace, policy: str = "default_2n", base
     return 2.0**levels * sups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealizationModel:
     """The realization bundle: enumeration, depth, functions g, weights b.
 
@@ -206,8 +206,10 @@ def point_eval_rank(points, M: int, model: RealizationModel, tol: float = 1e-10)
     """Numerical rank of [g_m(x_i)] for m = 0..M over the given points.
 
     Equals the number of points once M is large enough; singular values
-    above ``tol * sigma_max`` count toward the rank.
+    above ``tol * sigma_max`` count toward the rank, and ``tol`` must be
+    positive and finite.
     """
+    tol = tolerance(tol)
     points = index_list(points, "points", "point index", len(model.dense.space))
     if len(set(points)) != len(points):
         raise DuplicatePoint("points must be distinct")
@@ -274,9 +276,11 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
         The pair (recovered coefficients, relative error bound).
 
     Raises:
+        ValidationError: ``tol`` is not positive and finite.
         IllConditionedPrefix: a diagonal pivot is below 1e-14, or the
             relative error bound exceeds ``tol``.
     """
+    tol = tolerance(tol)
     f = _check_coeffs(f, model)
     N = model.depth
     order = model.dense.order

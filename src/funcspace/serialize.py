@@ -6,8 +6,9 @@ travel as a pair of real matrices under the keys ``"re"`` and ``"im"``.
 Real inputs are accepted wherever a complex value is expected.  Every index,
 count and dimension that enters the package, from JSON, argv or a caller,
 passes :func:`integer`, every list of point indices passes :func:`index_list`,
-and every real scalar passes :func:`real`; a real matrix read from JSON
-passes :func:`real_matrix`, and rows of unequal length are named by
+every real scalar passes :func:`real`, and a tolerance that must be positive
+also :func:`tolerance`; a real matrix read from JSON passes
+:func:`real_matrix`, and rows of unequal length are named by
 :func:`rows_array`.  An array of points, values or coefficients that enters
 from outside passes :func:`finite`, which names its first NaN or infinity.  A message that shows an input value shows it through
 :func:`shown`, so that a value nested past the interpreter's recursion limit
@@ -63,6 +64,14 @@ def real(value, name: str) -> float:
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{name} must be a real number, got {shown(value)}")
     return float(value)
+
+
+def tolerance(value) -> float:
+    """``value`` read by :func:`real`, refused unless positive and finite."""
+    t = real(value, "tolerance")
+    if not 0.0 < t < np.inf:
+        raise ValidationError("tolerance must be positive and finite")
+    return t
 
 
 def finite(values: np.ndarray, name: str) -> np.ndarray:

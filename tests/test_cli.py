@@ -937,6 +937,18 @@ class TestErrorPaths:
         assert report["error"]["code"] == code
         assert message in report["error"]["message"]
 
+    @pytest.mark.parametrize("doc", ["has a sample", ["sample"]])
+    @pytest.mark.parametrize("command", ["psd-check", "detect-mo"])
+    def test_matrix_file_that_is_not_an_object(self, capsys, tmp_path, inputs, command, doc):
+        """A string or list mentioning "sample" is no Gram file: both commands name the format."""
+        argv = [command, "--matrix", write(tmp_path / "matrix.json", doc)]
+        code, report = run_cli(capsys, argv + (["--sample", inputs["s2"]] if command == "detect-mo" else []))
+        assert code == 2
+        assert report["error"] == {
+            "code": "ValidationError",
+            "message": 'expected a matrix object with "re" (and optional "im") keys',
+        }
+
     @pytest.mark.parametrize("key", ["space", "order", "depth"])
     def test_model_without_a_key_is_refused(self, capsys, inputs, key):
         model = json.loads((inputs["tmp"] / "model.json").read_text())

@@ -15,7 +15,6 @@ from funcspace.errors import (
 )
 from funcspace.geometry import EuclideanPointSet
 from funcspace.hardy_pick import (
-    ExpPolySpan,
     PickProblem,
     ardy_multiplier_check,
     carleson_seq,
@@ -419,29 +418,6 @@ class TestArdyCheck:
                 while coeffs[-1] == 0:
                     coeffs[-1] = rng.normal()
                 assert ardy_multiplier_check(coeffs) == (degree == 0)
-
-
-class TestExpPolySpan:
-    def test_polynomial_part_must_vanish_at_zero(self):
-        with pytest.raises(ValidationError):
-            ExpPolySpan(1.0, (2.0, 1.0))
-
-    def test_evaluation(self):
-        elem = ExpPolySpan(2.0, (0.0, 1.0))
-        z = 0.3 + 0.1j
-        assert elem(z) == pytest.approx(2.0 * np.exp(z) + z)
-
-    def test_multiplying_exp_by_nonconstant_leaves_span(self):
-        exp_elem = ExpPolySpan(1.0, ())
-        assert exp_elem.times_polynomial([0.0, 1.0]) is None
-        kept = exp_elem.times_polynomial([2.0])
-        assert kept is not None and kept.c == 2.0
-
-    def test_multiplying_poly_part_stays(self):
-        elem = ExpPolySpan(0.0, (0.0, 0.0, 1.0))  # z^2
-        result = elem.times_polynomial([1.0, 1.0])  # (1 + z) z^2
-        assert result is not None
-        assert result.poly == (0.0, 0.0, 1.0, 1.0)
 
 
 class TestPickProblemJson:

@@ -316,6 +316,11 @@ class TestVonNeumann:
         with pytest.raises(SymbolNotContractive):
             von_neumann_check(fn_scale(1.0, coordinate(0)), [1.0], S2)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            von_neumann_check(coordinate(0), [0.0, 3.0], S2, tol=tol)
+
     def test_boundary_grid_cap(self):
         assert certify_unit_sup(polynomial([0.2, 0.3]), MAX_BOUNDARY_GRID) <= 1.0
         assert von_neumann_check(moebius(0.4), [0.0, 1.0], S2, boundary_grid=MAX_BOUNDARY_GRID).passed

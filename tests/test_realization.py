@@ -13,7 +13,8 @@ from funcspace.errors import (
     PrefixTooShallow,
     ValidationError,
 )
-from funcspace.geometry import MetricSpace, SampledFunction, dil, set_distance
+from funcspace.geometry import EuclideanPointSet, MetricSpace, SampledFunction, dil, set_distance
+from funcspace.hardy_pick import PickProblem
 from funcspace.kernels import gamma, lower_inverse
 from funcspace.realization import (
     ROUNDTRIP_TOL,
@@ -267,6 +268,11 @@ class TestPointEvalRank:
         with pytest.raises(DepthExceedsSequence):
             point_eval_rank([0, 1], 5, interval_model(depth=3))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            point_eval_rank([0, 1], 3, interval_model(), tol=tol)
+
 
 class TestTopologyProbe:
     def test_first_enumerated_point(self):
@@ -311,6 +317,11 @@ class TestTopologyProbe:
 
 
 class TestCoefficientRoundtrip:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            coefficient_roundtrip([1.0], interval_model(), tol=tol)
+
     def test_basis_vector(self):
         model = interval_model()
         rec, _ = coefficient_roundtrip([1.0], model)
@@ -384,7 +395,7 @@ class TestRoundtripErrorBound:
     def test_bound_covers_the_error_in_the_border_region(self):
         model, rng = graph_model(60, 30, seed=3)
         f = rng.normal(size=31) + 1j * rng.normal(size=31)
-        rec, bound = coefficient_roundtrip(f, model, tol=np.inf)
+        rec, bound = coefficient_roundtrip(f, model, tol=np.finfo(float).max)
         assert np.abs(rec - f).max() / np.abs(f).max() <= bound
 
     def test_tol_decides(self):
@@ -450,3 +461,20 @@ def test_roundtrip_bound_holds_with_the_exact_inverse(model, fs):
         assert err <= exact_bound
         assert err <= bound
         assert bound == pytest.approx(exact_bound, rel=1e-12)
+
+
+def test_array_holding_types_compare_and_hash_by_identity():
+    """Equal arrays make no equal instances: ``==`` and ``hash`` are a plain
+    object's, not an ambiguous comparison of arrays."""
+    space = interval5_space()
+    pairs = [
+        (EuclideanPointSet([0.1, 0.2]), EuclideanPointSet([0.1, 0.2])),
+        (space, interval5_space()),
+        (SampledFunction(space, np.ones(5)), SampledFunction(space, np.ones(5))),
+        (PickProblem([0.1], [0.2]), PickProblem([0.1], [0.2])),
+        (interval_dense(), interval_dense()),
+        (interval_model(), interval_model()),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
