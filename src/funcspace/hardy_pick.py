@@ -57,7 +57,7 @@ from .kernels import (
     require_finite,
     szego,
 )
-from .serialize import complex_to_json, complex_vector_from_json, finite, integer, real, tolerance
+from .serialize import coefficients, complex_to_json, complex_vector_from_json, finite, integer, real, tolerance
 
 
 def toeplitz_mo(omega, N: int) -> np.ndarray:
@@ -69,7 +69,7 @@ def toeplitz_mo(omega, N: int) -> np.ndarray:
     N = integer(N, "truncation degree")
     if N < 0:
         raise ValidationError("truncation degree must be nonnegative")
-    coeffs = np.asarray(list(omega), dtype=complex)
+    coeffs = coefficients(omega, "symbol coefficients")
     if coeffs.size == 0:
         raise ValidationError("symbol must have at least one coefficient")
     d = coeffs.size - 1
@@ -334,5 +334,5 @@ def ardy_multiplier_check(omega) -> bool:
     ``omega`` is constant: ``omega exp = c exp + q`` with q a polynomial
     gives ``(omega - c) exp = q``, and exp is not rational.
     """
-    w = finite(np.asarray(list(omega), dtype=complex).reshape(-1), "polynomial coefficients")
+    w = finite(coefficients(omega, "polynomial coefficients"), "polynomial coefficients")
     return not w[1:].any()

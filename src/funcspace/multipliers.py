@@ -48,7 +48,7 @@ from .kernels import (
     psd_check,
     szego,
 )
-from .serialize import integer, tolerance
+from .serialize import coefficients, integer, tolerance
 
 #: Relative condition number of Gram(K_E, S) beyond which the sample is
 #: rejected instead of silently regularized.
@@ -274,7 +274,7 @@ def von_neumann_check(
     """
     tol = tolerance(tol)
     certify_unit_sup(w, boundary_grid)
-    coeffs = np.asarray(list(p), dtype=complex)
+    coeffs = coefficients(p, "polynomial coefficients")
     symbol = compose(polynomial(coeffs), w)
     lhs = sampled_mult_norm(szego(), szego(), symbol, sample).sampled_norm
     rhs = _circle_sup_bound(coeffs, boundary_grid)

@@ -8,11 +8,14 @@ count and dimension that enters the package, from JSON, argv or a caller,
 passes :func:`integer`, every list of point indices passes :func:`index_list`,
 every real scalar passes :func:`real`, and a tolerance that must be positive
 also :func:`tolerance`; a real matrix read from JSON passes
-:func:`real_matrix`, and rows of unequal length are named by
-:func:`rows_array`.  An array of points, values or coefficients that enters
-from outside passes :func:`finite`, which names its first NaN or infinity.  A message that shows an input value shows it through
-:func:`shown`, so that a value nested past the interpreter's recursion limit
-is refused like any other.
+:func:`real_matrix`, which type-checks a row with one ``sum`` and reads the
+entry types only where a ``true`` or ``false`` could hide, and rows of
+unequal length are named by :func:`rows_array`.  A library caller's list of
+polynomial coefficients passes :func:`coefficients`.  An array of points,
+values or coefficients that enters from outside passes :func:`finite`, which
+names its first NaN or infinity.  A message that shows an input value shows
+it through :func:`shown`, so that a value nested past the interpreter's
+recursion limit is refused like any other.
 """
 
 from __future__ import annotations
@@ -84,6 +87,20 @@ def finite(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
+def coefficients(values, name: str) -> np.ndarray:
+    """``values``, a list, tuple or 1-D array of int, float or complex numbers,
+    as a new complex vector.  Bools, text, None, nested lists and a bare
+    number are refused, which ``np.asarray`` would convert, flatten or wrap."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iufc":
+        return values.astype(complex)
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{name} must be a list of numbers, got {shown(values)}")
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+            raise ValidationError(f"an entry of {name} must be a number, got {shown(value)}")
+    return np.array(values, dtype=complex)
+
+
 def point_labels(values, count: int) -> tuple:
     """Point labels as text, one for each of ``count`` points."""
     try:
@@ -145,9 +162,23 @@ def real_matrix(rows, key: str) -> np.ndarray:
 
     ``true``, numeric strings and ``null`` are refused, which ``np.asarray``
     would convert; the message names the first of them in row-major order.
-    Each row is scanned by the types it holds, one set per row.  Ragged rows
-    are refused by :func:`rows_array`.
+    Ragged rows are refused by :func:`rows_array`.
+
+    Each row is checked by ``sum``, one C loop that raises on text, ``null``,
+    a list or an object, and on an int past the float range; a sum that is
+    neither an int nor a float also means an entry is neither.  A bool adds
+    as the int it equals, so it can hide only where the array holds exactly
+    0.0 or 1.0, and only those entries have their type checked.  An input
+    that fails any of these steps is checked entry by entry.
     """
+    try:
+        if type(rows) is list and all(type(row) is list and type(sum(row)) in _NUMBERS for row in rows):
+            array = np.asarray(rows, dtype=float)
+            zero_or_one = (h.tolist() for h in np.nonzero((array == 0.0) | (array == 1.0)))
+            if all(type(rows[i][j]) in _NUMBERS for i, j in zip(*zero_or_one)):
+                return array
+    except (TypeError, ValueError, OverflowError):
+        pass
     if not (isinstance(rows, list) and all(type(row) is list and set(map(type, row)) <= _NUMBERS for row in rows)):
         for row in rows if isinstance(rows, list) else (rows,):
             for value in row if isinstance(row, list) else (row,):

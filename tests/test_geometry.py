@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from funcspace.errors import (
     DegenerateSpace,
     EmptySet,
+    Overflow,
     SamePoint,
     ValidationError,
     ZeroFunction,
@@ -585,6 +586,127 @@ class TestSubmultRatio:
             ]
             ratio, bound = submult_ratio(space, fs)
             assert ratio <= bound
+
+
+def full_matrix_dil(f):
+    """dil as the full n-by-n quotient matrix gives it, the diagonal 0 / 1."""
+    d = f.space.dist
+    if d.shape[0] < 2:
+        raise DegenerateSpace("dil needs at least two points")
+    diffs = np.abs(f.values[:, None] - f.values[None, :])
+    np.fill_diagonal(diffs, 0.0)
+    denom = d.copy()
+    np.fill_diagonal(denom, 1.0)
+    diffs /= denom
+    return float(diffs.max())
+
+
+def full_matrix_submult(space, fs):
+    """submult_ratio with one full-matrix dil per function and per product."""
+
+    def norm(f):
+        return full_matrix_dil(f) + float(abs(f.values[f.space.base]))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = []
+        for f in fs:
+            nf = norm(f)
+            if nf == 0.0:
+                raise ZeroFunction("submultiplicativity ratio undefined for the zero function")
+            if not np.isfinite(nf):
+                raise Overflow("a Lipschitz norm overflows float64")
+            norms.append(nf)
+        max_ratio = 0.0
+        for i in range(len(fs)):
+            for j in range(i, len(fs)):
+                ratio = norm(fs[i] * fs[j]) / (norms[i] * norms[j])
+                if not np.isfinite(ratio):
+                    raise Overflow(f"the norm ratio of functions {i} and {j} overflows float64")
+                max_ratio = max(max_ratio, ratio)
+    return max_ratio, 2.0 * max(1.0, space.diameter) + 1.0
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def same_bits(a, b):
+    """Equal outcomes, floats compared by their bits (NaN and -0.0 included)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a.hex() == b.hex() if a == a else b != b
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return a == b
+
+
+class TestDilStack:
+    """dil and submult_ratio take the pairs i < j; the full matrix is the reference."""
+
+    @staticmethod
+    def spaces(rng):
+        for n in [2, 3, 4, 5, 7, 10, 16, 25, 40, 60] + [int(rng.integers(2, 61)) for _ in range(6)] + [240]:
+            yield MetricSpace(random_graph_metric(rng, n), base=int(rng.integers(0, n)))
+
+    @staticmethod
+    def functions(rng, space, k, scale=1.0):
+        n = len(space)
+        return [SampledFunction(space, scale * (rng.normal(size=n) + 1j * rng.normal(size=n))) for _ in range(k)]
+
+    def test_same_bits_as_the_full_matrix(self):
+        rng = np.random.default_rng(71)
+        for space in self.spaces(rng):
+            fs = self.functions(rng, space, 6)
+            for f in fs:
+                assert same_bits(outcome(dil, f), outcome(full_matrix_dil, f))
+            assert same_bits(outcome(submult_ratio, space, fs), outcome(full_matrix_submult, space, fs))
+
+    def test_near_overflow_names_the_same_pair(self):
+        """Values near 1e150-1e300: a product overflows, first at a pair i < j
+        where the smaller function precedes the larger one."""
+        rng = np.random.default_rng(72)
+        messages = set()
+        for space in self.spaces(rng):
+            for small, large in ((1e150, 1e200), (1e100, 1e200), (1e200, 1e300), (1.0, 1e150)):
+                fs = self.functions(rng, space, 4) + self.functions(rng, space, 1, small) + self.functions(rng, space, 1, large)
+                rng.shuffle(fs)
+                got = outcome(submult_ratio, space, fs)
+                assert same_bits(got, outcome(full_matrix_submult, space, fs))
+                messages.add(got[1] if got[0] is Overflow else "finite")
+        assert "finite" in messages
+        assert any(m.startswith("the norm ratio of functions") and m.split()[5] != m.split()[7] for m in messages)
+
+    def test_overflowing_values_give_the_same_nan(self):
+        space = MetricSpace(random_graph_metric(np.random.default_rng(73), 9))
+        f = SampledFunction(space, [1e308 * 10] * 3 + [1.0] * 6)
+        with np.errstate(invalid="ignore"):
+            assert same_bits(outcome(dil, f), outcome(full_matrix_dil, f))
+            assert np.isnan(dil(f))
+
+    def test_zero_function_and_single_point(self):
+        rng = np.random.default_rng(74)
+        space = MetricSpace(random_graph_metric(rng, 12))
+        fs = self.functions(rng, space, 3) + [constant_function(space, 0.0)]
+        assert outcome(submult_ratio, space, fs) == outcome(full_matrix_submult, space, fs)
+        assert outcome(submult_ratio, space, fs)[0] is ZeroFunction
+        point = MetricSpace(np.zeros((1, 1)))
+        f = constant_function(point)
+        assert outcome(dil, f) == outcome(full_matrix_dil, f) == (DegenerateSpace, "dil needs at least two points")
+        assert outcome(submult_ratio, point, [f]) == outcome(full_matrix_submult, point, [f])
+
+    def test_functions_on_another_space_are_refused(self):
+        space, other = interval5_space(), interval5_space()
+        with pytest.raises(ValidationError, match="every function must live on the given space"):
+            submult_ratio(space, [constant_function(space), constant_function(other)])
+
+    def test_upper_triangle_cache_holds_two_sizes(self):
+        geometry._upper_triangle.cache_clear()
+        for n in (5, 6, 7, 5):  # 7 evicts 5, the least recently used
+            dil(constant_function(MetricSpace(random_graph_metric(np.random.default_rng(n), n))))
+        info = geometry._upper_triangle.cache_info()
+        assert (info.maxsize, info.currsize, info.hits) == (2, 2, 0)
 
 
 class TestSampledFunctionJson:

@@ -9,6 +9,7 @@ compared by ``repr``, which tells ``1`` from ``1.0`` and ``0.0`` from
 
 import json
 
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +128,35 @@ def test_encode_refuses_a_report_past_the_stdlib_limit():
     report = {"result": cli._loads(b"[" * 3000 + b"]" * 3000)}  # orjson reads any depth
     with pytest.raises(cli.ValidationError, match="^the report is nested too deeply to write$"):
         cli._encode(report)
+
+
+@pytest.mark.parametrize(
+    "values, finite",
+    [
+        ([1e308, 1e308], True),  # the sum overflows, every entry is finite
+        ([-1e308, -1e308, 1.0], True),
+        ([1.0, float("nan"), 2.0], False),
+        ([1.0, float("inf")], False),
+        ([float("-inf"), 1.0], False),
+        ([float("inf"), float("-inf")], False),
+        ([[1.0, 2.0], 3.0, [4.0]], True),
+        ([[1.0, 2.0], 3.0, [float("nan")]], False),
+        ([2**70, 1.0, -(2**70)], True),
+        ([10**400, 10**400], True),
+        ([1e308, 10**400], True),
+        ((1.0, "a", None, True), True),
+        ([], True),
+    ],
+)
+def test_finite_walks_what_a_sum_cannot_prove(values, finite):
+    """A finite sum proves a flat list finite; anything else is walked."""
+    report = {"result": {"x": values}}
+    assert cli._finite(report) is finite
+    text = cli._encode(report)
+    if not finite:  # the stdlib writes the NaN or infinity as a literal
+        assert text == json.dumps(report, sort_keys=True, separators=(",", ":"))
+        assert "NaN" in text or "Infinity" in text
+    elif all(type(v) is float for v in values):
+        assert text == orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode()
+    else:
+        assert json.loads(text) == json.loads(json.dumps(report))
