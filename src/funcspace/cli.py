@@ -272,21 +272,16 @@ def _rng(config: ExperimentConfig) -> np.random.Generator:
 def _finite(obj) -> bool:
     """Whether ``obj`` holds no NaN or infinite float, which orjson writes as ``null``.
 
-    A list or tuple is first summed, one C loop: a NaN or an infinity makes
-    the sum NaN or infinite, so a finite sum proves every entry finite.  A
-    list that holds anything but numbers makes ``sum`` raise, and one whose
-    finite entries sum past the float range (``[1e308, 1e308]``) does not
-    prove it; either is walked item by item.
+    A flat list of numbers is checked in one call; anything else it holds
+    makes ``math.isfinite`` raise, and the list is walked item by item.
     """
     if isinstance(obj, dict):
         return all(map(_finite, obj.values()))
     if isinstance(obj, (list, tuple)):
         try:
-            if math.isfinite(sum(obj)):
-                return True
+            return all(map(math.isfinite, obj))
         except (TypeError, OverflowError):
-            pass
-        return all(map(_finite, obj))
+            return all(map(_finite, obj))
     return not isinstance(obj, float) or math.isfinite(obj)
 
 

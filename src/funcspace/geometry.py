@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -334,33 +333,24 @@ def set_distance(space: MetricSpace, x: int, A) -> float:
     return float(space.dist[x, idx].min())
 
 
-@lru_cache(maxsize=2)
-def _upper_triangle(n: int):
-    """Column indices ``j`` and flat positions ``i*n + j`` of the pairs
-    ``i < j`` of n points, in row-major order; read only, since every caller
-    shares them.  Two sizes are kept, 0.46 MB each at 240 points."""
-    i, j = np.triu_indices(n, 1)
-    flat = i * n + j
-    j.flags.writeable = flat.flags.writeable = False
-    return j, flat
-
-
 def _dils(dist: np.ndarray, rows) -> np.ndarray:
     """:func:`dil` of each vector of values in ``rows`` on the space of ``dist``.
 
     ``|a - b| = |b - a|`` exactly and ``dist`` is symmetric, so the largest
     quotient over distinct pairs is that over the pairs ``i < j``.  The upper
-    triangle of ``dist`` is gathered once per call.  A row's differences are
-    its values repeated for the first point of each pair minus one gather for
-    the second, taken in place, so that one complex vector of the pairs'
-    length is alive at a time.  A value that overflowed makes some quotient
-    ``inf - inf = nan``, and the row's maximum nan.
+    triangle of ``dist`` is gathered once per call, by a boolean mask in
+    row-major order.  A row's differences are its values repeated for the
+    first point of each pair minus one gather for the second, taken in
+    place, so that one complex vector of the pairs' length is alive at a
+    time.  A value that overflowed makes some quotient ``inf - inf = nan``,
+    and the row's maximum nan.
     """
     n = dist.shape[0]
     if n < 2:
         raise DegenerateSpace("dil needs at least two points")
-    j, flat = _upper_triangle(n)
-    d_upper = dist.take(flat)
+    upper = ~np.tri(n, dtype=bool)  # the pairs i < j
+    d_upper = dist[upper]
+    j = np.broadcast_to(np.arange(n), (n, n))[upper]
     counts = np.arange(n - 1, 0, -1)  # point i is the first of n - 1 - i pairs
     out = np.empty(len(rows))
     for r, values in enumerate(rows):

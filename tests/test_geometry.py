@@ -701,13 +701,6 @@ class TestDilStack:
         with pytest.raises(ValidationError, match="every function must live on the given space"):
             submult_ratio(space, [constant_function(space), constant_function(other)])
 
-    def test_upper_triangle_cache_holds_two_sizes(self):
-        geometry._upper_triangle.cache_clear()
-        for n in (5, 6, 7, 5):  # 7 evicts 5, the least recently used
-            dil(constant_function(MetricSpace(random_graph_metric(np.random.default_rng(n), n))))
-        info = geometry._upper_triangle.cache_info()
-        assert (info.maxsize, info.currsize, info.hits) == (2, 2, 0)
-
 
 class TestSampledFunctionJson:
     def test_roundtrip(self):

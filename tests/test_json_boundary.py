@@ -133,7 +133,7 @@ def test_encode_refuses_a_report_past_the_stdlib_limit():
 @pytest.mark.parametrize(
     "values, finite",
     [
-        ([1e308, 1e308], True),  # the sum overflows, every entry is finite
+        ([1e308, 1e308], True),  # finite entries whose sum is infinite
         ([-1e308, -1e308, 1.0], True),
         ([1.0, float("nan"), 2.0], False),
         ([1.0, float("inf")], False),
@@ -148,8 +148,9 @@ def test_encode_refuses_a_report_past_the_stdlib_limit():
         ([], True),
     ],
 )
-def test_finite_walks_what_a_sum_cannot_prove(values, finite):
-    """A finite sum proves a flat list finite; anything else is walked."""
+def test_finite_sends_each_list_to_the_right_writer(values, finite):
+    """A NaN or an infinity, flat or nested, goes to the stdlib writer as a
+    literal; a list of finite floats, huge ints or mixed items to orjson."""
     report = {"result": {"x": values}}
     assert cli._finite(report) is finite
     text = cli._encode(report)
