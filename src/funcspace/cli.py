@@ -33,6 +33,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -269,15 +270,27 @@ def _rng(config: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+_SEQUENCES = {list, tuple}
+
+
 def _finite(obj) -> bool:
     """Whether ``obj`` holds no NaN or infinite float, which orjson writes as ``null``.
 
-    A flat list of numbers is checked in one call; anything else it holds
-    makes ``math.isfinite`` raise, and the list is walked item by item.
+    A list of numbers whose ``sum`` is finite holds no NaN or infinity, and
+    is accepted in one C pass; a list of lists or tuples is flattened one
+    level and checked again.  Otherwise (an item that is not a number, a sum
+    that overflows or is not finite) each item is checked: all at once by
+    ``math.isfinite`` if they are numbers, else one by one.
     """
     if isinstance(obj, dict):
         return all(map(_finite, obj.values()))
     if isinstance(obj, (list, tuple)):
+        try:
+            if math.isfinite(sum(obj)):
+                return True
+        except (TypeError, OverflowError):
+            if set(map(type, obj)) <= _SEQUENCES:
+                return _finite(list(chain.from_iterable(obj)))
         try:
             return all(map(math.isfinite, obj))
         except (TypeError, OverflowError):

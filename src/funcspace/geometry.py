@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .serialize import (
     index_list,
     integer,
     pair_to_complex,
+    pairs_array,
     point_labels,
     real,
     real_matrix,
@@ -188,19 +190,28 @@ class EuclideanPointSet:
     def from_json(cls, obj) -> "EuclideanPointSet":
         if not isinstance(obj, dict) or "points" not in obj:
             raise ValidationError('point set JSON must contain a "points" list')
-        rows = []
-        for entry in obj["points"]:
-            # dim-1 shorthand: a bare [re, im] pair or scalar per point
-            if isinstance(entry, (int, float)) or (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and isinstance(entry[0], (int, float))
-                and isinstance(entry[1], (int, float))
-            ):
-                rows.append([pair_to_complex(entry)])
-            else:
-                rows.append(complex_vector_from_json(entry))
-        ps = cls(rows_array(rows, "points", complex), labels=obj.get("labels"))
+        points = obj["points"]
+        array = None
+        # rows of equal length are read in one pass when every entry is an [re, im] pair
+        if type(points) is list and set(map(type, points)) <= {list} and len(set(map(len, points))) == 1:
+            array = pairs_array(list(chain.from_iterable(points)))
+        if array is not None:
+            array = array.reshape(len(points), len(points[0]))
+        else:
+            rows = []
+            for entry in points:
+                # dim-1 shorthand: a bare [re, im] pair or scalar per point
+                if isinstance(entry, (int, float)) or (
+                    isinstance(entry, list)
+                    and len(entry) == 2
+                    and isinstance(entry[0], (int, float))
+                    and isinstance(entry[1], (int, float))
+                ):
+                    rows.append([pair_to_complex(entry)])
+                else:
+                    rows.append(complex_vector_from_json(entry))
+            array = rows_array(rows, "points", complex)
+        ps = cls(array, labels=obj.get("labels"))
         if "dim" in obj and integer(obj["dim"], "dim") != ps.dim:
             raise ValidationError("declared dim does not match point tuples")
         return ps

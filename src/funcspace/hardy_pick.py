@@ -70,8 +70,6 @@ def toeplitz_mo(omega, N: int) -> np.ndarray:
     if N < 0:
         raise ValidationError("truncation degree must be nonnegative")
     coeffs = coefficients(omega, "symbol coefficients")
-    if coeffs.size == 0:
-        raise ValidationError("symbol must have at least one coefficient")
     d = coeffs.size - 1
     out = np.zeros((N + 1 + d, N + 1), dtype=complex)
     for j in range(N + 1):

@@ -3,11 +3,17 @@
 Complex numbers travel as ``[re, im]`` pairs, and :func:`complex_to_json` is
 their one writer, for a scalar or an array of any shape; complex matrices
 travel as a pair of real matrices under the keys ``"re"`` and ``"im"``.
-Real inputs are accepted wherever a complex value is expected.  Every index,
-count and dimension that enters the package, from JSON, argv or a caller,
-passes :func:`integer`, every list of point indices passes :func:`index_list`,
-every real scalar passes :func:`real`, and a tolerance that must be positive
-also :func:`tolerance`; a real matrix read from JSON passes
+Real inputs are accepted wherever a complex value is expected.  A list of
+pairs is read by :func:`complex_vector_from_json` in one pass when
+:func:`pairs_array` finds only ``[re, im]`` lists of JSON numbers: their
+parts go into one float array, viewed as complex.  Any other list (bare
+reals, ``true``, text, ``null``, a pair of the wrong length, an int past the
+float range) is read pair by pair by :func:`pair_to_complex`, which names
+the first bad entry.  Every index, count and dimension that enters the
+package, from JSON, argv or a caller, passes :func:`integer`, every list of
+point indices passes :func:`index_list`, every real scalar passes
+:func:`real`, and a tolerance that must be positive also
+:func:`tolerance`; a real matrix read from JSON passes
 :func:`real_matrix`, which type-checks a row with one ``sum`` and reads the
 entry types only where a ``true`` or ``false`` could hide, and rows of
 unequal length are named by :func:`rows_array`.  A library caller's list of
@@ -21,6 +27,7 @@ recursion limit is refused like any other.
 from __future__ import annotations
 
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -90,15 +97,20 @@ def finite(values: np.ndarray, name: str) -> np.ndarray:
 def coefficients(values, name: str) -> np.ndarray:
     """``values``, a list, tuple or 1-D array of int, float or complex numbers,
     as a new complex vector.  Bools, text, None, nested lists and a bare
-    number are refused, which ``np.asarray`` would convert, flatten or wrap."""
+    number are refused, which ``np.asarray`` would convert, flatten or wrap,
+    and so is an empty list, which names no polynomial."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iufc":
-        return values.astype(complex)
-    if not isinstance(values, (list, tuple)):
+        values = values.astype(complex)
+    elif not isinstance(values, (list, tuple)):
         raise ValidationError(f"{name} must be a list of numbers, got {shown(values)}")
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Complex):
-            raise ValidationError(f"an entry of {name} must be a number, got {shown(value)}")
-    return np.array(values, dtype=complex)
+    else:
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+                raise ValidationError(f"an entry of {name} must be a number, got {shown(value)}")
+        values = np.array(values, dtype=complex)
+    if values.size == 0:
+        raise ValidationError(f"{name} must hold at least one number")
+    return values
 
 
 def point_labels(values, count: int) -> tuple:
@@ -126,18 +138,44 @@ def pair_to_complex(obj) -> complex:
     raise ValidationError(f"expected a real number or an [re, im] pair, got {shown(obj)}")
 
 
+_NUMBERS = {float, int}
+_LIST = {list}
+_PAIR = {2}
+
+
+def pairs_array(obj) -> np.ndarray | None:
+    """``obj``, a list of ``[re, im]`` lists of JSON numbers, as a complex
+    vector read in one pass; None for anything else.
+
+    Each test is one C pass over a set of types or lengths, and the parts go
+    into one float array from one flat list, viewed as complex.  A bool's
+    type is not ``int``, so ``true`` and ``false`` fail the test.  numpy
+    converts an int to the same float as ``float(int)``, bit for bit; an int
+    past the float range gives None, and the per-entry reader names it.
+    """
+    if type(obj) is list and set(map(type, obj)) <= _LIST and set(map(len, obj)) <= _PAIR:
+        flat = list(chain.from_iterable(obj))
+        if set(map(type, flat)) <= _NUMBERS:
+            try:
+                return np.array(flat, dtype=float).view(complex)
+            except OverflowError:
+                pass
+    return None
+
+
 def complex_vector_from_json(obj) -> np.ndarray:
+    """A list of ``[re, im]`` pairs or real numbers as a complex vector."""
     if not isinstance(obj, list):
         raise ValidationError("expected a list of [re, im] pairs")
-    return np.array([pair_to_complex(z) for z in obj], dtype=complex)
+    values = pairs_array(obj)
+    if values is None:
+        values = np.array([pair_to_complex(z) for z in obj], dtype=complex)
+    return values
 
 
 def complex_matrix_to_json(mat) -> dict:
     mat = np.asarray(mat, dtype=complex)
     return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
-
-
-_NUMBERS = {float, int}
 
 
 def _row_shape(row) -> str:

@@ -1066,6 +1066,16 @@ class TestPolyParsing:
         assert code == 2
         assert "[re, im]" in report["error"]["message"]
 
+    def test_an_empty_polynomial_is_refused(self, capsys, inputs):
+        vn_check = ["vn-check", "--symbol", inputs["moebius"], "--sample", inputs["s2"]]
+        for argv in (["ardy-check", "--poly", "[]"], vn_check + ["--poly", "[]"]):
+            code, report = run_cli(capsys, argv)
+            assert code == 2
+            assert report["error"] == {
+                "code": "ValidationError",
+                "message": "polynomial coefficients must hold at least one number",
+            }
+
     def test_pairs_and_reals_still_accepted(self, capsys):
         code, report = run_cli(capsys, ["ardy-check", "--poly", "[[2, 0], 0]"])
         assert code == 0

@@ -8,6 +8,7 @@ compared by ``repr``, which tells ``1`` from ``1.0`` and ``0.0`` from
 """
 
 import json
+import math
 
 import orjson
 import pytest
@@ -161,3 +162,57 @@ def test_finite_sends_each_list_to_the_right_writer(values, finite):
         assert text == orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode()
     else:
         assert json.loads(text) == json.loads(json.dumps(report))
+
+
+def walked_finite(obj):
+    """The reference: every float in ``obj``, one at a time, through ``math.isfinite``."""
+    if isinstance(obj, dict):
+        return all(walked_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(walked_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+report_floats = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, -0.0, math.inf, -math.inf, math.nan])
+report_leaves = (
+    st.none()
+    | st.booleans()
+    | st.text(max_size=3)
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([10**400, -(10**400), 2**64 + 1])
+    | report_floats
+)
+# flat and nested lists of floats, as reports hold them, so that the one-pass
+# sums (finite, overflowing, NaN) run as often as the walk
+float_lists = st.lists(report_floats, max_size=6)
+reports = st.recursive(
+    report_leaves | float_lists | st.lists(float_lists, max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(report=reports)
+def test_finite_matches_a_walk_of_every_float(report):
+    assert cli._finite(report) is walked_finite(report)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1e308, 1e308, -1e308],  # finite, the running sum overflows
+        [[1e308], [1e308], [-math.inf]],
+        [[1.0, 2.0], (3.0, math.nan)],
+        [(1.0, 2.0), [3.0, 4.0]],
+        [[[0.5, -0.5]], [[1e308, 1e308]]],
+        [[2**70, 1.0], [10**400]],
+        [[], [[]], ()],
+        [[1.0, "a"], [math.inf]],
+        [True, 1e308, 1e308],
+    ],
+)
+def test_finite_matches_a_walk_on_nested_float_lists(values):
+    assert cli._finite({"result": values}) is walked_finite(values)

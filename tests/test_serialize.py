@@ -1,9 +1,10 @@
 """The readers of ``funcspace.serialize`` against the per-entry code they replace.
 
-``real_matrix`` must give what the per-entry reader below gives: the same
-array (dtype, shape and bytes) or the same exception, type and message.
-``coefficients`` must refuse what ``np.asarray`` would convert, flatten or
-wrap, with a ValidationError.
+``real_matrix``, ``complex_vector_from_json`` and
+``EuclideanPointSet.from_json`` must give what the per-entry readers below
+give: the same array (dtype, shape and bytes) or the same exception, type
+and message.  ``coefficients`` must refuse what ``np.asarray`` would
+convert, flatten or wrap, and an empty list, with a ValidationError.
 """
 
 import json
@@ -15,12 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcspace import cli
+from funcspace import cli, serialize
 from funcspace.errors import ValidationError
+from funcspace.geometry import EuclideanPointSet
 from funcspace.hardy_pick import ardy_multiplier_check, toeplitz_mo
 from funcspace.multipliers import von_neumann_check
 from funcspace.kernels import coordinate
-from funcspace.serialize import coefficients, real, real_matrix, rows_array
+from funcspace.serialize import (
+    coefficients,
+    complex_vector_from_json,
+    integer,
+    pair_to_complex,
+    real,
+    real_matrix,
+    rows_array,
+)
 from helpers import disk_sample, random_graph_metric
 
 
@@ -152,7 +162,7 @@ def test_real_matrix_matches_the_per_entry_reader_on_any_rows(rows):
 class TestCoefficients:
     @pytest.mark.parametrize(
         "values",
-        [[1, 2.5, 3 - 1j], (1, 2.5), np.array([1, 2]), np.array([0.5, 1.0]), np.array([1j]), [np.float64(2.0), np.int64(3)], []],
+        [[1, 2.5, 3 - 1j], (1, 2.5), np.array([1, 2]), np.array([0.5, 1.0]), np.array([1j]), [np.float64(2.0), np.int64(3)]],
     )
     def test_reads_numbers(self, values):
         out = coefficients(values, "coefficients")
@@ -184,3 +194,214 @@ class TestCoefficients:
     def test_refuses_what_asarray_would_convert(self, read, values):
         with pytest.raises(ValidationError, match="coefficients must be a list of numbers|an entry of .*coefficients"):
             read(values)
+
+    @pytest.mark.parametrize("values", [[], (), np.array([]), np.zeros(0, dtype=complex)])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda values: coefficients(values, "polynomial coefficients"),
+            lambda values: toeplitz_mo(values, 3),
+            ardy_multiplier_check,
+            lambda values: von_neumann_check(coordinate(0), values, disk_sample(np.random.default_rng(1), 3)),
+        ],
+        ids=["coefficients", "toeplitz_mo", "ardy_multiplier_check", "von_neumann_check"],
+    )
+    def test_refuses_an_empty_list(self, read, values):
+        with pytest.raises(ValidationError, match="coefficients must hold at least one number$"):
+            read(values)
+
+
+def per_entry_complex_vector(obj):
+    """The reader ``complex_vector_from_json`` runs when its one pass does not apply."""
+    if not isinstance(obj, list):
+        raise ValidationError("expected a list of [re, im] pairs")
+    return np.array([pair_to_complex(z) for z in obj], dtype=complex)
+
+
+def per_entry_point_set(obj):
+    """The reader ``EuclideanPointSet.from_json`` runs when its one pass does not apply."""
+    if not isinstance(obj, dict) or "points" not in obj:
+        raise ValidationError('point set JSON must contain a "points" list')
+    rows = []
+    for entry in obj["points"]:
+        if isinstance(entry, (int, float)) or (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], (int, float))
+            and isinstance(entry[1], (int, float))
+        ):
+            rows.append([pair_to_complex(entry)])
+        else:
+            rows.append(per_entry_complex_vector(entry))
+    ps = EuclideanPointSet(rows_array(rows, "points", complex), labels=obj.get("labels"))
+    if "dim" in obj and integer(obj["dim"], "dim") != ps.dim:
+        raise ValidationError("declared dim does not match point tuples")
+    return ps
+
+
+def bits(reader, obj):
+    """The array ``reader`` returns, as dtype, shape and the bits of its real
+    and imaginary parts; or the exception it raises, as type and message."""
+    try:
+        array = reader(obj)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(array, EuclideanPointSet):
+        return array.labels, bits(lambda ps: ps.points, array)
+    return array.dtype, array.shape, np.ascontiguousarray(array).view(float).tobytes()
+
+
+def assert_same_vector(obj):
+    expected = bits(per_entry_complex_vector, obj)
+    assert bits(complex_vector_from_json, obj) == expected
+    return expected
+
+
+def assert_same_point_set(obj):
+    expected = bits(per_entry_point_set, obj)
+    assert bits(EuclideanPointSet.from_json, obj) == expected
+    return expected
+
+
+PAIRS = [
+    "[[0, 1], [0.5, -0.5]]",
+    "[[-0.0, 0.0], [0.0, -0.0]]",
+    "[[5e-324, -5e-324], [2.2250738585072014e-308, 1e-310]]",  # subnormals
+    "[[1e308, -1e308], [1.7976931348623157e308, 0]]",
+    "[[NaN, 0], [0, Infinity], [-Infinity, 1]]",
+    "[[9007199254740993, 0]]",  # 2^53 + 1
+    "[[9223372036854775808, -9223372036854775808]]",  # +-2^63
+    "[[18446744073709551617, 1]]",  # 2^64 + 1, read as a float
+    "[[0, 1e400]]",
+    "[[true, 0]]",
+    "[[0, false]]",
+    '[["0.5", 0]]',
+    "[[0, null]]",
+    "[[0, 1, 2]]",
+    "[[0]]",
+    "[[]]",
+    "[[[0, 1], 0]]",
+    "[[0, [1]]]",
+    "[[0, 1], 0.5]",
+    "[0.5, [0, 1]]",
+    "[0.5, 1, -0.0]",
+    "[true]",
+    "[null]",
+    '["0.5"]',
+    "[{}]",
+    "[]",
+    "null",
+    "0.5",
+    '"pairs"',
+    "{}",
+]
+
+
+@pytest.mark.parametrize("text", PAIRS)
+def test_complex_vector_reads_json_as_the_per_entry_reader(text):
+    assert_same_vector(cli._loads(text))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[0, 2**53 + 1], [2**63, -(2**63)]],
+        [[2**64 + 1, 0]],
+        [[0, HUGE]],
+        [[HUGE, True]],  # past the float range before a bool: the first wins
+        [[True, HUGE]],
+        [[0.5, 1.0], [1.0, HUGE], [True, 0]],
+        [(0.5, 1.0), [1.0, 0.0]],  # a tuple pair
+        [[np.float64(0.5), 1.0]],
+        [[np.True_, 1.0]],
+        [[Fraction(1, 3), 0.0]],
+        [[1j, 0.0]],
+    ],
+)
+def test_complex_vector_reads_library_input_as_the_per_entry_reader(obj):
+    assert_same_vector(obj)
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, 2**63, -(2**63), 2**63 - 1, 2**64 + 1, -(2**64) - 1, 2**1023 + 1, HUGE])
+def test_ints_convert_to_the_bits_of_float(value):
+    """The one pass lets ints through: numpy must convert them as ``float`` does."""
+    try:
+        expected = np.float64(float(value)).tobytes()
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            np.array([value, 0.5], dtype=float)
+        return
+    assert np.array([value, 0.5], dtype=float)[:1].tobytes() == expected
+
+
+def test_pairs_of_numbers_take_the_one_pass(monkeypatch):
+    def per_entry(obj):
+        raise AssertionError("read pair by pair")
+
+    monkeypatch.setattr(serialize, "pair_to_complex", per_entry)
+    assert complex_vector_from_json([[0, 0.5], [1.5, -1]]).tolist() == [0.5j, 1.5 - 1j]
+    points = {"points": [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0], [0, 0.5]]], "dim": 2}
+    assert EuclideanPointSet.from_json(points).points.tolist() == [[0.1 + 0.2j, 0.3 + 0.4j], [0.5, 0.5j]]
+
+
+POINT_SETS = [
+    '{"points": [[[0.1, 0.2]], [[0.3, -0.0]]]}',
+    '{"points": [[[0.1, 0.2], [0.3, 0]], [[0, 0], [-0.5, 0.25]]], "dim": 2}',
+    '{"points": [[[0.1, 0.2], [0.3, 0]], [[0, 0], [-0.5, 0.25]]], "dim": 1}',  # dim mismatch
+    '{"points": [[[0.1, 0.2]], [[0.3, 0]]], "dim": true}',
+    '{"points": [[[0.1, 0.2]], [[0.3, 0]]], "labels": ["a", "b"]}',
+    '{"points": [[[0.1, 0.2]], [[0.3, 0]]], "labels": ["a"]}',
+    '{"points": [[[5e-324, 1e308]], [[NaN, 0]]]}',
+    '{"points": [[[0.1, 0.2]], [[Infinity, 0]]]}',
+    '{"points": [[[0.1, 0.2]], [[0.3, 1e400]]]}',
+    '{"points": [[[0.1, 0.2]], [[9007199254740993, 0]]]}',
+    '{"points": [[0.1, 0.2], [0.3, 0]]}',  # dim-1 shorthand: one pair per point
+    '{"points": [0.1, 0.2, [0.3, 0.1]]}',
+    '{"points": [[0.1, 0.2, 0.3]]}',  # three bare reals: one point of C^3
+    '{"points": [[[0.1, 0]], [[0.1, 0], [0.2, 0]]]}',  # ragged rows
+    '{"points": [[[0.1, 0]], [0.2, 0]]}',
+    '{"points": [[[0.1, 0], [0.2, 0]], [[0.1, 0], 0.2]]}',
+    '{"points": [[[true, 0]], [[0.3, 0]]]}',
+    '{"points": [[[0.1, "0.5"]], [[0.3, 0]]]}',
+    '{"points": [[[0.1, null]], [[0.3, 0]]]}',
+    '{"points": [[[0.1, 0, 0]], [[0.3, 0, 0]]]}',
+    '{"points": [[[[0.1, 0], 0]], [[0.3, 0]]]}',
+    '{"points": [[], []]}',
+    '{"points": []}',
+    '{"points": [true]}',
+    '{"points": null}',
+    '{"points": {"a": 1}}',
+    '{"dim": 1}',
+    "[[0.1, 0.2]]",
+]
+
+
+@pytest.mark.parametrize("text", POINT_SETS)
+def test_point_set_reads_json_as_the_per_entry_reader(text):
+    assert_same_point_set(cli._loads(text))
+
+
+def test_point_set_reads_a_sample_as_the_per_entry_reader():
+    rng = np.random.default_rng(30)
+    for n, dim in ((1, 1), (16, 1), (48, 2), (17, 3)):
+        points = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+        obj = cli._loads(json.dumps({"points": serialize.complex_to_json(points)}))
+        labels, (dtype, shape, _) = assert_same_point_set(obj)
+        assert (labels, dtype, shape) == (None, complex, (n, dim))
+
+
+parts = st.sampled_from([0, 1, -0.0, 5e-324, 1e308, 2**53 + 1, 2**64 + 1, HUGE, True, "0.5", None]) | st.floats()
+pairs = st.lists(parts, min_size=1, max_size=3) | parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(pairs, max_size=4))
+def test_complex_vector_matches_the_per_entry_reader_on_any_pairs(obj):
+    assert_same_vector(obj)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(pairs, max_size=3) | pairs, max_size=4), st.sampled_from([None, 1, 2]))
+def test_point_set_matches_the_per_entry_reader_on_any_rows(points, dim):
+    obj = {"points": points} if dim is None else {"points": points, "dim": dim}
+    assert_same_point_set(obj)
