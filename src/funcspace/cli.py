@@ -8,10 +8,13 @@ the reports; where it cannot read or write a document exactly as the stdlib
 ``json`` does, ``json`` does it instead (see :func:`_loads` and
 :func:`_encode`), so floats parse back to the same values and malformed
 JSON is reported as before.  The one difference: an integer literal beyond
-the 64-bit range is read as a float.  Reports are byte-identical across runs
-with the same inputs and flags, except for the ``timestamp`` field.  A
-command takes only the flags it reads, and its ``parameters`` are the
-tolerance, method and point cap it reads and every option given.
+the 64-bit range is read as a float.  orjson's report is kept only when its
+``null`` tokens are the report's own top-level ``None`` values; a report
+that holds any other ``null`` (a NaN, an infinity, an echoed ``null``) is
+written by ``json``, with Python's float text.  Reports are byte-identical
+across runs with the same inputs and flags, except for the ``timestamp``
+field.  A command takes only the flags it reads, and its ``parameters`` are
+the tolerance, method and point cap it reads and every option given.
 ``--order``, the one JSON-valued option, must be a flat JSON list, so the
 report echoes it one level deep.  Exit status: 0 on success, 2 on
 validation errors (including malformed JSON, reported with line and column,
@@ -28,12 +31,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -214,6 +215,12 @@ def _json_value(text: str):
 _POINTS = {"sample": ("points",), "space": ("dist",), "model": ("space", "dist"), "matrix": ("re",), "problem": ("nodes",)}
 
 
+def _file_budget(max_points: int) -> int:
+    """The most bytes any input file may hold: 1 MiB, room for any expression,
+    plus 256 for each entry of a ``max_points``-square matrix of ``[re, im]`` pairs."""
+    return (1 << 20) + 256 * max_points**2
+
+
 class _Loader:
     """Loads and digests the inputs a handler asks for."""
 
@@ -225,17 +232,25 @@ class _Loader:
         """Input file ``name``, read by ``reader`` when given; a refusal of its
         nesting names the file.
 
-        An input with a point list (``_POINTS``) has that list's length checked
-        against ``--max-points`` before anything is built from it.
+        A file past :func:`_file_budget` is refused after reading one byte
+        more than the budget, before it is parsed.  An input with a point list
+        (``_POINTS``) has that list's length checked against ``--max-points``
+        before anything is built from it.
         """
         path = self.config.inputs.get(name)
         if path is None:
             raise ValidationError(f"command {self.config.command!r} requires --{name}")
+        budget, chunks, size = _file_budget(self.config.max_points), [], 0
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            with open(path, "rb") as fh:  # in chunks, since read(n) allocates n bytes
+                while size <= budget and (chunk := fh.read(min(budget + 1 - size, 1 << 20))):
+                    chunks.append(chunk)
+                    size += len(chunk)
         except OSError as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from None
+        if size > budget:
+            raise ValidationError(f"{path} holds more than {budget} bytes, the budget of --max-points {self.config.max_points}")
+        raw = b"".join(chunks)
         points = obj = _named(path, _loads, raw)
         self.digests[name] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
         for key in _POINTS.get(name, ()):
@@ -270,49 +285,25 @@ def _rng(config: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-_SEQUENCES = {list, tuple}
-
-
-def _finite(obj) -> bool:
-    """Whether ``obj`` holds no NaN or infinite float, which orjson writes as ``null``.
-
-    A list of numbers whose ``sum`` is finite holds no NaN or infinity, and
-    is accepted in one C pass; a list of lists or tuples is flattened one
-    level and checked again.  Otherwise (an item that is not a number, a sum
-    that overflows or is not finite) each item is checked: all at once by
-    ``math.isfinite`` if they are numbers, else one by one.
-    """
-    if isinstance(obj, dict):
-        return all(map(_finite, obj.values()))
-    if isinstance(obj, (list, tuple)):
-        try:
-            if math.isfinite(sum(obj)):
-                return True
-        except (TypeError, OverflowError):
-            if set(map(type, obj)) <= _SEQUENCES:
-                return _finite(list(chain.from_iterable(obj)))
-        try:
-            return all(map(math.isfinite, obj))
-        except (TypeError, OverflowError):
-            return all(map(_finite, obj))
-    return not isinstance(obj, float) or math.isfinite(obj)
-
-
 def _encode(report: dict) -> str:
     """One compact ASCII line of JSON with sorted keys.
 
-    orjson writes it unless it cannot write ``report`` exactly: it refuses
-    integers beyond 64 bits and non-``str`` keys, writes non-ASCII text
-    unescaped and NaN and infinities as ``null``.  Then the stdlib writes it,
-    with ``NaN``/``Infinity`` literals and ``\\u`` escapes.  Either way the
-    line parses to the same value, and floats to the same bits.  A report
-    nested past the stdlib's recursion limit is refused.
+    orjson's text is kept when it is ASCII and holds ``null`` exactly once
+    for each top-level ``None`` of ``report``.  orjson writes every ``None``,
+    NaN and infinity as ``null``, so a NaN, an infinity, a ``None`` below the
+    top level or ``null`` inside a string adds at least one more, and the stdlib
+    writes the report instead, with ``NaN``/``Infinity`` literals and ``\\u``
+    escapes; so it does when orjson refuses the report (integers beyond 64
+    bits, non-``str`` keys).  Either way the line parses to the same value,
+    and floats to the same bits; only the float text of such a report is
+    Python's (``1e-07``, not ``1e-7``).  A report nested past the stdlib's
+    recursion limit is refused.
     """
     try:
         text = orjson.dumps(report, option=orjson.OPT_SORT_KEYS).decode()
     except TypeError:
         text = None
-    if text is not None and text.isascii() and _finite(report):
+    if text is not None and text.isascii() and text.count("null") == sum(v is None for v in report.values()):
         return text
     try:
         return json.dumps(report, sort_keys=True, separators=(",", ":"))

@@ -49,6 +49,7 @@ from .errors import (
 )
 from .geometry import EuclideanPointSet
 from .serialize import (
+    coefficients,
     complex_to_json,
     complex_vector_from_json,
     integer,
@@ -74,8 +75,9 @@ class ClosedFormFunction:
     their compositions, products, sums, and scalar multiples.
 
     Polynomial coefficients are ascending (``coeffs[k]`` multiplies ``z**k``);
-    the Moebius parameter must satisfy ``|a| < 1``, and coefficients and
-    scale factors must be finite.  Domain problems surface at evaluation time.
+    a polynomial has at least one, the Moebius parameter must satisfy
+    ``|a| < 1``, and coefficients and scale factors must be finite.  Domain
+    problems surface at evaluation time.
     """
 
     kind: str
@@ -89,7 +91,7 @@ class ClosedFormFunction:
         _FN_GRAMMAR.node(self.kind)  # refuses an unknown kind
         if self.kind == "moebius" and not abs(self.a) < 1.0:
             raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{self.a}| = {abs(self.a)}")
-        if self.kind == "polynomial" and not np.isfinite(self.coeffs).all():
+        if self.kind == "polynomial" and not np.isfinite(coefficients(self.coeffs, "polynomial coefficients")).all():
             raise ValidationError("polynomial coefficients must be finite")
         if self.kind == "scale" and not np.isfinite(self.factor):
             raise ValidationError(f"symbol scale factors must be finite, got {self.factor}")
@@ -342,12 +344,11 @@ def _evaluate(K: KernelExpr, X, Y, upper: bool = False):
     """``K(X, Y)`` and None, or None and the first failing entry in row-major
     order, among the entries with ``i <= j`` when ``upper``, as ``(i, j, exception)``.
 
-    A failed block is rescanned: each row is evaluated alone, from its
-    diagonal on when ``upper``, then each entry of a failing row, so the
+    A failed block is rescanned entry by entry in that order, so the
     exception is the one that entry alone raises.  An entry's value does
     not depend on the block it is evaluated in.  When no entry fails alone,
-    the rows and entries make up the result: complex products may be fused,
-    so ``K(X, X)`` need not be exactly Hermitian, and an entry below the
+    the entries make up the result: complex products may be fused, so
+    ``K(X, X)`` need not be exactly Hermitian, and an entry below the
     diagonal can fail alone.
     """
     try:
@@ -355,15 +356,11 @@ def _evaluate(K: KernelExpr, X, Y, upper: bool = False):
     except (OutOfDomain, GeomDiverges):
         out = np.zeros((X.shape[0], Y.shape[0]), dtype=complex)
     for i in range(X.shape[0]):
-        start = i if upper else 0
-        try:
-            out[i, start:] = _block_values(K, X[i : i + 1], Y[start:])[0]
-        except (OutOfDomain, GeomDiverges):
-            for j in range(start, Y.shape[0]):
-                try:
-                    out[i, j] = _block_values(K, X[i : i + 1], Y[j : j + 1])[0, 0]
-                except (OutOfDomain, GeomDiverges) as exc:
-                    return None, (i, j, exc)
+        for j in range(i if upper else 0, Y.shape[0]):
+            try:
+                out[i, j] = _block_values(K, X[i : i + 1], Y[j : j + 1])[0, 0]
+            except (OutOfDomain, GeomDiverges) as exc:
+                return None, (i, j, exc)
     return out, None
 
 
@@ -373,7 +370,7 @@ def kernel_block(K: KernelExpr, X, Y) -> np.ndarray:
     ``X`` and ``Y`` are n-by-d and m-by-d arrays of points of C^d (a flat
     array is a list of points of C^1).  Every node of the expression is
     evaluated once on the whole block by broadcasting; a block that fails
-    is rescanned row by row, then entry by entry, to find where.
+    is rescanned entry by entry to find where.
 
     Raises:
         OutOfDomain: a point outside the open disk/ball of a built-in kernel,
@@ -412,8 +409,8 @@ def gram(K: KernelExpr, sample: EuclideanPointSet) -> np.ndarray:
     """The read-only, exactly Hermitian matrix [K(x_i, x_j)] on the sample.
 
     The block is evaluated at once and its upper triangle mirrored
-    (:func:`mirror_upper`).  A block that fails is rescanned row by row,
-    each row from its diagonal on, and the error names the first failing
+    (:func:`mirror_upper`).  A block that fails is rescanned entry by entry
+    over the upper triangle, and the error names the first failing
     ``(i, j)`` with ``i <= j`` in row-major order as ``gram entry (i,j)``;
     an entry that fails only below the diagonal is mirrored away.  A matrix
     with an entry that is not finite raises Overflow.

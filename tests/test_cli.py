@@ -562,6 +562,21 @@ class TestReportContract:
         assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
         assert literal in out
 
+    @pytest.mark.parametrize("where", ["labels", "path"])
+    def test_a_report_that_echoes_null_falls_back_to_the_stdlib(self, capsys, tmp_path, where):
+        """An echoed ``null`` below the top level, or ``null`` in a path, is
+        more ``null`` than the report's own: the stdlib writes the line, so
+        its floats take Python's text (``1e-07``)."""
+        dist = [[0.0, 1e-7, 2e-7], [1e-7, 0.0, 1e-7], [2e-7, 1e-7, 0.0]]
+        space = {"dist": dist, "labels": None} if where == "labels" else {"dist": dist}
+        name = "null.json" if where == "path" else "model.json"
+        model = write(tmp_path / name, {"space": space, "order": [0, 2, 1], "depth": 1})
+        code = main(["realize", "--model", model])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+        assert '"dist":[[0.0,1e-07,2e-07]' in out
+
     def test_integer_beyond_64_bits_is_read_as_a_float(self, capsys, tmp_path):
         """orjson reads such a literal as a float, so it is refused as not an integer."""
         space = tmp_path / "space.json"
@@ -1067,14 +1082,29 @@ class TestPolyParsing:
         assert "[re, im]" in report["error"]["message"]
 
     def test_an_empty_polynomial_is_refused(self, capsys, inputs):
+        """As ``--poly`` and as a polynomial ``--symbol``."""
+        empty = write(inputs["tmp"] / "empty.json", {"kind": "polynomial", "coeffs": []})
         vn_check = ["vn-check", "--symbol", inputs["moebius"], "--sample", inputs["s2"]]
-        for argv in (["ardy-check", "--poly", "[]"], vn_check + ["--poly", "[]"]):
+        files = ["--kernel", inputs["szego"], "--symbol", empty, "--sample", inputs["s2"]]
+        for argv in (
+            ["ardy-check", "--poly", "[]"],
+            vn_check + ["--poly", "[]"],
+            ["mult-norm", *files],
+            ["contraction", *files],
+            ["vn-check", "--symbol", empty, "--poly", "[0, 1]", "--sample", inputs["s2"]],
+        ):
             code, report = run_cli(capsys, argv)
             assert code == 2
             assert report["error"] == {
                 "code": "ValidationError",
                 "message": "polynomial coefficients must hold at least one number",
             }
+
+    def test_an_empty_roundtrip_sequence_is_the_zero_sequence(self, capsys, inputs):
+        code, report = run_cli(capsys, ["roundtrip", "--model", inputs["model"], "--coeffs", "[]"])
+        assert code == 0
+        assert report["result"]["recovered"] == [[0.0, 0.0]] * 4
+        assert report["result"]["max_abs_error"] == 0.0
 
     def test_pairs_and_reals_still_accepted(self, capsys):
         code, report = run_cli(capsys, ["ardy-check", "--poly", "[[2, 0], 0]"])
@@ -1138,6 +1168,36 @@ class TestMaxPoints:
         code, report = run_cli(capsys, ["detect-mo", "--matrix", matrix, "--sample", inputs["s2"], "--max-points", "8"])
         assert code == 2
         assert report["error"]["message"] == "matrix has 100 points, above --max-points 8"
+
+    def test_a_huge_budget_reads_a_small_file(self, capsys, inputs):
+        """The budget of --max-points 10**8 (2.56e18 bytes) is never allocated."""
+        argv = ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"], "--max-points", str(10**8)]
+        code, report = run_cli(capsys, argv)
+        assert code == 0, report
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    def test_a_file_past_the_budget_is_refused_unparsed(self, tmp_path, inputs):
+        """A 26 MB sample of 2,000,000 one-point rows costs its reader's peak
+        RSS nothing: it is refused after 2 MiB + 1 bytes (the budget of
+        --max-points 64), where reading and parsing it whole peaked near
+        500 MiB.  A small wrapper starts the CLI, since a child started by
+        vfork counts its parent's RSS in its own ``ru_maxrss``."""
+        sample = tmp_path / "rows.json"
+        with open(sample, "w") as fh:
+            fh.write('{"points": [[0.1, 0.25]')
+            fh.writelines([", [0.1, 0.25]" * 1000] * 1999 + [", [0.1, 0.25]" * 999 + "]}"])
+        wrapper = (
+            "import json, os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE); "
+            "out = child.stdout.read(); _, status, usage = os.wait4(child.pid, 0); "
+            "print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss, json.loads(out)]))"
+        )
+        argv = ["-m", "funcspace.cli", "gram", "--kernel", inputs["szego"], "--sample", str(sample)]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(funcspace.__file__))}
+        out = subprocess.run([sys.executable, "-c", wrapper, sys.executable, *argv], env=env, capture_output=True, check=True)
+        code, maxrss_kib, report = json.loads(out.stdout)
+        assert code == 2
+        assert report["error"]["message"] == f"{sample} holds more than 2097152 bytes, the budget of --max-points 64"
+        assert maxrss_kib < 100 * 1024
 
 
 class TestLpOracle:

@@ -329,6 +329,24 @@ def test_valid_fixture_exits_0(flag, i, files):
     assert code == 0, report
 
 
+@pytest.mark.parametrize("flag", VALID)
+def test_a_file_just_past_the_budget_exits_2(flag, tmp_path, files):
+    """A valid fixture padded with spaces to the byte budget of --max-points 8
+    is read; one byte more is refused before it is parsed."""
+    argv = [files.get(arg, arg) for arg in READERS[flag]]
+    budget = cli._file_budget(8)
+    text = json.dumps(VALID[flag][0])
+    for size, expected in ((budget, 0), (budget + 1, 2)):
+        path = tmp_path / f"{flag}-{size}.json"
+        path.write_text(text + " " * (size - len(text)))
+        code, report = _run([*argv, str(path), "--max-points", "8"])
+        assert code == expected, report
+    assert report["error"] == {
+        "code": "ValidationError",
+        "message": f"{path} holds more than {budget} bytes, the budget of --max-points 8",
+    }
+
+
 @pytest.mark.parametrize("flag, k", [(flag, k) for flag, cases in NONINT.items() for k in range(len(cases))])
 def test_non_integral_field_exits_2(flag, k, files):
     """A fixture that passes whole is refused with one integer field at 1.5 or true."""

@@ -185,6 +185,14 @@ def test_kernel_parameters_refuse_non_finite_values(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("coeffs", [(), []])
+def test_a_polynomial_symbol_needs_a_coefficient(coeffs):
+    """Built directly or by ``polynomial``, an empty symbol is refused, not read as zero."""
+    for build in (polynomial, lambda c: ClosedFormFunction("polynomial", coeffs=c)):
+        with pytest.raises(ValidationError, match="^polynomial coefficients must hold at least one number$"):
+            build(coeffs)
+
+
 _DISK_SAMPLE = {"dim": 1, "points": [[0.1, 0.0], [0.0, 0.5]]}
 # (command, kernel, symbol): one non-finite parameter each
 NON_FINITE_INPUTS = {
