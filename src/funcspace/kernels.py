@@ -344,23 +344,29 @@ def _evaluate(K: KernelExpr, X, Y, upper: bool = False):
     """``K(X, Y)`` and None, or None and the first failing entry in row-major
     order, among the entries with ``i <= j`` when ``upper``, as ``(i, j, exception)``.
 
-    A failed block is rescanned entry by entry in that order, so the
-    exception is the one that entry alone raises.  An entry's value does
-    not depend on the block it is evaluated in.  When no entry fails alone,
-    the entries make up the result: complex products may be fused, so
-    ``K(X, X)`` need not be exactly Hermitian, and an entry below the
-    diagonal can fail alone.
+    A failed block is rescanned: each row is evaluated alone, from its
+    diagonal on when ``upper``, then each entry of a row that fails, so the
+    exception is the one that entry alone raises; a rescan that finds it
+    takes at most ``2n + 1`` block evaluations in all.  An entry's
+    value does not depend on the block it is evaluated in.  When no entry
+    fails alone, the rows and entries make up the result: complex products
+    may be fused, so ``K(X, X)`` need not be exactly Hermitian, and an entry
+    below the diagonal can fail alone.
     """
     try:
         return _block_values(K, X, Y), None
     except (OutOfDomain, GeomDiverges):
         out = np.zeros((X.shape[0], Y.shape[0]), dtype=complex)
     for i in range(X.shape[0]):
-        for j in range(i if upper else 0, Y.shape[0]):
-            try:
-                out[i, j] = _block_values(K, X[i : i + 1], Y[j : j + 1])[0, 0]
-            except (OutOfDomain, GeomDiverges) as exc:
-                return None, (i, j, exc)
+        start = i if upper else 0
+        try:
+            out[i, start:] = _block_values(K, X[i : i + 1], Y[start:])[0]
+        except (OutOfDomain, GeomDiverges):
+            for j in range(start, Y.shape[0]):
+                try:
+                    out[i, j] = _block_values(K, X[i : i + 1], Y[j : j + 1])[0, 0]
+                except (OutOfDomain, GeomDiverges) as exc:
+                    return None, (i, j, exc)
     return out, None
 
 
@@ -370,7 +376,7 @@ def kernel_block(K: KernelExpr, X, Y) -> np.ndarray:
     ``X`` and ``Y`` are n-by-d and m-by-d arrays of points of C^d (a flat
     array is a list of points of C^1).  Every node of the expression is
     evaluated once on the whole block by broadcasting; a block that fails
-    is rescanned entry by entry to find where.
+    is rescanned row by row, then entry by entry, to find where.
 
     Raises:
         OutOfDomain: a point outside the open disk/ball of a built-in kernel,
@@ -409,8 +415,8 @@ def gram(K: KernelExpr, sample: EuclideanPointSet) -> np.ndarray:
     """The read-only, exactly Hermitian matrix [K(x_i, x_j)] on the sample.
 
     The block is evaluated at once and its upper triangle mirrored
-    (:func:`mirror_upper`).  A block that fails is rescanned entry by entry
-    over the upper triangle, and the error names the first failing
+    (:func:`mirror_upper`).  A block that fails is rescanned row by row,
+    each row from its diagonal on, and the error names the first failing
     ``(i, j)`` with ``i <= j`` in row-major order as ``gram entry (i,j)``;
     an entry that fails only below the diagonal is mirrored away.  A matrix
     with an entry that is not finite raises Overflow.
@@ -570,6 +576,13 @@ def pencil_norms(A, G) -> np.ndarray:
         DegenerateGram: the scaled ``G`` is not numerically positive definite.
         Overflow: an entry of ``A`` is not finite.
     """
+    return _pencil_solve(A, G)[0]
+
+
+def _pencil_solve(A, G):
+    """:func:`pencil_norms` and what its solve computes on the way: the
+    norms, the ascending eigenvalues of each whitened ``A[k]``, ``L^-1``
+    for the factor ``L`` of the scaled ``G``, and the diagonal of ``G``."""
     A = np.asarray(A)
     G = np.asarray(G)
     require_finite("the pencil matrix", A)
@@ -584,8 +597,8 @@ def pencil_norms(A, G) -> np.ndarray:
         raise DegenerateGram("the Gram matrix is numerically singular (Cholesky broke down)") from None
     L_inv = lower_inverse(L)
     whitened = L_inv @ (A * scale) @ L_inv.conj().T
-    top = np.linalg.eigvalsh(whitened)[..., -1]
-    return np.sqrt(np.maximum(top, 0.0))
+    eigs = np.linalg.eigvalsh(whitened)
+    return np.sqrt(np.maximum(eigs[..., -1], 0.0)), eigs, L_inv, diag
 
 
 def _perron_bound(M: np.ndarray) -> np.ndarray:

@@ -18,11 +18,21 @@ sample points at once (:meth:`ClosedFormFunction.eval_points`) and kernels on
 the whole sample block (:func:`kernels.gram`), and upper triangles are
 mirrored so that every matrix is exactly Hermitian.
 
-Both methods read one solve of the pencil ``(D G_F D*, G_E)``
-(:func:`kernels.pencil_norms`).  ``pencil`` reports its value; ``bisection``
-reports an endpoint feasible under ``psd_check``'s 1e-12 rule: the diagonal
-lower bound ``max |w| sqrt(K_F(x,x)/K_E(x,x))`` if feasible, else the pencil
-value.
+Both methods read one solve of the pencil ``(D G_F D*, G_E)``, which
+factors ``G_E`` scaled to unit diagonal as ``L L*`` (:func:`kernels.pencil_norms`).
+``pencil`` reports its value; ``bisection`` reports an endpoint feasible under
+``psd_check``'s 1e-12 rule: the diagonal lower bound
+``max |w| sqrt(K_F(x,x)/K_E(x,x))`` if feasible, else the pencil value.
+
+The solve's own data decides the ``CONDITION_LIMIT`` gate and both feasibility
+tests wherever it can, and an eigensolve runs only where it cannot
+(:func:`sampled_mult_norm`): ``n ||L^-1||_F^2`` bounds the condition of the
+scaled ``G_E``, Ostrowski's theorem turns the pencil's top eigenvalue into a
+proof that the diagonal bound is infeasible, and a shifted Cholesky factor
+proves the pencil value feasible (Rump, BIT 46, 2006).  Each verdict is the
+one ``eigvalsh`` would give, on one assumption: that it returns the
+eigenvalues of some ``M + E`` with ``||E||_2 <= n^2 u ||M||_2``, far looser
+than LAPACK's backward error.
 """
 
 from __future__ import annotations
@@ -35,15 +45,16 @@ import numpy as np
 from .errors import DegenerateGram, Overflow, SymbolNotContractive, ValidationError
 from .geometry import EuclideanPointSet
 from .kernels import (
+    UNIT_ROUNDOFF,
     ClosedFormFunction,
     KernelExpr,
     PsdReport,
+    _pencil_solve,
     compose,
     gamma,
     gram,
     mirror_upper,
     multiplier_gram,
-    pencil_norms,
     polynomial,
     psd_check,
     szego,
@@ -56,6 +67,10 @@ CONDITION_LIMIT = 1e12
 
 #: Relative eigenvalue tolerance of the ``bisection`` feasibility test.
 FEASIBLE_TOL = 1e-12
+
+#: How far inside CONDITION_LIMIT the condition bound read from the pencil's
+#: factor must lie for the gate to pass without an eigensolve.
+_GATE_MARGIN = 2.0**-10
 
 #: Largest boundary grid of the polynomial sup certificate, allocated whole.
 MAX_BOUNDARY_GRID = 65536
@@ -105,6 +120,66 @@ def _diag_lower_bound(w: np.ndarray, G_F: np.ndarray, G_E: np.ndarray) -> float:
     return float((np.abs(w) * ratios).max())
 
 
+def _condition_gate(G_E: np.ndarray) -> None:
+    eig_E = np.linalg.eigvalsh(G_E)
+    if eig_E.min() <= 0.0 or eig_E.max() / eig_E.min() > CONDITION_LIMIT:
+        raise DegenerateGram(
+            f"Gram(K_E) condition exceeds {CONDITION_LIMIT:g}; perturb the sample "
+            f"(eigenvalue range [{eig_E.min():.3e}, {eig_E.max():.3e}])"
+        )
+
+
+def _factor_proves_psd(M: np.ndarray) -> bool:
+    """Whether a Cholesky factor of ``M + sigma I`` proves ``psd_check(M,
+    FEASIBLE_TOL)`` passes.
+
+    With ``s = max(1, max |M_ii|)`` and ``sigma = FEASIBLE_TOL s / 4``: a
+    factor that completes has ``L L* = M + sigma I + E`` with ``|E| <=
+    gamma_{n+3} |L| |L*|`` plus ``u s`` on the diagonal (as in
+    :func:`kernels._shift_needed`), so ``lambda_min(M) >= -beta`` for the sum
+    ``beta`` of ``sigma``, ``u s`` and ``gamma_{n+3}`` times the largest row
+    sum of ``|L| |L*|``.  The eigensolver then reads at least ``-beta - n^2 u
+    ||M||_2``, and the rule's threshold is at least ``FEASIBLE_TOL max(1,
+    (1 - n^2 u) ||M||_2)``, where ``max(1, ||M||_2) >= s``; so ``beta <=
+    (FEASIBLE_TOL - n^2 u (1 + FEASIBLE_TOL)) s`` settles it.  The row sums
+    are formed with ufuncs: a real matrix product would be the first in a
+    process that otherwise multiplies only complex matrices, and its BLAS
+    buffers would add to the peak memory.
+    """
+    n = len(M)
+    s = max(1.0, float(np.abs(M.diagonal().real).max()))
+    sigma = FEASIBLE_TOL * s / 4.0
+    shifted = M.copy()
+    shifted.flat[:: n + 1] += sigma
+    try:
+        absL = np.abs(np.linalg.cholesky(shifted))
+    except np.linalg.LinAlgError:
+        return False
+    rows = float((absL * absL.sum(axis=0)).sum(axis=1).max())
+    # the factor covers the rounding of the row sums and of beta's own terms
+    beta = (sigma + gamma(n + 3) * rows + UNIT_ROUNDOFF * s) * (1.0 + gamma(2 * n + 4))
+    return bool(np.isfinite(beta) and beta <= (FEASIBLE_TOL - n * n * UNIT_ROUNDOFF * (1.0 + FEASIBLE_TOL)) * s)
+
+
+def _feasible(M: np.ndarray, depth: float = 0.0, prove: bool = False) -> bool:
+    """``psd_check(M, tol=FEASIBLE_TOL).is_psd``, decided without an
+    eigensolve where that is proven.
+
+    ``depth`` is a lower bound on ``-lambda_min(M)``: beyond ``(4
+    FEASIBLE_TOL + n^2 u) max(1, ||M||_F)`` it covers the eigensolver's
+    error and the rule's threshold, so the test fails.  ``prove`` tries
+    :func:`_factor_proves_psd`.  A test that neither decides, or that meets
+    a value that is not finite, runs ``psd_check``.
+    """
+    if depth > 0.0:
+        size = float(np.linalg.norm(M))
+        if np.isfinite(size) and depth > (4.0 * FEASIBLE_TOL + len(M) ** 2 * UNIT_ROUNDOFF) * max(1.0, size):
+            return False
+    if prove and _factor_proves_psd(M):
+        return True
+    return psd_check(M, tol=FEASIBLE_TOL).is_psd
+
+
 def sampled_mult_norm(
     K_F: KernelExpr,
     K_E: KernelExpr,
@@ -113,6 +188,30 @@ def sampled_mult_norm(
     method: str = "pencil",
 ) -> MultNormReport:
     """Least t with ``t^2 Gram(K_E) - D Gram(K_F) D*`` PSD on the sample.
+
+    The gate and the ``bisection`` tests read the pencil solve, whose factor
+    ``L L*`` is ``G_E`` scaled to unit diagonal (:func:`kernels.pencil_norms`):
+
+    - *Gate.*  ``lambda_max`` of the scaled ``G_E`` is at most n and its
+      ``lambda_min`` at least ``1 / ||L^-1||_F^2``, so ``cond(G_E) <= kappa =
+      n ||L^-1||_F^2 max(diag) / min(diag)``.  The gate passes unread when
+      ``kappa <= 2^-10 CONDITION_LIMIT`` and ``delta = 2^6 n^2 u kappa <=
+      1/2``; ``delta`` bounds the relative error of the pencil's eigenvalues
+      and of the bound ``min(diag) / ||L^-1||_F^2`` on ``lambda_min(G_E)``,
+      eigensolver error included.  Otherwise, or when the solve raises,
+      ``eigvalsh(G_E)`` decides it first, as before.
+    - *Diagonal bound.*  For ``M = T G_E - A`` with ``T = t_lo^2`` below the
+      top pencil eigenvalue ``mu``, Ostrowski's theorem (Horn & Johnson,
+      Thm 4.5.9) gives ``-lambda_min(M) >= (mu - T) lambda_min(G_E)``; with
+      ``mu`` and the bound on ``lambda_min(G_E)`` lowered by ``delta``, that
+      can refute feasibility (:func:`_feasible`).
+    - *Pencil value.*  A shifted Cholesky factor can prove it feasible
+      (:func:`_factor_proves_psd`).
+
+    A test the data cannot decide runs ``psd_check``.  Every verdict equals
+    the eigensolve's on one assumption: ``eigvalsh`` returns the eigenvalues
+    of some ``M + E`` with ``||E||_2 <= n^2 u ||M||_2``, far looser than
+    LAPACK's backward error.
 
     Args:
         method: "pencil" (generalized eigenvalue, machine accuracy) or
@@ -130,23 +229,33 @@ def sampled_mult_norm(
         sup = float(np.abs(values).max())
     G_F = _gram_of("K_F", K_F, sample)
     G_E = G_F if K_E == K_F else _gram_of("K_E", K_E, sample)
-    eig_E = np.linalg.eigvalsh(G_E)
-    if eig_E.min() <= 0.0 or eig_E.max() / eig_E.min() > CONDITION_LIMIT:
-        raise DegenerateGram(
-            f"Gram(K_E) condition exceeds {CONDITION_LIMIT:g}; perturb the sample "
-            f"(eigenvalue range [{eig_E.min():.3e}, {eig_E.max():.3e}])"
-        )
-
     with np.errstate(over="ignore", invalid="ignore"):
         A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
-    t = float(pencil_norms(A[None], G_E)[0])
+    try:
+        norms, eigs, L_inv, diag = _pencil_solve(A[None], G_E)
+    except (DegenerateGram, Overflow, np.linalg.LinAlgError):
+        _condition_gate(G_E)  # the gate's error comes first
+        raise
+    n = len(diag)
+    inverse_norm2 = float(np.vdot(L_inv, L_inv).real)
+    kappa = n * inverse_norm2 * float(diag.max() / diag.min())
+    delta = 2.0**6 * n * n * UNIT_ROUNDOFF * kappa
+    trusted = bool(delta <= 0.5)  # False for a kappa that is not finite
+    if not (trusted and kappa <= _GATE_MARGIN * CONDITION_LIMIT):
+        _condition_gate(G_E)
+    t = float(norms[0])
     if method == "pencil":
         return MultNormReport(sup, t, "pencil")
 
     t_lo = _diag_lower_bound(values, G_F, G_E)
-    if psd_check(t_lo * t_lo * G_E - A, tol=FEASIBLE_TOL).is_psd:
+    depth = 0.0
+    if trusted:
+        mu = eigs[0]
+        lam_lo = float(diag.min()) / inverse_norm2 * (1.0 - delta)
+        depth = (mu[-1] - delta * max(-mu[0], mu[-1]) - t_lo * t_lo) * lam_lo
+    if _feasible(t_lo * t_lo * G_E - A, depth=depth):
         t = t_lo
-    elif not psd_check(t * t * G_E - A, tol=FEASIBLE_TOL).is_psd:
+    elif not _feasible(t * t * G_E - A, prove=True):
         raise DegenerateGram(f"the pencil value {t!r} is not feasible at tol {FEASIBLE_TOL:g}; perturb the sample")
     return MultNormReport(sup, t, "bisection")
 

@@ -279,3 +279,32 @@ def test_a_row_that_fails_only_as_a_block_keeps_its_entries(monkeypatch):
     pointwise = np.array([[kernel_eval(K, x, y) for y in points] for x in points])
     assert np.array_equal(kernel_block(K, points, points), pointwise)
     assert np.array_equal(gram(K, EuclideanPointSet(points)), pointwise)
+
+
+def test_rescan_evaluates_rows_before_entries(monkeypatch):
+    """A late failure costs one block per row and the entries of its row,
+    at most 2n + 1 evaluations, not one per entry."""
+    block_values = kernels._block_values
+    calls, depth = [], [0]
+
+    def counted(K, X, Y):  # counts the evaluations, not their recursion into children
+        if not depth[0]:
+            calls.append((X.shape[0], Y.shape[0]))
+        depth[0] += 1
+        try:
+            return block_values(K, X, Y)
+        finally:
+            depth[0] -= 1
+
+    n = 256
+    rng = np.random.default_rng(9)
+    z = rng.uniform(0.1, 0.8, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    z[-1] = 1.2  # only the entry (n-1, n-1) has |z_i conj(z_j)| >= 1
+    K, S = geom(rank_one(coordinate(0))), EuclideanPointSet(z)
+    with pytest.raises(GeomDiverges) as alone:
+        kernel_eval(K, z[-1], z[-1])
+    monkeypatch.setattr(kernels, "_block_values", counted)
+    with pytest.raises(GeomDiverges) as info:
+        gram(K, S)
+    assert str(info.value) == f"gram entry ({n - 1},{n - 1}): {alone.value}"
+    assert len(calls) <= 2 * n + 1

@@ -4,12 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from funcspace import multipliers
+from funcspace import kernels, multipliers
 from funcspace.errors import DegenerateGram, Overflow, SymbolNotContractive, ValidationError
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
     ball,
     constant,
+    compose,
     coordinate,
     fn_scale,
     geom,
@@ -26,8 +27,10 @@ from funcspace.kernels import (
     szego_section,
 )
 from funcspace.multipliers import (
+    CONDITION_LIMIT,
     FEASIBLE_TOL,
     MAX_BOUNDARY_GRID,
+    MultNormReport,
     certify_unit_sup,
     contraction_check,
     kl_monotonicity_check,
@@ -190,21 +193,32 @@ class TestBisectionEndpoint:
         assert solves >= 50
 
     def test_at_most_two_feasibility_tests(self, monkeypatch):
-        tolerances = []
+        """Each bisection op makes one or two feasibility decisions, and each
+        is the verdict of ``psd_check`` at FEASIBLE_TOL, whether the pencil's
+        data decided it or an eigensolve did."""
+        decisions, tolerances = [], []
+        feasible = multipliers._feasible
 
-        def counted(M, tol):
+        def counted_feasible(M, **bounds):
+            verdict = feasible(M, **bounds)
+            decisions.append(verdict == psd_check(M, tol=FEASIBLE_TOL).is_psd)
+            return verdict
+
+        def counted_psd_check(M, tol):
             tolerances.append(tol)
             return psd_check(M, tol=tol)
 
-        monkeypatch.setattr(multipliers, "psd_check", counted)
+        monkeypatch.setattr(multipliers, "_feasible", counted_feasible)
+        monkeypatch.setattr(multipliers, "psd_check", counted_psd_check)
         for S, w in itertools.islice(_agreement_cases(), 20):
-            tolerances.clear()
+            decisions.clear()
             sampled_mult_norm(szego(), szego(), w, S, method="bisection")
-            assert 1 <= len(tolerances) <= 2
-            assert set(tolerances) == {FEASIBLE_TOL}
+            assert 1 <= len(decisions) <= 2 and all(decisions)
+        assert set(tolerances) <= {FEASIBLE_TOL}
 
     def test_infeasible_pencil_value_raises(self, monkeypatch):
-        monkeypatch.setattr(multipliers, "pencil_norms", lambda A, G: 0.99 * pencil_norms(A, G))
+        solve = kernels._pencil_solve
+        monkeypatch.setattr(multipliers, "_pencil_solve", lambda A, G: (0.99 * solve(A, G)[0],) + solve(A, G)[1:])
         # the diagonal bound 0.5 of z on {0, 0.5} is infeasible; the norm is 1
         with pytest.raises(DegenerateGram, match="not feasible"):
             sampled_mult_norm(szego(), szego(), coordinate(0), S2, method="bisection")
@@ -247,6 +261,99 @@ class TestOneGramPerKernel:
         G_F, G_E = gram(K, S), gram(K2, S)
         A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
         assert sampled_mult_norm(K, K2, w, S).sampled_norm == float(pencil_norms(A[None], G_E)[0])
+
+
+def _eigensolve_mult_norm(K_F, K_E, w, sample, method):
+    """``sampled_mult_norm`` as it was decided by eigensolves alone: an
+    ``eigvalsh`` gate on Gram(K_E), then ``psd_check`` for each bisection test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = w.eval_points(sample.points)
+        sup = float(np.abs(values).max())
+    G_F = multipliers._gram_of("K_F", K_F, sample)
+    G_E = G_F if K_E == K_F else multipliers._gram_of("K_E", K_E, sample)
+    eig_E = np.linalg.eigvalsh(G_E)
+    if eig_E.min() <= 0.0 or eig_E.max() / eig_E.min() > CONDITION_LIMIT:
+        raise DegenerateGram(
+            f"Gram(K_E) condition exceeds {CONDITION_LIMIT:g}; perturb the sample "
+            f"(eigenvalue range [{eig_E.min():.3e}, {eig_E.max():.3e}])"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
+    t = float(pencil_norms(A[None], G_E)[0])
+    if method == "pencil":
+        return MultNormReport(sup, t, "pencil")
+    t_lo = multipliers._diag_lower_bound(values, G_F, G_E)
+    if psd_check(t_lo * t_lo * G_E - A, tol=FEASIBLE_TOL).is_psd:
+        t = t_lo
+    elif not psd_check(t * t * G_E - A, tol=FEASIBLE_TOL).is_psd:
+        raise DegenerateGram(f"the pencil value {t!r} is not feasible at tol {FEASIBLE_TOL:g}; perturb the sample")
+    return MultNormReport(sup, t, "bisection")
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (DegenerateGram, Overflow) as exc:
+        return type(exc), str(exc)
+
+
+def _clustered_sample(rng, n: int, spread: float) -> EuclideanPointSet:
+    centre = complex(*rng.uniform(-0.4, 0.4, 2))
+    return EuclideanPointSet((centre + spread * (rng.normal(size=n) + 1j * rng.normal(size=n)))[:, None])
+
+
+class TestVerdictsMatchTheEigensolve:
+    """The gate and the bisection tests read the pencil's factor where it
+    decides them; every report and every error stays the eigensolve's."""
+
+    def _same(self, K, w, S):
+        for method in ("pencil", "bisection"):
+            expected = _outcome(_eigensolve_mult_norm, K, K, w, S, method)
+            assert _outcome(sampled_mult_norm, K, K, w, S, method) == expected
+        return expected
+
+    @pytest.mark.parametrize("family", KERNEL_MULT_FAMILIES.values(), ids=KERNEL_MULT_FAMILIES)
+    def test_kernel_mult_families(self, family, monkeypatch):
+        K = family[0]
+        dim = 2 if K.op == "ball" else 1
+        rng = np.random.default_rng(60)
+        eigvalsh, eigensolves = np.linalg.eigvalsh, []
+        for n in (1, 2, 16, 48):
+            S = _annulus_sample(rng, n, dim)
+            for w in (moebius(0.5 - 0.3j), polynomial([0.2, 0.5 - 0.1j, -0.3j])):
+                w = compose(w, coordinate(0)) if dim == 2 else w
+                for method in ("pencil", "bisection"):
+                    expected = _eigensolve_mult_norm(K, K, w, S, method)
+                    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: eigensolves.append(M) or eigvalsh(M))
+                    assert sampled_mult_norm(K, K, w, S, method=method) == expected
+                    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+                    # the pencil's own eigensolve alone; one point leaves no gap below its value
+                    assert n == 1 or len(eigensolves) == 1, (n, method)
+                    eigensolves.clear()
+
+    def test_constant_and_coordinate_symbols(self):
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 5, 12):
+            S = disk_sample(rng, n, radius=0.7, min_sep=0.1)
+            for w in (polynomial([0.7]), polynomial([0.75 - 0.5j]), coordinate(0)):
+                assert isinstance(self._same(szego(), w, S), MultNormReport)
+
+    def test_clustered_samples_straddle_the_condition_limit(self):
+        rng = np.random.default_rng(62)
+        kinds = set()
+        for spread in np.geomspace(1e-1, 1e-5, 30):
+            S = _clustered_sample(rng, int(rng.integers(3, 7)), spread)
+            for w in (moebius(0.3 + 0.1j), polynomial([0.7])):
+                kinds.add(type(self._same(szego(), w, S)))
+        assert kinds == {MultNormReport, tuple}
+
+    def test_errors_keep_their_order(self):
+        repeated = EuclideanPointSet([[0.3], [0.3]])
+        assert self._same(szego(), coordinate(0), repeated)[1].startswith("Gram(K_E) condition exceeds")
+        huge = fn_scale(1e200, coordinate(0))
+        assert self._same(szego(), huge, S2) == (Overflow, "the pencil matrix overflows float64")
+        # the gate's error still comes before the overflow of the pencil matrix
+        assert self._same(szego(), huge, repeated)[1].startswith("Gram(K_E) condition exceeds")
 
 
 class TestKlMonotonicity:
