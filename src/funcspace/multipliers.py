@@ -28,8 +28,9 @@ The solve's own data decides the ``CONDITION_LIMIT`` gate and both feasibility
 tests wherever it can, and an eigensolve runs only where it cannot
 (:func:`sampled_mult_norm`): ``n ||L^-1||_F^2`` bounds the condition of the
 scaled ``G_E``, Ostrowski's theorem turns the pencil's top eigenvalue into a
-proof that the diagonal bound is infeasible, and a shifted Cholesky factor
-proves the pencil value feasible (Rump, BIT 46, 2006).  Each verdict is the
+proof that the diagonal bound is infeasible, and the shifted-Cholesky test
+that certifies Pick norms (:func:`kernels._shift_needed`; Rump, BIT 46,
+2006) proves the pencil value feasible.  Each verdict is the
 one ``eigvalsh`` would give, on one assumption: that it returns the
 eigenvalues of some ``M + E`` with ``||E||_2 <= n^2 u ||M||_2``, far looser
 than LAPACK's backward error.
@@ -50,6 +51,7 @@ from .kernels import (
     KernelExpr,
     PsdReport,
     _pencil_solve,
+    _shift_needed,
     compose,
     gamma,
     gram,
@@ -129,57 +131,6 @@ def _condition_gate(G_E: np.ndarray) -> None:
         )
 
 
-def _factor_proves_psd(M: np.ndarray) -> bool:
-    """Whether a Cholesky factor of ``M + sigma I`` proves ``psd_check(M,
-    FEASIBLE_TOL)`` passes.
-
-    With ``s = max(1, max |M_ii|)`` and ``sigma = FEASIBLE_TOL s / 4``: a
-    factor that completes has ``L L* = M + sigma I + E`` with ``|E| <=
-    gamma_{n+3} |L| |L*|`` plus ``u s`` on the diagonal (as in
-    :func:`kernels._shift_needed`), so ``lambda_min(M) >= -beta`` for the sum
-    ``beta`` of ``sigma``, ``u s`` and ``gamma_{n+3}`` times the largest row
-    sum of ``|L| |L*|``.  The eigensolver then reads at least ``-beta - n^2 u
-    ||M||_2``, and the rule's threshold is at least ``FEASIBLE_TOL max(1,
-    (1 - n^2 u) ||M||_2)``, where ``max(1, ||M||_2) >= s``; so ``beta <=
-    (FEASIBLE_TOL - n^2 u (1 + FEASIBLE_TOL)) s`` settles it.  The row sums
-    are formed with ufuncs: a real matrix product would be the first in a
-    process that otherwise multiplies only complex matrices, and its BLAS
-    buffers would add to the peak memory.
-    """
-    n = len(M)
-    s = max(1.0, float(np.abs(M.diagonal().real).max()))
-    sigma = FEASIBLE_TOL * s / 4.0
-    shifted = M.copy()
-    shifted.flat[:: n + 1] += sigma
-    try:
-        absL = np.abs(np.linalg.cholesky(shifted))
-    except np.linalg.LinAlgError:
-        return False
-    rows = float((absL * absL.sum(axis=0)).sum(axis=1).max())
-    # the factor covers the rounding of the row sums and of beta's own terms
-    beta = (sigma + gamma(n + 3) * rows + UNIT_ROUNDOFF * s) * (1.0 + gamma(2 * n + 4))
-    return bool(np.isfinite(beta) and beta <= (FEASIBLE_TOL - n * n * UNIT_ROUNDOFF * (1.0 + FEASIBLE_TOL)) * s)
-
-
-def _feasible(M: np.ndarray, depth: float = 0.0, prove: bool = False) -> bool:
-    """``psd_check(M, tol=FEASIBLE_TOL).is_psd``, decided without an
-    eigensolve where that is proven.
-
-    ``depth`` is a lower bound on ``-lambda_min(M)``: beyond ``(4
-    FEASIBLE_TOL + n^2 u) max(1, ||M||_F)`` it covers the eigensolver's
-    error and the rule's threshold, so the test fails.  ``prove`` tries
-    :func:`_factor_proves_psd`.  A test that neither decides, or that meets
-    a value that is not finite, runs ``psd_check``.
-    """
-    if depth > 0.0:
-        size = float(np.linalg.norm(M))
-        if np.isfinite(size) and depth > (4.0 * FEASIBLE_TOL + len(M) ** 2 * UNIT_ROUNDOFF) * max(1.0, size):
-            return False
-    if prove and _factor_proves_psd(M):
-        return True
-    return psd_check(M, tol=FEASIBLE_TOL).is_psd
-
-
 def sampled_mult_norm(
     K_F: KernelExpr,
     K_E: KernelExpr,
@@ -202,11 +153,28 @@ def sampled_mult_norm(
       ``eigvalsh(G_E)`` decides it first, as before.
     - *Diagonal bound.*  For ``M = T G_E - A`` with ``T = t_lo^2`` below the
       top pencil eigenvalue ``mu``, Ostrowski's theorem (Horn & Johnson,
-      Thm 4.5.9) gives ``-lambda_min(M) >= (mu - T) lambda_min(G_E)``; with
-      ``mu`` and the bound on ``lambda_min(G_E)`` lowered by ``delta``, that
-      can refute feasibility (:func:`_feasible`).
-    - *Pencil value.*  A shifted Cholesky factor can prove it feasible
-      (:func:`_factor_proves_psd`).
+      Thm 4.5.9) gives ``-lambda_min(M) >= depth = (mu - T) lambda_min(G_E)``,
+      with ``mu`` and the bound on ``lambda_min(G_E)`` lowered by ``delta``.
+      A ``depth`` beyond ``(4 FEASIBLE_TOL + n^2 u) max(1, ||M||_F)`` covers
+      the eigensolver's error and the rule's threshold, so it refutes
+      feasibility.
+    - *Pencil value.*  The shifted-Cholesky test that certifies Pick norms
+      (:func:`kernels._shift_needed`) can prove it feasible.  With ``M = t^2
+      G_E - A``, ``s = max(1, max |M_ii|)`` and ``sigma = FEASIBLE_TOL s /
+      4``, it factors ``M + sigma I`` as ``L L*`` and returns ``needed``:
+      ``gamma_{n+3}`` times the largest row sum of ``|L| |L*|`` (lifted by
+      the row sums' rounding factor) or, where that is too coarse, its
+      Perron bound, plus ``1.01 u`` of the largest shifted diagonal entry,
+      all rounded up by ``1 + gamma_4``.  So ``lambda_min(M) >= -(sigma +
+      needed)``.  The eigensolver then reads at least ``-(sigma + needed) -
+      n^2 u ||M||_2``, and the rule's threshold is at least ``FEASIBLE_TOL
+      (1 - n^2 u) max(1, ||M||_2)``, where ``max(1, ||M||_2) >= s``; so
+      ``sigma + needed <= (FEASIBLE_TOL - n^2 u (1 + FEASIBLE_TOL)) s``
+      settles it.  The test asks ``sigma + needed < budget = (FEASIBLE_TOL -
+      (n^2 + 2) u) s``, passed as ``floor = -budget``: wherever ``budget``
+      is positive, ``n^2 FEASIBLE_TOL <= 1``, so one extra ``u s`` covers
+      ``n^2 u FEASIBLE_TOL s`` and the other the rounding of ``budget`` and
+      of ``sigma + needed``.
 
     A test the data cannot decide runs ``psd_check``.  Every verdict equals
     the eigensolve's on one assumption: ``eigvalsh`` returns the eigenvalues
@@ -248,14 +216,24 @@ def sampled_mult_norm(
         return MultNormReport(sup, t, "pencil")
 
     t_lo = _diag_lower_bound(values, G_F, G_E)
-    depth = 0.0
+    M = t_lo * t_lo * G_E - A
+    refuted = False
     if trusted:
         mu = eigs[0]
         lam_lo = float(diag.min()) / inverse_norm2 * (1.0 - delta)
         depth = (mu[-1] - delta * max(-mu[0], mu[-1]) - t_lo * t_lo) * lam_lo
-    if _feasible(t_lo * t_lo * G_E - A, depth=depth):
-        t = t_lo
-    elif not _feasible(t * t * G_E - A, prove=True):
+        if depth > 0.0:
+            size = float(np.linalg.norm(M))
+            refuted = bool(np.isfinite(size)) and depth > (4.0 * FEASIBLE_TOL + n * n * UNIT_ROUNDOFF) * max(1.0, size)
+    if not refuted and psd_check(M, tol=FEASIBLE_TOL).is_psd:
+        return MultNormReport(sup, t_lo, "bisection")
+
+    M = t * t * G_E - A
+    s = max(1.0, float(np.abs(M.diagonal().real).max()))
+    sigma = FEASIBLE_TOL * s / 4.0
+    floor = -(FEASIBLE_TOL - (n * n + 2) * UNIT_ROUNDOFF) * s
+    proven = -sigma - _shift_needed(M[None], np.array([-sigma]), np.zeros(1), floor)[0] > floor
+    if not (proven or psd_check(M, tol=FEASIBLE_TOL).is_psd):
         raise DegenerateGram(f"the pencil value {t!r} is not feasible at tol {FEASIBLE_TOL:g}; perturb the sample")
     return MultNormReport(sup, t, "bisection")
 

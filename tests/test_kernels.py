@@ -48,7 +48,7 @@ from funcspace.kernels import (
     szego_section,
 )
 from funcspace.kernels import UNIT_ROUNDOFF, multiplier_gram
-from funcspace.hardy_pick import pick_solve, separability_probe
+from funcspace.hardy_pick import carleson_seq, pick_solve, separability_probe
 from helpers import ball2_sample, disk_sample
 
 
@@ -721,3 +721,66 @@ class TestCertifyPencilNorms:
 
         with pytest.raises(DegenerateGram, match="could not certify"):
             certify_pencil_norms(G, pencil_norms(A, G), 1e-9, loose_entries)
+
+
+def perron_shift_needed(P, shift, entry_radius):
+    """``kernels._shift_needed`` bounding every factor's error by the Perron
+    bound alone, the reference for the row-sum bound in front of it."""
+    n = P.shape[-1]
+    S = P.copy()
+    diag = S.reshape(len(S), n * n)[:, :: n + 1]
+    diag -= shift[:, None]
+    L, done = _cholesky_each(S)
+    absL = np.abs(L)
+    factor_error = gamma(n + 3) * _perron_bound(absL @ np.swapaxes(absL, -1, -2))
+    diag_error = 1.01 * UNIT_ROUNDOFF * np.abs(diag.real).max(axis=-1)
+    needed = (factor_error + diag_error + entry_radius) * (1.0 + gamma(4))
+    return np.where(done, needed, np.inf)
+
+
+def pick_pool():
+    """Pick problems on halving, random-disk and clustered nodes, 2 to 12 of
+    them, after one whose certificate the row sum alone would change."""
+    yield [-0.5 + 0.7j, 0.5, -0.4 - 0.4j], [-0.6, 0.0, -0.2]
+    rng = np.random.default_rng(72)
+    for n in range(2, 13):
+        turn = np.exp(2j * np.pi * rng.uniform())
+        centre = complex(*rng.uniform(-0.5, 0.5, 2))
+        for nodes in (
+            carleson_seq(rng.uniform(0.0, 0.5), n) * turn,
+            np.sqrt(rng.uniform(0.0, 0.81, n)) * np.exp(2j * np.pi * rng.uniform(size=n)),
+            centre + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+        ):
+            yield nodes, np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+class TestShiftNeeded:
+    def test_pick_bits_match_the_perron_bound_alone(self, monkeypatch):
+        """The row sum proves only what the Perron bound proves, and a failed
+        proof returns the Perron bound's shift, so every certificate keeps its bits."""
+        perron_bound, perron_steps = kernels._perron_bound, []
+
+        def counted_perron_bound(M):
+            perron_steps.append(M.ndim == 3)  # a trial bounds a 4-d stack
+            return perron_bound(M)
+
+        problems = list(pick_pool())
+        sweeps = [(m, start) for m in (5, 8) for start in (0.0, 0.3)]
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_shift_needed", perron_shift_needed)
+            expected = [repr(outcome(lambda: pick_solve(*p))) for p in problems]
+            expected_sweeps = [separability_probe(m, start=start).pattern_norms for m, start in sweeps]
+        monkeypatch.setattr(kernels, "_perron_bound", counted_perron_bound)
+        assert [repr(outcome(lambda: pick_solve(*p))) for p in problems] == expected
+        assert [separability_probe(m, start=start).pattern_norms for m, start in sweeps] == expected_sweeps
+        assert any(perron_steps)
+
+    def test_breakdown_is_infinite(self):
+        rng = np.random.default_rng(73)
+        X = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+        P = X @ np.conj(np.swapaxes(X, -1, -2)) + np.eye(6)
+        eig = np.linalg.eigvalsh(P[1])
+        shift = np.array([0.5, (eig[2] + eig[3]) / 2, 0.5])  # P[1] - shift I is indefinite
+        needed = kernels._shift_needed(P, shift, np.zeros(3))
+        assert np.isinf(needed[1]) and np.all(np.isfinite(needed[[0, 2]]))
+        assert np.all(shift[[0, 2]] > needed[[0, 2]])

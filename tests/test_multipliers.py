@@ -193,28 +193,35 @@ class TestBisectionEndpoint:
         assert solves >= 50
 
     def test_at_most_two_feasibility_tests(self, monkeypatch):
-        """Each bisection op makes one or two feasibility decisions, and each
-        is the verdict of ``psd_check`` at FEASIBLE_TOL, whether the pencil's
-        data decided it or an eigensolve did."""
-        decisions, tolerances = [], []
-        feasible = multipliers._feasible
+        """Each bisection op runs at most one shifted-Cholesky proof and at
+        most two eigensolves, each at FEASIBLE_TOL; a proof passes only where
+        ``psd_check`` at FEASIBLE_TOL would, and every report is the
+        eigensolve's."""
+        shift_needed, proofs, tolerances = multipliers._shift_needed, [], []
 
-        def counted_feasible(M, **bounds):
-            verdict = feasible(M, **bounds)
-            decisions.append(verdict == psd_check(M, tol=FEASIBLE_TOL).is_psd)
-            return verdict
+        def spied_shift_needed(P, shift, radius, floor):
+            needed = shift_needed(P, shift, radius, floor)
+            proofs.append(bool(shift[0] - needed[0] > floor))
+            assert not proofs[-1] or psd_check(P[0], tol=FEASIBLE_TOL).is_psd
+            return needed
 
-        def counted_psd_check(M, tol):
+        def spied_psd_check(M, tol):
             tolerances.append(tol)
             return psd_check(M, tol=tol)
 
-        monkeypatch.setattr(multipliers, "_feasible", counted_feasible)
-        monkeypatch.setattr(multipliers, "psd_check", counted_psd_check)
+        proven = 0
         for S, w in itertools.islice(_agreement_cases(), 20):
-            decisions.clear()
-            sampled_mult_norm(szego(), szego(), w, S, method="bisection")
-            assert 1 <= len(decisions) <= 2 and all(decisions)
-        assert set(tolerances) <= {FEASIBLE_TOL}
+            expected = _outcome(_eigensolve_mult_norm, szego(), szego(), w, S, "bisection")
+            monkeypatch.setattr(multipliers, "_shift_needed", spied_shift_needed)
+            monkeypatch.setattr(multipliers, "psd_check", spied_psd_check)
+            assert _outcome(sampled_mult_norm, szego(), szego(), w, S, "bisection") == expected
+            monkeypatch.undo()
+            assert len(proofs) <= 1 and len(tolerances) <= 2
+            assert set(tolerances) <= {FEASIBLE_TOL}
+            proven += sum(proofs)
+            proofs.clear()
+            tolerances.clear()
+        assert proven >= 10
 
     def test_infeasible_pencil_value_raises(self, monkeypatch):
         solve = kernels._pencil_solve
