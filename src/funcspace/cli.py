@@ -1,25 +1,25 @@
 """Batch front-end: JSON in, JSON report out.
 
-Every command reads JSON inputs, dispatches to one core module, and writes a
-report containing the input digests, the parameters actually used, and the
-result.  A report is one compact ASCII line of JSON with sorted keys
+Every command reads JSON inputs, dispatches to one core module, and writes
+a report containing the input digests, the parameters actually used, and
+the result.  A report is one compact ASCII line of JSON with sorted keys
 (``python -m json.tool`` indents it).  orjson reads the inputs and writes
 the reports; where it cannot read or write a document exactly as the stdlib
 ``json`` does, ``json`` does it instead (see :func:`_loads` and
 :func:`_encode`), so floats parse back to the same values and malformed
-JSON is reported as before.  The one difference: an integer literal beyond
-the 64-bit range is read as a float.  orjson's report is kept only when its
-``null`` tokens are the report's own top-level ``None`` values; a report
-that holds any other ``null`` (a NaN, an infinity, an echoed ``null``) is
-written by ``json``, with Python's float text.  Reports are byte-identical
-across runs with the same inputs and flags, except for the ``timestamp``
-field.  A command takes only the flags it reads, and its ``parameters`` are
-the tolerance, method and point cap it reads and every option given.
-``--order``, the one JSON-valued option, must be a flat JSON list, so the
-report echoes it one level deep.  Exit status: 0 on success, 2 on
-validation errors (including malformed JSON, reported with line and column,
-and command-line usage errors), 3 on numerical errors such as a degenerate
-Gram matrix (:func:`_failure`).
+JSON is reported with the stdlib's line and column.  The one difference: an
+integer literal beyond the 64-bit range is read as a float.  orjson's report
+is kept only when its ``null`` tokens are the report's own top-level
+``None`` values; a report that holds any other ``null`` (a NaN, an
+infinity, an echoed ``null``) is written by ``json``, with Python's float
+text.  Reports are byte-identical across runs with the same inputs and
+flags, except for the ``timestamp`` field.  A command takes only the flags
+it reads, and its ``parameters`` are the tolerance, method and point cap it
+reads and every option given.  ``--order``, the one JSON-valued option,
+must be a flat JSON list, so the report echoes it one level deep.  Exit
+status: 0 on success, 2 on validation errors (including malformed JSON,
+reported with line and column, and command-line usage errors), 3 on
+numerical errors such as a degenerate Gram matrix (:func:`_failure`).
 
 Each command is declared once, by the :func:`command` decorator on its
 handler; the parser, the routing of parsed flags and the dispatch in
@@ -166,8 +166,9 @@ def _loads(raw):
     except an integer outside the signed and unsigned 64-bit range, which it
     reads as a float.  What orjson refuses (``NaN``, ``Infinity`` and
     overflowing literals, lone surrogates, text that is not UTF-8, malformed
-    JSON) goes to ``json.loads``, which accepts it or raises today's errors;
-    a document nested past its recursion limit is refused.
+    JSON) goes to ``json.loads``, which accepts it or raises
+    ``JSONDecodeError``, or ``UnicodeDecodeError`` for text that is not
+    UTF-8; a document nested past its recursion limit is refused.
     """
     try:
         return orjson.loads(raw)

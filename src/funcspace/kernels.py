@@ -59,6 +59,7 @@ from .serialize import (
     integer,
     pair_to_complex,
     real,
+    scalar,
     shown,
 )
 
@@ -93,7 +94,7 @@ class ClosedFormFunction:
 
     def __post_init__(self):
         _FN_GRAMMAR.node(self.kind)  # refuses an unknown kind
-        if self.kind == "moebius" and not abs(self.a) < 1.0:
+        if self.kind == "moebius" and not _in_unit_disk(self.a):
             raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{self.a}| = {abs(self.a)}")
         if self.kind == "polynomial" and not np.isfinite(coefficients(self.coeffs, "polynomial coefficients")).all():
             raise ValidationError("polynomial coefficients must be finite")
@@ -155,12 +156,12 @@ def coordinate(index: int = 0) -> ClosedFormFunction:
 
 
 def polynomial(coeffs) -> ClosedFormFunction:
-    return ClosedFormFunction("polynomial", coeffs=tuple(complex(c) for c in coeffs))
+    return ClosedFormFunction("polynomial", coeffs=tuple(coefficients(coeffs, "polynomial coefficients").tolist()))
 
 
 def moebius(a) -> ClosedFormFunction:
     """The disk automorphism z -> (z - a) / (1 - conj(a) z), |a| < 1."""
-    return ClosedFormFunction("moebius", a=complex(a))
+    return ClosedFormFunction("moebius", a=scalar(a, "moebius parameter"))
 
 
 def exponential() -> ClosedFormFunction:
@@ -180,7 +181,7 @@ def fn_sum(*fns) -> ClosedFormFunction:
 
 
 def fn_scale(factor, fn: ClosedFormFunction) -> ClosedFormFunction:
-    return ClosedFormFunction("scale", factor=complex(factor), children=(fn,))
+    return ClosedFormFunction("scale", factor=scalar(factor, "symbol scale factor"), children=(fn,))
 
 
 def szego_section(z0) -> ClosedFormFunction:
@@ -189,13 +190,15 @@ def szego_section(z0) -> ClosedFormFunction:
     Assembled from grammar primitives: for z0 != 0 the slice equals
     ``conj(z0) / (1 - |z0|^2) * (moebius(z0) + 1/conj(z0))``.
     """
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
+    z0 = scalar(z0, "anchor")
+    if not _in_unit_disk(z0):
         raise ValidationError("anchor must lie in the open unit disk")
     if z0 == 0:
         return polynomial([1.0])
     c = np.conj(z0)
-    return fn_scale(c / (1.0 - abs(z0) ** 2), fn_sum(moebius(z0), polynomial([1.0 / c])))
+    # where |z0| rounds to 1, the float 1 - |z0|^2 would be 0.0
+    gap = 1.0 - abs(z0) ** 2 if abs(z0) < 1.0 else one_minus_norm2([z0])[0]
+    return fn_scale(c / gap, fn_sum(moebius(z0), polynomial([1.0 / c])))
 
 
 @dataclass(frozen=True)
@@ -276,6 +279,13 @@ def one_minus_norm2(P) -> np.ndarray:
                 num += (p * (den // q)) ** 2
         out.append((den * den - num) / (den * den))
     return np.array(out)
+
+
+def _in_unit_disk(z: complex) -> bool:
+    """``|z| < 1``, decided exactly: ``abs`` is faithful, so only a result of
+    exactly 1.0 is in doubt, and :func:`one_minus_norm2` decides that case."""
+    r = abs(z)
+    return r < 1.0 or (r == 1.0 and one_minus_norm2([z])[0] > 0.0)
 
 
 def inside_unit_ball(P) -> np.ndarray:

@@ -150,7 +150,7 @@ def sampled_mult_norm(
       1/2``; ``delta`` bounds the relative error of the pencil's eigenvalues
       and of the bound ``min(diag) / ||L^-1||_F^2`` on ``lambda_min(G_E)``,
       eigensolver error included.  Otherwise, or when the solve raises,
-      ``eigvalsh(G_E)`` decides it first, as before.
+      ``eigvalsh(G_E)`` decides it, before any other test.
     - *Diagonal bound.*  For ``M = T G_E - A`` with ``T = t_lo^2`` below the
       top pencil eigenvalue ``mu``, Ostrowski's theorem (Horn & Johnson,
       Thm 4.5.9) gives ``-lambda_min(M) >= depth = (mu - T) lambda_min(G_E)``,

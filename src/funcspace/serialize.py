@@ -12,8 +12,8 @@ float range) is read pair by pair by :func:`pair_to_complex`, which names
 the first bad entry.  Every index, count and dimension that enters the
 package, from JSON, argv or a caller, passes :func:`integer`, every list of
 point indices passes :func:`index_list`, every real scalar passes
-:func:`real`, and a tolerance that must be positive also
-:func:`tolerance`; a real matrix read from JSON passes
+:func:`real` and every complex one :func:`scalar`, and a tolerance that
+must be positive also :func:`tolerance`; a real matrix read from JSON passes
 :func:`real_matrix`, which type-checks a row with one ``sum`` and reads the
 entry types only where a ``true`` or ``false`` could hide, and rows of
 unequal length are named by :func:`rows_array`.  A library caller's list of
@@ -74,6 +74,13 @@ def real(value, name: str) -> float:
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValidationError(f"{name} must be a real number, got {shown(value)}")
     return float(value)
+
+
+def scalar(value, name: str) -> complex:
+    """``value`` as a complex number; bools, strings and None are refused, not converted."""
+    if type(value) is not complex and (isinstance(value, bool) or not isinstance(value, numbers.Complex)):
+        raise ValidationError(f"{name} must be a number, got {shown(value)}")
+    return complex(value)
 
 
 def tolerance(value) -> float:

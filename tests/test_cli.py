@@ -18,6 +18,9 @@ from funcspace.hardy_pick import carleson_seq
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 NAN = float("nan")
+# a Szego kernel scaled by 1e616: its Gram overflows float64
+OVERFLOWING_KERNEL = {"op": "scale", "factor": 1e308, "arg": {"op": "scale", "factor": 1e308, "arg": {"op": "szego"}}}
+SAMPLE3 = {"points": [0.1, 0.2, [0.3, 0.1]]}
 
 
 def write(path, obj):
@@ -108,6 +111,14 @@ class TestCoreCommands:
         assert code == 0
         assert report["result"]["re"][1][1] == pytest.approx(4.0 / 3.0)
 
+    def test_gram_reads_a_ball_sample(self, capsys, tmp_path):
+        """A sample of 2-D points, each a row of [re, im] pairs, read by the one-pass pair reader."""
+        kernel = write(tmp_path / "ball2.json", {"op": "ball", "dim": 2})
+        sample = write(tmp_path / "s2d.json", {"dim": 2, "points": [[[0.1, 0], [0.2, 0.1]], [[0, 0.3], [-0.2, 0]]]})
+        code, report = run_cli(capsys, ["gram", "--kernel", kernel, "--sample", sample])
+        assert code == 0
+        assert report["status"] == "ok" and report["result"]["sample"]["dim"] == 2
+
     def test_psd_check_reads_a_gram_report(self, capsys, inputs, tmp_path):
         """A gram report's result, sample included, gets the bare matrix's PSD report."""
         _, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", inputs["s2"]])
@@ -118,6 +129,26 @@ class TestCoreCommands:
         _, from_bare = run_cli(capsys, ["psd-check", "--matrix", write(tmp_path / "m.json", bare)])
         assert from_gram["result"] == from_bare["result"]
         assert from_gram["result"]["is_psd"] is True
+
+    def test_mult_norm_bisection_of_a_constant_is_the_constant(self, capsys, inputs, tmp_path):
+        """The feasibility test that the pencil's data leaves to the eigensolve."""
+        const = write(tmp_path / "const.json", {"kind": "polynomial", "coeffs": [0.7]})
+        sample = write(tmp_path / "s3.json", SAMPLE3)
+        argv = ["mult-norm", "--method", "bisection", "--kernel", inputs["szego"], "--symbol", const, "--sample", sample]
+        code, report = run_cli(capsys, argv)
+        assert code == 0
+        assert report["result"]["sampled_norm"] == 0.7
+
+    def test_mult_norm_bisection_reports_the_pencil_value(self, capsys, inputs, tmp_path):
+        """Of z, the value that a shifted Cholesky proves feasible."""
+        sample = write(tmp_path / "s3.json", SAMPLE3)
+        files = ["--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", sample]
+        norms = []
+        for method in ("bisection", "pencil"):
+            code, report = run_cli(capsys, ["mult-norm", "--method", method, *files])
+            assert code == 0
+            norms.append(report["result"]["sampled_norm"])
+        assert norms[0] == norms[1]
 
     def test_contraction(self, capsys, inputs):
         code, report = run_cli(
@@ -192,11 +223,17 @@ class TestCoreCommands:
         assert report["result"]["feasible_at_bound"]["is_psd"] is True
 
     def test_pick_solve_reports_pencil_norm(self, capsys, tmp_path):
-        path = write(tmp_path / "pick.json", {"nodes": [[0.1, 0.2], [0.5, 0], [-0.3, 0.6]], "values": [[1, 0], [0, 0], [0.5, 0.5]]})
-        code, report = run_cli(capsys, ["pick-solve", "--problem", path])
-        assert code == 0
-        result = report["result"]
-        assert result["pencil_norm"] <= result["min_norm"] <= result["pencil_norm"] + 1e-9
+        """The certified norm is at or just above the float pencil value, also
+        on nodes whose certificate needs the Perron bound past the row sum."""
+        for problem in (
+            {"nodes": [[0.1, 0.2], [0.5, 0], [-0.3, 0.6]], "values": [[1, 0], [0, 0], [0.5, 0.5]]},
+            {"nodes": [0, 0.5, [0, -0.5]], "values": [0, [0.5, 0.5], 0.25]},
+            {"nodes": [[-0.5, 0.7], 0.5, [-0.4, -0.4]], "values": [-0.6, 0, -0.2]},
+        ):
+            code, report = run_cli(capsys, ["pick-solve", "--problem", write(tmp_path / "pick.json", problem)])
+            assert code == 0, problem
+            result = report["result"]
+            assert result["pencil_norm"] <= result["min_norm"] <= result["pencil_norm"] + 1e-9, problem
 
     def test_pick_solve_validates_once(self, capsys, tmp_path, monkeypatch):
         from funcspace import hardy_pick
@@ -260,11 +297,12 @@ class TestRealizationCommands:
         assert report["result"]["pass"] is True
 
     def test_rank_check(self, capsys, inputs):
-        code, report = run_cli(
-            capsys, ["rank-check", "--model", inputs["model"], "--points", "[0, 2, 4]"]
-        )
-        assert code == 0
-        assert report["result"]["rank"] == 3
+        for points, rank in (("[0, 2, 4]", 3), ("[]", 0)):
+            code, report = run_cli(
+                capsys, ["rank-check", "--model", inputs["model"], "--points", points]
+            )
+            assert code == 0
+            assert report["result"]["rank"] == rank
 
     def test_roundtrip(self, capsys, inputs):
         code, report = run_cli(
@@ -364,6 +402,14 @@ class TestRealizationCommands:
             "message": "realize --model takes no --space: the model file fixes it",
         }
         assert report["inputs"] == {}
+
+    def test_realize_model_with_infinite_p(self, capsys, tmp_path):
+        """p = Infinity, for l^inf, is read, and the report, which the stdlib
+        writes, reads back as inf."""
+        model = {"space": {"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}, "order": [0, 2, 1], "depth": 1, "p": float("inf")}
+        code, report = run_cli(capsys, ["realize", "--model", write(tmp_path / "model3.json", model)])
+        assert code == 0
+        assert report["status"] == "ok" and report["result"]["model"]["p"] == float("inf")
 
     def test_realize_decides_independence_at_depth_n_minus_one(self, capsys, inputs):
         code, report = run_cli(capsys, ["realize", "--space", inputs["interval"], "--depth", "4"])
@@ -609,13 +655,16 @@ class TestErrorPaths:
         assert "column" in report["error"]["message"]
 
     def test_numerical_error_exit_code(self, capsys, tmp_path, inputs):
-        dup = write(tmp_path / "dup.json", {"dim": 1, "points": [[0.3, 0.0], [0.3, 0.0]]})
-        code, report = run_cli(
-            capsys,
-            ["mult-norm", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", dup],
-        )
-        assert code == 3
-        assert report["error"]["code"] == "DegenerateGram"
+        """Two equal sample points, and two 1e-9 apart."""
+        for points in ([[0.3, 0.0], [0.3, 0.0]], [0.3, 0.300000001]):
+            sample = write(tmp_path / "close.json", {"dim": 1, "points": points})
+            code, report = run_cli(
+                capsys,
+                ["mult-norm", "--kernel", inputs["szego"], "--symbol", inputs["coord0"], "--sample", sample],
+            )
+            assert code == 3
+            assert report["error"]["code"] == "DegenerateGram"
+            assert "condition exceeds" in report["error"]["message"]
 
     def test_validation_error_exit_code(self, capsys, tmp_path):
         path = write(tmp_path / "m.json", {"re": [[1.0, 2.0], [0.0, 1.0]], "im": [[0, 0], [0, 0]]})
@@ -638,13 +687,12 @@ class TestErrorPaths:
     def test_overflowing_gram_exits_3(self, capsys, tmp_path, inputs, case):
         command = case.removesuffix("-kernel2")
         overflowing, message = self.OVERFLOWING_GRAMS[case]
-        huge = {"op": "scale", "factor": 1e308, "arg": {"op": "scale", "factor": 1e308, "arg": {"op": "szego"}}}
         files = {
             "kernel": inputs["szego"],
             "kernel2": inputs["szego"],
             "symbol": inputs["coord0"],
-            "sample": write(tmp_path / "s3.json", {"points": [0.1, 0.2, [0.3, 0.1]]}),
-            overflowing: write(tmp_path / "huge.json", huge),
+            "sample": write(tmp_path / "s3.json", SAMPLE3),
+            overflowing: write(tmp_path / "huge.json", OVERFLOWING_KERNEL),
         }
         argv = [command] + [arg for name in cli._REGISTRY[command].files for arg in ("--" + name, files[name])]
         with warnings.catch_warnings():
@@ -709,9 +757,16 @@ class TestErrorPaths:
     def test_distances_refuse_non_number_entries(self, capsys, tmp_path, dist, entry):
         """The message names the first such entry in row-major order."""
         space = write(tmp_path / "space.json", {"dist": dist})
-        code, report = run_cli(capsys, ["lip-dual", "--space", space, "--x", "0"])
+        for argv in (["lip-dual", "--space", space, "--x", "0"], ["realize", "--space", space]):
+            code, report = run_cli(capsys, argv)
+            assert code == 2
+            assert report["error"]["message"] == f'an entry of "dist" must be a real number, got {entry}'
+
+    def test_a_sample_part_that_is_true_is_named(self, capsys, tmp_path, inputs):
+        sample = write(tmp_path / "true2.json", {"points": [[[True, 0]], [[0.3, 0]]]})
+        code, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", sample])
         assert code == 2
-        assert report["error"]["message"] == f'an entry of "dist" must be a real number, got {entry}'
+        assert report["error"] == {"code": "ValidationError", "message": "real part must be a real number, got True"}
 
     @pytest.mark.parametrize(
         "argv, matrix, message",
@@ -748,6 +803,15 @@ class TestErrorPaths:
         assert code == 2
         message = f"{tmp_path / 'deep.json'}: input nested too deeply"
         assert report["error"] == {"code": "ValidationError", "message": message}
+
+    def test_kernel_at_the_depth_bound_is_read(self, capsys, tmp_path, inputs):
+        """A kernel of MAX_DEPTH nodes, under both kernel flags; tests/test_grammar.py refuses one more node."""
+        deep = tmp_path / "deep.json"
+        deep.write_text(self._nested('{"op": "szego"}', '{"op": "scale", "factor": 1.0, "arg": LEAF}', kernels.MAX_DEPTH - 1))
+        sample = write(tmp_path / "s3.json", SAMPLE3)
+        argv = ["mult-norm", "--kernel", str(deep), "--kernel2", str(deep), "--symbol", inputs["coord0"], "--sample", sample]
+        code, report = run_cli(capsys, argv)
+        assert code == 0, report
 
     def test_deeply_nested_symbol(self, capsys, tmp_path, inputs):
         symbol = self._nested(
@@ -1233,6 +1297,8 @@ class TestConfigObject:
             ExperimentConfig("gram", method="bisection")
         with pytest.raises(ValidationError, match="takes no option 'csv'"):
             ExperimentConfig("lip-dual", options={"csv": "curve.csv"})
+        with pytest.raises(ValidationError, match="^--csv must be a str, got 5$"):
+            ExperimentConfig("mult-norm", options={"csv": 5})
         assert ExperimentConfig("mult-norm", method="bisection", options={"csv": "curve.csv"}).method == "bisection"
 
     @pytest.mark.parametrize("name", COMMANDS)
@@ -1331,3 +1397,27 @@ class TestConfigObject:
         assert lp_oracle == pytest.approx(1.0, abs=1e-9)
         assert len(seen) == len(commands)
         assert seen == {name: [0, []] for name in seen}
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, code, outcome",
+        [
+            (["carleson-probe", "--m", "3"], 0, "ok"),
+            (["ardy-check", "--poly", "[0, 1]", "--seed", "1"], 2, "ValidationError"),
+            (["gram", "--kernel", "huge", "--sample", "sample3"], 3, "Overflow"),
+        ],
+        ids=["exit-0", "exit-2", "exit-3"],
+    )
+    def test_exit_status_leaves_the_process(self, tmp_path, argv, code, outcome):
+        """``python -m funcspace.cli`` exits with its report's status and writes one report line, nothing to stderr."""
+        files = {"huge": write(tmp_path / "huge.json", OVERFLOWING_KERNEL), "sample3": write(tmp_path / "s3.json", SAMPLE3)}
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(funcspace.__file__))}
+        out = subprocess.run(
+            [sys.executable, "-m", "funcspace.cli", *[files.get(arg, arg) for arg in argv]],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == code, out.stderr
+        assert out.stderr == "" and out.stdout.count("\n") == 1
+        report = json.loads(out.stdout)
+        assert (report["status"] if code == 0 else report["error"]["code"]) == outcome

@@ -7,15 +7,18 @@ import pytest
 
 from funcspace import errors
 from funcspace.cli import main
-from funcspace.errors import NumericalError, ToolkitError, ValidationError
+from funcspace.errors import DegenerateGram, EmptySet, NumericalError, Overflow, SamePoint, ToolkitError, ValidationError
 from funcspace.geometry import (
+    EuclideanPointSet,
     MetricSpace,
+    SampledFunction,
     distance_function,
     lip_dual_pair_norm,
     lip_dual_pair_norm_lp,
     lip_point_norm,
     lip_point_norm_lp,
     set_distance,
+    submult_ratio,
 )
 from funcspace.hardy_pick import PickProblem, carleson_seq, compress_square, separability_probe, toeplitz_mo
 from funcspace.kernels import (
@@ -26,12 +29,14 @@ from funcspace.kernels import (
     fn_scale,
     hermitian_from_upper,
     moebius,
+    pencil_norms,
     polynomial,
     scale,
     szego,
+    szego_section,
 )
 from funcspace.multipliers import certify_unit_sup
-from funcspace.realization import DenseSequence, build_model, point_eval_rank, topology_probe
+from funcspace.realization import DenseSequence, build_g, build_model, point_eval_rank, topology_probe
 from funcspace.serialize import complex_matrix_from_json, pair_to_complex
 
 
@@ -147,6 +152,24 @@ def test_real_arguments_refuse_strings_bools_and_none(call, value):
         call(value)
 
 
+# every complex scalar a caller can pass, as a call on its value
+COMPLEX_ARGUMENTS = {
+    "moebius": lambda v: moebius(v),
+    "symbol scale": lambda v: fn_scale(v, coordinate()),
+    "szego_section": lambda v: szego_section(v),
+    "polynomial coefficient": lambda v: polynomial([1.0, v]),
+}
+
+
+@pytest.mark.parametrize("value", ["0.3", True, None])
+@pytest.mark.parametrize("call", COMPLEX_ARGUMENTS.values(), ids=COMPLEX_ARGUMENTS)
+def test_complex_arguments_refuse_strings_bools_and_none(call, value):
+    """Refused with a ValidationError that names the value, never converted,
+    as the kernel constructors refuse them (``REAL_ARGUMENTS``)."""
+    with pytest.raises(ValidationError, match=f"must be a number, got {value!r}$"):
+        call(value)
+
+
 def _deep_list(depth):
     value = 0
     for _ in range(depth):
@@ -157,8 +180,9 @@ def _deep_list(depth):
 @pytest.mark.parametrize(
     "call, kind",
     [(call, "an integer") for call in INTEGER_ARGUMENTS.values()]
-    + [(call, "a real number") for call in REAL_ARGUMENTS.values()],
-    ids=[*INTEGER_ARGUMENTS, *REAL_ARGUMENTS],
+    + [(call, "a real number") for call in REAL_ARGUMENTS.values()]
+    + [(call, "a number") for call in COMPLEX_ARGUMENTS.values()],
+    ids=[*INTEGER_ARGUMENTS, *REAL_ARGUMENTS, *COMPLEX_ARGUMENTS],
 )
 def test_arguments_refuse_values_too_deep_to_show(call, kind):
     """A value whose repr would recurse past the limit is named by a fixed phrase."""
@@ -224,3 +248,42 @@ def test_cli_refuses_non_finite_kernel_parameters(tmp_path, capsys, command, ker
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["status"] == "error" and report["error"]["code"] == "ValidationError"
+
+
+# refusals of a bad argument, each as (call, error class, message)
+REFUSALS = {
+    "negative coordinate index": (lambda: coordinate(-1), ValidationError, "coordinate index must be nonnegative"),
+    "zero Gram diagonal": (
+        lambda: pencil_norms(np.eye(2)[None], np.diag([1.0, 0.0])),
+        DegenerateGram,
+        "the Gram matrix has a nonpositive diagonal entry",
+    ),
+    "negative truncation degree": (lambda: toeplitz_mo([1.0], -1), ValidationError, "truncation degree must be nonnegative"),
+    "compress_square shape": (
+        lambda: compress_square(np.eye(2), 2),
+        ValidationError,
+        "expected a matrix with 3 columns and at least 3 rows",
+    ),
+    "no Carleson nodes": (lambda: carleson_seq(0.0, 0), ValidationError, "need at least one node"),
+    "negative build_g depth": (lambda: build_g(_MODEL.dense, -1), ValidationError, "depth must be nonnegative"),
+    "empty distance matrix": (lambda: MetricSpace(np.zeros((0, 0))), ValidationError, "distance matrix must be nonempty"),
+    "function on a point set": (
+        lambda: SampledFunction(EuclideanPointSet(np.array([[0.1]])), [1.0]),
+        ValidationError,
+        "a sampled function lives on a MetricSpace, got EuclideanPointSet",
+    ),
+    "pair LP at one point": (lambda: lip_dual_pair_norm_lp(_LINE, 1, 1), SamePoint, "the pair functional needs two distinct points"),
+    "submult of no functions": (lambda: submult_ratio(_LINE, []), EmptySet, "need at least one function"),
+    "overflowing Lipschitz norm": (
+        lambda: submult_ratio(_LINE, [SampledFunction(_LINE, [1e308, -1e308, 0.0])]),
+        Overflow,
+        "a Lipschitz norm overflows float64",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_name_the_bad_argument(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

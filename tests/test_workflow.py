@@ -1,0 +1,33 @@
+"""The CI workflow, which runs only on a push: it parses, its tier-1 step runs
+ROADMAP's tier-1 command, and its console step runs the installed
+``funcspace`` script at most once per exit status, since every behaviour
+check lives in the tests."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def steps():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    return {step.get("name"): step for step in workflow["jobs"]["tests"]["steps"]}
+
+
+def test_workflow_parses(steps):
+    assert {"Install", "Console script", "Tier-1 tests"} <= set(steps)
+
+
+def test_tier1_step_runs_the_roadmap_command(steps):
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", roadmap, flags=re.M).group(1)
+    assert steps["Tier-1 tests"]["run"].strip() == command
+
+
+def test_console_step_runs_the_script_at_most_three_times(steps):
+    runs = re.findall(r"(?<![\w./-])funcspace(?![\w./-])", steps["Console script"]["run"])
+    assert 1 <= len(runs) <= 3
