@@ -188,17 +188,17 @@ def szego_section(z0) -> ClosedFormFunction:
     """The Szego kernel sliced at z0, i.e. x -> 1 / (1 - x conj(z0)).
 
     Assembled from grammar primitives: for z0 != 0 the slice equals
-    ``conj(z0) / (1 - |z0|^2) * (moebius(z0) + 1/conj(z0))``.
+    ``conj(z0) / (1 - |z0|^2) * (moebius(z0) + 1/conj(z0))``.  The sum
+    cancels as |z0| nears 1, so an anchor whose ``abs()`` rounds to 1.0 is
+    refused even where it lies inside the disk: its values would be noise.
     """
     z0 = scalar(z0, "anchor")
-    if not _in_unit_disk(z0):
+    if abs(z0) >= 1.0:
         raise ValidationError("anchor must lie in the open unit disk")
     if z0 == 0:
         return polynomial([1.0])
     c = np.conj(z0)
-    # where |z0| rounds to 1, the float 1 - |z0|^2 would be 0.0
-    gap = 1.0 - abs(z0) ** 2 if abs(z0) < 1.0 else one_minus_norm2([z0])[0]
-    return fn_scale(c / gap, fn_sum(moebius(z0), polynomial([1.0 / c])))
+    return fn_scale(c / (1.0 - abs(z0) ** 2), fn_sum(moebius(z0), polynomial([1.0 / c])))
 
 
 @dataclass(frozen=True)

@@ -90,17 +90,21 @@ class TestClosedFormFunctions:
             moebius(1.0)
 
     def test_disk_parameters_are_decided_exactly(self):
-        """A Moebius parameter or Szego anchor is accepted wherever it would be
-        a sample point or a Pick node: inside the disk though abs() rounds it to 1."""
+        """A Moebius parameter is accepted wherever it would be a sample point or
+        a Pick node: inside the disk though abs() rounds it to 1.  A Szego anchor
+        there is refused, since the section's construction cancels to noise."""
         a = -0.6520162635843662 - 0.7582049802141122j
         assert abs(a) == 1.0 and 0.0 < one_minus_norm2([a])[0] and inside_unit_ball([a])[0]
-        assert moebius(a).a == a
-        assert np.isfinite(szego_section(a).factor)
+        m = moebius(a)
+        assert m.a == a
+        x = 0.5 + 0.25j
+        assert m(np.array([x])) == pytest.approx((x - a) / (1.0 - np.conj(a) * x), rel=1e-13)
         assert abs(1j) == 1.0 and one_minus_norm2([1j])[0] == 0.0
         with pytest.raises(ValidationError, match=r"^moebius parameter must satisfy \|a\| < 1, got \|1j\| = 1.0$"):
             moebius(1j)
-        with pytest.raises(ValidationError, match="^anchor must lie in the open unit disk$"):
-            szego_section(1j)
+        for anchor in (a, 1j):
+            with pytest.raises(ValidationError, match="^anchor must lie in the open unit disk$"):
+                szego_section(anchor)
 
     def test_compose_product_sum_scale(self):
         f = compose(polynomial([0, 1, 1]), coordinate(0))  # z + z^2
