@@ -182,11 +182,14 @@ def _loads(raw):
 
 def _named(where: str, read, arg):
     """``read(arg)``, with ``where`` (a path or ``--flag``) named in a refusal
-    of malformed JSON or of an input nested too deeply."""
+    of malformed JSON, of bytes that are not UTF-8 or of an input nested too
+    deeply."""
     try:
         return read(arg)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where}: {_json_message(exc)}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{where}: not UTF-8 text at byte {exc.start}") from None
     except ValidationError as exc:
         if str(exc) != NESTED_TOO_DEEPLY:
             raise

@@ -148,7 +148,7 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
                 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EuclideanPointSet:
     """A finite list of points in C^d with finite coordinates, the common sample type for kernels."""
 
@@ -217,7 +217,7 @@ class EuclideanPointSet:
         return ps
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MetricSpace:
     """Finite metric space: labeled points, a distance matrix, a base point.
 
@@ -283,7 +283,7 @@ class MetricSpace:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SampledFunction:
     """A complex-valued function known through its values on a finite metric space."""
 

@@ -119,7 +119,7 @@ def detect_mo(T, sample: EuclideanPointSet, tol: float = 1e-6):
     return np.array(out, dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PickProblem:
     """Interpolation nodes in the open disk, targets, and a norm budget t."""
 

@@ -94,7 +94,7 @@ class ClosedFormFunction:
 
     def __post_init__(self):
         _FN_GRAMMAR.node(self.kind)  # refuses an unknown kind
-        if self.kind == "moebius" and not _in_unit_disk(self.a):
+        if self.kind == "moebius" and not inside_unit_ball([self.a])[0]:
             raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{self.a}| = {abs(self.a)}")
         if self.kind == "polynomial" and not np.isfinite(coefficients(self.coeffs, "polynomial coefficients")).all():
             raise ValidationError("polynomial coefficients must be finite")
@@ -279,13 +279,6 @@ def one_minus_norm2(P) -> np.ndarray:
                 num += (p * (den // q)) ** 2
         out.append((den * den - num) / (den * den))
     return np.array(out)
-
-
-def _in_unit_disk(z: complex) -> bool:
-    """``|z| < 1``, decided exactly: ``abs`` is faithful, so only a result of
-    exactly 1.0 is in doubt, and :func:`one_minus_norm2` decides that case."""
-    r = abs(z)
-    return r < 1.0 or (r == 1.0 and one_minus_norm2([z])[0] > 0.0)
 
 
 def inside_unit_ball(P) -> np.ndarray:

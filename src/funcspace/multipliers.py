@@ -257,12 +257,14 @@ def kl_monotonicity_check(
     with the PSD matrix of L, hence the implication holds on every instance;
     this check reports both contraction tests and the implication.  The Gram
     of K*L is ``G_K * G_L``, bit for bit: both diagonals are exactly real.
-    An overflowing Gram of K or L raises Overflow naming that kernel.
+    When ``L == K`` the Gram of K is reused as that of L, as
+    :func:`sampled_mult_norm` reuses it.  An overflowing Gram of K or L
+    raises Overflow naming that kernel.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows is refused below
         values = w.eval_points(sample.points)
     G_K = _gram_of("K", K, sample)
-    G_L = _gram_of("L", L, sample)
+    G_L = G_K if L == K else _gram_of("L", L, sample)
     on_K = psd_check(multiplier_gram(1.0, values, G_K), tol=tol)
     on_KL = psd_check(multiplier_gram(1.0, values, G_K * G_L), tol=tol)
     return KlReport(not on_K.is_psd or on_KL.is_psd, on_K, on_KL)

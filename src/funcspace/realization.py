@@ -48,7 +48,7 @@ _PIVOT_FLOOR = 1e-14
 ROUNDTRIP_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DenseSequence:
     """An enumeration of all points of a finite space (the density surrogate)."""
 

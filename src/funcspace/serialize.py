@@ -111,10 +111,7 @@ def coefficients(values, name: str) -> np.ndarray:
     elif not isinstance(values, (list, tuple)):
         raise ValidationError(f"{name} must be a list of numbers, got {shown(values)}")
     else:
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, numbers.Complex):
-                raise ValidationError(f"an entry of {name} must be a number, got {shown(value)}")
-        values = np.array(values, dtype=complex)
+        values = np.array([scalar(value, f"an entry of {name}") for value in values], dtype=complex)
     if values.size == 0:
         raise ValidationError(f"{name} must hold at least one number")
     return values

@@ -654,6 +654,13 @@ class TestErrorPaths:
         assert "line 2" in report["error"]["message"]
         assert "column" in report["error"]["message"]
 
+    def test_a_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"op": "sz\xffego"}')
+        code, report = run_cli(capsys, ["gram", "--kernel", str(path), "--sample", str(path)])
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": f"{path}: not UTF-8 text at byte 10"}
+
     def test_numerical_error_exit_code(self, capsys, tmp_path, inputs):
         """Two equal sample points, and two 1e-9 apart."""
         for points in ([[0.3, 0.0], [0.3, 0.0]], [0.3, 0.300000001]):

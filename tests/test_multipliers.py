@@ -269,6 +269,18 @@ class TestOneGramPerKernel:
         A = mirror_upper((values[:, None] * G_F) * np.conj(values[None, :]))
         assert sampled_mult_norm(K, K2, w, S).sampled_norm == float(pencil_norms(A[None], G_E)[0])
 
+    @pytest.mark.parametrize("family", KERNEL_MULT_FAMILIES.values(), ids=KERNEL_MULT_FAMILIES)
+    def test_kl_check_builds_one_gram_per_distinct_kernel(self, family, monkeypatch):
+        K, L = family
+        S = _annulus_sample(np.random.default_rng(52), 16, 2 if K.op == "ball" else 1)
+        w = fn_scale(0.9, coordinate(0))
+        expected = (contraction_check(K, w, S), contraction_check(hadamard(K, L), w, S))
+        built = []
+        monkeypatch.setattr(multipliers, "gram", lambda K, S: built.append(K) or gram(K, S))
+        report = kl_monotonicity_check(K, L, w, S)
+        assert built == ([K] if L == K else [K, L])
+        assert (report.on_K, report.on_KL) == expected
+
 
 def _eigensolve_mult_norm(K_F, K_E, w, sample, method):
     """``sampled_mult_norm`` as it was decided by eigensolves alone: an

@@ -1,7 +1,7 @@
 """The CI workflow, which runs only on a push: it parses, its tier-1 step runs
-ROADMAP's tier-1 command, and its console step runs the installed
-``funcspace`` script at most once per exit status, since every behaviour
-check lives in the tests."""
+ROADMAP's tier-1 command in Python's development mode, and its console step
+runs the installed ``funcspace`` script at most once per exit status, since
+every behaviour check lives in the tests."""
 
 import re
 from pathlib import Path
@@ -26,6 +26,7 @@ def test_tier1_step_runs_the_roadmap_command(steps):
     roadmap = (ROOT / "ROADMAP.md").read_text()
     command = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", roadmap, flags=re.M).group(1)
     assert steps["Tier-1 tests"]["run"].strip() == command
+    assert steps["Tier-1 tests"]["env"] == {"PYTHONDEVMODE": "1"}
 
 
 def test_console_step_runs_the_script_at_most_three_times(steps):
