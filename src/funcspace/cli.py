@@ -33,15 +33,14 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import orjson
 
 from . import geometry, hardy_pick, kernels, multipliers, realization
-from .errors import NESTED_TOO_DEEPLY, NumericalError, ToolkitError, ValidationError
+from .errors import NESTED_TOO_DEEPLY, Frozen, NumericalError, ToolkitError, ValidationError
 from .serialize import (
     complex_matrix_from_json,
     complex_matrix_to_json,
@@ -54,8 +53,7 @@ from .serialize import (
 )
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One CLI command: its handler and every flag it reads.
 
     ``files`` are JSON input files (``--NAME PATH``) and ``inline`` are JSON
@@ -71,7 +69,7 @@ class Command:
     handler: Callable
     files: tuple = ()
     inline: tuple = ()
-    options: dict = field(default_factory=dict)
+    options: dict = {}  # shared by every command that declares none; never mutated
     required: tuple = ()
     tuning: bool = False
     tol: float | None = None
@@ -91,9 +89,11 @@ def command(name: str, **flags):
 
 
 # ExperimentConfig fields set from flags, with their kinds (a tuple lists the
-# choices).  Every command takes --out, commands that read an input file take
-# --max-points, tuning commands --method, and commands with a tolerance --tol.
+# choices) and defaults.  Every command takes --out, commands that read an
+# input file take --max-points, tuning commands --method, and commands with a
+# tolerance --tol.
 _FIELDS = {"out": str, "max_points": int, "method": ("bisection", "pencil"), "tol": float}
+_DEFAULTS = {"out": None, "max_points": 64, "method": "pencil", "tol": None}
 
 
 def _fields(cmd: Command) -> dict:
@@ -116,43 +116,55 @@ def _check_kind(name: str, kind, value) -> None:
         raise ValidationError(f"{flag} must be a flat JSON list, got {shown(value)}")
 
 
-@dataclass
-class ExperimentConfig:
-    """One batch run: a command, its input paths/values, and overrides of the declared kinds."""
+class ExperimentConfig(Frozen):
+    """One batch run: a command, its input paths/values, and overrides of the declared kinds.
 
-    command: str
-    inputs: dict = field(default_factory=dict)   # name -> file path
-    inline: dict = field(default_factory=dict)   # name -> inline JSON string
-    options: dict = field(default_factory=dict)  # parsed flags
-    tol: float | None = None                     # None: the command's declared default
-    method: str = "pencil"
-    max_points: int = 64
-    out: str | None = None
+    The three dicts are copied, so a config stays as it was checked.
+    """
 
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command {shown(self.command)}")
-        cmd = _REGISTRY[self.command]
-        for given, declared in ((self.inputs, cmd.files), (self.inline, cmd.inline)):
-            for name in given:
+    _fields = ("command", "inputs", "inline", "options", "tol", "method", "max_points", "out")
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict = {},  # name -> file path
+        inline: dict = {},  # name -> inline JSON string
+        options: dict = {},  # parsed flags
+        tol: float | None = None,  # None: the command's declared default
+        method: str = "pencil",
+        max_points: int = 64,
+        out: str | None = None,
+    ):
+        if command not in COMMANDS:
+            raise ValidationError(f"unknown command {shown(command)}")
+        cmd = _REGISTRY[command]
+        for field, given in (("inputs", inputs), ("inline", inline), ("options", options)):
+            if not isinstance(given, dict):
+                raise ValidationError(f"{field} must be a dict, got {shown(given)}")
+        for given, declared in ((inputs, cmd.files), (inline, cmd.inline)):
+            for name, value in given.items():
                 if name not in declared:
-                    raise ValidationError(f"command {self.command!r} takes no --{name}")
-        for name, value in self.options.items():
+                    raise ValidationError(f"command {command!r} takes no --{name}")
+                if value is not None:
+                    _check_kind(name, str, value)
+        for name, value in options.items():
             if name not in cmd.options:
-                raise ValidationError(f"command {self.command!r} takes no option {name!r}")
+                raise ValidationError(f"command {command!r} takes no option {name!r}")
             if value is not None:
                 _check_kind(name, cmd.options[name], value)
+        flags = {"out": out, "max_points": max_points, "method": method, "tol": tol}
         taken = _fields(cmd)
         for name, kind in _FIELDS.items():
-            value, default = getattr(self, name), self.__dataclass_fields__[name].default
+            value, default = flags[name], _DEFAULTS[name]
             if value is not None or default is not None:  # None stands for a default only where it is one
                 _check_kind(name, kind, value)
             if name not in taken and value != default:
-                raise ValidationError(f"command {self.command!r} takes no --{name.replace('_', '-')}")
-        if self.tol is None:
-            self.tol = cmd.tol
+                raise ValidationError(f"command {command!r} takes no --{name.replace('_', '-')}")
+        if tol is None:
+            tol = cmd.tol
         else:
-            tolerance(self.tol)  # the report echoes the value as given
+            tolerance(tol)  # the report echoes the value as given
+        self._set(command, dict(inputs), dict(inline), dict(options), tol, method, max_points, out)
 
 
 def _json_message(exc: json.JSONDecodeError) -> str:

@@ -17,6 +17,27 @@ messages.  Two families:
 NESTED_TOO_DEEPLY = "input nested too deeply"
 
 
+class Frozen:
+    """Base of the package's immutable objects: ``__init__`` sets the fields
+    named in ``_fields`` once, by :meth:`_set`, and ``repr`` shows them.  An
+    object is equal only to itself unless its class says otherwise."""
+
+    _fields: tuple = ()
+
+    def _set(self, *values) -> None:
+        """Set the fields to ``values``, in ``_fields`` order."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
 class ToolkitError(Exception):
     code = "ToolkitError"
 

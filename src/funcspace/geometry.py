@@ -13,7 +13,6 @@ maximizes over the whole unit ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import (
     DegenerateSpace,
     EmptySet,
+    Frozen,
     Overflow,
     SamePoint,
     ValidationError,
@@ -148,12 +148,10 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
                 )
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class EuclideanPointSet:
+class EuclideanPointSet(Frozen):
     """A finite list of points in C^d with finite coordinates, the common sample type for kernels."""
 
-    points: np.ndarray
-    labels: tuple | None = None
+    _fields = ("points", "labels")
 
     def __init__(self, points, labels=None):
         pts = np.array(points, dtype=complex)  # a copy, so the caller's array stays writeable
@@ -165,8 +163,7 @@ class EuclideanPointSet:
         if labels is not None:
             labels = point_labels(labels, pts.shape[0])
         pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", labels)
+        self._set(pts, labels)
 
     @property
     def dim(self) -> int:
@@ -217,18 +214,14 @@ class EuclideanPointSet:
         return ps
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class MetricSpace:
+class MetricSpace(Frozen):
     """Finite metric space: labeled points, a distance matrix, a base point.
 
     ``triangle_tol`` is the slack the triangle check allows; it is 0 for an
     explicit matrix, so that every triangle holds exactly.
     """
 
-    labels: tuple
-    dist: np.ndarray
-    base: int = 0
-    triangle_tol: float = 0.0
+    _fields = ("labels", "dist", "base", "triangle_tol")
 
     def __init__(self, dist, labels=None, base: int = 0, triangle_tol: float = 0.0):
         dist = np.asarray(dist, dtype=float)
@@ -244,10 +237,7 @@ class MetricSpace:
         base = integer(base, "base index", n)
         dist = dist.copy()
         dist.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "triangle_tol", triangle_tol)
+        self._set(labels, dist, base, triangle_tol)
 
     def __len__(self) -> int:
         return self.dist.shape[0]
@@ -283,12 +273,10 @@ class MetricSpace:
         )
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class SampledFunction:
+class SampledFunction(Frozen):
     """A complex-valued function known through its values on a finite metric space."""
 
-    space: MetricSpace
-    values: np.ndarray
+    _fields = ("space", "values")
 
     def __init__(self, space: MetricSpace, values):
         if not isinstance(space, MetricSpace):
@@ -298,8 +286,7 @@ class SampledFunction:
             raise ValidationError(f"expected {len(space)} values, got {len(vals)}")
         vals = vals.copy()
         vals.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", vals)
+        self._set(space, vals)
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         return SampledFunction(self.space, self.values + other.values)

@@ -31,13 +31,13 @@ and the monomials z^n (n >= 1) into itself only when it is constant, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DuplicatePoint,
+    Frozen,
     NotInDisk,
     PatternBudgetExceeded,
     ValidationError,
@@ -119,13 +119,10 @@ def detect_mo(T, sample: EuclideanPointSet, tol: float = 1e-6):
     return np.array(out, dtype=complex)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class PickProblem:
+class PickProblem(Frozen):
     """Interpolation nodes in the open disk, targets, and a norm budget t."""
 
-    nodes: np.ndarray
-    values: np.ndarray
-    bound: float
+    _fields = ("nodes", "values", "bound")
 
     def __init__(self, nodes, values, bound: float = 1.0):
         nodes = np.asarray(nodes, dtype=complex).reshape(-1)
@@ -143,9 +140,7 @@ class PickProblem:
             raise ValidationError("the norm bound must be finite and nonnegative")
         nodes.flags.writeable = False
         values.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bound", bound)
+        self._set(nodes, values, bound)
 
     def to_json(self) -> dict:
         return {

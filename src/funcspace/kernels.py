@@ -37,14 +37,15 @@ grammar; they can only be fed to :func:`psd_check`, which assumes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     NESTED_TOO_DEEPLY,
     DegenerateGram,
+    Frozen,
     GeomDiverges,
     NotHermitian,
     Overflow,
@@ -74,8 +75,20 @@ def _as_points(X) -> np.ndarray:
     return X.reshape(-1, 1) if X.ndim == 1 else X
 
 
-@dataclass(frozen=True)
-class ClosedFormFunction:
+class _Node(Frozen):
+    """A node of an expression tree, equal to a node of its class with equal fields."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class ClosedFormFunction(_Node):
     """Symbol usable anywhere: coordinate, polynomial, Moebius, exp, and
     their compositions, products, sums, and scalar multiples.
 
@@ -85,23 +98,27 @@ class ClosedFormFunction:
     problems surface at evaluation time.
     """
 
-    kind: str
-    index: int | None = None
-    coeffs: tuple | None = None
-    a: complex | None = None
-    factor: complex | None = None
-    children: tuple = ()
+    _fields = ("kind", "index", "coeffs", "a", "factor", "children")
 
-    def __post_init__(self):
-        _FN_GRAMMAR.node(self.kind)  # refuses an unknown kind
-        if self.kind == "moebius" and not inside_unit_ball([self.a])[0]:
-            raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{self.a}| = {abs(self.a)}")
-        if self.kind == "polynomial" and not np.isfinite(coefficients(self.coeffs, "polynomial coefficients")).all():
+    def __init__(
+        self,
+        kind: str,
+        index: int | None = None,
+        coeffs: tuple | None = None,
+        a: complex | None = None,
+        factor: complex | None = None,
+        children: tuple = (),
+    ):
+        _FN_GRAMMAR.node(kind)  # refuses an unknown kind
+        if kind == "moebius" and not inside_unit_ball([a])[0]:
+            raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{a}| = {abs(a)}")
+        if kind == "polynomial" and not np.isfinite(coefficients(coeffs, "polynomial coefficients")).all():
             raise ValidationError("polynomial coefficients must be finite")
-        if self.kind == "scale" and not np.isfinite(self.factor):
-            raise ValidationError(f"symbol scale factors must be finite, got {self.factor}")
-        if self.kind == "coordinate" and integer(self.index, "coordinate index") < 0:
+        if kind == "scale" and not np.isfinite(factor):
+            raise ValidationError(f"symbol scale factors must be finite, got {factor}")
+        if kind == "coordinate" and integer(index, "coordinate index") < 0:
             raise ValidationError("coordinate index must be nonnegative")
+        self._set(kind, index, coeffs, a, factor, children)
 
     def __call__(self, point) -> complex:
         """Value at one point of C^d: the one-point case of :meth:`eval_points`."""
@@ -201,29 +218,32 @@ def szego_section(z0) -> ClosedFormFunction:
     return fn_scale(c / (1.0 - abs(z0) ** 2), fn_sum(moebius(z0), polynomial([1.0 / c])))
 
 
-@dataclass(frozen=True)
-class KernelExpr:
+class KernelExpr(_Node):
     """Expression tree certified to denote a positive semi-definite kernel."""
 
-    op: str
-    dim: int | None = None
-    value: float | None = None
-    factor: float | None = None
-    fn: ClosedFormFunction | None = None
-    children: tuple = ()
+    _fields = ("op", "dim", "value", "factor", "fn", "children")
 
-    def __post_init__(self):
-        _KERNEL_GRAMMAR.node(self.op)  # refuses an unknown op
-        if self.op == "constant" and not 0.0 <= self.value < np.inf:
-            raise ValidationError(f"constant kernels must be finite and nonnegative, got {self.value}")
-        if self.op == "scale" and not 0.0 < self.factor < np.inf:
-            raise ValidationError(f"kernel scalings must be finite and positive, got {self.factor}")
-        if self.op == "ball":
-            object.__setattr__(self, "dim", integer(self.dim, "ball dimension"))
-            if self.dim < 1:
+    def __init__(
+        self,
+        op: str,
+        dim: int | None = None,
+        value: float | None = None,
+        factor: float | None = None,
+        fn: ClosedFormFunction | None = None,
+        children: tuple = (),
+    ):
+        _KERNEL_GRAMMAR.node(op)  # refuses an unknown op
+        if op == "constant" and not 0.0 <= value < np.inf:
+            raise ValidationError(f"constant kernels must be finite and nonnegative, got {value}")
+        if op == "scale" and not 0.0 < factor < np.inf:
+            raise ValidationError(f"kernel scalings must be finite and positive, got {factor}")
+        if op == "ball":
+            dim = integer(dim, "ball dimension")
+            if dim < 1:
                 raise ValidationError("ball dimension must be >= 1")
-        if self.op == "sum" and not self.children:
+        if op == "sum" and not children:
             raise ValidationError("kernel sum needs at least one term")
+        self._set(op, dim, value, factor, fn, children)
 
 
 def szego() -> KernelExpr:
@@ -439,8 +459,7 @@ def gram(K: KernelExpr, sample: EuclideanPointSet) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Verdict of a PSD test under the relative eigenvalue rule."""
 
     is_psd: bool
@@ -449,7 +468,7 @@ class PsdReport:
     max_abs_eigenvalue: float
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 def psd_check(G, tol: float = 1e-10) -> PsdReport:

@@ -38,7 +38,6 @@ than LAPACK's backward error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,8 +83,7 @@ MAX_BOUNDARY_GRID = 65536
 _GRID_ERROR = 2.0**-48
 
 
-@dataclass(frozen=True)
-class MultNormReport:
+class MultNormReport(NamedTuple):
     """Finite-sample estimate of a multiplier norm."""
 
     lower_bound_sup: float
@@ -93,7 +91,7 @@ class MultNormReport:
     method: str
 
     def to_json(self) -> dict:
-        return {**vars(self), "semantics": "finite-sample lower estimate"}
+        return {**self._asdict(), "semantics": "finite-sample lower estimate"}
 
 
 def contraction_check(K: KernelExpr, w: ClosedFormFunction, sample: EuclideanPointSet, tol: float = 1e-10) -> PsdReport:

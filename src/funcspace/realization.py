@@ -25,7 +25,6 @@ The model holds the system as one read-only ``(depth+1) x n`` float array
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +34,7 @@ from .errors import (
     DepthExceedsSequence,
     DuplicatePoint,
     ExhaustedSpace,
+    Frozen,
     IllConditionedPrefix,
     PrefixTooShallow,
     ValidationError,
@@ -48,12 +48,10 @@ _PIVOT_FLOOR = 1e-14
 ROUNDTRIP_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class DenseSequence:
+class DenseSequence(Frozen):
     """An enumeration of all points of a finite space (the density surrogate)."""
 
-    space: MetricSpace
-    order: tuple
+    _fields = ("space", "order")
 
     def __init__(self, space: MetricSpace, order):
         if isinstance(order, (set, frozenset)):  # it would enumerate the points in hash order
@@ -62,8 +60,7 @@ class DenseSequence:
         n = len(space)
         if sorted(order) != list(range(n)):
             raise ValidationError("order must enumerate every point exactly once")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "order", order)
+        self._set(space, order)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -116,8 +113,7 @@ def choose_b(g: np.ndarray, space: MetricSpace, policy: str = "default_2n", base
     return 2.0**levels * sups
 
 
-@dataclass(frozen=True, eq=False)
-class RealizationModel:
+class RealizationModel(Frozen):
     """The realization bundle: enumeration, depth, functions g, weights b.
 
     Coefficient sequences live in an l^p model space (p is recorded only;
@@ -125,11 +121,10 @@ class RealizationModel:
     coordinate functionals play the role of the biorthogonal system.
     """
 
-    dense: DenseSequence
-    depth: int
-    g: np.ndarray
-    b: np.ndarray
-    p: float = 2.0
+    _fields = ("dense", "depth", "g", "b", "p")
+
+    def __init__(self, dense: DenseSequence, depth: int, g: np.ndarray, b: np.ndarray, p: float = 2.0):
+        self._set(dense, depth, g, b, p)
 
 
 def build_model(

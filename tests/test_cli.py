@@ -1293,6 +1293,25 @@ class TestConfigObject:
         with pytest.raises(ValidationError, match="^command 'ardy-check' takes no --poly$"):
             ExperimentConfig("ardy-check", inputs={"poly": "[0, 1]"})
 
+    @pytest.mark.parametrize(
+        "command, field, name, value",
+        [
+            ("gram", "inputs", "kernel", True),  # open(True) would read and close stdout
+            ("gram", "inputs", "kernel", 3),
+            ("ardy-check", "inline", "poly", 5),
+            ("ardy-check", "inline", "poly", b"[0, 1]"),
+        ],
+    )
+    def test_paths_and_inline_values_are_str(self, command, field, name, value):
+        with pytest.raises(ValidationError, match=f"^--{name} must be a str, got {re.escape(repr(value))}$"):
+            ExperimentConfig(command, **{field: {name: value}})
+
+    @pytest.mark.parametrize("field", ["inputs", "inline", "options"])
+    @pytest.mark.parametrize("value", [None, [], "kernel"])
+    def test_named_inputs_and_options_are_dicts(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be a dict, got {re.escape(repr(value))}$"):
+            ExperimentConfig("gram", **{field: value})
+
     @pytest.mark.parametrize("method", ["newton", None, 1])
     def test_method_is_one_of_its_choices(self, inputs, method):
         files = {"kernel": inputs["szego"], "symbol": inputs["coord0"], "sample": inputs["s2"]}
@@ -1339,7 +1358,9 @@ class TestConfigObject:
         assert len(COMMANDS) == 16
 
     def test_no_command_but_the_lp_oracle_loads_scipy(self, tmp_path, inputs):
-        # scipy serves only the linprog of lip-dual --oracle, imported there
+        # scipy serves only the linprog of lip-dual --oracle, imported there;
+        # the import itself loads neither scipy nor three stdlib modules that
+        # nothing in the package needs (dataclasses would also load copy)
         from funcspace.hardy_pick import compress_square, toeplitz_mo
 
         T = compress_square(toeplitz_mo([0.0, 1.0], 12), 12)
@@ -1383,7 +1404,7 @@ class TestConfigObject:
                 return code, json.loads(out.getvalue())
 
             commands, oracle = json.loads(sys.argv[1])
-            seen = {"import": scipy_modules()}
+            seen = {"import": scipy_modules(), "stdlib": sorted({"dataclasses", "decimal", "fractions"} & set(sys.modules))}
             for argv in commands:
                 code, _ = run(argv)
                 seen[" ".join(argv[:1] + argv[-2:])] = [code, scipy_modules()]
@@ -1399,6 +1420,7 @@ class TestConfigObject:
         )
         seen = json.loads(out.stdout)
         assert seen.pop("import") == []
+        assert seen.pop("stdlib") == []
         code, lp_oracle, scipy_loaded = seen.pop("oracle")
         assert code == 0 and scipy_loaded
         assert lp_oracle == pytest.approx(1.0, abs=1e-9)

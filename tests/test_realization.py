@@ -1,5 +1,3 @@
-import dataclasses
-
 import mpmath
 import numpy as np
 import pytest
@@ -220,7 +218,7 @@ class TestVeryIndependence:
         # duplicated enumeration point: g_2 also vanishes at y_3
         vals = model.g.copy()
         vals[2, INTERVAL_ORDER[2]] = 0.0
-        broken = dataclasses.replace(model, g=vals)
+        broken = RealizationModel(model.dense, model.depth, vals, model.b, model.p)
         assert not very_independence_check(broken)
 
     def test_interval_matrix_by_hand(self):
@@ -361,7 +359,7 @@ class TestCoefficientRoundtrip:
         model = interval_model(depth=3)
         vals = model.g.copy()
         vals[2, INTERVAL_ORDER[2]] = 1e-15
-        broken = dataclasses.replace(model, g=vals)
+        broken = RealizationModel(model.dense, model.depth, vals, model.b, model.p)
         with pytest.raises(IllConditionedPrefix):
             coefficient_roundtrip(np.ones(4), broken)
 
