@@ -279,8 +279,12 @@ class _Loader:
         text = self.config.inline.get(name)
         if text is None:
             raise ValidationError(f"command {self.config.command!r} requires --{name}")
-        self.digests[name] = {"inline": True, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
-        return _named(f"--{name}", _loads, text)
+        try:  # Python decodes argv bytes that are not UTF-8 to lone surrogates; this restores the bytes
+            raw = text.encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"--{name}: not UTF-8 text at character {exc.start}") from None
+        self.digests[name] = {"inline": True, "sha256": hashlib.sha256(raw).hexdigest()}
+        return _named(f"--{name}", _loads, raw)
 
     def optional_file(self, name: str, reader=None):
         if self.config.inputs.get(name) is None:

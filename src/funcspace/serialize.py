@@ -14,9 +14,11 @@ package, from JSON, argv or a caller, passes :func:`integer`, every list of
 point indices passes :func:`index_list`, every real scalar passes
 :func:`real` and every complex one :func:`scalar`, and a tolerance that
 must be positive also :func:`tolerance`; a real matrix read from JSON passes
-:func:`real_matrix`, which type-checks a row with one ``sum`` and reads the
-entry types only where a ``true`` or ``false`` could hide, and rows of
-unequal length are named by :func:`rows_array`.  A library caller's list of
+:func:`real_matrix`, which type-checks a row with one ``sum``, packs it, and
+reads the entry types only where a ``true`` or ``false`` could hide, and rows of
+unequal length are named by :func:`rows_array`.  Both one-pass readers fill
+a new float array through :func:`_packed`, one ``struct`` call per row
+straight into the array's buffer.  A library caller's list of
 polynomial coefficients passes :func:`coefficients`.  An array of points,
 values or coefficients that enters from outside passes :func:`finite`, which
 names its first NaN or infinity.  A message that shows an input value shows
@@ -27,7 +29,8 @@ recursion limit is refused like any other.
 from __future__ import annotations
 
 import numbers
-from itertools import chain
+import struct
+from itertools import chain, count
 
 import numpy as np
 
@@ -147,22 +150,38 @@ _LIST = {list}
 _PAIR = {2}
 
 
+def _packed(rows, width: int) -> np.ndarray:
+    """``rows``, a list of rows of ``width`` ints and floats, as a new float
+    array of shape ``(len(rows), width)``.
+
+    Each row is packed by one ``struct`` call straight into the array's
+    buffer, which converts an int as ``float(int)`` does, bit for bit, and
+    takes about half the time of ``np.asarray`` over the same lists.  A row of
+    another length and an int past the float range raise ``struct.error``.
+    """
+    out = np.empty((len(rows), width))
+    pack_into, step = struct.Struct(f"{width}d").pack_into, 8 * width
+    for offset, row in zip(count(0, step), rows):
+        pack_into(out, offset, *row)
+    return out
+
+
 def pairs_array(obj) -> np.ndarray | None:
     """``obj``, a list of ``[re, im]`` lists of JSON numbers, as a complex
     vector read in one pass; None for anything else.
 
-    Each test is one C pass over a set of types or lengths, and the parts go
-    into one float array from one flat list, viewed as complex.  A bool's
-    type is not ``int``, so ``true`` and ``false`` fail the test.  numpy
-    converts an int to the same float as ``float(int)``, bit for bit; an int
-    past the float range gives None, and the per-entry reader names it.
+    Each test is one C pass over a set of types or lengths, and the parts,
+    as one flat row, go into a float array by :func:`_packed`, viewed as
+    complex.  A bool's type is not ``int``, so ``true`` and ``false`` fail
+    the test.  An int past the float range gives None, and the per-entry
+    reader names it.
     """
     if type(obj) is list and set(map(type, obj)) <= _LIST and set(map(len, obj)) <= _PAIR:
         flat = list(chain.from_iterable(obj))
         if set(map(type, flat)) <= _NUMBERS:
             try:
-                return np.array(flat, dtype=float).view(complex)
-            except OverflowError:
+                return _packed((flat,), len(flat))[0].view(complex)
+            except struct.error:
                 pass
     return None
 
@@ -208,18 +227,21 @@ def real_matrix(rows, key: str) -> np.ndarray:
 
     Each row is checked by ``sum``, one C loop that raises on text, ``null``,
     a list or an object, and on an int past the float range; a sum that is
-    neither an int nor a float also means an entry is neither.  A bool adds
-    as the int it equals, so it can hide only where the array holds exactly
-    0.0 or 1.0, and only those entries have their type checked.  An input
-    that fails any of these steps is checked entry by entry.
+    neither an int nor a float also means an entry is neither.  The rows are
+    then packed by :func:`_packed`, which raises on a row whose length
+    differs from row 0's.  A bool adds as the int it equals and packs as the
+    float it equals, so it can hide only where the array holds exactly 0.0 or
+    1.0, and only those entries have their type checked.  An input that
+    fails any of these steps, or an empty list (which ``np.asarray`` reads as
+    shape ``(0,)``), is checked entry by entry.
     """
     try:
-        if type(rows) is list and all(type(row) is list and type(sum(row)) in _NUMBERS for row in rows):
-            array = np.asarray(rows, dtype=float)
+        if type(rows) is list and rows and all(type(row) is list and type(sum(row)) in _NUMBERS for row in rows):
+            array = _packed(rows, len(rows[0]))
             zero_or_one = (h.tolist() for h in np.nonzero((array == 0.0) | (array == 1.0)))
             if all(type(rows[i][j]) in _NUMBERS for i, j in zip(*zero_or_one)):
                 return array
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, struct.error):
         pass
     if not (isinstance(rows, list) and all(type(row) is list and set(map(type, row)) <= _NUMBERS for row in rows)):
         for row in rows if isinstance(rows, list) else (rows,):

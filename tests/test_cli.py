@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -660,6 +661,25 @@ class TestErrorPaths:
         code, report = run_cli(capsys, ["gram", "--kernel", str(path), "--sample", str(path)])
         assert code == 2
         assert report["error"] == {"code": "ValidationError", "message": f"{path}: not UTF-8 text at byte 10"}
+
+    def test_an_inline_flag_that_is_not_utf8_is_named(self, capsys):
+        """Python hands argv bytes that are not UTF-8 to ``main`` as lone
+        surrogates; any other lone surrogate has no bytes and is refused too."""
+        for poly, where in (("[1, \udcff]", "byte 4"), ("[1, \ud800]", "character 4")):
+            code, report = run_cli(capsys, ["ardy-check", "--poly", poly])
+            assert code == 2
+            assert report["error"] == {"code": "ValidationError", "message": f"--poly: not UTF-8 text at {where}"}
+
+    def test_an_inline_flag_that_is_not_utf8_leaves_the_process_named(self):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(funcspace.__file__)), "PYTHONUTF8": "1"}
+        out = subprocess.run(
+            [sys.executable, "-m", "funcspace.cli", "ardy-check", "--poly", b"[1, \xff]"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert out.returncode == 2 and out.stderr == b""
+        report = json.loads(out.stdout)
+        assert report["error"] == {"code": "ValidationError", "message": "--poly: not UTF-8 text at byte 4"}
+        assert report["inputs"]["poly"]["sha256"] == hashlib.sha256(b"[1, \xff]").hexdigest()
 
     def test_numerical_error_exit_code(self, capsys, tmp_path, inputs):
         """Two equal sample points, and two 1e-9 apart."""

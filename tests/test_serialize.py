@@ -8,6 +8,7 @@ convert, flatten or wrap, and an empty list, with a ValidationError.
 """
 
 import json
+import struct
 from decimal import Decimal
 from fractions import Fraction
 
@@ -137,11 +138,54 @@ def test_true_and_false_are_named_in_row_major_order():
     assert (kind, message) == (ValidationError, 'an entry of "dist" must be a real number, got True')
 
 
+def graph_metric_rows(rng, n):
+    """A random graph metric as JSON would give it, with int zeros on the diagonal."""
+    rows = cli._loads(json.dumps(random_graph_metric(rng, n).tolist()))
+    for i, row in enumerate(rows):
+        row[i] = 0
+    return rows
+
+
 def test_real_matrix_reads_graph_metrics_as_the_per_entry_reader():
     rng = np.random.default_rng(29)
-    for n in (2, 3, 17, 40, 120):
-        rows = cli._loads(json.dumps(random_graph_metric(rng, n).tolist()))
-        assert assert_same_outcome(rows)[1] == (n, n)
+    for n in (2, 3, 17, 40, 120, 240):
+        for rows in (cli._loads(json.dumps(random_graph_metric(rng, n).tolist())), graph_metric_rows(rng, n)):
+            assert assert_same_outcome(rows)[:2] == (np.dtype(float), (n, n))
+
+
+def test_graph_metrics_take_the_packed_pass(monkeypatch):
+    """Neither the entry check nor ``np.asarray`` runs on a graph metric, even
+    one whose diagonal holds int zeros, which have their types checked."""
+
+    def per_entry(*args):
+        raise AssertionError("read entry by entry")
+
+    rows = graph_metric_rows(np.random.default_rng(31), 240)
+    expected = per_entry_real_matrix(rows, "dist")
+    monkeypatch.setattr(serialize, "real", per_entry)
+    monkeypatch.setattr(serialize, "rows_array", per_entry)
+    assert real_matrix(rows, "dist").tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "read, obj",
+    [
+        (lambda rows: real_matrix(rows, "dist"), [[0, 1.0, 2.5], [1, 0.0, 1.5], [2.5, 1.5, 0]]),
+        (lambda rows: real_matrix(rows, "dist"), [[0.0, 0.5], [0.5, 0.0]]),
+        (lambda rows: real_matrix(rows, "dist"), [[0.0, 0.5], [0.5, Fraction(0)]]),  # read entry by entry
+        (complex_vector_from_json, [[0, 0.5], [1.5, -1]]),
+        (complex_vector_from_json, [[0, 0.5], 1.5]),  # read pair by pair
+        (serialize.complex_matrix_from_json, {"re": [[1, 0.5], [0.5, 1]], "im": [[0, 0.5], [-0.5, 0]]}),
+        (serialize.complex_matrix_from_json, {"re": [[1.0, 0.5], [0.5, 1.0]]}),
+    ],
+)
+def test_readers_return_new_writeable_arrays(read, obj):
+    first, second = read(obj), read(obj)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    before = second.copy()
+    first[...] = 7
+    assert np.array_equal(second, before) and read(obj).tobytes() == before.tobytes()
 
 
 entries = (
@@ -324,22 +368,29 @@ def test_complex_vector_reads_library_input_as_the_per_entry_reader(obj):
 
 @pytest.mark.parametrize("value", [2**53 + 1, 2**63, -(2**63), 2**63 - 1, 2**64 + 1, -(2**64) - 1, 2**1023 + 1, HUGE])
 def test_ints_convert_to_the_bits_of_float(value):
-    """The one pass lets ints through: numpy must convert them as ``float`` does."""
+    """The one pass lets ints through: the packer, and numpy in ``rows_array``,
+    must convert them as ``float`` does."""
     try:
         expected = np.float64(float(value)).tobytes()
     except OverflowError:
         with pytest.raises(OverflowError):
             np.array([value, 0.5], dtype=float)
+        with pytest.raises(struct.error):
+            serialize._packed([[value, 0.5]], 2)
         return
     assert np.array([value, 0.5], dtype=float)[:1].tobytes() == expected
+    assert serialize._packed([[value, 0.5]], 2)[0, :1].tobytes() == expected
 
 
 def test_pairs_of_numbers_take_the_one_pass(monkeypatch):
     def per_entry(obj):
         raise AssertionError("read pair by pair")
 
+    wide = [[2**53 + k, -(2**60) - k] if k % 3 == 0 else [k / 7, -k / 9] for k in range(240)]
+    expected = per_entry_complex_vector(wide)
     monkeypatch.setattr(serialize, "pair_to_complex", per_entry)
     assert complex_vector_from_json([[0, 0.5], [1.5, -1]]).tolist() == [0.5j, 1.5 - 1j]
+    assert complex_vector_from_json(wide).tobytes() == expected.tobytes()
     points = {"points": [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0], [0, 0.5]]], "dim": 2}
     assert EuclideanPointSet.from_json(points).points.tolist() == [[0.1 + 0.2j, 0.3 + 0.4j], [0.5, 0.5j]]
 
