@@ -499,6 +499,8 @@ def _cmd_lip_dual(config, loader):
 def _cmd_submult(config, loader):
     space = loader.file("space", geometry.MetricSpace.from_json)
     fs_obj = loader.optional_file("functions")
+    if fs_obj is not None and not isinstance(fs_obj, list):
+        raise ValidationError(f"--functions must hold a list of sampled functions, got {type(fs_obj).__name__}")
     n_random = config.options.get("random", 0)
     if n_random < 0:
         raise ValidationError("--random must be nonnegative")

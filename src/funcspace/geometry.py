@@ -122,8 +122,7 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
     n = dist.shape[0]
     if n == 0:
         raise ValidationError("distance matrix must be nonempty")
-    if not np.all(np.isfinite(dist)):
-        raise ValidationError("distance matrix must be finite")
+    finite(dist, "distance matrix")
     if np.any(np.diag(dist) != 0.0):
         raise ValidationError("distance matrix must have zero diagonal")
     if not np.array_equal(dist, dist.T):

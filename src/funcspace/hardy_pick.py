@@ -129,8 +129,8 @@ class PickProblem(Frozen):
         values = np.asarray(values, dtype=complex).reshape(-1)
         if nodes.size == 0 or nodes.size != values.size:
             raise ValidationError("need equally many (and at least one) nodes and targets")
-        if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
-            raise ValidationError("interpolation nodes and targets must be finite; got a non-finite entry")
+        finite(nodes, "interpolation nodes")
+        finite(values, "interpolation targets")
         if not inside_unit_ball(nodes).all():
             raise NotInDisk("interpolation nodes must lie in the open unit disk")
         if len(set(nodes.tolist())) != nodes.size:
@@ -309,8 +309,6 @@ def separability_probe(m: int, start: float = 0.0, tol: float = 1e-9) -> Separab
     m = integer(m, "node count")
     if m > 12:
         raise PatternBudgetExceeded("pattern sweeps are capped at m = 12 (4096 solves)")
-    if m < 1:
-        raise ValidationError("need at least one node")
     nodes = carleson_seq(start, m)
     patterns = ((np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
     norms, _ = _solve_pick(nodes, patterns, tol)
@@ -327,5 +325,5 @@ def ardy_multiplier_check(omega) -> bool:
     ``omega`` is constant: ``omega exp = c exp + q`` with q a polynomial
     gives ``(omega - c) exp = q``, and exp is not rational.
     """
-    w = finite(coefficients(omega, "polynomial coefficients"), "polynomial coefficients")
+    w = coefficients(omega, "polynomial coefficients")
     return not w[1:].any()

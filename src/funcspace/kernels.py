@@ -110,13 +110,13 @@ class ClosedFormFunction(_Node):
         children: tuple = (),
     ):
         _FN_GRAMMAR.node(kind)  # refuses an unknown kind
-        if kind == "moebius" and not inside_unit_ball([a])[0]:
+        if kind == "moebius" and not inside_unit_ball([a := scalar(a, "moebius parameter")])[0]:
             raise ValidationError(f"moebius parameter must satisfy |a| < 1, got |{a}| = {abs(a)}")
-        if kind == "polynomial" and not np.isfinite(coefficients(coeffs, "polynomial coefficients")).all():
-            raise ValidationError("polynomial coefficients must be finite")
-        if kind == "scale" and not np.isfinite(factor):
+        if kind == "polynomial":
+            coeffs = tuple(coefficients(coeffs, "polynomial coefficients").tolist())
+        if kind == "scale" and not np.isfinite(factor := scalar(factor, "symbol scale factor")):
             raise ValidationError(f"symbol scale factors must be finite, got {factor}")
-        if kind == "coordinate" and integer(index, "coordinate index") < 0:
+        if kind == "coordinate" and (index := integer(index, "coordinate index")) < 0:
             raise ValidationError("coordinate index must be nonnegative")
         self._set(kind, index, coeffs, a, factor, children)
 
@@ -173,12 +173,12 @@ def coordinate(index: int = 0) -> ClosedFormFunction:
 
 
 def polynomial(coeffs) -> ClosedFormFunction:
-    return ClosedFormFunction("polynomial", coeffs=tuple(coefficients(coeffs, "polynomial coefficients").tolist()))
+    return ClosedFormFunction("polynomial", coeffs=coeffs)
 
 
 def moebius(a) -> ClosedFormFunction:
     """The disk automorphism z -> (z - a) / (1 - conj(a) z), |a| < 1."""
-    return ClosedFormFunction("moebius", a=scalar(a, "moebius parameter"))
+    return ClosedFormFunction("moebius", a=a)
 
 
 def exponential() -> ClosedFormFunction:
@@ -198,7 +198,7 @@ def fn_sum(*fns) -> ClosedFormFunction:
 
 
 def fn_scale(factor, fn: ClosedFormFunction) -> ClosedFormFunction:
-    return ClosedFormFunction("scale", factor=scalar(factor, "symbol scale factor"), children=(fn,))
+    return ClosedFormFunction("scale", factor=factor, children=(fn,))
 
 
 def szego_section(z0) -> ClosedFormFunction:
@@ -233,14 +233,12 @@ class KernelExpr(_Node):
         children: tuple = (),
     ):
         _KERNEL_GRAMMAR.node(op)  # refuses an unknown op
-        if op == "constant" and not 0.0 <= value < np.inf:
+        if op == "constant" and not 0.0 <= (value := real(value, "constant value")) < np.inf:
             raise ValidationError(f"constant kernels must be finite and nonnegative, got {value}")
-        if op == "scale" and not 0.0 < factor < np.inf:
+        if op == "scale" and not 0.0 < (factor := real(factor, "scale factor")) < np.inf:
             raise ValidationError(f"kernel scalings must be finite and positive, got {factor}")
-        if op == "ball":
-            dim = integer(dim, "ball dimension")
-            if dim < 1:
-                raise ValidationError("ball dimension must be >= 1")
+        if op == "ball" and (dim := integer(dim, "ball dimension")) < 1:
+            raise ValidationError("ball dimension must be >= 1")
         if op == "sum" and not children:
             raise ValidationError("kernel sum needs at least one term")
         self._set(op, dim, value, factor, fn, children)
@@ -255,7 +253,7 @@ def ball(dim: int) -> KernelExpr:
 
 
 def constant(value: float) -> KernelExpr:
-    return KernelExpr("constant", value=real(value, "constant value"))
+    return KernelExpr("constant", value=value)
 
 
 def rank_one(fn: ClosedFormFunction) -> KernelExpr:
@@ -267,7 +265,7 @@ def kernel_sum(*kernels) -> KernelExpr:
 
 
 def scale(factor: float, kernel: KernelExpr) -> KernelExpr:
-    return KernelExpr("scale", factor=real(factor, "scale factor"), children=(kernel,))
+    return KernelExpr("scale", factor=factor, children=(kernel,))
 
 
 def hadamard(left: KernelExpr, right: KernelExpr) -> KernelExpr:
@@ -830,22 +828,26 @@ _KERNEL_GRAMMAR = _Grammar("kernel", "op", {
 
 def _read(grammar: _Grammar, obj, depth: int):
     """The node that ``obj`` describes, ``depth`` nodes from the root: its
-    fields are read first, then its children, and ``make`` is called last."""
+    keys are looked for first, then its fields are read, then its children,
+    and ``make`` is called last."""
     if depth > MAX_DEPTH:
         raise ValidationError(NESTED_TOO_DEEPLY)
     if not isinstance(obj, dict) or grammar.tag not in obj:
         article = "an" if grammar.tag[0] in "aeiou" else "a"
         raise ValidationError(f'{grammar.noun} JSON must contain {article} "{grammar.tag}" key')
-    make, fields, children = grammar.node(obj[grammar.tag])
+    op = obj[grammar.tag]
+    make, fields, children = grammar.node(op)
+    listed = isinstance(children, str)
+    for key in (*fields, *((children,) if listed else children)):
+        if key not in obj:
+            raise ValidationError(f'{grammar.noun} {grammar.tag} "{op}" needs the key "{key}"')
+    if listed and not isinstance(obj[children], (list, tuple)):
+        raise ValidationError(f'"{children}" of {grammar.noun} {grammar.tag} "{op}" must be a list')
     args = []  # plain loops: a comprehension would add a frame to every node
     for key, codec in fields.items():
         args.append(_read(codec, obj[key], depth + 1) if isinstance(codec, _Grammar) else codec[0](obj[key]))
-    if isinstance(children, str):
-        for child in obj[children]:
-            args.append(_read(grammar, child, depth + 1))
-    else:
-        for key in children:
-            args.append(_read(grammar, obj[key], depth + 1))
+    for child in obj[children] if listed else (obj[key] for key in children):
+        args.append(_read(grammar, child, depth + 1))
     return make(*args)
 
 

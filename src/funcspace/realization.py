@@ -124,6 +124,8 @@ class RealizationModel(Frozen):
     _fields = ("dense", "depth", "g", "b", "p")
 
     def __init__(self, dense: DenseSequence, depth: int, g: np.ndarray, b: np.ndarray, p: float = 2.0):
+        if depth + 1 > len(dense):
+            raise DepthExceedsSequence(f"need at least {depth + 1} enumerated points, have {len(dense)}")
         self._set(dense, depth, g, b, p)
 
 
@@ -189,11 +191,7 @@ def very_independence_check(model: RealizationModel) -> bool:
     is the finite content of the induction showing no nonzero coefficient
     sequence can sum to the zero function.
     """
-    N = model.depth
-    order = model.dense.order
-    if len(order) < N + 1:
-        raise DepthExceedsSequence(f"need at least {N + 1} enumerated points, have {len(order)}")
-    block = model.g[:, list(order[: N + 1])]  # column n is y_{n+1} in 1-based counting
+    block = model.g[:, list(model.dense.order[: model.depth + 1])]  # column n is y_{n+1} in 1-based counting
     return bool(np.diag(block).all() and not np.tril(block, -1).any())
 
 
@@ -278,10 +276,7 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
     tol = tolerance(tol)
     f = _check_coeffs(f, model)
     N = model.depth
-    order = model.dense.order
-    if len(order) < N + 1:
-        raise DepthExceedsSequence(f"need {N + 1} enumerated points, have {len(order)}")
-    rows = list(order[: N + 1])
+    rows = list(model.dense.order[: N + 1])
     pivots = model.g[np.arange(N + 1), rows]
     if np.abs(pivots).min() < _PIVOT_FLOOR:
         n = int(np.argmax(np.abs(pivots) < _PIVOT_FLOOR))

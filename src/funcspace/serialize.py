@@ -19,9 +19,9 @@ reads the entry types only where a ``true`` or ``false`` could hide, and rows of
 unequal length are named by :func:`rows_array`.  Both one-pass readers fill
 a new float array through :func:`_packed`, one ``struct`` call per row
 straight into the array's buffer.  A library caller's list of
-polynomial coefficients passes :func:`coefficients`.  An array of points,
-values or coefficients that enters from outside passes :func:`finite`, which
-names its first NaN or infinity.  A message that shows an input value shows
+polynomial coefficients passes :func:`coefficients`, which applies
+:func:`finite`, the one refusal of a NaN or infinity: every array of numbers
+that enters from outside passes it.  A message that shows an input value shows
 it through :func:`shown`, so that a value nested past the interpreter's
 recursion limit is refused like any other.
 """
@@ -108,7 +108,7 @@ def coefficients(values, name: str) -> np.ndarray:
     """``values``, a list, tuple or 1-D array of int, float or complex numbers,
     as a new complex vector.  Bools, text, None, nested lists and a bare
     number are refused, which ``np.asarray`` would convert, flatten or wrap,
-    and so is an empty list, which names no polynomial."""
+    and so are an empty list, which names no polynomial, and a NaN or infinity."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iufc":
         values = values.astype(complex)
     elif not isinstance(values, (list, tuple)):
@@ -117,11 +117,13 @@ def coefficients(values, name: str) -> np.ndarray:
         values = np.array([scalar(value, f"an entry of {name}") for value in values], dtype=complex)
     if values.size == 0:
         raise ValidationError(f"{name} must hold at least one number")
-    return values
+    return finite(values, name)
 
 
 def point_labels(values, count: int) -> tuple:
-    """Point labels as text, one for each of ``count`` points."""
+    """Point labels as text, from a list or tuple of one for each of ``count`` points."""
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"labels must be a list, got {shown(values)}")
     try:
         text = tuple(str(s) for s in values)
     except RecursionError:

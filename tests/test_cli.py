@@ -254,7 +254,7 @@ class TestCoreCommands:
         code, report = run_cli(capsys, ["pick-solve", "--problem", path])
         assert code == 2
         assert report["error"]["code"] == "ValidationError"
-        assert "non-finite" in report["error"]["message"]
+        assert report["error"]["message"] == "interpolation targets must be finite, got (nan+0j) at index 0"
 
     def test_pick_solve_overflow(self, capsys, tmp_path):
         path = write(tmp_path / "huge.json", {"nodes": [[0.1, 0], [0.5, 0]], "values": [[1e308, 0], [0.2, 0]]})
@@ -462,6 +462,44 @@ class TestGeometryCommands:
         code, report = run_cli(capsys, argv + ["--functions", functions, "--random", "-1"])
         assert code == 2
         assert "nonnegative" in report["error"]["message"]
+
+    def test_submult_functions_that_are_a_number_are_named(self, capsys, inputs, tmp_path):
+        functions = write(tmp_path / "fs.json", 5)
+        code, report = run_cli(capsys, ["submult", "--space", inputs["interval"], "--functions", functions])
+        assert code == 2
+        assert report["error"] == {
+            "code": "ValidationError",
+            "message": "--functions must hold a list of sampled functions, got int",
+        }
+
+    def test_submult_functions_that_are_one_object_are_named(self, capsys, inputs, tmp_path):
+        """One function not wrapped in a list is refused as such, not read by its keys."""
+        functions = write(tmp_path / "fs.json", {"values": [1, 2, 3, 4, 5]})
+        code, report = run_cli(capsys, ["submult", "--space", inputs["interval"], "--functions", functions])
+        assert code == 2
+        assert report["error"] == {
+            "code": "ValidationError",
+            "message": "--functions must hold a list of sampled functions, got dict",
+        }
+
+    @pytest.mark.parametrize("command", ["submult", "gram"])
+    def test_labels_that_are_a_number_are_named(self, capsys, inputs, tmp_path, command):
+        """Labels on a metric space (submult) and on a sample (gram)."""
+        if command == "submult":
+            space = write(tmp_path / "space.json", {"dist": [[0, 1], [1, 0]], "labels": 5})
+            argv = ["submult", "--space", space, "--random", "1"]
+        else:
+            sample = write(tmp_path / "sample.json", {"points": [0.1, 0.2], "labels": 5})
+            argv = ["gram", "--kernel", inputs["szego"], "--sample", sample]
+        code, report = run_cli(capsys, argv)
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": "labels must be a list, got 5"}
+
+    def test_labels_that_are_text_are_not_split_into_letters(self, capsys, tmp_path):
+        space = write(tmp_path / "space.json", {"dist": [[0, 1], [1, 0]], "labels": "ab"})
+        code, report = run_cli(capsys, ["submult", "--space", space, "--random", "1"])
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": "labels must be a list, got 'ab'"}
 
 
 class TestReportContract:
@@ -1027,8 +1065,8 @@ class TestErrorPaths:
              "ValidationError", "expected a 3x3 matrix"),
             (["psd-check", "--matrix", {"sample": {"points": [0.1, 0.2]}, "re": [[1.0, 2.0], [0.0, 1.0]]}],
              "NotHermitian", "matrix is not Hermitian"),
-            # a schema mistake no validation names reaches run's catch-all
-            (["gram", "--sample", "s2", "--kernel", {"op": "ball"}], "ValidationError", "bad input: KeyError('dim')"),
+            # a missing key is named by the expression walker
+            (["gram", "--sample", "s2", "--kernel", {"op": "ball"}], "ValidationError", 'kernel op "ball" needs the key "dim"'),
         ],
     )
     def test_validation_branches_exit_2(self, capsys, tmp_path, inputs, argv, code, message):

@@ -7,7 +7,16 @@ import pytest
 
 from funcspace import errors
 from funcspace.cli import main
-from funcspace.errors import DegenerateGram, EmptySet, NumericalError, Overflow, SamePoint, ToolkitError, ValidationError
+from funcspace.errors import (
+    DegenerateGram,
+    EmptySet,
+    NotInDisk,
+    NumericalError,
+    Overflow,
+    SamePoint,
+    ToolkitError,
+    ValidationError,
+)
 from funcspace.geometry import (
     EuclideanPointSet,
     MetricSpace,
@@ -134,6 +143,8 @@ REAL_ARGUMENTS = {
     "separability_probe start": lambda v: separability_probe(3, start=v),
     "constant": lambda v: constant(v),
     "scale": lambda v: scale(v, szego()),
+    "KernelExpr constant": lambda v: KernelExpr("constant", value=v),
+    "KernelExpr scale": lambda v: KernelExpr("scale", factor=v, children=(szego(),)),
     "Pick bound": lambda v: PickProblem([0.1], [0.2], bound=v),
     "model exponent": lambda v: build_model(DenseSequence(_LINE, [1, 0, 2]), 2, p=v),
     "triangle_tol": lambda v: MetricSpace([[0.0, 1.0], [1.0, 0.0]], triangle_tol=v),
@@ -158,6 +169,10 @@ COMPLEX_ARGUMENTS = {
     "symbol scale": lambda v: fn_scale(v, coordinate()),
     "szego_section": lambda v: szego_section(v),
     "polynomial coefficient": lambda v: polynomial([1.0, v]),
+    # the constructors convert their own fields, so a direct call is refused alike
+    "ClosedFormFunction moebius": lambda v: ClosedFormFunction("moebius", a=v),
+    "ClosedFormFunction scale": lambda v: ClosedFormFunction("scale", factor=v, children=(coordinate(),)),
+    "ClosedFormFunction polynomial": lambda v: ClosedFormFunction("polynomial", coeffs=[1.0, v]),
 }
 
 
@@ -190,7 +205,8 @@ def test_arguments_refuse_values_too_deep_to_show(call, kind):
         call(_deep_list(3000))
 
 
-NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [INF, -INF, NAN]
 
 # every real or complex parameter of a kernel or symbol node, as a call on its value
 KERNEL_PARAMETERS = {
@@ -250,6 +266,78 @@ def test_cli_refuses_non_finite_kernel_parameters(tmp_path, capsys, command, ker
     assert report["status"] == "error" and report["error"]["code"] == "ValidationError"
 
 
+_TWO_POINTS = {"dist": [[0.0, 1.0], [1.0, 0.0]]}
+# every way a non-finite number can enter, as (argv, message): a dict or list
+# in argv is written to a file; a call stands for a library entry point
+NON_FINITE_ENTRIES = {
+    "sample points": (
+        ["gram", "--kernel", {"op": "szego"}, "--sample", {"points": [0.1, [NAN, 0.0]]}],
+        "points must be finite, got (nan+0j) at index (1, 0)",
+    ),
+    "function values": (
+        ["submult", "--space", _TWO_POINTS, "--functions", [{"values": [1.0, [INF, 0.0]]}]],
+        "function values must be finite, got (inf+0j) at index 1",
+    ),
+    "matrix re": (
+        ["psd-check", "--matrix", {"re": [[1.0, NAN], [NAN, 1.0]]}],
+        'the matrix "re" must be finite, got nan at index (0, 1)',
+    ),
+    "matrix im": (
+        ["psd-check", "--matrix", {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, INF], [-INF, 0.0]]}],
+        'the matrix "im" must be finite, got inf at index (0, 1)',
+    ),
+    "distance matrix": (
+        ["lip-dual", "--x", "0", "--space", {"dist": [[0.0, NAN], [NAN, 0.0]]}],
+        "distance matrix must be finite, got nan at index (0, 1)",
+    ),
+    "Pick nodes": (
+        ["pick-solve", "--problem", {"nodes": [0.1, [NAN, 0.0]], "values": [1.0, 0.0]}],
+        "interpolation nodes must be finite, got (nan+0j) at index 1",
+    ),
+    "Pick targets": (
+        ["pick-solve", "--problem", {"nodes": [0.1, 0.5], "values": [1.0, [0.0, INF]]}],
+        "interpolation targets must be finite, got infj at index 1",
+    ),
+    "polynomial symbol": (
+        ["contraction", "--kernel", {"op": "szego"}, "--sample", _DISK_SAMPLE,
+         "--symbol", {"kind": "polynomial", "coeffs": [1.0, [NAN, 0.0]]}],
+        "polynomial coefficients must be finite, got (nan+0j) at index 1",
+    ),
+    "vn-check --poly": (
+        ["vn-check", "--symbol", {"kind": "coordinate", "index": 0}, "--sample", _DISK_SAMPLE, "--poly", "[1, NaN]"],
+        "polynomial coefficients must be finite, got (nan+0j) at index 1",
+    ),
+    "ardy-check --poly": (
+        ["ardy-check", "--poly", "[1, [0, Infinity]]"],
+        "polynomial coefficients must be finite, got infj at index 1",
+    ),
+    "roundtrip --coeffs": (
+        ["roundtrip", "--model", {"space": _TWO_POINTS, "order": [0, 1], "depth": 1}, "--coeffs", "[1, NaN]"],
+        "coefficients must be finite, got (nan+0j) at index 1",
+    ),
+    "toeplitz_mo": (lambda: toeplitz_mo([NAN, 1.0], 1), "symbol coefficients must be finite, got (nan+0j) at index 0"),
+}
+
+
+@pytest.mark.parametrize("entry, message", NON_FINITE_ENTRIES.values(), ids=NON_FINITE_ENTRIES)
+def test_non_finite_entries_are_named_with_value_and_index(tmp_path, capsys, entry, message):
+    """One rule everywhere: ``<name> must be finite, got <value> at index <i>``."""
+    if callable(entry):
+        with pytest.raises(ValidationError) as info:
+            entry()
+        assert str(info.value) == message
+        return
+    argv = []
+    for k, arg in enumerate(entry):
+        if not isinstance(arg, str):
+            (tmp_path / f"arg{k}.json").write_text(json.dumps(arg))
+            arg = str(tmp_path / f"arg{k}.json")
+        argv.append(arg)
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["error"] == {"code": "ValidationError", "message": message}
+
+
 # refusals of a bad argument, each as (call, error class, message)
 REFUSALS = {
     "negative coordinate index": (lambda: coordinate(-1), ValidationError, "coordinate index must be nonnegative"),
@@ -265,6 +353,11 @@ REFUSALS = {
         "expected a matrix with 3 columns and at least 3 rows",
     ),
     "no Carleson nodes": (lambda: carleson_seq(0.0, 0), ValidationError, "need at least one node"),
+    "no swept nodes": (lambda: separability_probe(0), ValidationError, "need at least one node"),
+    # the start is read before the node count
+    "no swept nodes past the boundary": (
+        lambda: separability_probe(0, start=2.0), NotInDisk, "start must lie in [0, 1), got 2.0",
+    ),
     "negative build_g depth": (lambda: build_g(_MODEL.dense, -1), ValidationError, "depth must be nonnegative"),
     "empty distance matrix": (lambda: MetricSpace(np.zeros((0, 0))), ValidationError, "distance matrix must be nonempty"),
     "function on a point set": (

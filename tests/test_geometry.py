@@ -126,10 +126,6 @@ def verdict(d, tol=0.0):
     return "accepted"
 
 
-def same_bits(a, b):
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
 @pytest.fixture
 def loop_dtypes(monkeypatch):
     """The scalar type of every matrix the offset loop runs on."""

@@ -60,18 +60,26 @@ COORDINATE = {"kind": "coordinate", "index": 0}
         (kernel_from_json, {"op": [1]}, ValidationError, "unknown kernel op [1]"),
         (fn_from_json, {"kind": {"a": 1}}, ValidationError, "unknown function kind {'a': 1}"),
         (kernel_from_json, {"op": "rank1", "fn": {"kind": "zz"}}, ValidationError, "unknown function kind 'zz'"),
-        (kernel_from_json, {"op": "ball"}, KeyError, "'dim'"),
-        (kernel_from_json, {"op": "hadamard", "left": SZEGO}, KeyError, "'right'"),
-        (fn_from_json, {"kind": "compose", "inner": {"kind": "zz"}}, KeyError, "'outer'"),
-        (kernel_from_json, {"op": "sum", "terms": 5}, TypeError, "'int' object is not iterable"),
-        (kernel_from_json, {"op": "sum", "terms": "ab"}, ValidationError, 'kernel JSON must contain an "op" key'),
+        (kernel_from_json, {"op": "ball"}, ValidationError, 'kernel op "ball" needs the key "dim"'),
+        (kernel_from_json, {"op": "rank1"}, ValidationError, 'kernel op "rank1" needs the key "fn"'),
+        (fn_from_json, {"kind": "moebius"}, ValidationError, 'function kind "moebius" needs the key "a"'),
+        (kernel_from_json, {"op": "hadamard", "left": SZEGO}, ValidationError,
+         'kernel op "hadamard" needs the key "right"'),
+        # every key is looked for before any child is read
+        (fn_from_json, {"kind": "compose", "inner": {"kind": "zz"}}, ValidationError,
+         'function kind "compose" needs the key "outer"'),
+        (kernel_from_json, {"op": "sum"}, ValidationError, 'kernel op "sum" needs the key "terms"'),
+        (kernel_from_json, {"op": "sum", "terms": 5}, ValidationError, '"terms" of kernel op "sum" must be a list'),
+        (kernel_from_json, {"op": "sum", "terms": "ab"}, ValidationError, '"terms" of kernel op "sum" must be a list'),
+        (kernel_from_json, {"op": "sum", "terms": {"op": "szego"}}, ValidationError,
+         '"terms" of kernel op "sum" must be a list'),
         (fn_from_json, {"kind": "product", "factors": "ab"}, ValidationError,
-         'function JSON must contain a "kind" key'),
+         '"factors" of function kind "product" must be a list'),
         (kernel_from_json, [SZEGO], ValidationError, 'kernel JSON must contain an "op" key'),
     ],
     ids=["kernel-scale-order", "symbol-scale-order", "unhashable-op", "unhashable-kind", "rank1-symbol",
-         "missing-field", "missing-child", "missing-first-child", "terms-int", "terms-str", "factors-str",
-         "not-an-object"],
+         "missing-field", "missing-symbol", "missing-moebius-parameter", "missing-child", "missing-first-child",
+         "missing-terms", "terms-int", "terms-str", "terms-object", "factors-str", "not-an-object"],
 )
 def test_malformed_documents(reader, doc, error, message):
     with pytest.raises(error) as info:

@@ -200,9 +200,9 @@ class TestPickSolve:
 
     def test_non_finite_targets_rejected(self):
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValidationError, match="non-finite"):
+            with pytest.raises(ValidationError, match=rf"^interpolation targets must be finite, got \({bad}\+0j\) at index 0$"):
                 pick_solve([0.1, 0.5], [bad, 0.2])
-            with pytest.raises(ValidationError, match="non-finite"):
+            with pytest.raises(ValidationError, match=rf"^interpolation nodes must be finite, got \({bad}\+0j\) at index 0$"):
                 pick_solve([bad, 0.5], [0.0, 0.2])
 
     def test_overflow_is_a_numerical_error(self):

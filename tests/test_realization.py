@@ -236,9 +236,9 @@ class TestVeryIndependence:
         assert np.array_equal(mat, expected)
 
     def test_needs_enough_points(self):
-        # choose_b refuses depth 5 on five points, so the model is built by hand
+        # choose_b refuses depth 5 on five points, and so does a model built by hand
         dense = interval_dense()
-        with pytest.raises(DepthExceedsSequence):
+        with pytest.raises(DepthExceedsSequence, match="^need at least 6 enumerated points, have 5$"):
             very_independence_check(RealizationModel(dense, 5, build_g(dense, 5), np.ones(6)))
 
     def test_decided_at_depth_n_minus_one(self):

@@ -92,6 +92,15 @@ def test_kernels_and_symbols_are_equal_by_value():
     assert ball(2) == ball(2) and ball(2) != ball(3)
 
 
+def test_a_symbol_built_directly_equals_the_builders():
+    """The constructor converts its fields, so list coefficients hash like the builder's tuple."""
+    for coeffs in ([1, 2], (1.0, 2.0), np.array([1, 2])):
+        direct = ClosedFormFunction("polynomial", coeffs=coeffs)
+        assert direct == polynomial([1, 2]) and hash(direct) == hash(polynomial([1, 2]))
+    assert type(ClosedFormFunction("moebius", a=0.5).a) is complex
+    assert type(KernelExpr("constant", value=np.float32(2)).value) is float
+
+
 def test_equality_reaches_nested_symbols_and_children():
     def kernel(dim, a):
         return hadamard(rank_one(fn_product(moebius(a), polynomial([1, 2j]))), geom(scale(0.5, ball(dim))))
