@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Lipschitz geometry on finite metric spaces: the anchored norm, exact dual
-norms with witnesses, the LP oracle, and product-norm inflation."""
+norms with witnesses, and product-norm inflation."""
 
 import numpy as np
 
@@ -14,12 +14,7 @@ from funcspace import (
     set_distance,
     submult_ratio,
 )
-from funcspace.geometry import (
-    constant_function,
-    distance_function,
-    lip_dual_pair_norm_lp,
-    lip_point_norm_lp,
-)
+from funcspace.geometry import constant_function, distance_function
 
 xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 space = MetricSpace(np.abs(xs[:, None] - xs[None, :]), labels=[f"{x}" for x in xs], base=0)
@@ -31,12 +26,14 @@ print("f = rho(., 1/2):", f.values.real)
 print("dil f =", dil(f), "  lip_norm f =", lip_norm(f))
 print()
 
-print("=== Dual norms have closed forms ===")
-print("||eval at 1||        =", lip_point_norm(space, 4), "   LP oracle:", lip_point_norm_lp(space, 4))
-print("||eval at 1/4||      =", lip_point_norm(space, 1), "   LP oracle:", lip_point_norm_lp(space, 1))
+print("=== Dual norms have closed forms, each attained by a witness ===")
+for x in (4, 1):
+    # max(1, rho(x, base)) is attained by rho(., base) when rho(x, base) >= 1 and by 1 otherwise
+    witness = distance_function(space, space.base) if space.dist[x, space.base] >= 1 else constant_function(space)
+    print(f"||eval at {xs[x]}|| = {lip_point_norm(space, x)}, witness f(x) = {witness.values[x].real}"
+          f" with lip_norm {lip_norm(witness)}")
 value, witness = lip_dual_pair_norm(space, 0, 4)
-print("||eval 0 - eval 1||  =", value, "   LP oracle:", lip_dual_pair_norm_lp(space, 0, 4))
-print("witness values:", witness.values.real, " with lip_norm", lip_norm(witness))
+print(f"||eval 0 - eval 1|| = {value}, witness values {witness.values.real} with lip_norm {lip_norm(witness)}")
 print("witness separates the pair by exactly", abs(witness.values[0] - witness.values[4]))
 print()
 

@@ -33,7 +33,6 @@ import hashlib
 import json
 import sys
 import time
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,11 +57,11 @@ class Command(NamedTuple):
 
     ``files`` are JSON input files (``--NAME PATH``) and ``inline`` are JSON
     inputs given on the command line (``--NAME JSON``); both are digested into
-    the report.  ``options`` maps each typed option to its type: ``bool`` for
-    a switch, otherwise the function that parses its value.  ``required``
-    names the options that must be given, and ``tuning`` commands also read
-    ``--method``.  ``tol`` is the default of ``--tol``; a command that reads
-    no tolerance declares none and takes no ``--tol``.
+    the report.  ``options`` maps each typed option to the function that
+    parses its value.  ``required`` names the options that must be given,
+    and ``tuning`` commands also read ``--method``.  ``tol`` is the default
+    of ``--tol``; a command that reads no tolerance declares none and takes
+    no ``--tol``.
     """
 
     name: str
@@ -102,13 +101,13 @@ def _fields(cmd: Command) -> dict:
 
 
 def _check_kind(name: str, kind, value) -> None:
-    """Refuse ``value`` unless it has the kind the flag declares; an int is never a float or a bool."""
+    """Refuse ``value`` unless it has the kind the flag declares; a bool is never an int or a float."""
     flag = "--" + name.replace("_", "-")
     if kind is int:
         integer(value, flag)
     elif kind is float:
         real(value, flag)
-    elif kind in (bool, str) and not isinstance(value, kind):
+    elif kind is str and not isinstance(value, str):
         raise ValidationError(f"{flag} must be a {kind.__name__}, got {shown(value)}")
     elif isinstance(kind, tuple) and not (isinstance(value, str) and value in kind):
         raise ValidationError(f"{flag} must be one of {', '.join(kind)}, got {shown(value)}")
@@ -479,20 +478,14 @@ def _cmd_roundtrip(config, loader):
     }
 
 
-@command("lip-dual", files=("space",), options={"x": int, "y": int, "oracle": bool}, required=("x",))
+@command("lip-dual", files=("space",), options={"x": int, "y": int}, required=("x",))
 def _cmd_lip_dual(config, loader):
     space = loader.file("space", geometry.MetricSpace.from_json)
     x, y = config.options["x"], config.options.get("y")
     if y is None:
-        result = {"kind": "point", "value": geometry.lip_point_norm(space, x)}
-        oracle = partial(geometry.lip_point_norm_lp, space, x)
-    else:
-        value, witness = geometry.lip_dual_pair_norm(space, x, y)
-        result = {"kind": "pair", "value": value, "witness": witness.to_json()}
-        oracle = partial(geometry.lip_dual_pair_norm_lp, space, x, y)
-    if config.options.get("oracle"):
-        result["lp_oracle"] = oracle() if len(space) <= 6 else {"skipped": "n > 6"}
-    return result
+        return {"kind": "point", "value": geometry.lip_point_norm(space, x)}
+    value, witness = geometry.lip_dual_pair_norm(space, x, y)
+    return {"kind": "pair", "value": value, "witness": witness.to_json()}
 
 
 @command("submult", files=("space", "functions"), options={"random": int, "seed": int})
@@ -627,9 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", metavar="JSON")
         for name, kind in {**cmd.options, **_fields(cmd)}.items():
             flag = "--" + name.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, action="store_true", default=None)
-            elif isinstance(kind, tuple):
+            if isinstance(kind, tuple):
                 p.add_argument(flag, choices=kind)
             else:
                 p.add_argument(flag, type=kind)

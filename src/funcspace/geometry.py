@@ -6,8 +6,7 @@ The Lipschitz norm is ``dil(f) + |f(base)|``, where ``dil`` is the largest
 difference quotient.  For that norm the dual norms of point evaluations have
 closed forms: ``max(1, rho(x, base))`` for a single evaluation and
 ``rho(x, y)`` for a difference of two, each certified here by an explicit
-witness function and cross-checkable against a linear-programming oracle that
-maximizes over the whole unit ball.
+witness function.
 """
 
 from __future__ import annotations
@@ -74,7 +73,8 @@ def _worst_triangle_slack(dist: np.ndarray) -> float:
         return 0.0
     k = _lattice_exponent(dist)
     if k is None:
-        return float(_slack_by_offsets(dist))
+        with np.errstate(over="ignore"):  # a sum past float64 is inf, above every finite distance
+            return float(_slack_by_offsets(dist))
     q = np.ldexp(dist, k, out=np.empty((n, n), np.int32), casting="unsafe")
     return math.ldexp(int(_slack_by_offsets(q)), -k)
 
@@ -138,7 +138,8 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
     if worst > triangle_tol:
         # name the first triple (i, j, k) in C order attaining the worst slack
         for i in range(n):
-            slack = dist[i, None, :] - (dist[i, :, None] + dist)  # slack[j, k]
+            with np.errstate(over="ignore"):
+                slack = dist[i, None, :] - (dist[i, :, None] + dist)  # slack[j, k]
             if slack.max() == worst:
                 j, k = np.unravel_index(np.argmax(slack), slack.shape)
                 raise ValidationError(
@@ -184,12 +185,12 @@ class EuclideanPointSet(Frozen):
 
     @classmethod
     def from_json(cls, obj) -> "EuclideanPointSet":
-        if not isinstance(obj, dict) or "points" not in obj:
+        points = obj.get("points") if isinstance(obj, dict) else None
+        if not isinstance(points, list):
             raise ValidationError('point set JSON must contain a "points" list')
-        points = obj["points"]
         array = None
         # rows of equal length are read in one pass when every entry is an [re, im] pair
-        if type(points) is list and set(map(type, points)) <= {list} and len(set(map(len, points))) == 1:
+        if set(map(type, points)) <= {list} and len(set(map(len, points))) == 1:
             array = pairs_array(list(chain.from_iterable(points)))
         if array is not None:
             array = array.reshape(len(points), len(points[0]))
@@ -391,67 +392,6 @@ def lip_dual_pair_norm(space: MetricSpace, x: int, y: int):
         raise SamePoint("the pair functional needs two distinct points")
     witness = distance_function(space, y) - constant_function(space, space.dist[space.base, y])
     return float(space.dist[x, y]), witness
-
-
-def _lip_ball_lp(space: MetricSpace, objective: np.ndarray) -> float:
-    """Maximize a linear objective over real f with dil(f) + |f(base)| <= 1.
-
-    Variables are (f_0..f_{n-1}, t, s) with t bounding every difference
-    quotient and s bounding |f(base)|; the complex problem reduces to this
-    real one because the optimum can be rotated to be real-valued.
-    """
-    # imported here, so that no other command loads scipy
-    from scipy.optimize import linprog
-
-    n = len(space)
-    nv = n + 2
-    rows, rhs = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sgn in (1.0, -1.0):
-                row = np.zeros(nv)
-                row[i] = sgn
-                row[j] = -sgn
-                row[n] = -space.dist[i, j]
-                rows.append(row)
-                rhs.append(0.0)
-    for sgn in (1.0, -1.0):
-        row = np.zeros(nv)
-        row[space.base] = sgn
-        row[n + 1] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    row = np.zeros(nv)
-    row[n] = 1.0
-    row[n + 1] = 1.0
-    rows.append(row)
-    rhs.append(1.0)
-    c = np.zeros(nv)
-    c[:n] = -objective
-    bounds = [(None, None)] * n + [(0, None), (0, None)]
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP oracle failed: {res.message}")
-    return float(-res.fun)
-
-
-def lip_dual_pair_norm_lp(space: MetricSpace, x: int, y: int) -> float:
-    """LP oracle for the pair dual norm: sup |f(x) - f(y)| over the unit ball."""
-    x, y = integer(x, "point index", len(space)), integer(y, "point index", len(space))
-    if x == y:
-        raise SamePoint("the pair functional needs two distinct points")
-    obj = np.zeros(len(space))
-    obj[x] = 1.0
-    obj[y] = -1.0
-    return _lip_ball_lp(space, obj)
-
-
-def lip_point_norm_lp(space: MetricSpace, x: int) -> float:
-    """LP oracle for the point dual norm: sup |f(x)| over the unit ball."""
-    x = integer(x, "point index", len(space))
-    obj = np.zeros(len(space))
-    obj[x] = 1.0
-    return _lip_ball_lp(space, obj)
 
 
 def submult_ratio(space: MetricSpace, fs) -> tuple:

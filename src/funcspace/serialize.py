@@ -240,7 +240,8 @@ def real_matrix(rows, key: str) -> np.ndarray:
     try:
         if type(rows) is list and rows and all(type(row) is list and type(sum(row)) in _NUMBERS for row in rows):
             array = _packed(rows, len(rows[0]))
-            zero_or_one = (h.tolist() for h in np.nonzero((array == 0.0) | (array == 1.0)))
+            flat = np.flatnonzero((array == 0.0) | (array == 1.0))
+            zero_or_one = (h.tolist() for h in np.divmod(flat, array.shape[1]))
             if all(type(rows[i][j]) in _NUMBERS for i, j in zip(*zero_or_one)):
                 return array
     except (TypeError, ValueError, OverflowError, struct.error):

@@ -58,6 +58,35 @@ def random_graph_metric(rng: np.random.Generator, n: int) -> np.ndarray:
     return d
 
 
+def lp_dual_norm(space: MetricSpace, x: int, y: int | None = None) -> float:
+    """sup f(x), or sup f(x) - f(y), over real f with dil(f) + |f(base)| <= 1.
+
+    The linear-programming referee for geometry's closed forms.  The
+    variables are (f_0..f_{n-1}, t, s): t bounds every difference quotient
+    and s bounds |f(base)|.  Real f suffice, since a complex optimum can be
+    rotated to a real one.
+    """
+    from scipy.optimize import linprog  # here, so that importing helpers loads no scipy
+
+    n = len(space)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.zeros((len(i) + 3, n + 2))
+    k = np.arange(len(i))
+    rows[k, i], rows[k, j], rows[k, n] = 1.0, -1.0, -space.dist[i, j]  # f_i - f_j <= t rho(i, j)
+    rows[-3, [space.base, n + 1]] = 1.0, -1.0  # f(base) <= s
+    rows[-2, [space.base, n + 1]] = -1.0, -1.0  # -f(base) <= s
+    rows[-1, [n, n + 1]] = 1.0  # t + s <= 1
+    rhs = np.zeros(len(rows))
+    rhs[-1] = 1.0
+    objective = np.zeros(n + 2)
+    objective[x] = -1.0  # linprog minimizes
+    if y is not None:
+        objective[y] = 1.0
+    res = linprog(objective, A_ub=rows, b_ub=rhs, bounds=[(None, None)] * n + [(0, None)] * 2, method="highs")
+    assert res.success, res.message
+    return -res.fun
+
+
 def disk_sample(rng: np.random.Generator, n: int, radius: float = 0.7, min_sep: float = 0.0) -> EuclideanPointSet:
     """n random points in the disk of the given radius, optionally separated."""
     pts: list[complex] = []

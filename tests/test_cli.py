@@ -419,13 +419,17 @@ class TestRealizationCommands:
 
 
 class TestGeometryCommands:
-    def test_lip_dual_pair_with_oracle(self, capsys, inputs):
-        code, report = run_cli(
-            capsys, ["lip-dual", "--space", inputs["interval"], "--x", "0", "--y", "4", "--oracle"]
-        )
-        assert code == 0
-        assert report["result"]["value"] == 1.0
-        assert report["result"]["lp_oracle"] == pytest.approx(1.0, abs=1e-9)
+    @pytest.mark.parametrize("rho", [5e-324, 1e308])
+    def test_lip_dual_at_the_ends_of_the_float_range(self, capsys, tmp_path, rho):
+        space = write(tmp_path / "two.json", {"dist": [[0.0, rho], [rho, 0.0]]})
+        code, point = run_cli(capsys, ["lip-dual", "--space", space, "--x", "1"])
+        assert code == 0 and point["result"] == {"kind": "point", "value": max(1.0, rho)}
+        code, pair = run_cli(capsys, ["lip-dual", "--space", space, "--x", "1", "--y", "0"])
+        assert code == 0 and pair["result"]["value"] == rho
+
+    def test_lip_dual_takes_no_oracle(self):
+        with pytest.raises(ValidationError, match="^command 'lip-dual' takes no option 'oracle'$"):
+            ExperimentConfig("lip-dual", options={"oracle": True})
 
     def test_lip_dual_point_norm(self, capsys, inputs):
         code, report = run_cli(capsys, ["lip-dual", "--space", inputs["interval"], "--x", "0"])
@@ -833,6 +837,13 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"] == {"code": "ValidationError", "message": "real part must be a real number, got True"}
 
+    @pytest.mark.parametrize("points", [5, None, True, "ab", {"a": 1}], ids=["int", "null", "true", "str", "object"])
+    def test_points_that_are_not_a_list_are_refused(self, capsys, tmp_path, inputs, points):
+        sample = write(tmp_path / "sample.json", {"points": points})
+        code, report = run_cli(capsys, ["gram", "--kernel", inputs["szego"], "--sample", sample])
+        assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": 'point set JSON must contain a "points" list'}
+
     @pytest.mark.parametrize(
         "argv, matrix, message",
         [
@@ -1154,6 +1165,7 @@ class TestParserErrors:
             (["gram", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["carleson-probe", "--m", "3", "--max-points", "8"], "unrecognized arguments: --max-points 8"),
             (["ardy-check", "--poly", "[0, 1]", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["lip-dual", "--space", "s.json", "--x", "0", "--oracle"], "unrecognized arguments: --oracle"),
         ],
     )
     def test_usage_error_is_a_json_report(self, capsys, argv, needle):
@@ -1172,7 +1184,7 @@ class TestParserErrors:
             name: [flag for action in parser._actions for flag in action.option_strings if flag not in ("-h", "--help")]
             for name, parser in subparsers.choices.items()
         }
-        assert sum(map(len, flags.values())) == 87
+        assert sum(map(len, flags.values())) == 86
         assert {name for name, taken in flags.items() if "--seed" in taken} == {"realize", "submult"}
         assert {name for name, taken in flags.items() if "--csv" in taken} == {"mult-norm"}
         assert {name for name, taken in flags.items() if "--max-points" not in taken} == {"carleson-probe", "ardy-check"}
@@ -1329,14 +1341,6 @@ class TestMaxPoints:
         assert maxrss_kib < 100 * 1024
 
 
-class TestLpOracle:
-    def test_skipped_oracle_is_reported(self, capsys, tmp_path):
-        space = write(tmp_path / "seven.json", _line_space(7))
-        code, report = run_cli(capsys, ["lip-dual", "--space", space, "--x", "1", "--oracle"])
-        assert code == 0
-        assert report["result"]["lp_oracle"] == {"skipped": "n > 6"}
-
-
 class TestConfigObject:
     def test_unknown_command_rejected(self):
         with pytest.raises(Exception):
@@ -1415,10 +1419,10 @@ class TestConfigObject:
     def test_all_commands_registered(self):
         assert len(COMMANDS) == 16
 
-    def test_no_command_but_the_lp_oracle_loads_scipy(self, tmp_path, inputs):
-        # scipy serves only the linprog of lip-dual --oracle, imported there;
-        # the import itself loads neither scipy nor three stdlib modules that
-        # nothing in the package needs (dataclasses would also load copy)
+    def test_no_command_loads_scipy(self, tmp_path, inputs):
+        # scipy is a test dependency only; the import also loads none of three
+        # stdlib modules that nothing in the package needs (dataclasses would
+        # also load copy)
         from funcspace.hardy_pick import compress_square, toeplitz_mo
 
         T = compress_square(toeplitz_mo([0.0, 1.0], 12), 12)
@@ -1440,6 +1444,7 @@ class TestConfigObject:
             ["topology-probe", "--model", inputs["model"], "--x", "2", "--eps", "0.3"],
             ["rank-check", "--model", inputs["model"], "--points", "[0, 2, 4]"],
             ["roundtrip", "--model", inputs["model"], "--coeffs", "[1, [0, 1], 0.5, -2]"],
+            ["lip-dual", "--space", inputs["interval"], "--x", "3"],
             ["lip-dual", "--space", inputs["interval"], "--x", "0", "--y", "4"],
             ["submult", "--space", inputs["interval"], "--random", "6"],
             ["pick-solve", "--problem", pick],
@@ -1448,7 +1453,6 @@ class TestConfigObject:
             ["ardy-check", "--poly", "[0, 1]"],
         ]
         assert {argv[0] for argv in commands} == set(COMMANDS)
-        oracle = ["lip-dual", "--space", inputs["interval"], "--x", "0", "--y", "4", "--oracle"]
         code = """if True:
             import contextlib, io, json, sys
             import funcspace.cli
@@ -1457,31 +1461,24 @@ class TestConfigObject:
                 return sorted(name for name in sys.modules if name.startswith("scipy"))
 
             def run(argv):
-                with contextlib.redirect_stdout(io.StringIO()) as out:
-                    code = funcspace.cli.main(argv)
-                return code, json.loads(out.getvalue())
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return funcspace.cli.main(argv)
 
-            commands, oracle = json.loads(sys.argv[1])
+            commands = json.loads(sys.argv[1])
             seen = {"import": scipy_modules(), "stdlib": sorted({"dataclasses", "decimal", "fractions"} & set(sys.modules))}
             for argv in commands:
-                code, _ = run(argv)
-                seen[" ".join(argv[:1] + argv[-2:])] = [code, scipy_modules()]
-            code, report = run(oracle)
-            seen["oracle"] = [code, report["result"]["lp_oracle"], "scipy.optimize" in sys.modules]
+                seen[" ".join(argv[:1] + argv[-2:])] = [run(argv), scipy_modules()]
             print(json.dumps(seen))
         """
         src = os.path.dirname(os.path.dirname(funcspace.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
-            [sys.executable, "-c", code, json.dumps([commands, oracle])],
+            [sys.executable, "-c", code, json.dumps(commands)],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         seen = json.loads(out.stdout)
         assert seen.pop("import") == []
         assert seen.pop("stdlib") == []
-        code, lp_oracle, scipy_loaded = seen.pop("oracle")
-        assert code == 0 and scipy_loaded
-        assert lp_oracle == pytest.approx(1.0, abs=1e-9)
         assert len(seen) == len(commands)
         assert seen == {name: [0, []] for name in seen}
 

@@ -23,9 +23,7 @@ from funcspace.geometry import (
     SampledFunction,
     distance_function,
     lip_dual_pair_norm,
-    lip_dual_pair_norm_lp,
     lip_point_norm,
-    lip_point_norm_lp,
     set_distance,
     submult_ratio,
 )
@@ -94,9 +92,7 @@ INTEGER_ARGUMENTS = {
     "set_distance": lambda v: set_distance(_LINE, 0, [v]),
     "distance_function": lambda v: distance_function(_LINE, v),
     "lip_point_norm": lambda v: lip_point_norm(_LINE, v),
-    "lip_point_norm_lp": lambda v: lip_point_norm_lp(_LINE, v),
     "lip_dual_pair_norm": lambda v: lip_dual_pair_norm(_LINE, 0, v),
-    "lip_dual_pair_norm_lp": lambda v: lip_dual_pair_norm_lp(_LINE, v, 0),
     "topology_probe": lambda v: topology_probe(v, 0.3, _MODEL),
     "point_eval_rank depth": lambda v: point_eval_rank([0, 1], v, _MODEL),
     "carleson_seq": lambda v: carleson_seq(0.0, v),
@@ -365,7 +361,6 @@ REFUSALS = {
         ValidationError,
         "a sampled function lives on a MetricSpace, got EuclideanPointSet",
     ),
-    "pair LP at one point": (lambda: lip_dual_pair_norm_lp(_LINE, 1, 1), SamePoint, "the pair functional needs two distinct points"),
     "submult of no functions": (lambda: submult_ratio(_LINE, []), EmptySet, "need at least one function"),
     "overflowing Lipschitz norm": (
         lambda: submult_ratio(_LINE, [SampledFunction(_LINE, [1e308, -1e308, 0.0])]),

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,17 +23,15 @@ from funcspace.geometry import (
     dil,
     distance_function,
     lip_dual_pair_norm,
-    lip_dual_pair_norm_lp,
     lip_norm,
     lip_point_norm,
-    lip_point_norm_lp,
     set_distance,
     submult_ratio,
 )
 from funcspace import geometry
 from funcspace.geometry import _worst_triangle_slack
 from funcspace.realization import DenseSequence, build_g
-from helpers import interval5_space, random_dyadic_space, random_graph_metric
+from helpers import interval5_space, lp_dual_norm, random_dyadic_space, random_graph_metric
 
 
 def line3_space():
@@ -330,6 +329,18 @@ class TestTriangleCheck:
         assert verdict(d, tol=worst) == "accepted"
         assert verdict(d, tol=np.nextafter(worst, 0.0)) == brute_force_message(d)
 
+    def test_sums_past_float64_raise_no_warning(self, loop_dtypes):
+        # an overflowed sum d[i,j] + d[j,k] is inf, above every finite distance
+        fits = np.array([[0.0, 1e308, 1.5e308], [1e308, 0.0, 1e308], [1.5e308, 1e308, 0.0]])
+        breaks = np.array(
+            [[0.0, 1e308, 1.7e308, 1e308], [1e308, 0.0, 1e307, 1.5e308], [1.7e308, 1e307, 0.0, 1e308], [1e308, 1.5e308, 1e308, 0.0]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verdict(fits) == "accepted"
+            assert verdict(breaks) == "triangle inequality violated at (0,2) via 1: 1.7e+308 > 1e+308 + 1e+307"
+        assert set(loop_dtypes) == {np.float64}
+
     def test_peak_memory_is_quadratic(self):
         n = 240
         d = random_graph_metric(np.random.default_rng(5), n)
@@ -496,7 +507,7 @@ class TestDualNorms:
             n = len(space)
             x, y = rng.choice(n, size=2, replace=False)
             value, _ = lip_dual_pair_norm(space, int(x), int(y))
-            assert value == pytest.approx(lip_dual_pair_norm_lp(space, int(x), int(y)), abs=1e-9)
+            assert value == pytest.approx(lp_dual_norm(space, int(x), int(y)), abs=1e-9)
 
     def test_point_norm_base(self):
         space = interval5_space()
@@ -511,24 +522,22 @@ class TestDualNorms:
         d = np.array([[0.0, 0.3], [0.3, 0.0]])
         space = MetricSpace(d)
         assert lip_point_norm(space, 1) == 1.0
-        assert lip_point_norm_lp(space, 1) == pytest.approx(1.0, abs=1e-9)
+        assert lp_dual_norm(space, 1) == pytest.approx(1.0, abs=1e-9)
 
     def test_point_norm_matches_lp_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(8):
             space = random_dyadic_space(rng, int(rng.integers(2, 7)))
             x = int(rng.integers(len(space)))
-            assert lip_point_norm(space, x) == pytest.approx(lip_point_norm_lp(space, x), abs=1e-9)
+            assert lip_point_norm(space, x) == pytest.approx(lp_dual_norm(space, x), abs=1e-9)
 
     def test_indices_outside_the_space_rejected(self):
         space = MetricSpace(np.array([[0.0, 3.0], [3.0, 0.0]]))
         for call in (
             lambda: lip_point_norm(space, 7),
             lambda: lip_point_norm(space, -1),
-            lambda: lip_point_norm_lp(space, 2),
             lambda: lip_dual_pair_norm(space, 0, 5),
             lambda: lip_dual_pair_norm(space, -2, 1),
-            lambda: lip_dual_pair_norm_lp(space, 7, 0),
         ):
             with pytest.raises(ValidationError, match="out of range"):
                 call()

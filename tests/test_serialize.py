@@ -167,6 +167,14 @@ def test_graph_metrics_take_the_packed_pass(monkeypatch):
     assert real_matrix(rows, "dist").tobytes() == expected.tobytes()
 
 
+def test_a_true_in_a_wide_matrix_is_named():
+    """The packed pass finds a 0.0 or 1.0 entry's row and column by the row width, not the row count."""
+    rows = [[0.5] * 5 for _ in range(3)]
+    rows[2][4] = True
+    with pytest.raises(ValidationError, match='^an entry of "re" must be a real number, got True$'):
+        real_matrix(rows, "re")
+
+
 @pytest.mark.parametrize(
     "read, obj",
     [
@@ -264,10 +272,11 @@ def per_entry_complex_vector(obj):
 
 def per_entry_point_set(obj):
     """The reader ``EuclideanPointSet.from_json`` runs when its one pass does not apply."""
-    if not isinstance(obj, dict) or "points" not in obj:
+    points = obj.get("points") if isinstance(obj, dict) else None
+    if not isinstance(points, list):
         raise ValidationError('point set JSON must contain a "points" list')
     rows = []
-    for entry in obj["points"]:
+    for entry in points:
         if isinstance(entry, (int, float)) or (
             isinstance(entry, list)
             and len(entry) == 2

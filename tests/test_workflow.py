@@ -1,7 +1,9 @@
-"""The CI workflow, which runs only on a push: it parses, its tier-1 step runs
-ROADMAP's tier-1 command in Python's development mode, and its console step
-runs the installed ``funcspace`` script at most once per exit status, since
-every behaviour check lives in the tests."""
+"""The CI workflow, which runs only on a push: it parses, its install step
+installs the ``test`` extra, its tier-1 step runs ROADMAP's tier-1 command in
+Python's development mode, and its console step runs the installed
+``funcspace`` script at most once per exit status, since every behaviour check
+lives in the tests.  The package itself needs numpy and orjson; scipy is in
+the ``test`` extra only."""
 
 import re
 from pathlib import Path
@@ -20,6 +22,23 @@ def steps():
 
 def test_workflow_parses(steps):
     assert {"Install", "Console script", "Tier-1 tests"} <= set(steps)
+
+
+def test_install_step_installs_the_test_extra(steps):
+    # the only source of the scipy that the tests and the benchmark's reference checks import
+    assert re.fullmatch(r"python -m pip install (-e )?\.\[test\]", steps["Install"]["run"].strip())
+
+
+def test_scipy_is_in_the_test_extra_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[\w.-]+", requirement).group(0) for requirement in requirements]
+
+    assert names(project["dependencies"]) == ["numpy", "orjson"]
+    extras = project["optional-dependencies"]
+    assert [extra for extra, requirements in extras.items() if "scipy" in names(requirements)] == ["test"]
 
 
 def test_tier1_step_runs_the_roadmap_command(steps):
