@@ -63,10 +63,13 @@ def _worst_triangle_slack(dist: np.ndarray) -> float:
     """The largest ``d[i,k] - (d[i,j] + d[j,k])`` over all triples, in O(n^2) memory.
 
     ``dist`` must already be checked finite, symmetric and nonnegative.  On
-    a dyadic lattice (:func:`_lattice_exponent`) the slacks are taken on the
-    int32 numerators, at half the memory traffic.  There no float sum or
-    difference rounds, so the float loop would give the same value bit for
-    bit.  Elsewhere the float loop runs.
+    a dyadic lattice (:func:`_lattice_exponent`) the int32 numerators are
+    first offered to :func:`_split_certificate`; where it proves every
+    triangle, the largest slack is exactly 0 (the triple ``j = i``).
+    Otherwise the slacks are taken on the numerators, at half the memory
+    traffic of the float loop, and no sum or difference rounds there, so
+    the float loop would give the same value bit for bit.  Elsewhere the
+    float loop runs.
     """
     n = dist.shape[0]
     if n < 2:
@@ -76,7 +79,76 @@ def _worst_triangle_slack(dist: np.ndarray) -> float:
         with np.errstate(over="ignore"):  # a sum past float64 is inf, above every finite distance
             return float(_slack_by_offsets(dist))
     q = np.ldexp(dist, k, out=np.empty((n, n), np.int32), casting="unsafe")
+    if _split_certificate(q):
+        return 0.0
     return math.ldexp(int(_slack_by_offsets(q)), -k)
+
+
+# Each point's nearest others, tried as midpoints of its pairs by the split certificate.
+_SPLIT_CANDIDATES = 4
+
+
+def _split_certificate(q: np.ndarray) -> bool:
+    """True only if ``q[i,b] <= q[i,a] + q[a,b]`` for all triples; False decides nothing.
+
+    ``q`` is a symmetric, nonnegative int32 matrix of numerators below 2^30,
+    with ``n >= 2``, so no sum of two entries overflows.
+
+    (S) A pair ``{i,k}`` is split if ``q[k,i] = q[k,p] + q[p,i]`` for some
+    ``p`` other than ``i`` and ``k``.  The ``p`` tried are the
+    ``_SPLIT_CANDIDATES`` nearest other points of each end, one ``argmin``
+    pass each, and a pass is a row gather and one broadcast add over the
+    whole matrix.  Let E be the pairs left unsplit.
+    (A) Each pair ``{a,b}`` of E has ``|q[i,a] - q[i,b]| <= q[a,b]`` for
+    every ``i``; this is checked n pairs at a time.
+
+    Proof that (S) and (A) give every triangle: the first pass refuses a
+    zero off the diagonal, so the two parts of a split pair are shorter than
+    it, and induction on ``q[i,k]`` gives every pair a walk along E whose
+    lengths sum to exactly ``q[i,k]``.  By (A), ``q[i,.]`` grows by at most
+    an edge's length along each edge of the walk from ``a`` to ``b``, so
+    ``q[i,b] <= q[i,a] + q[a,b]``.  This is the Kuratowski picture: every
+    row is 1-Lipschitz along a set of pairs whose shortest paths give back
+    the matrix.  All of it is exact in int32.
+
+    The search gives up after one pass that splits no pair (a strict metric
+    such as ``1 - I``), and when more than ``n^2/8`` pairs stay unsplit, where
+    (A) would cost a quarter of the offset loop or more.  Memory is a few
+    n^2 buffers.
+    """
+    n = q.shape[0]
+    rows = np.arange(n)
+    far = np.iinfo(np.int32).max
+    near = q.copy()  # the candidates still untried, the others set to `far`
+    near[rows, rows] = far
+    split = np.zeros((n, n), bool)  # split[k, i]: {i,k} is split from end k
+    for t in range(min(_SPLIT_CANDIDATES, n - 1)):
+        p = near.argmin(axis=1)
+        to_p = near[rows, p]
+        if t == 0 and not to_p.all():
+            return False  # a zero off the diagonal would make a split pair no shorter
+        near[rows, p] = far
+        via = q[p]
+        via += to_p[:, None]  # via[k, i] = q[k, p_k] + q[p_k, i]
+        via[rows, p] = -1  # i = p_k splits nothing
+        split |= via == q
+        if t == 0 and not split.any():
+            return False
+    del near, via  # two n^2 buffers fewer alive while the edge check allocates its own
+    split |= split.T
+    a, b = np.divmod(np.flatnonzero(~split), n)
+    upper = a < b
+    a, b = a[upper], b[upper]
+    if len(a) > n * n // 8:
+        return False
+    for s in range(0, len(a), n):
+        ea, eb = a[s : s + n], b[s : s + n]
+        gap = q[ea]
+        gap -= q[eb]
+        np.abs(gap, out=gap)
+        if (gap.max(axis=1) > q[ea, eb]).any():
+            return False
+    return True
 
 
 def _slack_by_offsets(dist: np.ndarray):

@@ -475,7 +475,7 @@ def psd_check(G, tol: float = 1e-10) -> PsdReport:
     The matrix passes when its smallest eigenvalue satisfies
     ``lambda_min >= -tol * max(1, max_i |lambda_i|)``.  ``G`` is any
     nonempty square matrix, from :func:`gram` or not, and must be exactly
-    Hermitian.
+    Hermitian.  An eigenvalue past float64 is refused as :class:`Overflow`.
     """
     if not 0.0 <= tol < np.inf:
         raise ValidationError("tolerance must be nonnegative and finite")
@@ -485,6 +485,7 @@ def psd_check(G, tol: float = 1e-10) -> PsdReport:
     if not np.array_equal(entries, entries.conj().T):
         raise NotHermitian("matrix is not Hermitian")
     eigs = np.linalg.eigvalsh(entries)
+    require_finite("max_abs_eigenvalue", eigs)
     min_eig = float(eigs.min())
     max_abs = float(np.abs(eigs).max())
     return PsdReport(

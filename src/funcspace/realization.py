@@ -25,6 +25,7 @@ The model holds the system as one read-only ``(depth+1) x n`` float array
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
     ExhaustedSpace,
     Frozen,
     IllConditionedPrefix,
+    Overflow,
     PrefixTooShallow,
     ValidationError,
 )
@@ -272,6 +274,8 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
         ValidationError: ``tol`` is not positive and finite.
         IllConditionedPrefix: a diagonal pivot is below 1e-14, or the
             relative error bound exceeds ``tol``.
+        Overflow: the bound is not finite, since a sum or product behind it
+            overflowed.
     """
     tol = tolerance(tol)
     f = _check_coeffs(f, model)
@@ -292,6 +296,8 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
         componentwise = gamma(2 * (N + 1)) * (np.abs(L_inv) @ (np.abs(L) @ (np.abs(f) + np.abs(recovered))))
     scale = float(np.abs(f).max())
     bound = float(componentwise.max()) / scale if scale > 0.0 else 0.0
+    if not math.isfinite(bound):
+        raise Overflow(f"the error_bound of the recovered coefficients overflows float64 at depth {N}")
     if not bound <= tol:
         raise IllConditionedPrefix(f"relative error bound {bound:.3g} of the recovered coefficients exceeds tol {tol:g} at depth {N}")
     return recovered, bound

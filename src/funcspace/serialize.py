@@ -68,6 +68,9 @@ def index_list(values, name: str, entry: str, size: int | None = None) -> list:
         or (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu")
     ):
         raise ValidationError(f"{name} must be a list of integers, got {shown(values)}")
+    # plain ints in range pass in one pass; any other entry takes the per-entry reader, for its message
+    if set(map(type, values)) <= {int} and (size is None or not len(values) or (min(values) >= 0 and max(values) < size)):
+        return list(values)
     return [integer(i, entry, size) for i in values]
 
 

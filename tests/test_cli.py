@@ -741,6 +741,20 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"]["code"] == "NotHermitian"
 
+    def test_psd_check_refuses_an_eigenvalue_past_float64(self, capsys, tmp_path):
+        path = write(tmp_path / "m.json", {"re": [[1e308, 1e308], [1e308, 1e308]]})
+        code, report = run_cli(capsys, ["psd-check", "--matrix", path])
+        assert code == 3
+        assert report["error"] == {"code": "Overflow", "message": "max_abs_eigenvalue overflows float64"}
+
+    def test_roundtrip_refuses_an_error_bound_past_float64(self, capsys, tmp_path):
+        # the recovered coefficients overflow, which made the bound nan
+        model = write(tmp_path / "line3.json", {"space": _line_space(3), "order": [0, 1, 2], "depth": 2})
+        code, report = run_cli(capsys, ["roundtrip", "--model", model, "--coeffs", "[1e308, 1e308]"])
+        assert code == 3
+        message = "the error_bound of the recovered coefficients overflows float64 at depth 2"
+        assert report["error"] == {"code": "Overflow", "message": message}
+
     # the kernel that overflows, by flag, and the message: a command that reads
     # two kernels names the overflowing one's role (README maps roles to flags)
     OVERFLOWING_GRAMS = {

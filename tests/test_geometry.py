@@ -125,6 +125,31 @@ def verdict(d, tol=0.0):
     return "accepted"
 
 
+@st.composite
+def lattice_matrices(draw):
+    """Dyadic distance matrices on at most 12 points, of three kinds:
+    symmetric positive integers, graph metrics with k/64 weights and one
+    entry moved by a unit (or none), and uniform metrics."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["integers", "graph", "uniform"]))
+    if kind == "uniform":
+        return draw(st.integers(1, 64)) / 8.0 * (1.0 - np.eye(n))
+    d = np.zeros((n, n))
+    if kind == "integers":
+        d[np.triu_indices(n, 1)] = draw(st.lists(st.integers(1, 40), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        return d + d.T
+    d[~np.eye(n, dtype=bool)] = np.inf
+    tree = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+    for a, b in tree + [(a, b) for a, b in extra if a != b]:
+        d[a, b] = d[b, a] = min(d[a, b], draw(st.integers(8, 63)) / 64.0)
+    for k in range(n):  # Floyd-Warshall
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    i = draw(st.integers(0, n - 1))
+    k = draw(st.integers(0, n - 2))
+    return raise_entry(d, i, k + (k >= i), draw(st.sampled_from([-1, 0, 1])) / 64.0)
+
+
 @pytest.fixture
 def loop_dtypes(monkeypatch):
     """The scalar type of every matrix the offset loop runs on."""
@@ -139,18 +164,51 @@ def loop_dtypes(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def decided_by(monkeypatch, loop_dtypes):
+    """What decided each check: "certificate" where the split certificate
+    proved it, else the scalar type of the offset loop that ran."""
+    certificate = geometry._split_certificate
+
+    def spy(q):
+        proved = certificate(q)
+        if proved:
+            loop_dtypes.append("certificate")
+        return proved
+
+    monkeypatch.setattr(geometry, "_split_certificate", spy)
+    return loop_dtypes
+
+
 class TestTriangleCheck:
     """The O(n^2) running min-plus check against the n^3 slack tensor."""
 
-    def test_graph_metrics_run_on_int32(self, loop_dtypes):
+    def test_graph_metrics_run_on_int32(self, decided_by):
         # the benchmark's k/64 graph metrics lie on a dyadic lattice
         for n in (2, 40, 240):
             d = random_graph_metric(np.random.default_rng(n), n)
             assert same_bits(_worst_triangle_slack(d), brute_force_worst(d))
-        assert loop_dtypes == [np.int32] * 3
+        assert decided_by == [np.int32, "certificate", "certificate"]  # two points leave their pair unsplit
+
+    def test_graph_metrics_are_decided_without_the_loop(self, decided_by):
+        for n in (40, 240):
+            d = random_graph_metric(np.random.default_rng(n), n)
+            assert same_bits(_worst_triangle_slack(d), brute_force_worst(d))
+        assert decided_by == ["certificate"] * 2
+        # no pair of the uniform metric has a midpoint, so nothing is split
+        d = 1.0 - np.eye(240)
+        assert same_bits(_worst_triangle_slack(d), 0.0)
+        assert decided_by[2:] == [np.int32]
+
+    @given(d=lattice_matrices())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_lattice_slack_and_message_match_brute_force(self, d):
+        worst = _worst_triangle_slack(d)
+        assert same_bits(worst, brute_force_worst(d))
+        assert verdict(d) == (brute_force_message(d) if worst > 0.0 else "accepted")
 
     @pytest.mark.parametrize("raised", [0, 3])
-    def test_subnormal_lattice(self, loop_dtypes, raised):
+    def test_subnormal_lattice(self, decided_by, raised):
         # multiples of 5e-324, whose lattice exponent is beyond 1023
         q = random_graph_metric(np.random.default_rng(31), 40) * 64
         d = raise_entry(np.ldexp(q, -1074), 4, 30, raised * 5e-324)
@@ -158,7 +216,7 @@ class TestTriangleCheck:
         worst = _worst_triangle_slack(d)
         assert same_bits(worst, brute_force_worst(d))
         assert verdict(d) == (brute_force_message(d) if worst > 0.0 else "accepted")
-        assert set(loop_dtypes) == {np.int32}
+        assert decided_by == [np.int32 if raised else "certificate"] * 2
 
     @pytest.mark.parametrize("raised", [0.0, 0.375])
     def test_huge_entry_beside_tiny_ones_takes_the_float_path(self, loop_dtypes, raised):
@@ -178,7 +236,7 @@ class TestTriangleCheck:
         ids=["power-of-two", "below-power-of-two", "power-of-two-31-bits"],
     )
     @pytest.mark.parametrize("raised", [False, True])
-    def test_largest_entry_at_and_below_a_power_of_two(self, loop_dtypes, top, unit, dtype, raised):
+    def test_largest_entry_at_and_below_a_power_of_two(self, decided_by, top, unit, dtype, raised):
         # numerators up to 2^30 - 1 fit the lattice; 2^30 takes the float path
         rng = np.random.default_rng(top)
         x = np.concatenate([[0, top], rng.choice(top, size=38, replace=False)]) * unit
@@ -191,7 +249,7 @@ class TestTriangleCheck:
         assert same_bits(worst, brute_force_worst(d))
         assert (worst > 0.0) == raised
         assert verdict(d) == (brute_force_message(d) if raised else "accepted")
-        assert loop_dtypes[0] == dtype
+        assert decided_by[0] == (dtype if dtype is np.float64 or raised else "certificate")
 
     @pytest.mark.parametrize("direction", [np.inf, 0.0])
     def test_one_ulp_off_the_lattice(self, loop_dtypes, direction):
@@ -204,13 +262,13 @@ class TestTriangleCheck:
         assert loop_dtypes[0] == np.float64
 
     @pytest.mark.parametrize("raised", [0.0, 0.5])
-    def test_negative_zero_diagonal(self, loop_dtypes, raised):
+    def test_negative_zero_diagonal(self, decided_by, raised):
         d = raise_entry(random_graph_metric(np.random.default_rng(23), 50), 3, 44, raised)
         np.fill_diagonal(d, -0.0)
         worst = _worst_triangle_slack(d)
         assert same_bits(worst, brute_force_worst(d))
         assert verdict(d) == (brute_force_message(d) if raised else "accepted")
-        assert loop_dtypes[0] == np.int32
+        assert decided_by[0] == (np.int32 if raised else "certificate")
 
     @pytest.mark.parametrize("d", [[[0.0, 0.1], [0.1, 0.0]], [[0.0, 0.75], [0.75, 0.0]]], ids=["decimal", "dyadic"])
     def test_two_points(self, loop_dtypes, d):

@@ -26,6 +26,7 @@ from funcspace.kernels import coordinate
 from funcspace.serialize import (
     coefficients,
     complex_vector_from_json,
+    index_list,
     integer,
     pair_to_complex,
     real,
@@ -465,3 +466,24 @@ def test_complex_vector_matches_the_per_entry_reader_on_any_pairs(obj):
 def test_point_set_matches_the_per_entry_reader_on_any_rows(points, dim):
     obj = {"points": points} if dim is None else {"points": points, "dim": dim}
     assert_same_point_set(obj)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([3, True, 1], "order entry must be an integer, got True"),
+        ([3, 1.0, 1], "order entry must be an integer, got 1.0"),
+        ([3, 240, 1], "order entry 240 out of range for a space of 240 points"),
+        ([3, -1, 1], "order entry -1 out of range for a space of 240 points"),
+    ],
+    ids=["bool", "float", "out-of-range", "negative"],
+)
+def test_index_list_names_the_first_refused_entry(entries, message):
+    # a 240-entry order with one bad entry: the one-pass reader falls back to
+    # the per-entry reader, so the message is the same as before
+    order = list(range(4, 240)) + entries
+    with pytest.raises(ValidationError) as exc:
+        index_list(order, "order", "order entry", 240)
+    assert str(exc.value) == message
+    assert index_list(list(range(240)), "order", "order entry", 240) == list(range(240))
+    assert index_list(np.array([], dtype=np.int64), "order", "order entry", 240) == []
