@@ -44,8 +44,8 @@ from .serialize import (
 _LATTICE_BITS = 30
 
 
-def _lattice_exponent(dist: np.ndarray) -> int | None:
-    """The ``k`` with ``dist = q * 2^-k`` for integers ``0 <= q < 2^30``, or None.
+def _lattice_numerators(dist: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """``(k, q)`` with ``dist = q * 2^-k`` for int32 numerators ``0 <= q < 2^30``, or None.
 
     ``k`` is fixed by the largest entry.  Scaling by a power of two is exact
     unless it underflows, and an entry that underflows (or is not a multiple
@@ -54,16 +54,16 @@ def _lattice_exponent(dist: np.ndarray) -> int | None:
     """
     k = _LATTICE_BITS - math.frexp(dist.max())[1]
     scaled = np.ldexp(dist, k)
-    np.rint(scaled, out=scaled)
-    np.ldexp(scaled, -k, out=scaled)
-    return k if np.array_equal(scaled, dist) else None
+    q = np.rint(scaled, out=np.empty(dist.shape, np.int32), casting="unsafe")
+    np.ldexp(q, -k, out=scaled)
+    return (k, q) if np.array_equal(scaled, dist) else None
 
 
 def _worst_triangle_slack(dist: np.ndarray) -> float:
     """The largest ``d[i,k] - (d[i,j] + d[j,k])`` over all triples, in O(n^2) memory.
 
     ``dist`` must already be checked finite, symmetric and nonnegative.  On
-    a dyadic lattice (:func:`_lattice_exponent`) the int32 numerators are
+    a dyadic lattice (:func:`_lattice_numerators`) the int32 numerators are
     first offered to :func:`_split_certificate`; where it proves every
     triangle, the largest slack is exactly 0 (the triple ``j = i``).
     Otherwise the slacks are taken on the numerators, at half the memory
@@ -74,11 +74,11 @@ def _worst_triangle_slack(dist: np.ndarray) -> float:
     n = dist.shape[0]
     if n < 2:
         return 0.0
-    k = _lattice_exponent(dist)
-    if k is None:
+    lattice = _lattice_numerators(dist)
+    if lattice is None:
         with np.errstate(over="ignore"):  # a sum past float64 is inf, above every finite distance
             return float(_slack_by_offsets(dist))
-    q = np.ldexp(dist, k, out=np.empty((n, n), np.int32), casting="unsafe")
+    k, q = lattice
     if _split_certificate(q):
         return 0.0
     return math.ldexp(int(_slack_by_offsets(q)), -k)

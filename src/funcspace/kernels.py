@@ -24,8 +24,7 @@ Hermitian pencils ``(A, G)`` are solved in batches over one factorization of
 matrices are 5 to 12 wide, so the pencil code counts numpy calls, not flops.
 One shifted-Cholesky test (:func:`_shift_needed`) proves every certificate,
 for Pick norms here and for the pencil value of ``mult-norm --method
-bisection``; it bounds the factor's error by its largest row sum, and by a
-Perron bound only where the row sum cannot decide.
+bisection``; it bounds the factor's error by one Perron bound.
 
 Expressions travel as JSON objects, and each tree's grammar is stated once,
 in ``_KERNEL_GRAMMAR`` and ``_FN_GRAMMAR``: every op or kind with its
@@ -477,6 +476,7 @@ def psd_check(G, tol: float = 1e-10) -> PsdReport:
     nonempty square matrix, from :func:`gram` or not, and must be exactly
     Hermitian.  An eigenvalue past float64 is refused as :class:`Overflow`.
     """
+    tol = real(tol, "tolerance")
     if not 0.0 <= tol < np.inf:
         raise ValidationError("tolerance must be nonnegative and finite")
     entries = np.asarray(G, dtype=complex)
@@ -655,27 +655,18 @@ def _cholesky_each(S: np.ndarray):
     return L, ok
 
 
-def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_radius: np.ndarray, floor: float = 0.0) -> np.ndarray:
+def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_radius: np.ndarray) -> np.ndarray:
     """Shift that a Cholesky factorization of ``P[k] - shift[k] I`` shows to suffice.
 
     Rump's test (BIT 46, 2006): if floating-point Cholesky of ``P - shift I``
     completes with factor L, then ``L L* = P - shift I + E`` with
     ``|E| <= gamma_{n+3} |L| |L*|`` (complex arithmetic adds two roundings to
     the real ``gamma_{n+1}``), and the shifted diagonal is off by at most
-    ``u`` of itself.  By Weyl's inequality every Hermitian matrix within
-    spectral distance ``entry_radius[k]`` of ``P[k]`` has its eigenvalues at
-    least ``shift`` minus the returned sum of the three error terms; the sum
-    is infinite where the factorization broke down.
-
-    ``rho(|L| |L*|)`` is bounded first by the largest row sum of ``|L|
-    |L*|``, formed with ufuncs: a real matrix product would be the first in
-    a process that otherwise multiplies only complex matrices, and its BLAS
-    buffers would add to the peak memory.  Only where that leaves ``shift -
-    needed`` at or below ``floor`` is the product formed and bounded by
-    :func:`_perron_bound`, one power step from the row sums, which never
-    exceeds the largest row sum; so the row sum decides only what the Perron
-    bound would decide the same way, and a failed test returns the Perron
-    bound's sum.
+    ``u`` of itself.  ``rho(|L| |L*|)`` is bounded by :func:`_perron_bound`.
+    By Weyl's inequality every Hermitian matrix within spectral distance
+    ``entry_radius[k]`` of ``P[k]`` has its eigenvalues at least ``shift``
+    minus the returned sum of the three error terms; the sum is infinite
+    where the factorization broke down.  The caller compares the two.
     """
     n = P.shape[-1]
     S = P.copy()
@@ -683,16 +674,9 @@ def _shift_needed(P: np.ndarray, shift: np.ndarray, entry_radius: np.ndarray, fl
     diag -= shift[:, None]
     L, done = _cholesky_each(S)
     absL = np.abs(L)
+    factor_error = gamma(n + 3) * _perron_bound(absL @ np.swapaxes(absL, -1, -2))
     diag_error = 1.01 * UNIT_ROUNDOFF * np.abs(diag.real).max(axis=-1)
-    # the factor covers the 2n roundings of the row sums and lifts them above
-    # the Perron bound's own 5n + 5 roundings
-    rows = (absL * absL.sum(axis=-2, keepdims=True)).sum(axis=-1).max(axis=-1) * (1.0 + gamma(8 * n + 16))
-    needed = (gamma(n + 3) * rows + diag_error + entry_radius) * (1.0 + gamma(4))
-    tight = done & ~(shift - needed > floor)
-    if tight.any():
-        absL = absL[tight]
-        factor_error = gamma(n + 3) * _perron_bound(absL @ np.swapaxes(absL, -1, -2))
-        needed[tight] = (factor_error + diag_error[tight] + entry_radius[tight]) * (1.0 + gamma(4))
+    needed = (factor_error + diag_error + entry_radius) * (1.0 + gamma(4))
     return np.where(done, needed, np.inf)
 
 

@@ -160,19 +160,18 @@ def sampled_mult_norm(
       (:func:`kernels._shift_needed`) can prove it feasible.  With ``M = t^2
       G_E - A``, ``s = max(1, max |M_ii|)`` and ``sigma = FEASIBLE_TOL s /
       4``, it factors ``M + sigma I`` as ``L L*`` and returns ``needed``:
-      ``gamma_{n+3}`` times the largest row sum of ``|L| |L*|`` (lifted by
-      the row sums' rounding factor) or, where that is too coarse, its
-      Perron bound, plus ``1.01 u`` of the largest shifted diagonal entry,
-      all rounded up by ``1 + gamma_4``.  So ``lambda_min(M) >= -(sigma +
-      needed)``.  The eigensolver then reads at least ``-(sigma + needed) -
-      n^2 u ||M||_2``, and the rule's threshold is at least ``FEASIBLE_TOL
-      (1 - n^2 u) max(1, ||M||_2)``, where ``max(1, ||M||_2) >= s``; so
-      ``sigma + needed <= (FEASIBLE_TOL - n^2 u (1 + FEASIBLE_TOL)) s``
-      settles it.  The test asks ``sigma + needed < budget = (FEASIBLE_TOL -
-      (n^2 + 2) u) s``, passed as ``floor = -budget``: wherever ``budget``
-      is positive, ``n^2 FEASIBLE_TOL <= 1``, so one extra ``u s`` covers
-      ``n^2 u FEASIBLE_TOL s`` and the other the rounding of ``budget`` and
-      of ``sigma + needed``.
+      ``gamma_{n+3}`` times the Perron bound of ``|L| |L*|``, plus ``1.01
+      u`` of the largest shifted diagonal entry, all rounded up by ``1 +
+      gamma_4``.  So ``lambda_min(M) >= -(sigma + needed)``.  The
+      eigensolver then reads at least ``-(sigma + needed) - n^2 u
+      ||M||_2``, and the rule's threshold is at least ``FEASIBLE_TOL (1 -
+      n^2 u) max(1, ||M||_2)``, where ``max(1, ||M||_2) >= s``; so ``sigma
+      + needed <= (FEASIBLE_TOL - n^2 u (1 + FEASIBLE_TOL)) s`` settles it.
+      The test asks ``-sigma - needed > -budget``, with ``budget =
+      (FEASIBLE_TOL - (n^2 + 2) u) s``: wherever ``budget`` is positive,
+      ``n^2 FEASIBLE_TOL <= 1``, so one extra ``u s`` covers ``n^2 u
+      FEASIBLE_TOL s`` and the other the rounding of ``budget`` and of
+      ``sigma + needed``.
 
     A test the data cannot decide runs ``psd_check``.  Every verdict equals
     the eigensolve's on one assumption: ``eigvalsh`` returns the eigenvalues
@@ -229,8 +228,8 @@ def sampled_mult_norm(
     M = t * t * G_E - A
     s = max(1.0, float(np.abs(M.diagonal().real).max()))
     sigma = FEASIBLE_TOL * s / 4.0
-    floor = -(FEASIBLE_TOL - (n * n + 2) * UNIT_ROUNDOFF) * s
-    proven = -sigma - _shift_needed(M[None], np.array([-sigma]), np.zeros(1), floor)[0] > floor
+    budget = (FEASIBLE_TOL - (n * n + 2) * UNIT_ROUNDOFF) * s
+    proven = -sigma - _shift_needed(M[None], np.array([-sigma]), np.zeros(1))[0] > -budget
     if not (proven or psd_check(M, tol=FEASIBLE_TOL).is_psd):
         raise DegenerateGram(f"the pencil value {t!r} is not feasible at tol {FEASIBLE_TOL:g}; perturb the sample")
     return MultNormReport(sup, t, "bisection")

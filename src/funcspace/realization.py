@@ -234,6 +234,7 @@ def topology_probe(x: int, eps: float, model: RealizationModel) -> TopologyProbe
     sits inside the metric ball B(x, eps), which is the two-sided inclusion
     making the g's generate the metric topology.
     """
+    eps = real(eps, "eps")
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
     space = model.dense.space

@@ -225,7 +225,8 @@ class TestCoreCommands:
 
     def test_pick_solve_reports_pencil_norm(self, capsys, tmp_path):
         """The certified norm is at or just above the float pencil value, also
-        on nodes whose certificate needs the Perron bound past the row sum."""
+        on nodes where a row-sum bound in place of the Perron bound would
+        change the certificate."""
         for problem in (
             {"nodes": [[0.1, 0.2], [0.5, 0], [-0.3, 0.6]], "values": [[1, 0], [0, 0], [0.5, 0.5]]},
             {"nodes": [0, 0.5, [0, -0.5]], "values": [0, [0.5, 0.5], 0.25]},
@@ -1159,6 +1160,23 @@ class TestErrorPaths:
             _, report = run_cli(capsys, argv)
             seen.add(report["error"]["code"])
         assert seen == {"NotHermitian", "PatternBudgetExceeded", "SamePoint"}
+
+    @pytest.mark.parametrize("error", [KeyError, TypeError, ValueError, OverflowError])
+    def test_a_stray_builtin_error_is_bad_input(self, capsys, monkeypatch, error):
+        """A handler that raises a builtin error on input it did not foresee
+        exits 2 with one JSON report, not a traceback."""
+
+        def handler(config, loader):
+            raise error("planted")
+
+        monkeypatch.setitem(cli._REGISTRY, "ardy-check", cli._REGISTRY["ardy-check"]._replace(handler=handler))
+        code = run(ExperimentConfig("ardy-check", inline={"poly": "[1]"}))
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2 and len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["status"] == "error" and report["result"] is None
+        assert report["error"]["code"] == "ValidationError"
+        assert report["error"]["message"] == f"bad input: {error('planted')!r}"
 
 
 class TestParserErrors:

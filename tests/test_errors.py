@@ -27,7 +27,7 @@ from funcspace.geometry import (
     set_distance,
     submult_ratio,
 )
-from funcspace.hardy_pick import PickProblem, carleson_seq, compress_square, separability_probe, toeplitz_mo
+from funcspace.hardy_pick import PickProblem, carleson_seq, compress_square, pick_feasible, separability_probe, toeplitz_mo
 from funcspace.kernels import (
     ClosedFormFunction,
     KernelExpr,
@@ -38,11 +38,13 @@ from funcspace.kernels import (
     moebius,
     pencil_norms,
     polynomial,
+    psd_check,
     scale,
+    schur_product_check,
     szego,
     szego_section,
 )
-from funcspace.multipliers import certify_unit_sup
+from funcspace.multipliers import certify_unit_sup, contraction_check, kl_monotonicity_check
 from funcspace.realization import DenseSequence, build_g, build_model, point_eval_rank, topology_probe
 from funcspace.serialize import complex_matrix_from_json, pair_to_complex
 
@@ -80,6 +82,7 @@ def test_validation_errors_are_value_errors():
         raise errors.DegenerateGram("x")
 
 
+_PAIR = EuclideanPointSet([[0.0], [0.5]])
 _LINE = MetricSpace(np.abs(np.subtract.outer(np.arange(3) / 2, np.arange(3) / 2)))
 _MODEL = build_model(DenseSequence(_LINE, [1, 0, 2]), 2)
 
@@ -148,6 +151,12 @@ REAL_ARGUMENTS = {
     "imaginary part": lambda v: pair_to_complex([0.0, v]),
     "matrix re entry": lambda v: complex_matrix_from_json({"re": [[1.0, v], [0.5, 1.0]]}),
     "matrix im entry": lambda v: complex_matrix_from_json({"re": [[1.0, 0.5], [0.5, 1.0]], "im": [[0.0, v], [0, 0]]}),
+    "psd_check tol": lambda v: psd_check(np.eye(2), tol=v),
+    "contraction_check tol": lambda v: contraction_check(szego(), coordinate(0), _PAIR, tol=v),
+    "kl_monotonicity_check tol": lambda v: kl_monotonicity_check(szego(), szego(), coordinate(0), _PAIR, tol=v),
+    "pick_feasible tol": lambda v: pick_feasible(PickProblem([0.1], [0.2], bound=1.0), tol=v),
+    "schur_product_check tol": lambda v: schur_product_check(szego(), szego(), _PAIR, tol=v),
+    "topology_probe eps": lambda v: topology_probe(0, v, _MODEL),
 }
 
 

@@ -251,6 +251,17 @@ class TestTriangleCheck:
         assert verdict(d) == (brute_force_message(d) if raised else "accepted")
         assert decided_by[0] == (dtype if dtype is np.float64 or raised else "certificate")
 
+    def test_split_certificate_refuses_a_zero_off_the_diagonal(self):
+        """A part of length 0 splits a pair without making it shorter, so the
+        proof's induction on length fails: without the refusal, the second
+        matrix, which breaks the triangle inequality, would be proven."""
+        x = np.array([0, 0, 1, 3, 4, 6])  # points 0 and 1 coincide
+        line = np.abs(x[:, None] - x[None, :]).astype(np.int32)
+        broken = np.zeros((4, 4), np.int32)
+        broken[2, 3] = broken[3, 2] = 1  # above q[2,0] + q[0,3] = 0
+        assert not geometry._split_certificate(line)
+        assert not geometry._split_certificate(broken)
+
     @pytest.mark.parametrize("direction", [np.inf, 0.0])
     def test_one_ulp_off_the_lattice(self, loop_dtypes, direction):
         d = random_graph_metric(np.random.default_rng(17), 60)

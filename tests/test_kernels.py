@@ -742,7 +742,7 @@ class TestCertifyPencilNorms:
 
 def perron_shift_needed(P, shift, entry_radius):
     """``kernels._shift_needed`` bounding every factor's error by the Perron
-    bound alone, the reference for the row-sum bound in front of it."""
+    bound alone, frozen as the reference its certificates must keep."""
     n = P.shape[-1]
     S = P.copy()
     diag = S.reshape(len(S), n * n)[:, :: n + 1]
@@ -757,7 +757,8 @@ def perron_shift_needed(P, shift, entry_radius):
 
 def pick_pool():
     """Pick problems on halving, random-disk and clustered nodes, 2 to 12 of
-    them, after one whose certificate the row sum alone would change."""
+    them, after one whose certificate a row-sum bound in place of the Perron
+    bound would change."""
     yield [-0.5 + 0.7j, 0.5, -0.4 - 0.4j], [-0.6, 0.0, -0.2]
     rng = np.random.default_rng(72)
     for n in range(2, 13):
@@ -773,8 +774,8 @@ def pick_pool():
 
 class TestShiftNeeded:
     def test_pick_bits_match_the_perron_bound_alone(self, monkeypatch):
-        """The row sum proves only what the Perron bound proves, and a failed
-        proof returns the Perron bound's shift, so every certificate keeps its bits."""
+        """Every proof, passed or failed, returns the Perron bound's shift,
+        so every certificate keeps the bits of the frozen reference."""
         perron_bound, perron_steps = kernels._perron_bound, []
 
         def counted_perron_bound(M):

@@ -8,6 +8,7 @@ from funcspace import kernels, multipliers
 from funcspace.errors import DegenerateGram, Overflow, SymbolNotContractive, ValidationError
 from funcspace.geometry import EuclideanPointSet
 from funcspace.kernels import (
+    UNIT_ROUNDOFF,
     ball,
     constant,
     compose,
@@ -199,9 +200,11 @@ class TestBisectionEndpoint:
         eigensolve's."""
         shift_needed, proofs, tolerances = multipliers._shift_needed, [], []
 
-        def spied_shift_needed(P, shift, radius, floor):
-            needed = shift_needed(P, shift, radius, floor)
-            proofs.append(bool(shift[0] - needed[0] > floor))
+        def spied_shift_needed(P, shift, radius):
+            needed = shift_needed(P, shift, radius)
+            n, s = P.shape[-1], max(1.0, float(np.abs(P[0].diagonal().real).max()))
+            budget = (FEASIBLE_TOL - (n * n + 2) * UNIT_ROUNDOFF) * s  # the threshold sampled_mult_norm compares
+            proofs.append(bool(shift[0] - needed[0] > -budget))
             assert not proofs[-1] or psd_check(P[0], tol=FEASIBLE_TOL).is_psd
             return needed
 
