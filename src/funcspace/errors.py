@@ -11,6 +11,8 @@ messages.  Two families:
   Gram matrix, overflow).
 """
 
+import numpy as np
+
 #: The message of a refusal of an input nested past the interpreter's
 #: recursion limit, or of an expression deeper than ``kernels.MAX_DEPTH``;
 #: the command line prefixes the file or flag it came from.
@@ -20,13 +22,18 @@ NESTED_TOO_DEEPLY = "input nested too deeply"
 class Frozen:
     """Base of the package's immutable objects: ``__init__`` sets the fields
     named in ``_fields`` once, by :meth:`_set`, and ``repr`` shows them.  An
-    object is equal only to itself unless its class says otherwise."""
+    array field is a read-only array of the object's own.  An object is equal
+    only to itself unless its class says otherwise."""
 
     _fields: tuple = ()
 
     def _set(self, *values) -> None:
-        """Set the fields to ``values``, in ``_fields`` order."""
+        """Set the fields to ``values``, in ``_fields`` order.  An array is
+        stored as a read-only copy, since no flag shows who else holds it."""
         for name, value in zip(self._fields, values, strict=True):
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):

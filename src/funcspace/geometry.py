@@ -226,7 +226,7 @@ class EuclideanPointSet(Frozen):
     _fields = ("points", "labels")
 
     def __init__(self, points, labels=None):
-        pts = np.array(points, dtype=complex)  # a copy, so the caller's array stays writeable
+        pts = np.asarray(points, dtype=complex)
         if pts.ndim == 1:  # a flat list means n points of C^1
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.size == 0:
@@ -234,7 +234,6 @@ class EuclideanPointSet(Frozen):
         finite(pts, "points")
         if labels is not None:
             labels = point_labels(labels, pts.shape[0])
-        pts.flags.writeable = False
         self._set(pts, labels)
 
     @property
@@ -245,9 +244,11 @@ class EuclideanPointSet(Frozen):
         return self.points.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise Euclidean distances, treating C^d as R^(2d)."""
+        """Pairwise Euclidean distances, treating C^d as R^(2d), by ``hypot``:
+        nothing is squared, so a distance that is a normal float is found at
+        every magnitude, and the matrix is exactly symmetric."""
         diff = self.points[:, None, :] - self.points[None, :, :]
-        return np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
+        return np.hypot.reduce(np.abs(diff), axis=-1)
 
     def to_json(self) -> dict:
         out = {"dim": self.dim, "points": complex_to_json(self.points)}
@@ -307,8 +308,6 @@ class MetricSpace(Frozen):
         else:
             labels = point_labels(labels, n)
         base = integer(base, "base index", n)
-        dist = dist.copy()
-        dist.flags.writeable = False
         self._set(labels, dist, base, triangle_tol)
 
     def __len__(self) -> int:
@@ -323,7 +322,6 @@ class MetricSpace(Frozen):
         """Metric induced on a point set.  Distances are computed in floating
         point, so the triangle check runs with a small rounding allowance."""
         d = ps.distance_matrix()
-        d = 0.5 * (d + d.T)
         tol = 1e-12 * max(1.0, float(d.max()))
         return cls(d, labels=ps.labels, base=base, triangle_tol=tol)
 
@@ -356,8 +354,6 @@ class SampledFunction(Frozen):
         vals = np.asarray(values, dtype=complex).reshape(-1)
         if len(vals) != len(space):
             raise ValidationError(f"expected {len(space)} values, got {len(vals)}")
-        vals = vals.copy()
-        vals.flags.writeable = False
         self._set(space, vals)
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":

@@ -57,7 +57,7 @@ from .kernels import (
     require_finite,
     szego,
 )
-from .serialize import coefficients, complex_to_json, complex_vector_from_json, finite, integer, real, tolerance
+from .serialize import coefficients, complex_array, complex_to_json, complex_vector_from_json, finite, integer, real, tolerance
 
 
 def toeplitz_mo(omega, N: int) -> np.ndarray:
@@ -79,7 +79,7 @@ def toeplitz_mo(omega, N: int) -> np.ndarray:
 
 def compress_square(T: np.ndarray, N: int) -> np.ndarray:
     """Keep coefficients of degree <= N: the square truncation of an MO matrix."""
-    T = np.asarray(T, dtype=complex)
+    T = complex_array(T, "the matrix", 2)
     N = integer(N, "truncation degree")
     if T.shape[1] != N + 1 or T.shape[0] < N + 1:
         raise ValidationError(f"expected a matrix with {N + 1} columns and at least {N + 1} rows")
@@ -98,8 +98,8 @@ def detect_mo(T, sample: EuclideanPointSet, tol: float = 1e-6):
     For the square truncation of a genuine polynomial symbol the recovery
     error decays like |x|^(N + 1 - deg) in the truncation degree N.
     """
-    T = np.asarray(T, dtype=complex)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+    T = complex_array(T, "the matrix", 2)
+    if T.shape[0] != T.shape[1]:
         raise ValidationError("detect_mo needs a square matrix")
     tol = tolerance(tol)
     if sample.dim != 1 or len(sample) < 2:
@@ -138,8 +138,6 @@ class PickProblem(Frozen):
         bound = real(bound, "the norm bound")
         if not (np.isfinite(bound) and bound >= 0.0):
             raise ValidationError("the norm bound must be finite and nonnegative")
-        nodes.flags.writeable = False
-        values.flags.writeable = False
         self._set(nodes, values, bound)
 
     def to_json(self) -> dict:

@@ -54,6 +54,7 @@ from .errors import (
 from .geometry import EuclideanPointSet
 from .serialize import (
     coefficients,
+    complex_array,
     complex_to_json,
     complex_vector_from_json,
     integer,
@@ -473,14 +474,15 @@ def psd_check(G, tol: float = 1e-10) -> PsdReport:
 
     The matrix passes when its smallest eigenvalue satisfies
     ``lambda_min >= -tol * max(1, max_i |lambda_i|)``.  ``G`` is any
-    nonempty square matrix, from :func:`gram` or not, and must be exactly
-    Hermitian.  An eigenvalue past float64 is refused as :class:`Overflow`.
+    nonempty square matrix of finite numbers, from :func:`gram` or not, read
+    by :func:`serialize.complex_array`, and must be exactly Hermitian.  An
+    eigenvalue past float64 is refused as :class:`Overflow`.
     """
     tol = real(tol, "tolerance")
     if not 0.0 <= tol < np.inf:
         raise ValidationError("tolerance must be nonnegative and finite")
-    entries = np.asarray(G, dtype=complex)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] == 0:
+    entries = complex_array(G, "the matrix", 2)
+    if entries.shape[0] != entries.shape[1] or entries.shape[0] == 0:
         raise ValidationError("psd_check needs a nonempty square matrix")
     if not np.array_equal(entries, entries.conj().T):
         raise NotHermitian("matrix is not Hermitian")

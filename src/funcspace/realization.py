@@ -43,7 +43,7 @@ from .errors import (
 )
 from .geometry import MetricSpace, SampledFunction
 from .kernels import gamma, lower_inverse
-from .serialize import finite, index_list, integer, real, shown, tolerance
+from .serialize import complex_array, index_list, integer, real, shown, tolerance
 
 _PIVOT_FLOOR = 1e-14
 #: Default bound on the relative error of a coefficient round-trip.
@@ -147,15 +147,14 @@ def build_model(
     p = real(p, "the model exponent")
     if not p >= 1.0:
         raise ValidationError("the model exponent must satisfy p >= 1")
-    weights.flags.writeable = False
     return RealizationModel(dense, depth, g, weights, p)
 
 
 def _check_coeffs(f, model: RealizationModel) -> np.ndarray:
-    f = np.asarray(f, dtype=complex).reshape(-1)
+    f = complex_array(f, "coefficients")
     if len(f) > model.depth + 1:
         raise CoefficientOverflow(f"at most {model.depth + 1} coefficients fit this model, got {len(f)}")
-    return np.pad(finite(f, "coefficients"), (0, model.depth + 1 - len(f)))
+    return np.pad(f, (0, model.depth + 1 - len(f)))
 
 
 def embed(f, model: RealizationModel) -> SampledFunction:
@@ -180,7 +179,7 @@ def point_functional(x: int, model: RealizationModel) -> np.ndarray:
 def pair(f, functional: np.ndarray) -> complex:
     """<f, functional> accumulated in the same order as :func:`embed`."""
     acc = 0.0 + 0.0j
-    for fn, phi in zip(np.asarray(f, dtype=complex), functional):
+    for fn, phi in zip(complex_array(f, "coefficients"), functional):
         acc = acc + fn * phi
     return acc
 

@@ -18,12 +18,12 @@ must be positive also :func:`tolerance`; a real matrix read from JSON passes
 reads the entry types only where a ``true`` or ``false`` could hide, and rows of
 unequal length are named by :func:`rows_array`.  Both one-pass readers fill
 a new float array through :func:`_packed`, one ``struct`` call per row
-straight into the array's buffer.  A library caller's list of
-polynomial coefficients passes :func:`coefficients`, which applies
-:func:`finite`, the one refusal of a NaN or infinity: every array of numbers
-that enters from outside passes it.  A message that shows an input value shows
-it through :func:`shown`, so that a value nested past the interpreter's
-recursion limit is refused like any other.
+straight into the array's buffer.  A library caller's vector or matrix of
+numbers passes :func:`complex_array`, and a list of polynomial coefficients
+:func:`coefficients`; both apply :func:`finite`, the one refusal of a NaN or
+infinity: every array of numbers that enters from outside passes it.  A
+message that shows an input value shows it through :func:`shown`, so that a
+value nested past the interpreter's recursion limit is refused like any other.
 """
 
 from __future__ import annotations
@@ -107,20 +107,36 @@ def finite(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def coefficients(values, name: str) -> np.ndarray:
-    """``values``, a list, tuple or 1-D array of int, float or complex numbers,
-    as a new complex vector.  Bools, text, None, nested lists and a bare
-    number are refused, which ``np.asarray`` would convert, flatten or wrap,
-    and so are an empty list, which names no polynomial, and a NaN or infinity."""
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iufc":
-        values = values.astype(complex)
-    elif not isinstance(values, (list, tuple)):
-        raise ValidationError(f"{name} must be a list of numbers, got {shown(values)}")
+def complex_array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """``values``, lists or tuples of int, float or complex numbers nested
+    ``ndim`` deep, or an array of them with ``ndim`` axes, as a complex array;
+    a complex array is returned as it is.  Bools, text, None, another depth and
+    a NaN or infinity are refused, which ``np.asarray`` would convert, reshape
+    or pass on; rows of unequal length are named by :func:`rows_array`."""
+    shape = f"a list of {'rows of ' * (ndim - 1)}numbers"
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
+        array = values.astype(complex, copy=False)
     else:
-        values = np.array([scalar(value, f"an entry of {name}") for value in values], dtype=complex)
-    if values.size == 0:
+        entries = [values]
+        for _ in range(ndim):
+            if not all(isinstance(entry, (list, tuple)) for entry in entries):
+                raise ValidationError(f"{name} must be {shape}, got {shown(values)}")
+            entries = list(chain.from_iterable(entries))
+        for value in entries:
+            scalar(value, f"an entry of {name}")
+        array = rows_array(values, name, complex)
+    if array.ndim != ndim:
+        raise ValidationError(f"{name} must be {shape}, got {shown(values)}")
+    return finite(array, name)
+
+
+def coefficients(values, name: str) -> np.ndarray:
+    """``values`` read by :func:`complex_array` as a new complex vector, and
+    refused if empty, since an empty list names no polynomial."""
+    array = complex_array(values, name)
+    if array.size == 0:
         raise ValidationError(f"{name} must hold at least one number")
-    return finite(values, name)
+    return array.copy() if array is values else array
 
 
 def point_labels(values, count: int) -> tuple:
@@ -207,7 +223,7 @@ def complex_matrix_to_json(mat) -> dict:
 
 
 def _row_shape(row) -> str:
-    return f"has length {len(row)}" if isinstance(row, (list, np.ndarray)) else "is a single number"
+    return f"has length {len(row)}" if isinstance(row, (list, tuple, np.ndarray)) else "is a single number"
 
 
 def rows_array(rows, key: str, dtype=float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import warnings
 
 import numpy as np
@@ -27,7 +28,15 @@ from funcspace.geometry import (
     set_distance,
     submult_ratio,
 )
-from funcspace.hardy_pick import PickProblem, carleson_seq, compress_square, pick_feasible, separability_probe, toeplitz_mo
+from funcspace.hardy_pick import (
+    PickProblem,
+    carleson_seq,
+    compress_square,
+    detect_mo,
+    pick_feasible,
+    separability_probe,
+    toeplitz_mo,
+)
 from funcspace.kernels import (
     ClosedFormFunction,
     KernelExpr,
@@ -45,7 +54,17 @@ from funcspace.kernels import (
     szego_section,
 )
 from funcspace.multipliers import certify_unit_sup, contraction_check, kl_monotonicity_check
-from funcspace.realization import DenseSequence, build_g, build_model, point_eval_rank, topology_probe
+from funcspace.realization import (
+    DenseSequence,
+    build_g,
+    build_model,
+    coefficient_roundtrip,
+    embed,
+    pair,
+    point_eval_rank,
+    point_functional,
+    topology_probe,
+)
 from funcspace.serialize import complex_matrix_from_json, pair_to_complex
 
 
@@ -236,6 +255,65 @@ def test_a_polynomial_symbol_needs_a_coefficient(coeffs):
     for build in (polynomial, lambda c: ClosedFormFunction("polynomial", coeffs=c)):
         with pytest.raises(ValidationError, match="^polynomial coefficients must hold at least one number$"):
             build(coeffs)
+
+
+# every vector or matrix of numbers a library caller can pass, as a call on
+# its value, the name it is refused with and its depth of nesting
+ARRAY_ARGUMENTS = {
+    "psd_check": (psd_check, "the matrix", 2),
+    "compress_square": (lambda v: compress_square(v, 0), "the matrix", 2),
+    "detect_mo": (lambda v: detect_mo(v, _PAIR), "the matrix", 2),
+    "embed": (lambda v: embed(v, _MODEL), "coefficients", 1),
+    "pair": (lambda v: pair(v, point_functional(0, _MODEL)), "coefficients", 1),
+    "coefficient_roundtrip": (lambda v: coefficient_roundtrip(v, _MODEL), "coefficients", 1),
+}
+
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None])
+@pytest.mark.parametrize("case", ARRAY_ARGUMENTS)
+def test_array_arguments_refuse_entries_that_are_not_numbers(case, value):
+    """Refused by name, as ``serialize.coefficients`` refuses them, where
+    ``np.asarray`` would read ``True`` and ``"1"`` as 1.0."""
+    call, name, depth = ARRAY_ARGUMENTS[case]
+    with pytest.raises(ValidationError, match=f"^an entry of {name} must be a number, got {re.escape(repr(value))}$"):
+        call(_nested(value, depth))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("case", ARRAY_ARGUMENTS)
+def test_array_arguments_refuse_non_finite_entries(case, value):
+    """With ``serialize.finite``'s message, where NaN read as "not Hermitian"
+    and infinity as ``Overflow``."""
+    call, name, depth = ARRAY_ARGUMENTS[case]
+    with pytest.raises(ValidationError) as info:
+        call(_nested(value, depth))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{name} must be finite, got {complex(value)} at index {(0, 0) if depth == 2 else 0}"
+
+
+@pytest.mark.parametrize("case", ARRAY_ARGUMENTS)
+def test_array_arguments_refuse_another_depth(case):
+    """A bare number, a matrix of coefficients or a bool array is not reshaped."""
+    call, name, depth = ARRAY_ARGUMENTS[case]
+    shape = ("a list of numbers", "a list of rows of numbers")[depth - 1]
+    for value in (_nested(1.0, depth - 1), np.ones((1,) * depth, dtype=bool)):
+        with pytest.raises(ValidationError, match=f"^{name} must be {shape}, got "):
+            call(value)
+    with pytest.raises(ValidationError, match=rf"^an entry of {name} must be a number, got \[1.0\]$"):
+        call(_nested(1.0, depth + 1))
+
+
+def test_an_empty_coefficient_list_is_the_zero_sequence():
+    assert not embed([], _MODEL).values.any()
+    assert pair([], point_functional(0, _MODEL)) == 0.0
+    recovered, bound = coefficient_roundtrip([], _MODEL)
+    assert not recovered.any() and bound == 0.0
 
 
 _DISK_SAMPLE = {"dim": 1, "points": [[0.1, 0.0], [0.0, 0.5]]}

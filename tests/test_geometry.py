@@ -74,6 +74,14 @@ class TestMetricSpaceValidation:
         space = MetricSpace.from_euclidean(ps)
         assert space.dist[0, 3] == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("gap", [1e-170, 3e-160, 1e200])
+    def test_from_euclidean_keeps_every_magnitude(self, gap):
+        """No distance is squared, so a tiny gap neither vanishes nor loses
+        digits, and a huge one does not overflow."""
+        space = MetricSpace.from_euclidean(EuclideanPointSet([[0j, 0j], [gap, 0j], [0j, gap * 1j]]))
+        assert space.dist[0, 1] == space.dist[0, 2] == gap
+        assert space.dist[1, 2] == pytest.approx(gap * np.sqrt(2.0), rel=4e-16, abs=0.0)
+
     def test_json_roundtrip(self):
         space = interval5_space(base=2)
         again = MetricSpace.from_json(space.to_json())

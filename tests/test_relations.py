@@ -10,14 +10,16 @@ rotating the targets by a unit that multiplies exactly (``1j``, ``-1``,
 ``-1j``), leaves the exact minimum unchanged, so two certified values differ
 by at most the excess that :func:`hardy_pick.pick_solve` documents,
 ``tol + 32 eps cond(C) max(1, t)`` with C the Szego Gram scaled to unit
-diagonal.
+diagonal.  So does moving the nodes by a disk automorphism, and deleting a
+node can only lower the exact minimum.  Doubling every point of a Euclidean
+point set doubles every induced distance bit for bit, at every magnitude.
 """
 
 import numpy as np
 import pytest
 
 from funcspace.errors import DegenerateGram
-from funcspace.geometry import MetricSpace, SampledFunction, dil
+from funcspace.geometry import EuclideanPointSet, MetricSpace, SampledFunction, dil
 from funcspace.hardy_pick import pick_solve
 from funcspace.kernels import fn_scale, moebius, polynomial, szego
 from funcspace.multipliers import sampled_mult_norm
@@ -62,6 +64,27 @@ def test_pick_min_norm_is_invariant_within_its_allowance(move):
         assert abs(moved.min_norm - base.min_norm) <= _allowance(nodes, base.min_norm)
 
 
+def test_deleting_a_pick_node_never_raises_min_norm_past_its_allowance():
+    rng = np.random.default_rng(12)
+    for nodes, targets in _pick_draws(12, 200):
+        keep = np.delete(np.arange(len(nodes)), rng.integers(len(nodes)))
+        smaller = pick_solve(nodes[keep], targets[keep], TOL)
+        larger = pick_solve(nodes, targets, TOL)
+        assert smaller.min_norm - _allowance(nodes[keep], smaller.min_norm) <= larger.min_norm
+
+
+def test_pick_min_norm_is_invariant_under_a_disk_automorphism():
+    """Nodes moved by ``(z - a) / (1 - conj(a) z)`` keep the exact minimum,
+    so the two certified values differ by at most the sum of their allowances."""
+    rng = np.random.default_rng(13)
+    for nodes, targets in _pick_draws(13, 200):
+        a = disk_sample(rng, 1, radius=0.8).points[0, 0]
+        moved_nodes = (nodes - a) / (1.0 - np.conj(a) * nodes)
+        base, moved = pick_solve(nodes, targets, TOL), pick_solve(moved_nodes, targets, TOL)
+        allowance = _allowance(nodes, base.min_norm) + _allowance(moved_nodes, moved.min_norm)
+        assert abs(moved.min_norm - base.min_norm) <= allowance
+
+
 def test_doubling_a_symbol_doubles_its_sampled_norm():
     rng = np.random.default_rng(5)
     solved = 0
@@ -90,3 +113,16 @@ def test_doubling_distances_halves_dil():
         values = rng.normal(size=len(dist)) + 1j * rng.normal(size=len(dist))
         f, g = SampledFunction(MetricSpace(dist), values), SampledFunction(MetricSpace(2 * dist), values)
         assert dil(g) == dil(f) / 2
+
+
+def test_doubling_points_doubles_every_induced_distance_at_every_magnitude():
+    """Points scaled by 2^k for k across the float range, with every
+    coordinate and distance a normal float."""
+    rng = np.random.default_rng(7)
+    for k in range(-1000, 1019, 3):
+        dim = int(rng.integers(1, 4))
+        unit = rng.uniform(0.5, 1.0, (5, dim)) * rng.choice([-1.0, 1.0], (5, dim))
+        points = np.ldexp(unit, k) + 1j * np.ldexp(unit[::-1], k)
+        d, doubled = (EuclideanPointSet(p).distance_matrix() for p in (points, 2 * points))
+        assert np.array_equal(doubled, 2 * d) and np.array_equal(d, d.T)
+        assert (d[~np.eye(5, dtype=bool)] > 0.0).all()

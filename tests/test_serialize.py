@@ -25,6 +25,7 @@ from funcspace.multipliers import von_neumann_check
 from funcspace.kernels import coordinate
 from funcspace.serialize import (
     coefficients,
+    complex_array,
     complex_vector_from_json,
     index_list,
     integer,
@@ -210,6 +211,24 @@ entries = (
 @given(st.lists(st.lists(entries, max_size=4) | entries, max_size=4))
 def test_real_matrix_matches_the_per_entry_reader_on_any_rows(rows):
     assert_same_outcome(rows)
+
+
+class TestComplexArray:
+    def test_a_complex_array_passes_without_a_copy(self):
+        for values in (np.eye(2, dtype=complex), np.ones(3, dtype=complex)):
+            assert complex_array(values, "x", values.ndim) is values
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[1, 2.5], [3 - 1j, np.float64(2.0)]], ([1, 0], (np.int64(3), 1j)), np.eye(2), np.arange(4).reshape(2, 2)],
+    )
+    def test_reads_rows_of_numbers(self, values):
+        out = complex_array(values, "x", 2)
+        assert out.dtype == complex and np.array_equal(out, np.asarray(values, dtype=complex))
+
+    def test_names_a_ragged_row(self):
+        with pytest.raises(ValidationError, match='^row 1 of "x" has length 1, but row 0 has length 2$'):
+            complex_array([[1.0, 0.0], (2.0,)], "x", 2)
 
 
 class TestCoefficients:

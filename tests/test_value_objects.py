@@ -1,10 +1,12 @@
 """The contracts of the package's value objects, written out by hand in
 ``errors.Frozen``, ``kernels._Node`` and ``typing.NamedTuple``.
 
-Every object is immutable.  Kernels and symbols are equal by value, so that
-a command given one kernel file twice builds one Gram matrix; samples,
-spaces, problems, models and configs are equal only to themselves; reports
-and commands are named tuples.  ``repr`` names each field.
+Every object is immutable, and an array field is a read-only array of the
+object's own, which no caller's array shares.  Kernels and symbols are equal
+by value, so that a command given one kernel file twice builds one Gram
+matrix; samples, spaces, problems, models and configs are equal only to
+themselves; reports and commands are named tuples.  ``repr`` names each
+field.
 """
 
 import ast
@@ -16,7 +18,7 @@ import pytest
 from funcspace import cli
 from funcspace.cli import ExperimentConfig
 from funcspace.geometry import EuclideanPointSet, MetricSpace, SampledFunction
-from funcspace.hardy_pick import PickProblem
+from funcspace.hardy_pick import PickProblem, pick_solve
 from funcspace.kernels import (
     ClosedFormFunction,
     KernelExpr,
@@ -34,7 +36,7 @@ from funcspace.kernels import (
     szego,
 )
 from funcspace.multipliers import MultNormReport
-from funcspace.realization import DenseSequence, build_model
+from funcspace.realization import DenseSequence, RealizationModel, build_model
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -84,6 +86,49 @@ def test_a_frozen_object_names_the_field():
         del ps.labels
     with pytest.raises(AttributeError, match="^cannot assign to field 'cache'$"):
         ps.cache = {}
+
+
+# one builder per class with array fields, called on the caller's arrays
+CALLER_ARRAYS = {
+    "EuclideanPointSet": (EuclideanPointSet, [[0.1 + 0j], [0.2j]]),
+    "MetricSpace": (MetricSpace, [[0.0, 0.5], [0.5, 0.0]]),
+    "SampledFunction": (lambda v: SampledFunction(_space(), v), [1.0 + 0j, 2.0]),
+    "PickProblem": (PickProblem, [0.1 + 0j, 0.2], [0j, 0.1]),
+    "RealizationModel": (
+        lambda g, b: RealizationModel(DenseSequence(_space(), [1, 0]), 1, g, b),
+        [[1.0, 1.0], [0.5, 0.0]],
+        [1.0, 1.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["writable", "frozen-then-thawed"])
+@pytest.mark.parametrize("name", CALLER_ARRAYS)
+def test_writing_to_the_callers_arrays_leaves_the_object_alone(name, frozen):
+    """Also when the caller hands over read-only arrays of its own and makes
+    them writable again once the object is built."""
+    build, *rows = CALLER_ARRAYS[name]
+    arrays = [np.array(row) for row in rows]
+    for array in arrays:
+        array.flags.writeable = not frozen
+    obj = build(*arrays)
+    fields = [getattr(obj, f) for f in type(obj)._fields if isinstance(getattr(obj, f), np.ndarray)]
+    kept = [np.array(field) for field in fields]
+    assert len(fields) == len(arrays)
+    for array in arrays:
+        array.flags.writeable = True
+        array[...] = 2.0
+    for field, values in zip(fields, kept):
+        assert not field.flags.writeable and np.array_equal(field, values)
+        with pytest.raises(ValueError, match="read-only"):
+            field[...] = 0.0
+
+
+def test_a_pick_problem_solves_the_nodes_it_checked():
+    nodes, targets = np.array([0.1 + 0j, 0.5]), np.array([0.2 + 0j, 0.3])
+    problem = PickProblem(nodes, targets)
+    nodes[0], targets[1] = 2.0, np.nan
+    assert problem.solve() == pick_solve([0.1, 0.5], [0.2, 0.3])
 
 
 def test_kernels_and_symbols_are_equal_by_value():
