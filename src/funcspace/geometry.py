@@ -31,6 +31,7 @@ from .serialize import (
     finite,
     index_list,
     integer,
+    number_array,
     pair_to_complex,
     pairs_array,
     point_labels,
@@ -59,8 +60,10 @@ def _lattice_numerators(dist: np.ndarray) -> tuple[int, np.ndarray] | None:
     return (k, q) if np.array_equal(scaled, dist) else None
 
 
-def _worst_triangle_slack(dist: np.ndarray) -> float:
-    """The largest ``d[i,k] - (d[i,j] + d[j,k])`` over all triples, in O(n^2) memory.
+def _worst_triangle_slack(dist: np.ndarray) -> tuple:
+    """``(worst, pairs)``: the largest ``d[i,k] - (d[i,j] + d[j,k])`` over all
+    triples, in O(n^2) memory, and the unsplit pairs of the split certificate
+    where it proved the triangle inequality, else None.
 
     ``dist`` must already be checked finite, symmetric and nonnegative.  On
     a dyadic lattice (:func:`_lattice_numerators`) the int32 numerators are
@@ -73,23 +76,25 @@ def _worst_triangle_slack(dist: np.ndarray) -> float:
     """
     n = dist.shape[0]
     if n < 2:
-        return 0.0
+        return 0.0, None
     lattice = _lattice_numerators(dist)
     if lattice is None:
         with np.errstate(over="ignore"):  # a sum past float64 is inf, above every finite distance
-            return float(_slack_by_offsets(dist))
+            return float(_slack_by_offsets(dist)), None
     k, q = lattice
-    if _split_certificate(q):
-        return 0.0
-    return math.ldexp(int(_slack_by_offsets(q)), -k)
+    pairs = _split_certificate(q)
+    if pairs:
+        return 0.0, np.stack(pairs)
+    return math.ldexp(int(_slack_by_offsets(q)), -k), None
 
 
 # Each point's nearest others, tried as midpoints of its pairs by the split certificate.
 _SPLIT_CANDIDATES = 4
 
 
-def _split_certificate(q: np.ndarray) -> bool:
-    """True only if ``q[i,b] <= q[i,a] + q[a,b]`` for all triples; False decides nothing.
+def _split_certificate(q: np.ndarray) -> tuple | None:
+    """The unsplit pairs ``(a, b)``, ``a < b``, only if ``q[i,b] <= q[i,a] + q[a,b]``
+    for all triples; None decides nothing.
 
     ``q`` is a symmetric, nonnegative int32 matrix of numerators below 2^30,
     with ``n >= 2``, so no sum of two entries overflows.
@@ -109,7 +114,10 @@ def _split_certificate(q: np.ndarray) -> bool:
     an edge's length along each edge of the walk from ``a`` to ``b``, so
     ``q[i,b] <= q[i,a] + q[a,b]``.  This is the Kuratowski picture: every
     row is 1-Lipschitz along a set of pairs whose shortest paths give back
-    the matrix.  All of it is exact in int32.
+    the matrix.  All of it is exact in int32.  The same walk carries every
+    Lipschitz constant: ``|f(i) - f(k)|`` is at most the sum of the steps'
+    differences, so the largest quotient over E is the largest over all pairs
+    (:func:`_dils`).
 
     The search gives up after one pass that splits no pair (a strict metric
     such as ``1 - I``), and when more than ``n^2/8`` pairs stay unsplit, where
@@ -126,29 +134,29 @@ def _split_certificate(q: np.ndarray) -> bool:
         p = near.argmin(axis=1)
         to_p = near[rows, p]
         if t == 0 and not to_p.all():
-            return False  # a zero off the diagonal would make a split pair no shorter
+            return None  # a zero off the diagonal would make a split pair no shorter
         near[rows, p] = far
         via = q[p]
         via += to_p[:, None]  # via[k, i] = q[k, p_k] + q[p_k, i]
         via[rows, p] = -1  # i = p_k splits nothing
         split |= via == q
         if t == 0 and not split.any():
-            return False
+            return None
     del near, via  # two n^2 buffers fewer alive while the edge check allocates its own
     split |= split.T
     a, b = np.divmod(np.flatnonzero(~split), n)
     upper = a < b
     a, b = a[upper], b[upper]
     if len(a) > n * n // 8:
-        return False
+        return None
     for s in range(0, len(a), n):
         ea, eb = a[s : s + n], b[s : s + n]
         gap = q[ea]
         gap -= q[eb]
         np.abs(gap, out=gap)
         if (gap.max(axis=1) > q[ea, eb]).any():
-            return False
-    return True
+            return None
+    return a, b
 
 
 def _slack_by_offsets(dist: np.ndarray):
@@ -188,7 +196,9 @@ def _slack_by_offsets(dist: np.ndarray):
     return worst.max()
 
 
-def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
+def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> np.ndarray | None:
+    """Refuse ``dist`` unless it is a metric up to ``triangle_tol``; return the
+    split certificate's unsplit pairs as a ``2 x m`` array, or None."""
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValidationError("distance matrix must be square")
     n = dist.shape[0]
@@ -206,7 +216,7 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
         raise ValidationError("distinct points must have positive distance")
     # d[i,k] <= d[i,j] + d[j,k] for all triples; explicit matrices are checked
     # exactly (triangle_tol == 0), induced metrics may pass a rounding allowance.
-    worst = _worst_triangle_slack(dist)
+    worst, pairs = _worst_triangle_slack(dist)
     if worst > triangle_tol:
         # name the first triple (i, j, k) in C order attaining the worst slack
         for i in range(n):
@@ -218,6 +228,7 @@ def _validate_distance_matrix(dist: np.ndarray, triangle_tol: float) -> None:
                     f"triangle inequality violated at ({i},{k}) via {j}: "
                     f"{dist[i, k]} > {dist[i, j]} + {dist[j, k]}"
                 )
+    return pairs
 
 
 class EuclideanPointSet(Frozen):
@@ -226,7 +237,8 @@ class EuclideanPointSet(Frozen):
     _fields = ("points", "labels")
 
     def __init__(self, points, labels=None):
-        pts = np.asarray(points, dtype=complex)
+        nested = isinstance(points, (list, tuple)) and bool(points) and isinstance(points[0], (list, tuple, np.ndarray))
+        pts = number_array(points, "points", 2 if nested else 1)
         if pts.ndim == 1:  # a flat list means n points of C^1
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.size == 0:
@@ -291,24 +303,28 @@ class MetricSpace(Frozen):
     """Finite metric space: labeled points, a distance matrix, a base point.
 
     ``triangle_tol`` is the slack the triangle check allows; it is 0 for an
-    explicit matrix, so that every triangle holds exactly.
+    explicit matrix, so that every triangle holds exactly.  ``pairs`` holds
+    the unsplit pairs of the split certificate, as a ``2 x m`` array of
+    indices ``a < b``, where that certificate proved the triangle
+    inequality, and is None elsewhere; every Lipschitz constant on the space
+    is taken over them (:func:`_dils`).
     """
 
-    _fields = ("labels", "dist", "base", "triangle_tol")
+    _fields = ("labels", "dist", "base", "triangle_tol", "pairs")
 
     def __init__(self, dist, labels=None, base: int = 0, triangle_tol: float = 0.0):
-        dist = np.asarray(dist, dtype=float)
+        dist = number_array(dist, "distance matrix", 2, float)
         triangle_tol = real(triangle_tol, "triangle_tol")
         if not (np.isfinite(triangle_tol) and triangle_tol >= 0.0):
             raise ValidationError("triangle_tol must be finite and nonnegative")
-        _validate_distance_matrix(dist, triangle_tol)
+        pairs = _validate_distance_matrix(dist, triangle_tol)
         n = dist.shape[0]
         if labels is None:
             labels = tuple(f"p{i}" for i in range(n))
         else:
             labels = point_labels(labels, n)
         base = integer(base, "base index", n)
-        self._set(labels, dist, base, triangle_tol)
+        self._set(labels, dist, base, triangle_tol, pairs)
 
     def __len__(self) -> int:
         return self.dist.shape[0]
@@ -320,9 +336,10 @@ class MetricSpace(Frozen):
     @classmethod
     def from_euclidean(cls, ps: EuclideanPointSet, base: int = 0) -> "MetricSpace":
         """Metric induced on a point set.  Distances are computed in floating
-        point, so the triangle check runs with a small rounding allowance."""
+        point, so the triangle check runs with a rounding allowance of
+        ``1e-12`` times the diameter, relative at every magnitude."""
         d = ps.distance_matrix()
-        tol = 1e-12 * max(1.0, float(d.max()))
+        tol = 1e-12 * float(d.max())
         return cls(d, labels=ps.labels, base=base, triangle_tol=tol)
 
     def to_json(self) -> dict:
@@ -351,7 +368,7 @@ class SampledFunction(Frozen):
     def __init__(self, space: MetricSpace, values):
         if not isinstance(space, MetricSpace):
             raise ValidationError(f"a sampled function lives on a MetricSpace, got {type(space).__name__}")
-        vals = np.asarray(values, dtype=complex).reshape(-1)
+        vals = number_array(values, "function values").reshape(-1)
         if len(vals) != len(space):
             raise ValidationError(f"expected {len(space)} values, got {len(vals)}")
         self._set(space, vals)
@@ -399,38 +416,40 @@ def set_distance(space: MetricSpace, x: int, A) -> float:
     return float(space.dist[x, idx].min())
 
 
-def _dils(dist: np.ndarray, rows) -> np.ndarray:
-    """:func:`dil` of each vector of values in ``rows`` on the space of ``dist``.
+def _dils(space: MetricSpace, rows) -> np.ndarray:
+    """:func:`dil` of each vector of values in ``rows`` on ``space``.
 
     ``|a - b| = |b - a|`` exactly and ``dist`` is symmetric, so the largest
-    quotient over distinct pairs is that over the pairs ``i < j``.  The upper
-    triangle of ``dist`` is gathered once per call, by a boolean mask in
-    row-major order.  A row's differences are its values repeated for the
-    first point of each pair minus one gather for the second, taken in
-    place, so that one complex vector of the pairs' length is alive at a
-    time.  A value that overflowed makes some quotient ``inf - inf = nan``,
-    and the row's maximum nan.
+    quotient over distinct pairs is that over the pairs ``a < b``.  Where the
+    split certificate proved the space a metric, only its unsplit pairs
+    (``space.pairs``) are visited: each pair is a walk along them whose
+    lengths sum to exactly its distance, so no other pair's quotient is
+    larger in exact arithmetic, and in floats another pair can only tie the
+    maximum to within rounding.  Elsewhere (off the lattice, a failed
+    certificate, two points) every pair ``a < b`` is visited.  A row's
+    differences are one gather less another, taken in place, so that at
+    most two complex vectors of the pairs' length are alive.  A value that
+    overflowed makes some quotient ``inf - inf = nan``, and the row's
+    maximum nan.
     """
-    n = dist.shape[0]
+    n = len(space)
     if n < 2:
         raise DegenerateSpace("dil needs at least two points")
-    upper = ~np.tri(n, dtype=bool)  # the pairs i < j
-    d_upper = dist[upper]
-    j = np.broadcast_to(np.arange(n), (n, n))[upper]
-    counts = np.arange(n - 1, 0, -1)  # point i is the first of n - 1 - i pairs
+    a, b = np.triu_indices(n, 1) if space.pairs is None else space.pairs
+    d = space.dist[a, b]
     out = np.empty(len(rows))
     for r, values in enumerate(rows):
-        q = np.repeat(values[:-1], counts)
-        q -= values.take(j)
+        q = values.take(a)
+        q -= values.take(b)
         q = np.abs(q)
-        q /= d_upper
+        q /= d
         out[r] = q.max()
     return out
 
 
 def dil(f: SampledFunction) -> float:
     """Largest difference quotient |f(x) - f(y)| / rho(x, y) over distinct pairs."""
-    return float(_dils(f.space.dist, (f.values,))[0])
+    return float(_dils(f.space, (f.values,))[0])
 
 
 def lip_norm(f: SampledFunction) -> float:
@@ -484,7 +503,7 @@ def submult_ratio(space: MetricSpace, fs) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [f.values for f in fs] + [fs[i].values * fs[j].values for i, j in pairs]
         # lip_norm of each row, all dils taken in one pass over the space
-        norms = [float(d) + float(abs(v[space.base])) for d, v in zip(_dils(space.dist, rows), rows)]
+        norms = [float(d) + float(abs(v[space.base])) for d, v in zip(_dils(space, rows), rows)]
     for nf in norms[: len(fs)]:
         if nf == 0.0:
             raise ZeroFunction("submultiplicativity ratio undefined for the zero function")

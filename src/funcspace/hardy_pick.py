@@ -57,7 +57,17 @@ from .kernels import (
     require_finite,
     szego,
 )
-from .serialize import coefficients, complex_array, complex_to_json, complex_vector_from_json, finite, integer, real, tolerance
+from .serialize import (
+    coefficients,
+    complex_array,
+    complex_to_json,
+    complex_vector_from_json,
+    finite,
+    integer,
+    number_array,
+    real,
+    tolerance,
+)
 
 
 def toeplitz_mo(omega, N: int) -> np.ndarray:
@@ -125,8 +135,8 @@ class PickProblem(Frozen):
     _fields = ("nodes", "values", "bound")
 
     def __init__(self, nodes, values, bound: float = 1.0):
-        nodes = np.asarray(nodes, dtype=complex).reshape(-1)
-        values = np.asarray(values, dtype=complex).reshape(-1)
+        nodes = number_array(nodes, "interpolation nodes").reshape(-1)
+        values = number_array(values, "interpolation targets").reshape(-1)
         if nodes.size == 0 or nodes.size != values.size:
             raise ValidationError("need equally many (and at least one) nodes and targets")
         finite(nodes, "interpolation nodes")

@@ -160,15 +160,18 @@ def _check_coeffs(f, model: RealizationModel) -> np.ndarray:
 def embed(f, model: RealizationModel) -> SampledFunction:
     """J f = sum_n f_n * (g_n / b_n) as a function on the space.
 
-    The sum accumulates in ascending n with the division done first, so the
-    pointwise value agrees bit-for-bit with pairing f against
-    :func:`point_functional`.
+    The terms are one array, row n being ``f_n * (g_n / b_n)`` with the
+    division done first, summed down the rows in place by
+    ``np.add.accumulate``, which adds in sequence.  Adding ``+0.0`` to the
+    first row turns its ``-0.0`` parts to ``+0.0``, as a sum started from
+    zero would.  So the pointwise value agrees bit-for-bit with pairing f
+    against :func:`point_functional`.
     """
     f = _check_coeffs(f, model)
-    acc = np.zeros(len(model.dense.space), dtype=complex)
-    for n in range(model.depth + 1):
-        acc = acc + f[n] * (model.g[n] / model.b[n])
-    return SampledFunction(model.dense.space, acc)
+    terms = f[:, None] * (model.g / model.b[:, None])
+    terms[0] += 0.0
+    np.add.accumulate(terms, axis=0, out=terms)
+    return SampledFunction(model.dense.space, terms[-1])
 
 
 def point_functional(x: int, model: RealizationModel) -> np.ndarray:
@@ -289,8 +292,10 @@ def coefficient_roundtrip(f, model: RealizationModel, tol: float = ROUNDTRIP_TOL
     L = np.tril((model.g[:, rows] / model.b[:, None]).T)
     values = embed(f, model).values[rows]
     recovered = np.zeros(N + 1, dtype=complex)
+    L_complex = L.astype(complex)  # each product below would convert its row of L
     for n in range(N + 1):
-        recovered[n] = (values[n] - L[n, :n] @ recovered[:n]) / L[n, n]
+        recovered[n] = (values[n] - L_complex[n, :n] @ recovered[:n]) / L[n, n]
+    del L_complex  # freed before the inverse's arrays, so that the peak memory does not grow
     L_inv = lower_inverse(L)
     with np.errstate(over="ignore", invalid="ignore"):
         componentwise = gamma(2 * (N + 1)) * (np.abs(L_inv) @ (np.abs(L) @ (np.abs(f) + np.abs(recovered))))

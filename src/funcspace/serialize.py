@@ -21,7 +21,9 @@ a new float array through :func:`_packed`, one ``struct`` call per row
 straight into the array's buffer.  A library caller's vector or matrix of
 numbers passes :func:`complex_array`, and a list of polynomial coefficients
 :func:`coefficients`; both apply :func:`finite`, the one refusal of a NaN or
-infinity: every array of numbers that enters from outside passes it.  A
+infinity: every array of numbers that enters from outside passes it.  Both
+read their entries by :func:`number_array`, which also reads the arrays
+given to the value objects' constructors.  A
 message that shows an input value shows it through :func:`shown`, so that a
 value nested past the interpreter's recursion limit is refused like any other.
 """
@@ -74,19 +76,34 @@ def index_list(values, name: str, entry: str, size: int | None = None) -> list:
     return [integer(i, entry, size) for i in values]
 
 
+def _past_the_float_range(name: str) -> ValidationError:
+    # no repr: an int of more than 4300 digits has none
+    return ValidationError(f"{name} must lie within the float range, got a number past it")
+
+
 def real(value, name: str) -> float:
-    """``value`` as a float; bools, strings and None are refused, not converted."""
+    """``value`` as a float; bools, strings and None are refused, not
+    converted, and so is a number past the float range, such as ``10**400``."""
     # a plain float skips the abstract-class check, which costs about a microsecond
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {shown(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _past_the_float_range(name) from None
 
 
 def scalar(value, name: str) -> complex:
-    """``value`` as a complex number; bools, strings and None are refused, not converted."""
+    """``value`` as a complex number; bools, strings and None are refused, not
+    converted, and so is a number past the float range."""
     if type(value) is not complex and (isinstance(value, bool) or not isinstance(value, numbers.Complex)):
         raise ValidationError(f"{name} must be a number, got {shown(value)}")
-    return complex(value)
+    try:
+        return complex(value)
+    except OverflowError:
+        raise _past_the_float_range(name) from None
 
 
 def tolerance(value) -> float:
@@ -107,26 +124,42 @@ def finite(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
+def _not_nested(values, name: str, ndim: int) -> ValidationError:
+    return ValidationError(f"{name} must be a list of {'rows of ' * (ndim - 1)}numbers, got {shown(values)}")
+
+
+def number_array(values, name: str, ndim: int = 1, dtype=complex) -> np.ndarray:
+    """``values``, lists or tuples of numbers nested ``ndim`` deep, as an array
+    of ``dtype`` (complex, or float, which refuses complex numbers too); an
+    array of numbers of any shape is returned as it is if it has ``dtype``,
+    else converted, with no Python work per entry.  Bools, text and None are
+    refused by name, which ``np.asarray`` would convert, and so are lists
+    nested to another depth and arrays of anything but numbers; a list of
+    arrays is read entry by entry, and rows of unequal length are named by
+    :func:`rows_array`.  The caller checks an array's shape and whether its
+    entries are finite."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in ("iufc" if dtype is complex else "iuf"):
+            return values.astype(dtype, copy=False)
+        raise _not_nested(values, name, ndim)
+    entries = [values]
+    for _ in range(ndim):
+        if not all(isinstance(entry, (list, tuple)) or isinstance(entry, np.ndarray) and entry.ndim for entry in entries):
+            raise _not_nested(values, name, ndim)
+        entries = list(chain.from_iterable(entries))
+    read = scalar if dtype is complex else real
+    for value in entries:
+        read(value, f"an entry of {name}")
+    return rows_array(values, name, dtype)
+
+
 def complex_array(values, name: str, ndim: int = 1) -> np.ndarray:
-    """``values``, lists or tuples of int, float or complex numbers nested
-    ``ndim`` deep, or an array of them with ``ndim`` axes, as a complex array;
-    a complex array is returned as it is.  Bools, text, None, another depth and
-    a NaN or infinity are refused, which ``np.asarray`` would convert, reshape
-    or pass on; rows of unequal length are named by :func:`rows_array`."""
-    shape = f"a list of {'rows of ' * (ndim - 1)}numbers"
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
-        array = values.astype(complex, copy=False)
-    else:
-        entries = [values]
-        for _ in range(ndim):
-            if not all(isinstance(entry, (list, tuple)) for entry in entries):
-                raise ValidationError(f"{name} must be {shape}, got {shown(values)}")
-            entries = list(chain.from_iterable(entries))
-        for value in entries:
-            scalar(value, f"an entry of {name}")
-        array = rows_array(values, name, complex)
+    """``values`` read by :func:`number_array` as a complex array of ``ndim``
+    axes; a complex array is returned as it is.  Another depth and a NaN or
+    infinity are refused, which ``np.asarray`` would reshape or pass on."""
+    array = number_array(values, name, ndim)
     if array.ndim != ndim:
-        raise ValidationError(f"{name} must be {shape}, got {shown(values)}")
+        raise _not_nested(values, name, ndim)
     return finite(array, name)
 
 

@@ -65,7 +65,7 @@ from funcspace.realization import (
     point_functional,
     topology_probe,
 )
-from funcspace.serialize import complex_matrix_from_json, pair_to_complex
+from funcspace.serialize import coefficients, complex_matrix_from_json, pair_to_complex, real, scalar
 
 
 def all_error_classes():
@@ -307,6 +307,63 @@ def test_array_arguments_refuse_another_depth(case):
             call(value)
     with pytest.raises(ValidationError, match=rf"^an entry of {name} must be a number, got \[1.0\]$"):
         call(_nested(1.0, depth + 1))
+
+
+# every value object built from a caller's array, as a call on one entry's
+# value, and the name it is refused with
+CONSTRUCTOR_ARGUMENTS = {
+    "EuclideanPointSet": (lambda v: EuclideanPointSet([[0.1], [v]]), "points"),
+    "EuclideanPointSet flat": (lambda v: EuclideanPointSet([0.1, v]), "points"),
+    "MetricSpace": (lambda v: MetricSpace([[0.0, v], [v, 0.0]]), "distance matrix"),
+    "SampledFunction": (lambda v: SampledFunction(MetricSpace([[0.0, 1.0], [1.0, 0.0]]), [np.nan, v]), "function values"),
+    "PickProblem nodes": (lambda v: PickProblem([0.1, v], [0.0, 0.0]), "interpolation nodes"),
+    "PickProblem targets": (lambda v: PickProblem([0.1, 0.2], [0.0, v]), "interpolation targets"),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None])
+@pytest.mark.parametrize("case", CONSTRUCTOR_ARGUMENTS)
+def test_constructors_refuse_entries_that_are_not_numbers(case, value):
+    """Refused by name, where ``np.asarray`` read ``True`` and ``"1"`` as 1.0."""
+    call, name = CONSTRUCTOR_ARGUMENTS[case]
+    kind = "a real number" if name == "distance matrix" else "a number"
+    with pytest.raises(ValidationError, match=f"^an entry of {name} must be {kind}, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_constructors_read_numbers_as_before():
+    space = MetricSpace([[0, 1.5], (1.5, 0)])
+    assert space.dist.dtype == float and space.dist[0, 1] == 1.5
+    # a sampled function may hold values past the float range: submult reports them
+    f = SampledFunction(space, [np.nan, 1])
+    assert np.isnan(f.values[0]) and f.values[1] == 1.0
+    assert EuclideanPointSet([0.1, 1j]).points.shape == (2, 1)
+    assert EuclideanPointSet(((0.1, 0), (1j, 2))).points.shape == (2, 2)
+    assert PickProblem(np.array([[0.1], [0.2]]), (0, 1)).nodes.tolist() == [0.1, 0.2]
+    # a list of arrays, such as the rows of a matrix, is read entry by entry
+    assert MetricSpace([np.array([0.0, 2.0]), np.array([2, 0])]).dist.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+    assert EuclideanPointSet([np.array([0.1, 0.2]), np.array([1j, 0])]).points.shape == (2, 2)
+    assert SampledFunction(space, [np.float64(1.0), np.int64(2)]).values.tolist() == [1.0, 2.0]
+    with pytest.raises(ValidationError, match=r"^an entry of distance matrix must be a real number, got np.False_$"):
+        MetricSpace([np.array([False, True]), np.array([True, False])])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: real(v, "x"), "x"),
+        (lambda v: scalar(v, "z"), "z"),
+        (lambda v: psd_check([[v]]), "an entry of the matrix"),
+        (lambda v: coefficients([v], "c"), "an entry of c"),
+        (lambda v: MetricSpace([[0, v], [v, 0]]), "an entry of distance matrix"),
+        (lambda v: PickProblem([0.1], [v]), "an entry of interpolation targets"),
+    ],
+)
+@pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+def test_an_int_past_the_float_range_is_refused_by_name(call, name, value):
+    """Not a bare ``OverflowError``; an int of 5001 digits has no repr, so none is shown."""
+    with pytest.raises(ValidationError, match=f"^{name} must lie within the float range, got a number past it$"):
+        call(value)
 
 
 def test_an_empty_coefficient_list_is_the_zero_sequence():

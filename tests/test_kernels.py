@@ -615,6 +615,12 @@ def lower_factors():
         yield np.linalg.cholesky(X @ X.conj().T + n * np.eye(n))
     for n in (24, 240):
         yield np.tril(rng.uniform(0.1, 1.0, size=(n, n))) * 2.0 ** -np.arange(n)
+    # past 64 rows, where the inverse is taken by blocks
+    for n in (65, 130, 240):
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        yield np.linalg.cholesky(X @ X.conj().T + n * np.eye(n))
+    for n in (65, 130):
+        yield np.tril(rng.uniform(0.1, 1.0, size=(n, n))) * 2.0 ** -np.arange(n)
 
 
 class TestLowerInverse:
@@ -634,6 +640,23 @@ class TestLowerInverse:
         ref = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
         # each inverse is within gamma_n |L^-1| |L| |L^-1| of the exact one, to first order
         assert np.all(np.abs(X - ref) <= 2 * gamma(2 * n) * (np.abs(X) @ np.abs(L) @ np.abs(X)))
+
+    def test_up_to_64_rows_it_is_one_lapack_inverse_bit_for_bit(self):
+        """So every solve of up to 64 points keeps its bits."""
+        rng = np.random.default_rng(45)
+        for n in (1, 2, 17, 63, 64):
+            X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for L in (np.linalg.cholesky(X @ X.conj().T + n * np.eye(n)), np.tril(X.real) + n * np.eye(n)):
+                assert same_bits(lower_inverse(L), np.linalg.inv(L.conj().T).conj().T)
+
+    def test_graded_blocks_keep_the_componentwise_residual(self):
+        """Multiplying the lower block by the computed ``A^-1``, where it is
+        solved against ``A``, leaves ``|X L - I|`` above its bound here."""
+        for seed in range(8):
+            n = 240
+            L = np.tril(np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, n))) * 2.0 ** -np.arange(n)
+            X = lower_inverse(L)
+            assert np.all(np.abs(X @ L - np.eye(n)) <= gamma(2 * n) * (np.abs(X) @ np.abs(L)))
 
 
 class TestPencilNorms:

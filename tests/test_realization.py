@@ -196,6 +196,26 @@ class TestEmbedAndFunctionals:
             rhs = pair(f, point_functional(x, model))
             assert lhs == rhs
 
+    def test_duality_identity_keeps_signed_zeros_at_full_depth(self):
+        """Bit for bit at depth n - 1, signed zeros included: every coefficient
+        one zero of either sign in each part, and then some of them nonzero.
+        A sum of terms that are all ``-0.0`` in a part is ``+0.0`` in that
+        part, since the pairing starts from ``0j``."""
+        model = grid_model(depth=63, seed=12)
+        rng = np.random.default_rng(13)
+
+        def bits(z):
+            return complex(z).real.hex(), complex(z).imag.hex()
+
+        for zero in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j):
+            for share in (0.0, 0.05, 0.3):
+                f = np.full(64, zero)
+                nonzero = rng.random(64) < share
+                f[nonzero] = rng.normal(size=nonzero.sum()) + 1j * rng.normal(size=nonzero.sum())
+                values = embed(f, model).values
+                for x in range(64):
+                    assert bits(values[x]) == bits(pair(f, point_functional(x, model)))
+
     def test_interval_functional_values(self):
         model = interval_model(depth=1)
         phi = point_functional(0, model)

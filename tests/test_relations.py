@@ -13,13 +13,17 @@ by at most the excess that :func:`hardy_pick.pick_solve` documents,
 diagonal.  So does moving the nodes by a disk automorphism, and deleting a
 node can only lower the exact minimum.  Doubling every point of a Euclidean
 point set doubles every induced distance bit for bit, at every magnitude.
+Relabeling the points of a metric space, with every function's values
+permuted alike, leaves ``dil`` and submult's ``max_ratio`` unchanged bit for
+bit, though the split certificate, whose ``argmin`` breaks ties by index,
+may then store other pairs.
 """
 
 import numpy as np
 import pytest
 
 from funcspace.errors import DegenerateGram
-from funcspace.geometry import EuclideanPointSet, MetricSpace, SampledFunction, dil
+from funcspace.geometry import EuclideanPointSet, MetricSpace, SampledFunction, dil, submult_ratio
 from funcspace.hardy_pick import pick_solve
 from funcspace.kernels import fn_scale, moebius, polynomial, szego
 from funcspace.multipliers import sampled_mult_norm
@@ -113,6 +117,29 @@ def test_doubling_distances_halves_dil():
         values = rng.normal(size=len(dist)) + 1j * rng.normal(size=len(dist))
         f, g = SampledFunction(MetricSpace(dist), values), SampledFunction(MetricSpace(2 * dist), values)
         assert dil(g) == dil(f) / 2
+
+
+def test_relabeling_points_leaves_dil_and_submult_unchanged():
+    """Lattice graph metrics of 3-200 points, relabeled by a random
+    permutation, with the base point following its label."""
+    rng = np.random.default_rng(8)
+    stored_other_pairs = 0
+    for _ in range(60):
+        n = int(rng.integers(3, 201))
+        dist, order = random_graph_metric(rng, n), rng.permutation(n)
+        base = int(rng.integers(n))
+        space = MetricSpace(dist, base=base)
+        moved = MetricSpace(dist[np.ix_(order, order)], base=int(np.flatnonzero(order == base)[0]))
+        random = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rows = [random, dist[int(rng.integers(n))] + 0j, rng.integers(-256, 257, size=n) / 64.0 + random]
+        fs = [SampledFunction(space, values) for values in rows]
+        gs = [SampledFunction(moved, values[order]) for values in rows]
+        assert [dil(f) for f in fs] == [dil(g) for g in gs]
+        assert submult_ratio(space, fs) == submult_ratio(moved, gs)
+        if space.pairs is not None and moved.pairs is not None:
+            relabeled = {tuple(sorted(pair)) for pair in order[moved.pairs].T.tolist()}
+            stored_other_pairs += relabeled != set(map(tuple, space.pairs.T.tolist()))
+    assert stored_other_pairs >= 10
 
 
 def test_doubling_points_doubles_every_induced_distance_at_every_magnitude():

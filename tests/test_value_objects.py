@@ -177,7 +177,7 @@ def test_repr_names_every_field():
     assert repr(coordinate(1)) == "ClosedFormFunction(kind='coordinate', index=1, coeffs=None, a=None, factor=None, children=())"
     space = _space()
     assert repr(DenseSequence(space, [1, 0])) == f"DenseSequence(space={space!r}, order=(1, 0))"
-    assert repr(space) == f"MetricSpace(labels=('p0', 'p1'), dist={space.dist!r}, base=0, triangle_tol=0.0)"
+    assert repr(space) == f"MetricSpace(labels=('p0', 'p1'), dist={space.dist!r}, base=0, triangle_tol=0.0, pairs=None)"
     assert repr(MultNormReport(0.5, 0.25, "pencil")) == "MultNormReport(lower_bound_sup=0.5, sampled_norm=0.25, method='pencil')"
     assert repr(ExperimentConfig("carleson-probe", options={"m": 2})) == (
         "ExperimentConfig(command='carleson-probe', inputs={}, inline={}, options={'m': 2}, "
