@@ -100,25 +100,28 @@ def _fields(cmd: Command) -> dict:
     return {name: kind for name, kind in _FIELDS.items() if takes[name]}
 
 
-def _check_kind(name: str, kind, value) -> None:
-    """Refuse ``value`` unless it has the kind the flag declares; a bool is never an int or a float."""
+def _check_kind(name: str, kind, value):
+    """``value`` as the plain value of the kind the flag declares, which a report can echo:
+    a numpy scalar becomes an int or float, a bool is neither, and a JSON list holds JSON scalars."""
     flag = "--" + name.replace("_", "-")
     if kind is int:
-        integer(value, flag)
-    elif kind is float:
-        real(value, flag)
-    elif kind is str and not isinstance(value, str):
+        return integer(value, flag)
+    if kind is float:
+        return real(value, flag)
+    if kind is str and not isinstance(value, str):
         raise ValidationError(f"{flag} must be a {kind.__name__}, got {shown(value)}")
-    elif isinstance(kind, tuple) and not (isinstance(value, str) and value in kind):
+    if isinstance(kind, tuple) and not (isinstance(value, str) and value in kind):
         raise ValidationError(f"{flag} must be one of {', '.join(kind)}, got {shown(value)}")
-    elif kind is _json_value and (not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value)):
+    if kind is _json_value and (not isinstance(value, list) or any(type(v) not in (str, int, float, bool, type(None)) for v in value)):
         raise ValidationError(f"{flag} must be a flat JSON list, got {shown(value)}")
+    return value
 
 
 class ExperimentConfig(Frozen):
     """One batch run: a command, its input paths/values, and overrides of the declared kinds.
 
-    The three dicts are copied, so a config stays as it was checked.
+    The three dicts are copied and each value is stored as its check returns
+    it, so a config stays as it was checked.
     """
 
     _fields = ("command", "inputs", "inline", "options", "tol", "method", "max_points", "out")
@@ -146,24 +149,22 @@ class ExperimentConfig(Frozen):
                     raise ValidationError(f"command {command!r} takes no --{name}")
                 if value is not None:
                     _check_kind(name, str, value)
+        options = dict(options)
         for name, value in options.items():
             if name not in cmd.options:
                 raise ValidationError(f"command {command!r} takes no option {name!r}")
             if value is not None:
-                _check_kind(name, cmd.options[name], value)
+                options[name] = _check_kind(name, cmd.options[name], value)
         flags = {"out": out, "max_points": max_points, "method": method, "tol": tol}
         taken = _fields(cmd)
         for name, kind in _FIELDS.items():
             value, default = flags[name], _DEFAULTS[name]
             if value is not None or default is not None:  # None stands for a default only where it is one
-                _check_kind(name, kind, value)
+                flags[name] = value = _check_kind(name, kind, value)
             if name not in taken and value != default:
                 raise ValidationError(f"command {command!r} takes no --{name.replace('_', '-')}")
-        if tol is None:
-            tol = cmd.tol
-        else:
-            tolerance(tol)  # the report echoes the value as given
-        self._set(command, dict(inputs), dict(inline), dict(options), tol, method, max_points, out)
+        tol = cmd.tol if flags["tol"] is None else tolerance(flags["tol"])
+        self._set(command, dict(inputs), dict(inline), options, tol, flags["method"], flags["max_points"], out)
 
 
 def _json_message(exc: json.JSONDecodeError) -> str:

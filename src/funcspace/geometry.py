@@ -36,7 +36,6 @@ from .serialize import (
     pairs_array,
     point_labels,
     real,
-    real_matrix,
     rows_array,
 )
 
@@ -292,7 +291,7 @@ class EuclideanPointSet(Frozen):
                     rows.append([pair_to_complex(entry)])
                 else:
                     rows.append(complex_vector_from_json(entry))
-            array = rows_array(rows, "points", complex)
+            array = rows_array(rows, '"points"', complex)
         ps = cls(array, labels=obj.get("labels"))
         if "dim" in obj and integer(obj["dim"], "dim") != ps.dim:
             raise ValidationError("declared dim does not match point tuples")
@@ -353,7 +352,7 @@ class MetricSpace(Frozen):
         if not isinstance(obj, dict) or "dist" not in obj:
             raise ValidationError('metric space JSON must contain a "dist" matrix')
         return cls(
-            real_matrix(obj["dist"], "dist"),
+            number_array(obj["dist"], '"dist"', 2, float),
             labels=obj.get("labels"),
             base=obj.get("base", 0),
             triangle_tol=obj.get("triangle_tol", 0.0),

@@ -13,17 +13,18 @@ the first bad entry.  Every index, count and dimension that enters the
 package, from JSON, argv or a caller, passes :func:`integer`, every list of
 point indices passes :func:`index_list`, every real scalar passes
 :func:`real` and every complex one :func:`scalar`, and a tolerance that
-must be positive also :func:`tolerance`; a real matrix read from JSON passes
-:func:`real_matrix`, which type-checks a row with one ``sum``, packs it, and
-reads the entry types only where a ``true`` or ``false`` could hide, and rows of
-unequal length are named by :func:`rows_array`.  Both one-pass readers fill
-a new float array through :func:`_packed`, one ``struct`` call per row
-straight into the array's buffer.  A library caller's vector or matrix of
-numbers passes :func:`complex_array`, and a list of polynomial coefficients
-:func:`coefficients`; both apply :func:`finite`, the one refusal of a NaN or
-infinity: every array of numbers that enters from outside passes it.  Both
-read their entries by :func:`number_array`, which also reads the arrays
-given to the value objects' constructors.  A
+must be positive also :func:`tolerance`.  Rows of reals have one reader, in
+JSON and in process: :func:`number_array` reads a JSON ``"dist"``, ``"re"``
+or ``"im"`` and a library caller's rows alike, type-checking a row with one
+``sum``, packing it, and reading the entry types only where a ``true`` or
+``false`` could hide; rows of unequal length are named by :func:`rows_array`.
+Both one-pass readers fill a new float array through :func:`_packed`, one
+``struct`` call per row straight into the array's buffer.  A library
+caller's vector or matrix of numbers passes :func:`complex_array`, and a
+list of polynomial coefficients :func:`coefficients`; both apply
+:func:`finite`, the one refusal of a NaN or infinity.  Both read their
+entries by :func:`number_array`, which also reads the arrays given to the
+value objects' constructors.  A
 message that shows an input value shows it through :func:`shown`, so that a
 value nested past the interpreter's recursion limit is refused like any other.
 """
@@ -134,14 +135,33 @@ def number_array(values, name: str, ndim: int = 1, dtype=complex) -> np.ndarray:
     array of numbers of any shape is returned as it is if it has ``dtype``,
     else converted, with no Python work per entry.  Bools, text and None are
     refused by name, which ``np.asarray`` would convert, and so are lists
-    nested to another depth and arrays of anything but numbers; a list of
-    arrays is read entry by entry, and rows of unequal length are named by
-    :func:`rows_array`.  The caller checks an array's shape and whether its
-    entries are finite."""
+    nested to another depth and arrays of anything but numbers; rows of
+    unequal length are named by :func:`rows_array`.  The caller checks an
+    array's shape and whether its entries are finite.
+
+    Rows of reals (``dtype=float``, ``ndim=2``) given as a list of lists, as
+    JSON gives them, are read in one pass: ``sum`` checks each row in one C
+    loop (it raises on text, ``None``, a list, an object or an int past the
+    float range, and a sum that is neither an int nor a float shows an entry
+    that is neither), :func:`_packed` raises on a row of another length, and
+    a bool, which packs as the 0.0 or 1.0 it equals, is looked for only at
+    those entries.  Any other input, and rows that fail a step, are read
+    entry by entry, which names the first bad entry.
+    """
     if isinstance(values, np.ndarray):
         if values.dtype.kind in ("iufc" if dtype is complex else "iuf"):
             return values.astype(dtype, copy=False)
         raise _not_nested(values, name, ndim)
+    if dtype is float and ndim == 2 and type(values) is list and values:
+        try:
+            if all(type(row) is list and type(sum(row)) in _NUMBERS for row in values):
+                array = _packed(values, len(values[0]))
+                flat = np.flatnonzero((array == 0.0) | (array == 1.0))
+                zero_or_one = (h.tolist() for h in np.divmod(flat, array.shape[1]))
+                if all(type(values[i][j]) in _NUMBERS for i, j in zip(*zero_or_one)):
+                    return array
+        except (TypeError, ValueError, OverflowError, struct.error):
+            pass
     entries = [values]
     for _ in range(ndim):
         if not all(isinstance(entry, (list, tuple)) or isinstance(entry, np.ndarray) and entry.ndim for entry in entries):
@@ -255,61 +275,24 @@ def complex_matrix_to_json(mat) -> dict:
     return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
-def _row_shape(row) -> str:
-    return f"has length {len(row)}" if isinstance(row, (list, tuple, np.ndarray)) else "is a single number"
-
-
-def rows_array(rows, key: str, dtype=float) -> np.ndarray:
-    """A list of rows of numbers as an array of ``dtype``.  Rows of unequal
-    length are refused with the first row whose length differs from row 0's."""
+def rows_array(rows, name: str, dtype=float) -> np.ndarray:
+    """Rows of numbers (lists, tuples or arrays) as an array of ``dtype``.
+    Rows of unequal length are refused with the first row whose length
+    differs from row 0's, naming the input by ``name`` as given."""
     try:
         return np.asarray(rows, dtype=dtype)
     except ValueError:  # every entry is a number, so the rows are ragged
-        first = _row_shape(rows[0])
         for i, row in enumerate(rows):
-            if _row_shape(row) != first:
-                raise ValidationError(f'row {i} of "{key}" {_row_shape(row)}, but row 0 {first}') from None
+            if len(row) != len(rows[0]):
+                raise ValidationError(f"row {i} of {name} has length {len(row)}, but row 0 has length {len(rows[0])}") from None
         raise
-
-
-def real_matrix(rows, key: str) -> np.ndarray:
-    """A list of rows of JSON numbers as a float array.
-
-    ``true``, numeric strings and ``null`` are refused, which ``np.asarray``
-    would convert; the message names the first of them in row-major order.
-    Ragged rows are refused by :func:`rows_array`.
-
-    Each row is checked by ``sum``, one C loop that raises on text, ``null``,
-    a list or an object, and on an int past the float range; a sum that is
-    neither an int nor a float also means an entry is neither.  The rows are
-    then packed by :func:`_packed`, which raises on a row whose length
-    differs from row 0's.  A bool adds as the int it equals and packs as the
-    float it equals, so it can hide only where the array holds exactly 0.0 or
-    1.0, and only those entries have their type checked.  An input that
-    fails any of these steps, or an empty list (which ``np.asarray`` reads as
-    shape ``(0,)``), is checked entry by entry.
-    """
-    try:
-        if type(rows) is list and rows and all(type(row) is list and type(sum(row)) in _NUMBERS for row in rows):
-            array = _packed(rows, len(rows[0]))
-            flat = np.flatnonzero((array == 0.0) | (array == 1.0))
-            zero_or_one = (h.tolist() for h in np.divmod(flat, array.shape[1]))
-            if all(type(rows[i][j]) in _NUMBERS for i, j in zip(*zero_or_one)):
-                return array
-    except (TypeError, ValueError, OverflowError, struct.error):
-        pass
-    if not (isinstance(rows, list) and all(type(row) is list and set(map(type, row)) <= _NUMBERS for row in rows)):
-        for row in rows if isinstance(rows, list) else (rows,):
-            for value in row if isinstance(row, list) else (row,):
-                real(value, f'an entry of "{key}"')
-    return rows_array(rows, key)
 
 
 def complex_matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValidationError('expected a matrix object with "re" (and optional "im") keys')
-    re = real_matrix(obj["re"], "re")
-    im = real_matrix(obj["im"], "im") if "im" in obj else np.zeros_like(re)
+    re = number_array(obj["re"], '"re"', 2, float)
+    im = number_array(obj["im"], '"im"', 2, float) if "im" in obj else np.zeros_like(re)
     if re.shape != im.shape:
         raise ValidationError('"re" and "im" matrices must have identical shapes')
     return finite(re, 'the matrix "re"') + 1j * finite(im, 'the matrix "im"')

@@ -863,7 +863,7 @@ class TestErrorPaths:
         "argv, matrix, message",
         [
             (["psd-check", "--matrix"], {"re": [[1, 0], [1]]}, 'row 1 of "re" has length 1, but row 0 has length 2'),
-            (["psd-check", "--matrix"], {"re": [[1, 0], 1]}, 'row 1 of "re" is a single number, but row 0 has length 2'),
+            (["psd-check", "--matrix"], {"re": [[1, 0], 1]}, '"re" must be a list of rows of numbers, got [[1, 0], 1]'),
             (["psd-check", "--matrix"], {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0], [0]]},
              'row 2 of "im" has length 1, but row 0 has length 2'),
             (["lip-dual", "--x", "0", "--space"], {"dist": [[0, 1, 2], [1, 0, 1], [2, 1]]},
@@ -879,6 +879,29 @@ class TestErrorPaths:
         argv = [inputs.get(arg, arg) for arg in argv]
         code, report = run_cli(capsys, argv + [write(tmp_path / "m.json", matrix)])
         assert code == 2
+        assert report["error"] == {"code": "ValidationError", "message": message}
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(1, "1"), (None, "None"), ("dist", "'dist'"), (True, "True"), ({"0": [0, 1]}, "{'0': [0, 1]}"),
+         ([1, 2], "[1, 2]"), ([None], "[None]"), ([[0, 1], 1], "[[0, 1], 1]"), ([1, [0, 1]], "[1, [0, 1]]"),
+         ([[0, 1], None], "[[0, 1], None]"), ([[0, 1], {"a": 1}], "[[0, 1], {'a': 1}]")],
+        ids=["int", "null", "str", "true", "object", "numbers", "null-row", "number-row", "number-first", "null-row-2",
+             "object-row"],
+    )
+    @pytest.mark.parametrize("key", ["dist", "re", "im"])
+    def test_a_matrix_that_is_not_a_list_of_rows_is_named(self, capsys, tmp_path, key, value, shown):
+        """A JSON ``dist``, ``"re"`` or ``"im"`` that is not a list of lists is
+        refused by ``number_array`` with the whole value, as a library
+        caller's rows are."""
+        if key == "dist":
+            argv = ["lip-dual", "--x", "0", "--space", write(tmp_path / "space.json", {"dist": value})]
+        else:
+            matrix = {"re": [[1, 0], [0, 1]], key: value}
+            argv = ["psd-check", "--matrix", write(tmp_path / "m.json", matrix)]
+        code, report = run_cli(capsys, argv)
+        assert code == 2
+        message = f'"{key}" must be a list of rows of numbers, got {shown}'
         assert report["error"] == {"code": "ValidationError", "message": message}
 
     @staticmethod
@@ -1447,6 +1470,49 @@ class TestConfigObject:
         assert run(config) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["nodes"] == [0.5, 0.75]
+
+    def test_a_numpy_max_points_is_echoed_as_a_json_number(self, capsys, inputs):
+        files = {"kernel": inputs["szego"], "sample": inputs["s2"]}
+        config = ExperimentConfig("gram", inputs=files, max_points=np.int64(5))
+        assert type(config.max_points) is int
+        assert run(config) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "ok" and report["parameters"]["max_points"] == 5
+
+    def test_a_numpy_depth_is_echoed_as_a_json_number(self, capsys, inputs):
+        config = ExperimentConfig("realize", inputs={"space": inputs["interval"]}, options={"depth": np.int64(1)})
+        assert type(config.options["depth"]) is int
+        assert run(config) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"]["depth"] == 1 and report["result"]["model"]["depth"] == 1
+
+    def test_a_numpy_seed_is_echoed_as_a_json_number(self, capsys, inputs):
+        options = {"seed": np.uint8(3), "random": np.int64(2)}
+        config = ExperimentConfig("submult", inputs={"space": inputs["interval"]}, options=options)
+        assert config.options == {"seed": 3, "random": 2} and set(map(type, config.options.values())) == {int}
+        assert run(config) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"] == {"max_points": 64, "seed": 3, "random": 2}
+        assert report["result"]["n_functions"] == 2
+
+    def test_numpy_floats_are_stored_as_floats(self):
+        config = ExperimentConfig("carleson-probe", options={"m": np.int32(2), "start": np.float32(0.5)}, tol=np.float64(1e-8))
+        assert config.options == {"m": 2, "start": 0.5} and config.tol == 1e-8
+        assert [type(config.options["m"]), type(config.options["start"]), type(config.tol)] == [int, float, float]
+
+    @pytest.mark.parametrize(
+        "entry", [np.int64(0), np.float64(0.0), np.bool_(False), 1j, (0,)], ids=["int64", "float64", "bool_", "complex", "tuple"]
+    )
+    def test_an_order_entry_that_is_not_a_json_scalar_is_refused(self, inputs, entry):
+        order = [entry, 1, 2]
+        with pytest.raises(ValidationError, match=f"^--order must be a flat JSON list, got {re.escape(repr(order))}$"):
+            ExperimentConfig("realize", inputs={"space": inputs["interval"]}, options={"order": order})
+
+    def test_an_order_of_json_scalars_is_read(self, capsys, inputs):
+        config = ExperimentConfig("realize", inputs={"space": inputs["interval"]}, options={"order": [4, 3, 2, 1, 0]})
+        assert run(config) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"]["order"] == [4, 3, 2, 1, 0] == report["result"]["model"]["order"]
 
     def test_all_commands_registered(self):
         assert len(COMMANDS) == 16

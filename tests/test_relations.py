@@ -16,12 +16,19 @@ point set doubles every induced distance bit for bit, at every magnitude.
 Relabeling the points of a metric space, with every function's values
 permuted alike, leaves ``dil`` and submult's ``max_ratio`` unchanged bit for
 bit, though the split certificate, whose ``argmin`` breaks ties by index,
-may then store other pairs.
+may then store other pairs.  Through the CLI, relabeling a metric space's
+JSON, with the order, the points, ``x``/``y``, the base and every function's
+values relabeled alike, leaves every value of ``realize``, ``roundtrip``,
+``rank-check``, ``topology-probe``, ``lip-dual`` and ``submult`` identical
+bit for bit and every index relabeled.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from funcspace import cli
 from funcspace.errors import DegenerateGram
 from funcspace.geometry import EuclideanPointSet, MetricSpace, SampledFunction, dil, submult_ratio
 from funcspace.hardy_pick import pick_solve
@@ -140,6 +147,88 @@ def test_relabeling_points_leaves_dil_and_submult_unchanged():
             relabeled = {tuple(sorted(pair)) for pair in order[moved.pairs].T.tolist()}
             stored_other_pairs += relabeled != set(map(tuple, space.pairs.T.tolist()))
     assert stored_other_pairs >= 10
+
+
+def _cli_result(capsys, tmp_path, command, files, **given):
+    """The exit status and report of ``command`` on ``files`` (name -> JSON
+    object), its timestamp and input digests dropped."""
+    inputs = {}
+    for name, obj in files.items():
+        inputs[name] = str(tmp_path / f"{name}.json")
+        with open(inputs[name], "w") as fh:
+            json.dump(obj, fh)
+    code = cli.run(cli.ExperimentConfig(command, inputs=inputs, max_points=64, **given))
+    report = json.loads(capsys.readouterr().out)
+    return {"code": code, "result": report["result"], "error": report["error"]}
+
+
+def test_relabeling_points_relabels_every_metric_command(capsys, tmp_path):
+    """Lattice graph metrics of 3-40 points and a relabeled copy, written to
+    JSON and run through ``cli.run``: new point ``i`` is old point ``perm[i]``.
+    Both runs exit alike, every value is the same JSON text, and every index
+    is relabeled."""
+    rng = np.random.default_rng(21)
+    codes = []
+    for _ in range(12):
+        n = int(rng.integers(3, 41))
+        dist, perm, base = random_graph_metric(rng, n), rng.permutation(n), int(rng.integers(n))
+        new = np.argsort(perm).tolist()  # new[i]: the new index of old point i
+        space = {"labels": [f"x{i}" for i in range(n)], "dist": dist.tolist(), "base": base}
+        moved = {"labels": [f"x{i}" for i in perm], "dist": dist[np.ix_(perm, perm)].tolist(), "base": new[base]}
+        order = rng.permutation(n).tolist()
+        moved_order = [new[i] for i in order]
+        model = {"space": space, "order": order, "depth": n - 1}
+        moved_model = {"space": moved, "order": moved_order, "depth": n - 1}
+
+        def both(command, files, moved_files, given=None, moved_given=None, *values):
+            """Run ``command`` on both copies; the fields ``values`` must be the same JSON text."""
+            before = _cli_result(capsys, tmp_path, command, files, **(given or {}))
+            after = _cli_result(capsys, tmp_path, command, moved_files, **(moved_given or given or {}))
+            assert (before["code"], before["error"]) == (after["code"], after["error"])
+            codes.append(after["code"])
+            if after["code"] == 0:
+                assert [json.dumps(before["result"][k]) for k in values] == [json.dumps(after["result"][k]) for k in values]
+            return before["result"], after["result"]
+
+        before, after = both("realize", {"space": space}, {"space": moved}, {"options": {"order": order}},
+                             {"options": {"order": moved_order}}, "b", "sup_g", "very_independent")
+        assert after["model"]["order"] == moved_order
+        read = before["model"]["space"]
+        relabeled = {
+            "labels": [read["labels"][i] for i in perm],
+            "dist": [[read["dist"][i][j] for j in perm] for i in perm],
+            "base": new[read["base"]],
+        }
+        assert json.dumps(after["model"]["space"], sort_keys=True) == json.dumps(relabeled, sort_keys=True)
+
+        # exit 3 where the enumeration is too ill-conditioned at this depth, alike in both
+        coeffs = {"inline": {"coeffs": json.dumps(rng.normal(size=(min(n, 7), 2)).tolist())}}
+        both("roundtrip", {"model": model}, {"model": moved_model}, coeffs, None,
+             "recovered", "max_abs_error", "max_rel_error", "error_bound")
+
+        points = sorted(rng.choice(order, size=min(n, 4), replace=False).tolist())
+        before, after = both("rank-check", {"model": model}, {"model": moved_model},
+                             {"inline": {"points": json.dumps(points)}},
+                             {"inline": {"points": json.dumps([new[i] for i in points])}}, "rank", "depth")
+        assert after["points"] == [new[i] for i in points]
+
+        x, y, eps = int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(0.05, 0.95))
+        before, after = both("topology-probe", {"model": model}, {"model": moved_model},
+                             {"options": {"x": x, "eps": eps}}, {"options": {"x": new[x], "eps": eps}}, "n", "pass")
+        assert after["U"] == sorted(new[u] for u in before["U"])
+
+        both("lip-dual", {"space": space}, {"space": moved}, {"options": {"x": x}}, {"options": {"x": new[x]}},
+             "kind", "value")
+        before, after = both("lip-dual", {"space": space}, {"space": moved}, {"options": {"x": x, "y": y}},
+                             {"options": {"x": new[x], "y": new[y]}}, "kind", "value")
+        if x != y:
+            assert json.dumps(after["witness"]["values"]) == json.dumps([before["witness"]["values"][i] for i in perm])
+
+        values = rng.integers(-256, 257, size=(3, n, 2)) / 64.0 + rng.normal(size=(3, n, 2))
+        both("submult", {"space": space, "functions": [{"values": f.tolist()} for f in values]},
+             {"space": moved, "functions": [{"values": f[perm].tolist()} for f in values]}, None, None,
+             "max_ratio", "bound", "n_functions")
+    assert codes.count(0) >= 0.9 * len(codes)  # the values are compared in most runs
 
 
 def test_doubling_points_doubles_every_induced_distance_at_every_magnitude():

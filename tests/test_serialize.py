@@ -1,6 +1,6 @@
 """The readers of ``funcspace.serialize`` against the per-entry code they replace.
 
-``real_matrix``, ``complex_vector_from_json`` and
+``number_array`` on rows of reals, ``complex_vector_from_json`` and
 ``EuclideanPointSet.from_json`` must give what the per-entry readers below
 give: the same array (dtype, shape and bytes) or the same exception, type
 and message.  ``coefficients`` must refuse what ``np.asarray`` would
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from funcspace import cli, serialize
 from funcspace.errors import ValidationError
-from funcspace.geometry import EuclideanPointSet
+from funcspace.geometry import EuclideanPointSet, MetricSpace
 from funcspace.hardy_pick import ardy_multiplier_check, toeplitz_mo
 from funcspace.multipliers import von_neumann_check
 from funcspace.kernels import coordinate
@@ -29,27 +29,40 @@ from funcspace.serialize import (
     complex_vector_from_json,
     index_list,
     integer,
+    number_array,
     pair_to_complex,
     real,
-    real_matrix,
     rows_array,
+    shown,
 )
 from helpers import disk_sample, random_graph_metric
 
 
-def per_entry_real_matrix(rows, key):
-    """The reader ``real_matrix`` replaced: a set of types per row, then every
-    entry through ``real`` unless each row holds only ints and floats."""
-    if not (isinstance(rows, list) and all(type(row) is list and set(map(type, row)) <= {float, int} for row in rows)):
-        for row in rows if isinstance(rows, list) else (rows,):
-            for value in row if isinstance(row, list) else (row,):
-                real(value, f'an entry of "{key}"')
-    return rows_array(rows, key)
+def per_entry_real_matrix(rows, name):
+    """The reader ``number_array`` keeps for rows of reals its one pass does
+    not take: an array of numbers as a float array, else a list or tuple of
+    rows (lists, tuples or arrays), every entry through ``real``, then
+    ``rows_array``."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iuf":
+        return rows.astype(float)
+    nested = isinstance(rows, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) or isinstance(row, np.ndarray) and row.ndim for row in rows
+    )
+    if not nested:
+        raise ValidationError(f"{name} must be a list of rows of numbers, got {shown(rows)}")
+    for row in rows:
+        for value in row:
+            real(value, f"an entry of {name}")
+    return rows_array(rows, name)
+
+
+def read_rows(rows, name):
+    return number_array(rows, name, 2, float)
 
 
 def outcome(reader, rows):
     try:
-        array = reader(rows, "dist")
+        array = reader(rows, '"dist"')
     except Exception as exc:  # the exception itself is the outcome compared
         return type(exc), str(exc)
     return array.dtype, array.shape, array.tobytes()
@@ -57,7 +70,7 @@ def outcome(reader, rows):
 
 def assert_same_outcome(rows):
     expected = outcome(per_entry_real_matrix, rows)
-    assert outcome(real_matrix, rows) == expected
+    assert outcome(read_rows, rows) == expected
     return expected
 
 
@@ -94,7 +107,7 @@ METRIC = "[[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]]"
         '{"0": [0, 1]}',
     ],
 )
-def test_real_matrix_reads_json_as_the_per_entry_reader(text):
+def test_rows_of_reals_read_json_as_the_per_entry_reader(text):
     assert_same_outcome(cli._loads(text))
 
 
@@ -129,9 +142,21 @@ HUGE = 10**400
         [[0.0, True], [1.0, 0.0]],
         [[0.0, 1.0], [1.0, False]],
         [[0.0, 1.0], [1.0, 0.0, None]],
+        [(0.0, True), (1.0, 0.0)],  # a bool in a tuple row
+        [[0.5, 2.5], [np.True_, 0.5]],
+        [[0.5, 2.5], [np.float64(1.0), np.int64(2)]],
+        [(0.0, 1.0), [1.0, 0.0, 2.0]],  # ragged, a tuple row first
+        [[0.0, 1.0], 1.0],  # a bare number in place of a row
+        [1.0, [0.0, 1.0]],
+        [[0.0, 1.0], None],
+        [],
+        (),
+        [[]],
+        1.0,
+        None,
     ],
 )
-def test_real_matrix_reads_library_input_as_the_per_entry_reader(rows):
+def test_rows_of_reals_read_library_input_as_the_per_entry_reader(rows):
     assert_same_outcome(rows)
 
 
@@ -148,11 +173,12 @@ def graph_metric_rows(rng, n):
     return rows
 
 
-def test_real_matrix_reads_graph_metrics_as_the_per_entry_reader():
+def test_rows_of_reals_read_graph_metrics_as_the_per_entry_reader():
     rng = np.random.default_rng(29)
     for n in (2, 3, 17, 40, 120, 240):
         for rows in (cli._loads(json.dumps(random_graph_metric(rng, n).tolist())), graph_metric_rows(rng, n)):
             assert assert_same_outcome(rows)[:2] == (np.dtype(float), (n, n))
+            assert assert_same_outcome([tuple(row) for row in rows])[:2] == (np.dtype(float), (n, n))
 
 
 def test_graph_metrics_take_the_packed_pass(monkeypatch):
@@ -163,10 +189,20 @@ def test_graph_metrics_take_the_packed_pass(monkeypatch):
         raise AssertionError("read entry by entry")
 
     rows = graph_metric_rows(np.random.default_rng(31), 240)
-    expected = per_entry_real_matrix(rows, "dist")
+    expected = per_entry_real_matrix(rows, '"dist"')
     monkeypatch.setattr(serialize, "real", per_entry)
     monkeypatch.setattr(serialize, "rows_array", per_entry)
-    assert real_matrix(rows, "dist").tobytes() == expected.tobytes()
+    assert read_rows(rows, '"dist"').tobytes() == expected.tobytes()
+
+
+def test_a_library_caller_s_rows_take_the_packed_pass(monkeypatch):
+    """``MetricSpace`` given a 240-point graph metric as Python lists reads
+    it with no per-entry ``real`` call, as it reads JSON."""
+    dist = random_graph_metric(np.random.default_rng(32), 240)
+    calls = []
+    monkeypatch.setattr(serialize, "real", lambda value, name: calls.append(name))
+    space = MetricSpace(dist.tolist())
+    assert calls == [] and space.dist.tobytes() == dist.tobytes()
 
 
 def test_a_true_in_a_wide_matrix_is_named():
@@ -174,15 +210,15 @@ def test_a_true_in_a_wide_matrix_is_named():
     rows = [[0.5] * 5 for _ in range(3)]
     rows[2][4] = True
     with pytest.raises(ValidationError, match='^an entry of "re" must be a real number, got True$'):
-        real_matrix(rows, "re")
+        read_rows(rows, '"re"')
 
 
 @pytest.mark.parametrize(
     "read, obj",
     [
-        (lambda rows: real_matrix(rows, "dist"), [[0, 1.0, 2.5], [1, 0.0, 1.5], [2.5, 1.5, 0]]),
-        (lambda rows: real_matrix(rows, "dist"), [[0.0, 0.5], [0.5, 0.0]]),
-        (lambda rows: real_matrix(rows, "dist"), [[0.0, 0.5], [0.5, Fraction(0)]]),  # read entry by entry
+        (lambda rows: read_rows(rows, '"dist"'), [[0, 1.0, 2.5], [1, 0.0, 1.5], [2.5, 1.5, 0]]),
+        (lambda rows: read_rows(rows, '"dist"'), [[0.0, 0.5], [0.5, 0.0]]),
+        (lambda rows: read_rows(rows, '"dist"'), [[0.0, 0.5], [0.5, Fraction(0)]]),  # read entry by entry
         (complex_vector_from_json, [[0, 0.5], [1.5, -1]]),
         (complex_vector_from_json, [[0, 0.5], 1.5]),  # read pair by pair
         (serialize.complex_matrix_from_json, {"re": [[1, 0.5], [0.5, 1]], "im": [[0, 0.5], [-0.5, 0]]}),
@@ -209,7 +245,7 @@ entries = (
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.lists(entries, max_size=4) | entries, max_size=4))
-def test_real_matrix_matches_the_per_entry_reader_on_any_rows(rows):
+def test_rows_of_reals_match_the_per_entry_reader_on_any_rows(rows):
     assert_same_outcome(rows)
 
 
@@ -227,7 +263,7 @@ class TestComplexArray:
         assert out.dtype == complex and np.array_equal(out, np.asarray(values, dtype=complex))
 
     def test_names_a_ragged_row(self):
-        with pytest.raises(ValidationError, match='^row 1 of "x" has length 1, but row 0 has length 2$'):
+        with pytest.raises(ValidationError, match="^row 1 of x has length 1, but row 0 has length 2$"):
             complex_array([[1.0, 0.0], (2.0,)], "x", 2)
 
 
@@ -306,7 +342,7 @@ def per_entry_point_set(obj):
             rows.append([pair_to_complex(entry)])
         else:
             rows.append(per_entry_complex_vector(entry))
-    ps = EuclideanPointSet(rows_array(rows, "points", complex), labels=obj.get("labels"))
+    ps = EuclideanPointSet(rows_array(rows, '"points"', complex), labels=obj.get("labels"))
     if "dim" in obj and integer(obj["dim"], "dim") != ps.dim:
         raise ValidationError("declared dim does not match point tuples")
     return ps

@@ -1,6 +1,6 @@
 """The CI workflow, which runs only on a push: it parses, its install step
 installs the ``test`` extra, its tier-1 step runs ROADMAP's tier-1 command in
-Python's development mode, and its console step runs the installed
+Python's development mode and lists the ten slowest tests, and its console step runs the installed
 ``funcspace`` script at most once per exit status, since every behaviour check
 lives in the tests.  The package itself needs numpy and orjson; scipy is in
 the ``test`` extra only."""
@@ -44,7 +44,7 @@ def test_scipy_is_in_the_test_extra_only():
 def test_tier1_step_runs_the_roadmap_command(steps):
     roadmap = (ROOT / "ROADMAP.md").read_text()
     command = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", roadmap, flags=re.M).group(1)
-    assert steps["Tier-1 tests"]["run"].strip() == command
+    assert steps["Tier-1 tests"]["run"].strip() == f"{command} --durations=10"
     assert steps["Tier-1 tests"]["env"] == {"PYTHONDEVMODE": "1"}
 
 
